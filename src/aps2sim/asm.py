@@ -90,17 +90,16 @@ class WaveformLibrary:
     def pack(self) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
         """Concatenate entries into int16 I/Q memory; returns (mem, offsets)."""
         offsets: dict[str, tuple[int, int]] = {}
-        chunks = []
         pos = 0
         for name, arr in self.entries.items():
-            q = np.empty((len(arr), 2), dtype=np.int16)
-            q[:, 0] = np.clip(np.round(arr.real * 32768.0), -32768, 32767)
-            q[:, 1] = np.clip(np.round(arr.imag * 32768.0), -32768, 32767)
             offsets[name] = (pos, len(arr))
-            chunks.append(q)
             pos += len(arr)
-        mem = np.concatenate(chunks) if chunks else np.zeros((0, 2), np.int16)
-        return mem, offsets
+        if not self.entries:
+            return np.zeros((0, 2), np.int16), offsets
+        # (n, 2) I/Q pairs of every entry, quantized in one pass
+        iq = np.concatenate(list(self.entries.values())).view(np.float64)
+        mem = np.clip(np.round(iq.reshape(-1, 2) * 32768.0), -32768, 32767)
+        return mem.astype(np.int16), offsets
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

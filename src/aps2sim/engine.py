@@ -14,8 +14,7 @@ stream, and a waveform engine begins a new command at most every
 2 sequencer clocks so 8-sample minimum pulses play back to back.  All
 engines released by the same trigger emit their first sample on the same
 tick.  Trace timestamps are at the engine output plane; the DAC chain
-delay is a config constant consumed by the latency ledger, not baked
-into the trace.
+delay after it is not modelled.
 
 A blocked run returns a reason ("need_trigger", "need_steering") so a
 harness can feed fabric messages in and resume, which is how the closed
@@ -26,11 +25,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clocks import ANALOG_SAMPLE_TICKS, SEQ_CLOCK_TICKS, align_up
+from .events import Event, EventKind, stalls
 from .isa import (
     CmpOp,
     Instruction,
@@ -40,13 +40,13 @@ from .isa import (
     Opcode,
     ProgramImage,
     WfAction,
+    decode,
 )
 from .mem import InstructionCache, MemConfig, Sdram, WaveformCache
 from .mod import MixerCorrector, ModConfig, ModEngine
 
 __all__ = [
     "EngineConfig",
-    "EngineEvent",
     "Sequencer",
     "OutputTrace",
     "DeadlockError",
@@ -64,7 +64,6 @@ class EngineConfig:
     jump_penalty_clocks: int = 16        # taken-branch pipeline flush
     waveform_pipeline_clocks: int = 9    # dispatch to first output sample
     min_play_gap_clocks: int = 2         # new waveform every 2 clocks
-    dac_output_ticks: int = 174          # DAC chain, latency ledger only
     initial_cmp: int = 0                 # comparison register at start
     max_decodes: int = 20_000_000
 
@@ -77,13 +76,6 @@ class EngineConfig:
         return self.waveform_pipeline_clocks * CLK
 
 
-@dataclass(frozen=True)
-class EngineEvent:
-    tick: int
-    kind: str
-    detail: dict
-
-
 class DeadlockError(RuntimeError):
     pass
 
@@ -92,11 +84,10 @@ class SimTrap(RuntimeError):
     """Fatal program error (stack misuse, bad page mode, runaway loop)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Run:
     start: int
     data: np.ndarray      # complex analog samples or uint8 marker levels
-    ta: bool = False
 
     @property
     def n(self) -> int:
@@ -107,10 +98,20 @@ class _Run:
         return self.start + ANALOG_SAMPLE_TICKS * self.n
 
 
+def _sample_ticks(runs: list[_Run]) -> np.ndarray:
+    """Output tick of every sample of runs, in order: sample i of a run
+    plays at start + ANALOG_SAMPLE_TICKS * i."""
+    counts = np.array([r.n for r in runs], dtype=np.int64)
+    starts = np.array([r.start for r in runs], dtype=np.int64)
+    first = np.cumsum(counts) - counts       # stream index of each start
+    return (np.repeat(starts - ANALOG_SAMPLE_TICKS * first, counts)
+            + ANALOG_SAMPLE_TICKS * np.arange(counts.sum(), dtype=np.int64))
+
+
 class _StreamEngine:
     """Shared scheduling for waveform and marker engines."""
 
-    def __init__(self, name: str, cfg: EngineConfig, events: list[EngineEvent],
+    def __init__(self, name: str, cfg: EngineConfig, events: list[Event],
                  min_gap_ticks: int):
         self.name = name
         self.cfg = cfg
@@ -193,9 +194,9 @@ class _StreamEngine:
         else:
             start = align_up(earliest, CLK)
             if self.frontier is not None:
-                self.events.append(EngineEvent(
-                    self.frontier, "underrun",
-                    {"engine": self.name, "gap": start - self.frontier}))
+                self.events.append(Event(
+                    self.frontier, EventKind.UNDERRUN, start - self.frontier,
+                    {"engine": self.name}))
         self.starts.append(start)
         self.last_start = start
         self.frontier = start + duration
@@ -231,7 +232,7 @@ class WaveformEngine(_StreamEngine):
         if wf.action is WfAction.PLAY:
             data = self._fetch(wf)
             start = self._start_for(tick, ANALOG_SAMPLE_TICKS * wf.count)
-            self.runs.append(_Run(start, data, ta=wf.ta))
+            self.runs.append(_Run(start, data))
         elif wf.action is WfAction.PREFETCH:
             if self.cache.pending_fill is None:
                 # dispatch-time start was not possible (fill already in
@@ -273,7 +274,7 @@ class MarkerEngine(_StreamEngine):
 class OutputTrace:
     analog: list[_Run]
     markers: dict[int, list[_Run]]
-    events: list[EngineEvent]
+    events: list[Event]
     saturations: int = 0
 
     def analog_values(self) -> np.ndarray:
@@ -282,21 +283,13 @@ class OutputTrace:
         return np.concatenate([r.data for r in self.analog])
 
     def analog_ticks(self) -> np.ndarray:
-        if not self.analog:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([
-            r.start + ANALOG_SAMPLE_TICKS * np.arange(r.n, dtype=np.int64)
-            for r in self.analog])
+        return _sample_ticks(self.analog)
 
     def marker_levels(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
         runs = self.markers.get(channel, [])
         if not runs:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        ticks = np.concatenate([
-            r.start + ANALOG_SAMPLE_TICKS * np.arange(r.n, dtype=np.int64)
-            for r in runs])
-        levels = np.concatenate([r.data for r in runs])
-        return ticks, levels
+        return _sample_ticks(runs), np.concatenate([r.data for r in runs])
 
     def marker_edges(self, channel: int) -> list[tuple[int, int]]:
         """Level transitions (tick, new_level), idle level 0."""
@@ -316,58 +309,16 @@ class OutputTrace:
                 level = 0
         return edges
 
-    def stall_events(self) -> list[EngineEvent]:
-        return [e for e in self.events
-                if e.kind in ("fetch_stall", "swap_stall", "underrun")]
-
-    # -- exports ------------------------------------------------------------
-
-    def write_analog_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("tick,channel,i,q\n")
-            for run in self.analog:
-                ticks = run.start + ANALOG_SAMPLE_TICKS * np.arange(run.n)
-                for t, v in zip(ticks, run.data):
-                    fh.write(f"{t},0,{v.real:.9g},{v.imag:.9g}\n")
-
-    def write_marker_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("tick,channel,level\n")
-            for ch in sorted(self.markers):
-                for tick, level in self.marker_edges(ch):
-                    fh.write(f"{tick},{ch},{level}\n")
+    def stall_events(self) -> list[Event]:
+        """Fetch and page-swap stalls, each recorded once (see events)."""
+        return stalls(self.events)
 
     def write_events_jsonl(self, path) -> None:
+        """One JSON object per event: tick, kind, ticks, then the detail."""
         with open(path, "w") as fh:
             for e in self.events:
-                fh.write(json.dumps(
-                    {"tick": e.tick, "kind": e.kind, **e.detail}) + "\n")
-
-    def write_binary(self, path) -> None:
-        """Compact trace: one (tick u64, channel u8, i f32, q f32) record
-        per analog sample, channel 255 reserved for marker edges."""
-        records = []
-        rec = np.dtype([("tick", "<u8"), ("channel", "u1"),
-                        ("i", "<f4"), ("q", "<f4")])
-        for run in self.analog:
-            block = np.zeros(run.n, dtype=rec)
-            block["tick"] = run.start + ANALOG_SAMPLE_TICKS * np.arange(run.n)
-            block["i"] = run.data.real
-            block["q"] = run.data.imag
-            records.append(block)
-        for ch in sorted(self.markers):
-            edges = self.marker_edges(ch)
-            block = np.zeros(len(edges), dtype=rec)
-            block["tick"] = [t for t, _ in edges]
-            block["channel"] = 255
-            block["i"] = [lv for _, lv in edges]
-            block["q"] = ch
-            records.append(block)
-        body = np.concatenate(records) if records else np.zeros(0, dtype=rec)
-        with open(path, "wb") as fh:
-            fh.write(b"APS2TRC\0")
-            fh.write(np.uint32(len(body)).tobytes())
-            fh.write(body.tobytes())
+                fh.write(json.dumps({"tick": e.tick, "kind": e.kind,
+                                     "ticks": e.ticks, **e.detail}) + "\n")
 
 
 class Sequencer:
@@ -379,11 +330,12 @@ class Sequencer:
         self.image = image
         self.cfg = cfg or EngineConfig()
         self.mem_cfg = mem_cfg or MemConfig()
-        base_mod = mod_cfg or ModConfig()
-        if base_mod.pipeline_ticks == 0:
-            base_mod.pipeline_ticks = self.cfg.pipeline_ticks
-        self.mod_cfg = base_mod
-        self.instrs = image.decode_all()
+        mod_cfg = mod_cfg or ModConfig()
+        if mod_cfg.pipeline_ticks == 0:
+            mod_cfg = replace(mod_cfg, pipeline_ticks=self.cfg.pipeline_ticks)
+        self.mod_cfg = mod_cfg
+        self.n_instrs = len(image.words)
+        self._decoded: dict[int, Instruction] = {}   # on first fetch
         self.reset()
 
     def reset(self) -> None:
@@ -394,7 +346,7 @@ class Sequencer:
                                        self.sdram)
         self.wavecache = WaveformCache(self.mem_cfg, self.image.waveforms,
                                        self.sdram)
-        self.events: list[EngineEvent] = []
+        self.events: list[Event] = []
         self.wf = WaveformEngine(cfg, self.events, self.wavecache)
         self.markers = [MarkerEngine(ch, cfg, self.events) for ch in range(4)]
         self.modeng = ModEngine(self.mod_cfg)
@@ -427,8 +379,8 @@ class Sequencer:
         if consumed:
             self.trigger_edges.append(edge)
         else:
-            self.events.append(EngineEvent(
-                tick, "trigger_dropped", {"edge": edge}))
+            self.events.append(Event(tick, EventKind.TRIGGER_DROPPED,
+                                     detail={"edge": edge}))
 
     def deliver_steering(self, word: int, tick: int) -> None:
         self.steering.append((word, tick))
@@ -445,7 +397,7 @@ class Sequencer:
                 reason = self._try_sync()
                 if reason:
                     return reason
-            if self.pc >= len(self.instrs):
+            if self.pc >= self.n_instrs:
                 if any(e.waiting() for e in (self.wf, *self.markers)):
                     return "need_trigger"   # queues still hold a WAIT
                 self.halted = True
@@ -475,13 +427,19 @@ class Sequencer:
             word, avail = self.icache.read_instruction(self.pc, tick)
         hit = self.mem_cfg.hit_latency_ticks
         if avail > tick + hit:
-            stall = avail - (tick + hit)
-            self.events.append(EngineEvent(
-                tick, "fetch_stall", {"pc": self.pc, "ticks": stall}))
             self.decode_tick = align_up(avail - hit, CLK)
+            self._fetch_stall(tick, self.pc)
             self._carried_fetch = (self.pc, word, avail)
             return None
-        return self.instrs[self.pc]
+        instr = self._decoded.get(self.pc)
+        if instr is None:
+            instr = self._decoded[self.pc] = decode(self.image.words[self.pc])
+        return instr
+
+    def _fetch_stall(self, since: int, pc: int) -> None:
+        """Record the decode ticks lost waiting for pc, from since on."""
+        self.events.append(Event(since, EventKind.FETCH_STALL,
+                                 self.decode_tick - since, {"pc": pc}))
 
     def _no_lookahead_fence(self) -> str | None:
         if any(e.waiting() for e in (self.wf, *self.markers)):
@@ -507,7 +465,7 @@ class Sequencer:
     def _redirect(self, target: int, tick: int) -> None:
         """Taken jump: flush penalty, overlap the target line fetch."""
         self.pc = target
-        if target >= len(self.instrs):
+        if target >= self.n_instrs:
             # jump one past the end: the program completes there
             self._carried_fetch = None
             self.decode_tick = tick + CLK + self.cfg.jump_penalty_ticks
@@ -515,8 +473,10 @@ class Sequencer:
         word, avail = self.icache.read_instruction(target, tick)
         self._carried_fetch = (target, word, avail)
         hit = self.mem_cfg.hit_latency_ticks
-        self.decode_tick = max(tick + CLK + self.cfg.jump_penalty_ticks,
-                               align_up(avail - hit, CLK))
+        flushed = tick + CLK + self.cfg.jump_penalty_ticks
+        self.decode_tick = max(flushed, align_up(avail - hit, CLK))
+        if self.decode_tick > flushed:
+            self._fetch_stall(flushed, target)
 
     def _dispatch(self, engine: _StreamEngine, cmd, tick: int) -> str | None:
         free = engine.accept_tick(tick)
@@ -524,9 +484,9 @@ class Sequencer:
             return "blocked_queue"
         if free > tick:
             self.decode_tick = align_up(free, CLK)
-            self.events.append(EngineEvent(
-                tick, "queue_full",
-                {"engine": engine.name, "until": self.decode_tick}))
+            self.events.append(Event(
+                tick, EventKind.QUEUE_FULL,
+                detail={"engine": engine.name, "until": self.decode_tick}))
         engine.submit(cmd, self.decode_tick)
         return None
 
@@ -618,7 +578,8 @@ class Sequencer:
         return None
 
     def _trap(self, tick: int, reason: str) -> str | None:
-        self.events.append(EngineEvent(tick, "trap", {"reason": reason}))
+        self.events.append(Event(tick, EventKind.TRAP,
+                                 detail={"reason": reason}))
         self.trap_reason = reason
         self.halted = True
         return None
@@ -646,27 +607,24 @@ class Sequencer:
 
     # -- trace assembly ------------------------------------------------------
 
-    def cache_stall_events(self):
-        return (self.icache.stall_events() + self.wavecache.stall_events()
-                + [e for e in self.events if e.kind == "fetch_stall"])
+    def cache_stall_events(self) -> list[Event]:
+        """Stalls so far, for bench/run.py; use OutputTrace.stall_events."""
+        return stalls(self.events) + self.wavecache.stall_events()
 
     def finalize(self) -> OutputTrace:
+        """Assemble the trace; a repeat call returns an equal trace."""
         corrector = MixerCorrector(self.mod_cfg)
         runs = self.wf.runs
         if self.modeng.pending_commands():
-            tick_runs = [r.start + ANALOG_SAMPLE_TICKS
-                         * np.arange(r.n, dtype=np.int64) for r in runs]
-            factors = self.modeng.resolve(tick_runs, self.trigger_edges)
-            analog = [_Run(r.start, corrector.apply(r.data * f), r.ta)
-                      for r, f in zip(runs, factors)]
+            [factors] = self.modeng.resolve([_sample_ticks(runs)],
+                                            self.trigger_edges)
+            first = np.cumsum([0] + [r.n for r in runs])
+            analog = [_Run(r.start, corrector.apply(r.data * factors[a:b]))
+                      for r, a, b in zip(runs, first, first[1:])]
         else:
-            analog = [_Run(r.start, corrector.apply(r.data), r.ta)
-                      for r in runs]
-        events = self.events + [
-            EngineEvent(e.tick, "swap_stall", {"stall": e.stall})
-            for e in self.wavecache.stall_events()]
-        for e in self.modeng.events:
-            events.append(EngineEvent(e.tick, e.kind, e.detail))
+            analog = [_Run(r.start, corrector.apply(r.data)) for r in runs]
+        events = (self.events + self.icache.events + self.wavecache.events
+                  + self.modeng.events)
         markers = {m.channel: m.runs for m in self.markers if m.runs}
         return OutputTrace(analog=analog, markers=markers,
                            events=sorted(events, key=lambda e: e.tick),

@@ -19,31 +19,33 @@ waveform engine's PREFETCH command refills the idle page.
 
 Timing contract: every read returns (data, available_tick).  Hits are
 available after the configured hit latency; the caller treats anything
-later as a stall.  Caches start warm over their initial contents, which
-stands in for configuration time before a sequence starts; every fill
-after that is on the clock.
+later as a stall and records it, since only the caller knows how many of
+those ticks it lost.  So the sequencer records fetch stalls, and the
+caches record a miss or a late fill only as a cause, with no ticks.  The
+waveform cache records the one stall it owns: a page swap that waits for
+its fill.  Hits are counted, not logged.  Caches start warm over their
+initial contents, which stands in for configuration time before a
+sequence starts; every fill after that is on the clock.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clocks import SEQ_CLOCK_TICKS, ns_to_ticks
+from .events import Event, EventKind, stalls
 from .isa import CACHE_LINE_INSTRUCTIONS
 
 __all__ = [
     "MemConfig",
     "CacheError",
-    "CacheEvent",
     "Sdram",
     "InstructionCache",
     "WaveformCache",
     "page_fill_ticks",
-    "write_cache_trace",
 ]
 
 
@@ -73,15 +75,6 @@ class CacheError(RuntimeError):
     """Fatal access outside the resident region, or a bad mode."""
 
 
-@dataclass(frozen=True)
-class CacheEvent:
-    tick: int
-    kind: str
-    addr: int
-    line: int
-    stall: int = 0
-
-
 class Sdram:
     """Serialized burst bus with a fixed first-word latency."""
 
@@ -108,8 +101,7 @@ def page_fill_ticks(cfg: MemConfig) -> int:
 
 
 class InstructionCache:
-    def __init__(self, cfg: MemConfig, words: list[int], sdram: Sdram,
-                 trace: bool = True):
+    def __init__(self, cfg: MemConfig, words: list[int], sdram: Sdram):
         self.cfg = cfg
         self.words = words
         self.sdram = sdram
@@ -121,14 +113,9 @@ class InstructionCache:
         self.assoc: dict[int, int] = {}
         self.assoc_order: list[int] = []     # round-robin victim order
         self.rr = 0
-        self.events: list[CacheEvent] = []
-        self.trace = trace
+        self.events: list[Event] = []
         self.hits = 0
         self.misses = 0
-
-    def _log(self, tick, kind, addr, line, stall=0):
-        if self.trace:
-            self.events.append(CacheEvent(tick, kind, addr, line, stall))
 
     def _schedule_window(self, line: int, tick: int) -> None:
         """Re-center the window on line, scheduling any missing fills."""
@@ -155,30 +142,21 @@ class InstructionCache:
         if line in self.window:
             if line > self.base_line:
                 self._schedule_window(line, tick)
-            fill_done = self.window[line]
+            fill_done, cause = self.window[line], EventKind.WINDOW_WAIT
             self.hits += 1
-            if fill_done > tick:
-                self._log(tick, "window_wait", addr, line,
-                          stall=fill_done - tick)
-                return self.words[addr], fill_done + self.cfg.hit_latency_ticks
-            self._log(tick, "hit", addr, line)
-            return self.words[addr], hit_at
-        if line in self.assoc:
-            fill_done = self.assoc[line]
+        elif line in self.assoc:
+            fill_done, cause = self.assoc[line], EventKind.ASSOC_WAIT
             self.hits += 1
-            if fill_done > tick:
-                self._log(tick, "assoc_wait", addr, line,
-                          stall=fill_done - tick)
-                return self.words[addr], fill_done + self.cfg.hit_latency_ticks
-            self._log(tick, "hit", addr, line)
+        else:
+            # demand miss: the window re-centers here and the demanded
+            # line fill (always after tick) is on the critical path
+            self.misses += 1
+            self._schedule_window(line, tick)
+            fill_done, cause = self.window[line], EventKind.MISS
+        if fill_done <= tick:
             return self.words[addr], hit_at
-
-        # demand miss: the window re-centers here and the demanded line
-        # fill is on the critical path
-        self.misses += 1
-        self._schedule_window(line, tick)
-        fill_done = self.window[line]
-        self._log(tick, "miss", addr, line, stall=fill_done - tick)
+        self.events.append(Event(tick, cause,
+                                 detail={"addr": addr, "line": line}))
         return self.words[addr], fill_done + self.cfg.hit_latency_ticks
 
     def prefetch_line(self, addr: int, tick: int) -> None:
@@ -186,8 +164,10 @@ class InstructionCache:
         if self.cfg.ideal:
             return
         line = addr // self.cfg.line_instructions
+        detail = {"addr": addr, "line": line}
         if line in self.assoc:
-            self._log(tick, "prefetch_dup", addr, line)
+            self.events.append(Event(tick, EventKind.PREFETCH_DUP,
+                                     detail=detail))
             return
         if len(self.assoc_order) < self.cfg.assoc_lines:
             self.assoc_order.append(line)
@@ -197,20 +177,15 @@ class InstructionCache:
             self.assoc_order[self.rr] = line
             self.rr = (self.rr + 1) % self.cfg.assoc_lines
         self.assoc[line] = self.sdram.request(self.cfg.line_bytes, tick)
-        self._log(tick, "prefetch", addr, line)
-
-    def stall_events(self) -> list[CacheEvent]:
-        return [e for e in self.events if e.stall > 0]
+        self.events.append(Event(tick, EventKind.PREFETCH, detail=detail))
 
 
 class WaveformCache:
-    def __init__(self, cfg: MemConfig, wave_mem: np.ndarray, sdram: Sdram,
-                 trace: bool = True):
+    def __init__(self, cfg: MemConfig, wave_mem: np.ndarray, sdram: Sdram):
         self.cfg = cfg
         self.mem = wave_mem
         self.sdram = sdram
-        self.events: list[CacheEvent] = []
-        self.trace = trace
+        self.events: list[Event] = []
         page = cfg.wave_page_samples
         self.pending_fill: tuple[int, int] | None = None
         if cfg.wave_mode == "single":
@@ -226,10 +201,6 @@ class WaveformCache:
             self.active_slot = 0
         else:
             raise CacheError(f"unknown waveform cache mode {cfg.wave_mode!r}")
-
-    def _log(self, tick, kind, addr, line, stall=0):
-        if self.trace:
-            self.events.append(CacheEvent(tick, kind, addr, line, stall))
 
     def read(self, addr: int, count: int, tick: int) -> np.ndarray:
         """Page-local read of count samples; resident data never stalls."""
@@ -261,7 +232,8 @@ class WaveformCache:
         idle = 1 - self.active_slot
         self.slots[idle] = (page_index, done)
         self.pending_fill = (idle, done)
-        self._log(tick, "wf_fill", page_index, idle)
+        self.events.append(Event(tick, EventKind.PAGE_FILL,
+                                 detail={"page": page_index, "slot": idle}))
 
     def complete_swap(self, tick: int) -> int:
         """Swap to the freshly filled page; returns the actual swap tick."""
@@ -272,23 +244,14 @@ class WaveformCache:
         idle, done = self.pending_fill
         self.pending_fill = None
         self.active_slot = idle
+        detail = {"page": self.slots[idle][0], "slot": idle}
         if done > tick:
-            self._log(tick, "wf_swap_stall", self.slots[idle][0], idle,
-                      stall=done - tick)
+            self.events.append(Event(tick, EventKind.SWAP_STALL, done - tick,
+                                     detail))
             return done
-        self._log(tick, "wf_swap", self.slots[idle][0], idle)
+        self.events.append(Event(tick, EventKind.PAGE_SWAP, detail=detail))
         return tick
 
-    def stall_events(self) -> list[CacheEvent]:
-        return [e for e in self.events if e.stall > 0]
-
-
-def write_cache_trace(path, *caches) -> None:
-    """All cache events merged in tick order, one JSON object per line."""
-    events = sorted((e for c in caches for e in c.events),
-                    key=lambda e: (e.tick, e.kind))
-    with open(path, "w") as fh:
-        for e in events:
-            fh.write(json.dumps({"tick": e.tick, "kind": e.kind,
-                                 "addr": e.addr, "line": e.line,
-                                 "stall": e.stall}) + "\n")
+    def stall_events(self) -> list[Event]:
+        """Swap stalls so far, for bench/run.py; use OutputTrace.stall_events."""
+        return stalls(self.events)

@@ -26,11 +26,12 @@ otherwise.  Samples outside any window pass through unrotated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clocks import ANALOG_SAMPLE_TICKS
+from .events import Event, EventKind
 from .isa import NUM_NCOS, ModAction, Modulator, turns_from_phase_word
 
 __all__ = ["ModConfig", "NcoBank", "ModEngine", "MixerCorrector"]
@@ -103,21 +104,13 @@ class NcoBank:
         return np.exp(1j * TWO_PI * phase)
 
 
-@dataclass
-class ModEvent:
-    tick: int
-    kind: str
-    detail: dict = field(default_factory=dict)
-
-
 class ModEngine:
     """Resolves the modulator command stream against the sample schedule."""
 
     def __init__(self, cfg: ModConfig):
         self.cfg = cfg
-        self.bank = NcoBank(cfg)
         self.queue: list[tuple[Modulator, int, int]] = []
-        self.events: list[ModEvent] = []
+        self.events: list[Event] = []     # of the latest resolve()
 
     def submit(self, md: Modulator, tick: int, pos: int = 0) -> None:
         """Queue a command dispatched at tick with pos samples ahead of it."""
@@ -129,6 +122,8 @@ class ModEngine:
     def resolve(self, runs: list[np.ndarray],
                 trigger_edges: list[int]) -> list[np.ndarray]:
         """Rotation factors for each run of sample ticks, in stream order."""
+        bank = NcoBank(self.cfg)      # fresh state: a repeat call agrees
+        self.events = []
         ticks = (np.concatenate(runs) if runs
                  else np.zeros(0, dtype=np.int64))
         total = len(ticks)
@@ -152,15 +147,14 @@ class ModEngine:
                 end = pos + md.count
                 bound = min(end, total)
                 if bound > pos:
-                    flat[pos:bound] = self.bank.rotation(md.nco,
-                                                         ticks[pos:bound])
+                    flat[pos:bound] = bank.rotation(md.nco, ticks[pos:bound])
                     cursor_tick = max(cursor_tick,
                                       int(ticks[bound - 1])
                                       + ANALOG_SAMPLE_TICKS)
                 if end > total:
-                    self.events.append(ModEvent(
-                        cursor_tick, "modulate_underfilled",
-                        {"nco": md.nco, "missing": end - total}))
+                    self.events.append(Event(
+                        cursor_tick, EventKind.MODULATE_UNDERFILLED,
+                        detail={"nco": md.nco, "missing": end - total}))
                 cursor_pos = end
             else:
                 # phase commands latch on the rotation-plane clock, just
@@ -169,23 +163,24 @@ class ModEngine:
                     at = int(ticks[pos]) - pipe
                 else:
                     at = max(cursor_tick, dispatch) - pipe
-                self._apply(md, at)
+                self._apply(bank, md, at)
                 cursor_pos = pos
 
         bounds = np.cumsum([0] + [len(r) for r in runs])
         return [flat[bounds[k]:bounds[k + 1]] for k in range(len(runs))]
 
-    def _apply(self, md: Modulator, tick: int) -> None:
+    def _apply(self, bank: NcoBank, md: Modulator, tick: int) -> None:
         turns = turns_from_phase_word(md.phase_word)
         if md.action is ModAction.RESET_PHASE:
-            self.bank.reset(md.nco, tick)
-            self.events.append(ModEvent(tick, "reset_phase", {"mask": md.nco}))
+            bank.reset(md.nco, tick)
+            self.events.append(Event(tick, EventKind.RESET_PHASE,
+                                     detail={"mask": md.nco}))
         elif md.action is ModAction.SET_PHASE_OFFSET:
-            self.bank.set_offset(md.nco, turns)
+            bank.set_offset(md.nco, turns)
         elif md.action is ModAction.SET_PHASE_INCREMENT:
-            self.bank.set_increment(md.nco, turns, tick)
+            bank.set_increment(md.nco, turns, tick)
         elif md.action is ModAction.UPDATE_FRAME:
-            self.bank.update_frame(md.nco, turns)
+            bank.update_frame(md.nco, turns)
 
 
 class MixerCorrector:
@@ -200,11 +195,13 @@ class MixerCorrector:
 
     def apply(self, iq: np.ndarray) -> np.ndarray:
         """Correct a complex sample array; saturates into [-1, 1)."""
-        pair = np.stack([iq.real, iq.imag], axis=-1)
+        # (..., 2) I/Q pairs as a view, the layout np.stack would copy
+        iq = np.ascontiguousarray(iq, dtype=np.complex128)
+        pair = iq.view(np.float64).reshape(iq.shape + (2,))
         out = pair @ self.matrix.T + self.offsets
         top = 32767.0 / 32768.0
         clipped = np.clip(out, -1.0, top)
-        self.saturations += int(np.sum(clipped != out))
+        self.saturations += int(np.count_nonzero(clipped != out))
         if self.dac_bits is not None:
             scale = float(1 << (self.dac_bits - 1))
             clipped = np.round(clipped * scale) / scale

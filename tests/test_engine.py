@@ -1,11 +1,15 @@
 """Sequencer timing and semantics against hand-computed schedules."""
 
+import json
+
 import numpy as np
 import pytest
 
 from aps2sim.engine import DeadlockError, EngineConfig, Sequencer
+from aps2sim.events import EventKind
 from aps2sim.isa import (
     CmpOp,
+    DecodeError,
     Instruction,
     Marker,
     MarkerAction,
@@ -19,6 +23,7 @@ from aps2sim.isa import (
     turns_from_phase_word,
 )
 from aps2sim.mem import MemConfig
+from aps2sim.mod import ModConfig
 
 RAMP = np.stack([np.arange(16, dtype=np.int16) * 100,
                  -np.arange(16, dtype=np.int16) * 100], axis=1)
@@ -78,7 +83,7 @@ def test_minimum_command_rate_forces_gaps_for_short_pulses():
     starts = [r.start for r in trace.analog]
     assert starts == [180, 220, 260, 300]
     gaps = [e for e in trace.events if e.kind == "underrun"]
-    assert len(gaps) == 3 and all(e.detail["gap"] == 20 for e in gaps)
+    assert len(gaps) == 3 and all(e.ticks == 20 for e in gaps)
 
 
 def test_repeat_is_taken_and_costs_the_flush():
@@ -265,8 +270,9 @@ def test_prefetch_hint_removes_the_far_jump_stall():
     hinted = Sequencer(program(True))
     t_hint = hinted.run_simple()
 
-    assert len(plain.cache_stall_events()) > 0
-    assert len(hinted.cache_stall_events()) == 0
+    # the far GOTO stalls decode beyond its flush unless hinted
+    assert [e.kind for e in t_plain.stall_events()] == ["fetch_stall"]
+    assert t_hint.stall_events() == []
     # lookahead keeps the output gapless either way
     assert [e for e in t_plain.events if e.kind == "underrun"] == []
     assert np.array_equal(t_plain.analog_values(), t_hint.analog_values())
@@ -296,3 +302,106 @@ def test_halt_only_after_pending_wait_resolves():
     seq.deliver_trigger(400)
     assert seq.run_until_blocked() == "halted"
     assert Sequencer(image([play(0, 8)])).run_until_blocked() == "halted"
+
+
+def mod(action, nco=0b0001, phase_word=0, count=0):
+    return Instruction(Opcode.MODULATOR, Modulator(
+        action, nco=nco, phase_word=phase_word, count=count))
+
+
+FILLER = Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=0)
+
+
+def test_finalize_is_repeatable():
+    # a modulated loop with frame updates and no RESET_PHASE, and
+    # triggered shots that reset the phase: both rebuild NCO state
+    lap = [mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0800_0000_0000),
+           mod(ModAction.UPDATE_FRAME, phase_word=0x2000_0000_0000),
+           mod(ModAction.MODULATE, nco=0, count=16),
+           play(0, 8), play(8, 8)]
+    loop = [Instruction(Opcode.LOAD_REPEAT, value=3), *lap,
+            Instruction(Opcode.REPEAT, addr=1)]
+    shot = [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
+            mod(ModAction.MODULATE, nco=0, count=8), play(0, 8)]
+    shots = [mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0800_0000_0000),
+             *shot, *shot]
+    for instrs, triggers in ((loop, []), (shots, [1000, 5000])):
+        seq = Sequencer(image(instrs))
+        first = seq.run_simple(triggers=triggers)
+        second = seq.finalize()
+        assert np.array_equal(second.analog_values(), first.analog_values())
+        assert np.array_equal(second.analog_ticks(), first.analog_ticks())
+        assert second.events == first.events
+
+
+def test_sequencer_leaves_the_passed_config_unchanged():
+    mod_cfg = ModConfig()
+    seq = Sequencer(image([play(0, 8)]), mod_cfg=mod_cfg)
+    assert mod_cfg == ModConfig()
+    assert seq.mod_cfg.pipeline_ticks == EngineConfig().pipeline_ticks
+
+
+def test_events_jsonl_round_trip(tmp_path):
+    wave = np.stack([np.arange(32, dtype=np.int16),
+                     np.zeros(32, dtype=np.int16)], axis=1)
+    far = 6 * 128 + 3                 # beyond the warm instruction window
+    body = [
+        mod(ModAction.MODULATE, nco=0, count=1000),   # more than is played
+        play(0, 4), play(4, 4),       # shorter than the command rate
+        Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, addr=1)),
+        play(0, 16),                  # swaps before the fill lands
+        Instruction(Opcode.GOTO, addr=far),
+    ]
+    body += [FILLER] * (far - len(body))
+    body.append(play(0, 8))
+    cfg = MemConfig(wave_mode="pingpong", wave_page_samples=16)
+    prog = ProgramImage([encode(i) for i in body], wave)
+    trace = Sequencer(prog, mem_cfg=cfg).run_simple()
+
+    kinds = {e.kind for e in trace.events}
+    assert {"underrun", "fetch_stall", "swap_stall",
+            "modulate_underfilled"} <= kinds
+    # the only fetch stall is the taken jump's, beyond its flush
+    [stall] = [e for e in trace.events if e.kind == "fetch_stall"]
+    assert stall.detail["pc"] == far and stall.ticks > 0
+
+    path = tmp_path / "events.jsonl"
+    trace.write_events_jsonl(path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(rows) == len(trace.events)
+    assert ([(r["tick"], EventKind(r["kind"]), r["ticks"]) for r in rows]
+            == [(e.tick, e.kind, e.ticks) for e in trace.events])
+
+
+def test_stall_ticks_of_far_calls_fit_inside_the_run():
+    # as the farcall benchmark: a loop calling subroutines 8 cache lines
+    # apart, each also playing one marker channel that idles in between
+    body, subs = [None], []
+    for ch in range(4):
+        body += [FILLER] * ((8 * ch + 1) * 128 - len(body))
+        subs.append(len(body))
+        body += [Instruction(Opcode.MARKER, Marker(
+                     MarkerAction.PLAY, channel=ch, state=1, count=2,
+                     last_word=0b1111)),
+                 play(0, 8), play(8, 8), Instruction(Opcode.RETURN)]
+    main = len(body)
+    body[0] = Instruction(Opcode.GOTO, addr=main)
+    body.append(Instruction(Opcode.LOAD_REPEAT, value=3))
+    body += [Instruction(Opcode.CALL, addr=subs[k]) for k in (0, 2, 1, 3)]
+    body.append(Instruction(Opcode.REPEAT, addr=main + 1))
+    trace = Sequencer(image(body)).run_simple()
+
+    stalled = sum(e.ticks for e in trace.stall_events())
+    assert stalled > 0
+    assert stalled <= trace.analog_ticks()[-1]
+
+
+def test_words_are_decoded_when_fetched():
+    bad = 0xFF << 56                  # no such opcode
+    words = [encode(play(0, 8)), encode(Instruction(Opcode.GOTO, addr=3)),
+             bad]
+    # the jump past the end skips the bad word, so the run never decodes it
+    trace = Sequencer(ProgramImage(words, RAMP)).run_simple()
+    assert np.array_equal(trace.analog_values(), wave_values(0, 8))
+    with pytest.raises(DecodeError):
+        Sequencer(ProgramImage([encode(play(0, 8)), bad], RAMP)).run_simple()
