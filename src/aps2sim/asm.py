@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -464,8 +465,13 @@ class CacheLayoutPlan:
 
 def plan_layout(image: ProgramImage, window_ahead: int = 4,
                 window_behind: int = 2) -> CacheLayoutPlan:
+    return _plan(image.decode_all(), window_ahead, window_behind)
+
+
+def _plan(instrs: list[Instruction], window_ahead: int = 4,
+          window_behind: int = 2) -> CacheLayoutPlan:
     plan = CacheLayoutPlan()
-    for pc, instr in enumerate(image.decode_all()):
+    for pc, instr in enumerate(instrs):
         if instr.op is not Opcode.CALL:
             continue
         target = instr.addr
@@ -491,21 +497,42 @@ def _block_start(instrs: list[Instruction], labels: set[int], pc: int) -> int:
     return start
 
 
+_TARGETED = (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT, Opcode.PREFETCH)
+
+
+def _mover(points: list[int], shift: int):
+    """Address map after shifting by `shift` every address at or above
+    each of the sorted points: a -> a + shift * (points <= a)."""
+    return lambda a: a + shift * bisect_right(points, a)
+
+
+def _moved_words(words: list[int], instrs: list[Instruction],
+                 move) -> list[int]:
+    """Words with every branch and PREFETCH target a replaced by move(a);
+    a word whose target does not move is kept as it is."""
+    out = []
+    for word, instr in zip(words, instrs):
+        if instr.op in _TARGETED:
+            addr = move(instr.addr)
+            if addr != instr.addr:
+                word = isa.encode(dataclasses.replace(instr, addr=addr))
+        out.append(word)
+    return out
+
+
 def insert_prefetch_hints(image: ProgramImage,
                           plan: CacheLayoutPlan | None = None) -> ProgramImage:
     """Insert one PREFETCH per call region for each distant CALL target.
 
     Program semantics are unchanged; only the cache behaves differently.
+    The image is decoded once and relocated in one pass: an address a
+    moves up by the number of hints inserted at or below a, and each
+    hint targets its CALL target's new address.
     """
-    if plan is None:
-        plan = plan_layout(image)
     instrs = image.decode_all()
-    symbols = dict(image.symbols)
-    manifest = list(image.prefetch_manifest)
-
-    # Work from the highest site down so earlier insertions keep pending
-    # site addresses valid.
-    label_addrs = set(symbols.values())
+    if plan is None:
+        plan = _plan(instrs)
+    label_addrs = set(image.symbols.values())
     jump_targets = {i.addr for i in instrs if i.op in
                     (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT)}
     inserts: list[tuple[int, int]] = []   # (insert position, target)
@@ -517,20 +544,21 @@ def insert_prefetch_hints(image: ProgramImage,
         seen.add((pos, target // LINE))
         inserts.append((pos, target))
 
-    for pos, target in sorted(inserts, reverse=True):
-        fixed = []
-        for instr in instrs:
-            fixed.append(isa.relocate(instr, pos))
-        new_target = target + 1 if target >= pos else target
-        fixed.insert(pos, Instruction(Opcode.PREFETCH, addr=new_target))
-        instrs = fixed
-        symbols = {name: a + 1 if a >= pos else a for name, a in symbols.items()}
-        manifest = [(s + 1 if s >= pos else s, t + 1 if t >= pos else t)
-                    for s, t in manifest]
-        manifest.append((pos, new_target))
-
-    return ProgramImage(words=[isa.encode(i) for i in instrs],
-                        waveforms=image.waveforms, symbols=symbols,
+    inserts.sort()                        # hints at one position by target
+    move = _mover([pos for pos, _ in inserts], 1)
+    body = _moved_words(image.words, instrs, move)
+    words: list[int] = []
+    manifest = [(move(s), move(t)) for s, t in image.prefetch_manifest]
+    done = 0
+    for pos, target in inserts:
+        words += body[done:pos]
+        done = pos
+        manifest.append((len(words), move(target)))
+        words.append(isa.encode(Instruction(Opcode.PREFETCH,
+                                            addr=move(target))))
+    words += body[done:]
+    return ProgramImage(words=words, waveforms=image.waveforms,
+                        symbols={n: move(a) for n, a in image.symbols.items()},
                         wave_symbols=dict(image.wave_symbols),
                         prefetch_manifest=sorted(manifest))
 
@@ -538,14 +566,12 @@ def insert_prefetch_hints(image: ProgramImage,
 def strip_prefetch_hints(image: ProgramImage) -> ProgramImage:
     """Remove instruction-cache PREFETCH ops, fixing up branch targets."""
     instrs = image.decode_all()
-    symbols = dict(image.symbols)
-    pos = len(instrs) - 1
-    while pos >= 0:
-        if instrs[pos].op is Opcode.PREFETCH:
-            instrs.pop(pos)
-            instrs = [isa.relocate(i, pos + 1, -1) for i in instrs]
-            symbols = {n: a - 1 if a > pos else a for n, a in symbols.items()}
-        pos -= 1
-    return ProgramImage(words=[isa.encode(i) for i in instrs],
-                        waveforms=image.waveforms, symbols=symbols,
+    hints = [pc for pc, i in enumerate(instrs) if i.op is Opcode.PREFETCH]
+    # an address moves down by the number of hints below it
+    move = _mover([pc + 1 for pc in hints], -1)
+    kept = [pc for pc, i in enumerate(instrs) if i.op is not Opcode.PREFETCH]
+    words = _moved_words([image.words[pc] for pc in kept],
+                         [instrs[pc] for pc in kept], move)
+    return ProgramImage(words=words, waveforms=image.waveforms,
+                        symbols={n: move(a) for n, a in image.symbols.items()},
                         wave_symbols=dict(image.wave_symbols))

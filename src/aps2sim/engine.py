@@ -19,6 +19,17 @@ delay after it is not modelled.
 A blocked run returns a reason ("need_trigger", "need_steering") so a
 harness can feed fabric messages in and resume, which is how the closed
 loop is driven.
+
+Output path: the decode loop builds no sample.  Each engine appends
+plain integers per run: the waveform engine the start tick, absolute
+waveform address (the active ping-pong page base included), sample
+count and TA flag; a marker engine the start tick, count, state and
+last word.  ``finalize`` resolves the modulator's windows over those
+columns, then walks the stream in blocks of ``BLOCK_SAMPLES``: one
+gather from the image's waveform memory, one rotation of the samples
+inside windows and one mixer call per block, so its working memory is
+bounded by the block size.  A TA run outside every window stays lazy:
+one mixed value, expanded only by ``OutputTrace.analog_values``.
 """
 
 from __future__ import annotations
@@ -43,12 +54,14 @@ from .isa import (
     decode,
 )
 from .mem import InstructionCache, MemConfig, Sdram, WaveformCache
-from .mod import MixerCorrector, ModConfig, ModEngine
+from .mod import MixerCorrector, ModConfig, ModEngine, Windows
 
 __all__ = [
     "EngineConfig",
     "Sequencer",
     "OutputTrace",
+    "Runs",
+    "MarkerRuns",
     "DeadlockError",
     "SimTrap",
 ]
@@ -84,32 +97,53 @@ class SimTrap(RuntimeError):
     """Fatal program error (stack misuse, bad page mode, runaway loop)."""
 
 
-@dataclass(slots=True)
-class _Run:
-    start: int
-    data: np.ndarray      # complex analog samples or uint8 marker levels
+BLOCK_SAMPLES = 1 << 16   # samples finalize gathers, rotates, mixes at once
+
+
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """One output stream's runs as columns, in stream order: run k plays
+    n[k] samples from tick start[k], one every ANALOG_SAMPLE_TICKS."""
+
+    start: np.ndarray
+    n: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
 
     @property
-    def n(self) -> int:
-        return len(self.data)
-
-    @property
-    def end(self) -> int:
+    def end(self) -> np.ndarray:
         return self.start + ANALOG_SAMPLE_TICKS * self.n
 
+    def ticks(self) -> np.ndarray:
+        """Output tick of every sample, in order."""
+        first = np.cumsum(self.n) - self.n      # stream index of each start
+        return (np.repeat(self.start - ANALOG_SAMPLE_TICKS * first, self.n)
+                + ANALOG_SAMPLE_TICKS * np.arange(self.n.sum(),
+                                                  dtype=np.int64))
 
-def _sample_ticks(runs: list[_Run]) -> np.ndarray:
-    """Output tick of every sample of runs, in order: sample i of a run
-    plays at start + ANALOG_SAMPLE_TICKS * i."""
-    counts = np.array([r.n for r in runs], dtype=np.int64)
-    starts = np.array([r.start for r in runs], dtype=np.int64)
-    first = np.cumsum(counts) - counts       # stream index of each start
-    return (np.repeat(starts - ANALOG_SAMPLE_TICKS * first, counts)
-            + ANALOG_SAMPLE_TICKS * np.arange(counts.sum(), dtype=np.int64))
+
+@dataclass(frozen=True, eq=False)
+class MarkerRuns(Runs):
+    """Marker runs: every level of run k is state[k] but the last four,
+    which are the bits of last[k], most significant first."""
+
+    state: np.ndarray
+    last: np.ndarray
+
+    def levels(self) -> np.ndarray:
+        levels = np.repeat(self.state.astype(np.uint8), self.n)
+        played = self.n > 0
+        tail = np.cumsum(self.n)[played] - 4
+        for bit in range(4):
+            levels[tail + bit] = (self.last[played] >> (3 - bit)) & 1
+        return levels
 
 
 class _StreamEngine:
     """Shared scheduling for waveform and marker engines."""
+
+    gaps_are_underruns = True     # a gap in the stream is lost output
 
     def __init__(self, name: str, cfg: EngineConfig, events: list[Event],
                  min_gap_ticks: int):
@@ -117,8 +151,8 @@ class _StreamEngine:
         self.cfg = cfg
         self.events = events
         self.min_gap = min_gap_ticks
-        self.runs: list[_Run] = []
-        self.starts: list[int] = []      # resolved command start ticks
+        self.starts: list[int] = []      # start tick of each run
+        self.counts: list[int] = []      # count operand of each run
         self.pending: list[tuple[object, int]] = []
         self.wait_dispatch: int | None = None
         self.frontier: int | None = None
@@ -193,7 +227,7 @@ class _StreamEngine:
             start = self.frontier
         else:
             start = align_up(earliest, CLK)
-            if self.frontier is not None:
+            if self.frontier is not None and self.gaps_are_underruns:
                 self.events.append(Event(
                     self.frontier, EventKind.UNDERRUN, start - self.frontier,
                     {"engine": self.name}))
@@ -218,6 +252,8 @@ class WaveformEngine(_StreamEngine):
                          min_gap_ticks=cfg.min_play_gap_clocks * CLK)
         self.cache = cache
         self.deferred_fill: int | None = None
+        self.addrs: list[int] = []       # absolute waveform address per run
+        self.ta: list[bool] = []         # run repeats one TA sample
 
     def submit(self, cmd, tick: int) -> None:
         wf = cmd
@@ -230,9 +266,11 @@ class WaveformEngine(_StreamEngine):
 
     def _resolve(self, wf, tick: int) -> None:
         if wf.action is WfAction.PLAY:
-            data = self._fetch(wf)
-            start = self._start_for(tick, ANALOG_SAMPLE_TICKS * wf.count)
-            self.runs.append(_Run(start, data))
+            addr = self.cache.locate(wf.addr, 1 if wf.ta else wf.count)
+            self._start_for(tick, ANALOG_SAMPLE_TICKS * wf.count)
+            self.addrs.append(addr)
+            self.counts.append(wf.count)
+            self.ta.append(wf.ta)
         elif wf.action is WfAction.PREFETCH:
             if self.cache.pending_fill is None:
                 # dispatch-time start was not possible (fill already in
@@ -245,69 +283,84 @@ class WaveformEngine(_StreamEngine):
             self.last_start = None
         # engine-level SYNC is handled as a dispatcher fence
 
-    def _fetch(self, wf) -> np.ndarray:
-        if wf.ta:
-            raw = self.cache.read(wf.addr, 1, 0)
-            value = complex(raw[0, 0], raw[0, 1]) / 32768.0
-            return np.full(wf.count, value, dtype=np.complex128)
-        raw = self.cache.read(wf.addr, wf.count, 0)
-        return (raw[:, 0].astype(np.float64)
-                + 1j * raw[:, 1].astype(np.float64)) / 32768.0
-
 
 class MarkerEngine(_StreamEngine):
+    gaps_are_underruns = False    # a marker idles low between pulses
+
     def __init__(self, channel: int, cfg, events):
         super().__init__(f"marker{channel}", cfg, events, min_gap_ticks=CLK)
         self.channel = channel
+        self.states: list[int] = []
+        self.lasts: list[int] = []
 
     def _resolve(self, mk, tick: int) -> None:
         if mk.action is not MarkerAction.PLAY:
             return
-        levels = np.full(4 * mk.count, mk.state, dtype=np.uint8)
-        for bit in range(4):
-            levels[4 * (mk.count - 1) + bit] = (mk.last_word >> (3 - bit)) & 1
-        start = self._start_for(tick, ANALOG_SAMPLE_TICKS * len(levels))
-        self.runs.append(_Run(start, levels))
+        self._start_for(tick, ANALOG_SAMPLE_TICKS * 4 * mk.count)
+        self.counts.append(mk.count)
+        self.states.append(mk.state)
+        self.lasts.append(mk.last_word)
+
+    def runs(self) -> MarkerRuns:
+        return MarkerRuns(np.array(self.starts, np.int64),
+                          4 * np.array(self.counts, np.int64),
+                          np.array(self.states, np.int64),
+                          np.array(self.lasts, np.int64))
 
 
-@dataclass
+@dataclass(eq=False)
 class OutputTrace:
-    analog: list[_Run]
-    markers: dict[int, list[_Run]]
+    """A finished run: integer run columns plus the mixed analog samples.
+
+    analog holds the waveform runs (len(analog) counts them) and mixed
+    their corrected samples in stream order, except that a lazy run (a
+    TA run outside every MODULATE window, flagged in lazy) holds one
+    entry for all its samples.  analog_values() expands those entries.
+    """
+
+    analog: Runs
+    markers: dict[int, MarkerRuns]
     events: list[Event]
+    mixed: np.ndarray
+    lazy: np.ndarray
     saturations: int = 0
 
     def analog_values(self) -> np.ndarray:
-        if not self.analog:
-            return np.zeros(0, dtype=np.complex128)
-        return np.concatenate([r.data for r in self.analog])
+        if not self.lazy.any():
+            return self.mixed.copy()
+        n = self.analog.n
+        per_entry = np.repeat(np.where(self.lazy, n, 1),
+                              np.where(self.lazy, 1, n))
+        return np.repeat(self.mixed, per_entry)
 
     def analog_ticks(self) -> np.ndarray:
-        return _sample_ticks(self.analog)
+        return self.analog.ticks()
 
     def marker_levels(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
-        runs = self.markers.get(channel, [])
-        if not runs:
+        runs = self.markers.get(channel)
+        if runs is None:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        return _sample_ticks(runs), np.concatenate([r.data for r in runs])
+        return runs.ticks(), runs.levels()
 
     def marker_edges(self, channel: int) -> list[tuple[int, int]]:
-        """Level transitions (tick, new_level), idle level 0."""
+        """Level transitions (tick, new_level), idle level 0; a run
+        followed by a gap or the end closes back to idle."""
         ticks, levels = self.marker_levels(channel)
-        edges = []
-        level = 0
-        for i in range(len(ticks)):
-            if levels[i] != level:
-                level = int(levels[i])
-                edges.append((int(ticks[i]), level))
-            # close a run back to idle if a gap or the end follows
-            is_last = i + 1 == len(ticks)
-            gap_next = (not is_last
-                        and ticks[i + 1] != ticks[i] + ANALOG_SAMPLE_TICKS)
-            if (is_last or gap_next) and level != 0:
-                edges.append((int(ticks[i]) + ANALOG_SAMPLE_TICKS, 0))
-                level = 0
-        return edges
+        if not len(ticks):
+            return []
+        levels = levels.astype(np.int64)
+        # sample i starts a contiguous segment, or ends one
+        starts = np.ones(len(ticks), dtype=bool)
+        starts[1:] = ticks[1:] != ticks[:-1] + ANALOG_SAMPLE_TICKS
+        ends = np.append(starts[1:], True)
+        before = np.where(starts, 0, np.roll(levels, 1))
+        rise = np.flatnonzero(levels != before)
+        fall = np.flatnonzero(ends & (levels != 0))
+        # a transition at sample i precedes the close after sample i
+        order = np.argsort(np.concatenate([2 * rise, 2 * fall + 1]))
+        at = np.concatenate([ticks[rise], ticks[fall] + ANALOG_SAMPLE_TICKS])
+        level = np.concatenate([levels[rise], np.zeros(len(fall), np.int64)])
+        return list(zip(at[order].tolist(), level[order].tolist()))
 
     def stall_events(self) -> list[Event]:
         """Fetch and page-swap stalls, each recorded once (see events)."""
@@ -613,22 +666,83 @@ class Sequencer:
 
     def finalize(self) -> OutputTrace:
         """Assemble the trace; a repeat call returns an equal trace."""
+        wf = self.wf
+        windows = self.modeng.resolve(wf.starts, wf.counts,
+                                      self.trigger_edges)
         corrector = MixerCorrector(self.mod_cfg)
-        runs = self.wf.runs
-        if self.modeng.pending_commands():
-            [factors] = self.modeng.resolve([_sample_ticks(runs)],
-                                            self.trigger_edges)
-            first = np.cumsum([0] + [r.n for r in runs])
-            analog = [_Run(r.start, corrector.apply(r.data * factors[a:b]))
-                      for r, a, b in zip(runs, first, first[1:])]
-        else:
-            analog = [_Run(r.start, corrector.apply(r.data)) for r in runs]
+        analog = Runs(np.array(wf.starts, np.int64),
+                      np.array(wf.counts, np.int64))
+        mixed, lazy = _mix(self.image.waveforms, analog,
+                           np.array(wf.addrs, np.int64),
+                           np.array(wf.ta, dtype=bool), windows, corrector)
         events = (self.events + self.icache.events + self.wavecache.events
                   + self.modeng.events)
-        markers = {m.channel: m.runs for m in self.markers if m.runs}
+        markers = {m.channel: m.runs() for m in self.markers if m.starts}
         return OutputTrace(analog=analog, markers=markers,
                            events=sorted(events, key=lambda e: e.tick),
+                           mixed=mixed, lazy=lazy,
                            saturations=corrector.saturations)
+
+
+def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
+         ta: np.ndarray, windows: Windows,
+         corrector: MixerCorrector) -> tuple[np.ndarray, np.ndarray]:
+    """Corrected samples of waveform runs, BLOCK_SAMPLES entries at a time.
+
+    Sample i of run k reads waveforms[addr[k] + i] (addr[k] for a TA
+    run).  A TA run no window touches is lazy: one entry stands for all
+    its samples.  Returns the entries and the lazy flag of each run.
+    """
+    count = runs.n
+    first = np.cumsum(count) - count            # stream position of runs
+    # windows are sorted and disjoint: a run overlaps those that open
+    # before it ends, less those that close before it starts
+    touched = (np.searchsorted(windows.lo, first + count)
+               > np.searchsorted(windows.hi, first, side="right"))
+    lazy = ta & ~touched
+    width = np.where(lazy, 1, count)            # entries per run
+    entry = np.cumsum(width) - width            # first entry of each run
+    entry_end = entry + width
+    step = np.where(ta, 0, 1)
+    weight = np.where(lazy, count, 1) if lazy.any() else None
+    # a window touches expanded runs only, so it covers consecutive
+    # entries, shifted from stream positions as its first run is
+    k = np.searchsorted(first, windows.lo, side="right") - 1
+    w_lo = windows.lo - first[k] + entry[k]
+    w_hi = w_lo + (windows.hi - windows.lo)
+
+    total = int(width.sum())
+    mixed = np.empty(total, dtype=np.complex128)
+    for b0 in range(0, total, BLOCK_SAMPLES):
+        b1 = min(b0 + BLOCK_SAMPLES, total)
+        k0, k1 = (np.searchsorted(entry_end, b0, side="right"),
+                  np.searchsorted(entry, b1))
+        pos, run = _spans(np.maximum(entry[k0:k1], b0),
+                          np.minimum(entry_end[k0:k1], b1))
+        run += k0
+        off = pos - entry[run]
+        raw = waveforms[addr[run] + step[run] * off]
+        z = (raw[:, 0].astype(np.float64)
+             + 1j * raw[:, 1].astype(np.float64)) / 32768.0
+        j0, j1 = (np.searchsorted(w_hi, b0, side="right"),
+                  np.searchsorted(w_lo, b1))
+        if j1 > j0:
+            inside, which = _spans(np.maximum(w_lo[j0:j1], b0),
+                                   np.minimum(w_hi[j0:j1], b1))
+            inside -= b0
+            ticks = (runs.start[run[inside]]
+                     + ANALOG_SAMPLE_TICKS * off[inside])
+            z[inside] = z[inside] * windows.rotation(which + j0, ticks)
+        mixed[b0:b1] = corrector.apply(
+            z, None if weight is None else weight[run])
+    return mixed, lazy
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of the ranges [lo[i], hi[i]) in order, and its i."""
+    n = hi - lo
+    which = np.repeat(np.arange(len(n)), n)
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), which
 
 
 def _compare(op: CmpOp, register: int, mask: int) -> bool:

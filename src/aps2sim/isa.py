@@ -27,12 +27,15 @@ or raises DecodeError.  Addresses are instruction addresses in the range
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .mem import MemConfig
 
 __all__ = [
     "Opcode",
@@ -359,11 +362,6 @@ class ProgramImage:
     def decode_all(self) -> list[Instruction]:
         return [decode(w) for w in self.words]
 
-    def waveforms_complex(self) -> np.ndarray:
-        """Waveform memory as complex floats scaled to [-1, 1)."""
-        w = self.waveforms.astype(np.float64) / 32768.0
-        return w[:, 0] + 1j * w[:, 1]
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -372,8 +370,13 @@ class Finding:
     message: str
 
 
-def validate_program(image: ProgramImage) -> list[Finding]:
-    """Static checks: decodability, branch targets, waveform bounds."""
+def validate_program(image: ProgramImage,
+                     mem_cfg: MemConfig | None = None) -> list[Finding]:
+    """Static checks: decodability, branch targets, waveform bounds.
+
+    Given the memory config, waveform reads are also checked against
+    its cache mode, as the waveform cache would check them at run time.
+    """
     findings: list[Finding] = []
     n = len(image.words)
     nwave = len(image.waveforms)
@@ -383,6 +386,13 @@ def validate_program(image: ProgramImage) -> list[Finding]:
         findings.append(Finding("error", 0, f"{nwave} waveform points exceed deep memory"))
     if n * 8 + nwave * 4 > SDRAM_BYTES:
         findings.append(Finding("error", 0, "combined image exceeds 1 GB deep memory"))
+    mode = page = None
+    if mem_cfg is not None:
+        mode, page = mem_cfg.wave_mode, mem_cfg.wave_page_samples
+        if mode == "single" and nwave > 2 * page:
+            findings.append(Finding(
+                "error", 0, f"waveform memory of {nwave} exceeds the "
+                f"{2 * page} samples of single mode"))
 
     has_call = False
     returns: list[int] = []
@@ -412,6 +422,17 @@ def validate_program(image: ProgramImage) -> list[Finding]:
                     findings.append(Finding(
                         "error", pc,
                         f"PLAY [{wf.addr}, {end}) beyond waveform memory of {nwave}"))
+                if mode == "pingpong" and end > page:
+                    findings.append(Finding(
+                        "error", pc, f"PLAY [{wf.addr}, {end}) crosses the "
+                        f"{page}-sample page boundary in ping-pong mode"))
+                if mode == "single" and end > 2 * page:
+                    findings.append(Finding(
+                        "error", pc, f"PLAY [{wf.addr}, {end}) beyond the "
+                        f"{2 * page} samples of single mode"))
+            elif wf.action is WfAction.PREFETCH and mode == "single":
+                findings.append(Finding(
+                    "error", pc, "waveform PREFETCH is invalid in single mode"))
         elif op is Opcode.MARKER:
             mk = instr.engine
             if mk.action is MarkerAction.PLAY and mk.count == 0:
@@ -459,10 +480,3 @@ def load_program(path) -> ProgramImage:
     return ProgramImage(words=[int(w) for w in words],
                         waveforms=waves.reshape(-1, 2).copy())
 
-
-def relocate(instr: Instruction, insert_at: int, shift: int = 1) -> Instruction:
-    """Adjust a branch target for instructions inserted at insert_at."""
-    if instr.op in (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT, Opcode.PREFETCH) \
-            and instr.addr >= insert_at:
-        return dataclasses.replace(instr, addr=instr.addr + shift)
-    return instr

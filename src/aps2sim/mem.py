@@ -202,15 +202,16 @@ class WaveformCache:
         else:
             raise CacheError(f"unknown waveform cache mode {cfg.wave_mode!r}")
 
-    def read(self, addr: int, count: int, tick: int) -> np.ndarray:
-        """Page-local read of count samples; resident data never stalls."""
+    def locate(self, addr: int, count: int) -> int:
+        """Absolute waveform address of a page-local read of count
+        samples at addr; raises CacheError for a read the mode forbids."""
         page = self.cfg.wave_page_samples
         if self.cfg.wave_mode == "single":
             if addr + count > min(len(self.mem), 2 * page):
                 raise CacheError(
                     f"waveform read [{addr}, {addr + count}) beyond resident "
                     "memory")
-            return self.mem[addr:addr + count]
+            return addr
         if addr + count > page:
             raise CacheError(
                 f"waveform read [{addr}, {addr + count}) crosses the page "
@@ -221,7 +222,12 @@ class WaveformCache:
             raise CacheError(
                 f"waveform read [{addr}, {addr + count}) beyond page "
                 f"{sdram_page} contents")
-        return self.mem[base + addr:base + addr + count]
+        return base + addr
+
+    def read(self, addr: int, count: int, tick: int) -> np.ndarray:
+        """Page-local read of count samples; resident data never stalls."""
+        start = self.locate(addr, count)
+        return self.mem[start:start + count]
 
     def begin_prefetch(self, page_index: int, tick: int) -> None:
         """Start filling the idle page with the given deep-memory page."""

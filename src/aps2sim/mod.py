@@ -22,11 +22,20 @@ samples already in flight down the pipeline.  Phase commands latch at
 the next boundary: the end of an open MODULATE window, the trigger edge
 if the stream sits at a WAIT, or directly before the next sample
 otherwise.  Samples outside any window pass through unrotated.
+
+``ModEngine.resolve`` runs the command stream once over the run columns
+(start tick and sample count of each waveform run) and returns the
+MODULATE windows as ``Windows`` columns: each window's stream positions
+and the NCO state frozen when it opened.  It touches no sample; the
+caller rotates the samples inside windows in one pass with
+``Windows.rotation``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +43,7 @@ from .clocks import ANALOG_SAMPLE_TICKS
 from .events import Event, EventKind
 from .isa import NUM_NCOS, ModAction, Modulator, turns_from_phase_word
 
-__all__ = ["ModConfig", "NcoBank", "ModEngine", "MixerCorrector"]
+__all__ = ["ModConfig", "NcoBank", "ModEngine", "Windows", "MixerCorrector"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -63,20 +72,17 @@ class _Nco:
         self.acc += self.inc * (tick - self.ref_tick) / ANALOG_SAMPLE_TICKS
         self.ref_tick = tick
 
-    def phase_turns(self, ticks: np.ndarray) -> np.ndarray:
-        rel = (ticks - self.ref_tick) / ANALOG_SAMPLE_TICKS
-        return self.acc + self.inc * rel + self.offset + self.frame
-
 
 class NcoBank:
     def __init__(self, cfg: ModConfig):
         self.ncos = [_Nco() for _ in range(cfg.num_ncos)]
-        self.pipeline_ticks = cfg.pipeline_ticks
+        # the NCOs each value of the 4-bit mask field selects
+        self._selected = [[nco for k, nco in enumerate(self.ncos)
+                           if mask & (1 << k)]
+                          for mask in range(1 << NUM_NCOS)]
 
-    def _each(self, mask: int):
-        for k, nco in enumerate(self.ncos):
-            if mask & (1 << k):
-                yield nco
+    def _each(self, mask: int) -> list[_Nco]:
+        return self._selected[mask]
 
     def reset(self, mask: int, tick: int) -> None:
         for nco in self._each(mask):
@@ -97,10 +103,37 @@ class NcoBank:
         for nco in self._each(mask):
             nco.frame = (nco.frame + turns) % 1.0
 
-    def rotation(self, nco_index: int, ticks: np.ndarray) -> np.ndarray:
-        """Factors for samples emitted at ticks (rotation plane shifted)."""
-        plane = np.asarray(ticks) - self.pipeline_ticks
-        phase = self.ncos[nco_index].phase_turns(plane)
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """MODULATE windows in stream order, as columns.
+
+    Window j rotates stream positions [lo[j], hi[j]) by one NCO whose
+    state (acc, inc, ref_tick, offset, frame) is frozen when the window
+    opens; phase commands bound inside it latch only after it closes.
+    Windows never overlap.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    acc: np.ndarray
+    inc: np.ndarray
+    ref_tick: np.ndarray
+    offset: np.ndarray
+    frame: np.ndarray
+    pipeline_ticks: int          # rotation stage to output plane delay
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def rotation(self, which: int | np.ndarray,
+                 ticks: np.ndarray) -> np.ndarray:
+        """Factors for samples emitted at ticks inside windows which
+        (one index, or one per tick), evaluated on the rotation plane."""
+        rel = (ticks - self.pipeline_ticks - self.ref_tick[which]) \
+            / ANALOG_SAMPLE_TICKS
+        phase = (self.acc[which] + self.inc[which] * rel
+                 + self.offset[which] + self.frame[which])
         return np.exp(1j * TWO_PI * phase)
 
 
@@ -119,15 +152,21 @@ class ModEngine:
     def pending_commands(self) -> int:
         return len(self.queue)
 
-    def resolve(self, runs: list[np.ndarray],
-                trigger_edges: list[int]) -> list[np.ndarray]:
-        """Rotation factors for each run of sample ticks, in stream order."""
+    def resolve(self, starts: list[int], counts: list[int],
+                trigger_edges: list[int]) -> Windows:
+        """MODULATE windows over waveform runs given as columns: run k
+        starts at tick starts[k] and plays counts[k] samples."""
         bank = NcoBank(self.cfg)      # fresh state: a repeat call agrees
         self.events = []
-        ticks = (np.concatenate(runs) if runs
-                 else np.zeros(0, dtype=np.int64))
-        total = len(ticks)
-        flat = np.ones(total, dtype=np.complex128)
+        first = list(accumulate(counts, initial=0))  # stream position of runs
+        total = first.pop()
+
+        def tick_at(pos: int) -> int:
+            """Output tick of the sample at stream position pos < total."""
+            k = bisect_right(first, pos) - 1
+            return starts[k] + ANALOG_SAMPLE_TICKS * (pos - first[k])
+
+        cols: list[tuple] = []          # one row per window
         edges = iter(trigger_edges)
         pipe = self.cfg.pipeline_ticks
         cursor_pos = 0          # stream position the next command may bind
@@ -147,10 +186,11 @@ class ModEngine:
                 end = pos + md.count
                 bound = min(end, total)
                 if bound > pos:
-                    flat[pos:bound] = bank.rotation(md.nco, ticks[pos:bound])
+                    nco = bank.ncos[md.nco]
+                    cols.append((pos, bound, nco.acc, nco.inc, nco.ref_tick,
+                                 nco.offset, nco.frame))
                     cursor_tick = max(cursor_tick,
-                                      int(ticks[bound - 1])
-                                      + ANALOG_SAMPLE_TICKS)
+                                      tick_at(bound - 1) + ANALOG_SAMPLE_TICKS)
                 if end > total:
                     self.events.append(Event(
                         cursor_tick, EventKind.MODULATE_UNDERFILLED,
@@ -160,14 +200,17 @@ class ModEngine:
                 # phase commands latch on the rotation-plane clock, just
                 # before the sample at their stream position
                 if pos < total:
-                    at = int(ticks[pos]) - pipe
+                    at = tick_at(pos) - pipe
                 else:
                     at = max(cursor_tick, dispatch) - pipe
                 self._apply(bank, md, at)
                 cursor_pos = pos
 
-        bounds = np.cumsum([0] + [len(r) for r in runs])
-        return [flat[bounds[k]:bounds[k + 1]] for k in range(len(runs))]
+        lo, hi, acc, inc, ref, offset, frame = zip(*cols) if cols else [()] * 7
+        return Windows(np.array(lo, np.int64), np.array(hi, np.int64),
+                       np.array(acc, np.float64), np.array(inc, np.float64),
+                       np.array(ref, np.int64), np.array(offset, np.float64),
+                       np.array(frame, np.float64), pipe)
 
     def _apply(self, bank: NcoBank, md: Modulator, tick: int) -> None:
         turns = turns_from_phase_word(md.phase_word)
@@ -193,17 +236,29 @@ class MixerCorrector:
         self.dac_bits = cfg.dac_bits
         self.saturations = 0
 
-    def apply(self, iq: np.ndarray) -> np.ndarray:
-        """Correct a complex sample array; saturates into [-1, 1)."""
-        # (..., 2) I/Q pairs as a view, the layout np.stack would copy
+    def apply(self, iq: np.ndarray, weights: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Correct a complex sample array; saturates into [-1, 1).
+
+        weights[k] is how many output samples iq[k] stands for (one
+        each by default); each clipped I or Q counts that many times.
+        """
         iq = np.ascontiguousarray(iq, dtype=np.complex128)
-        pair = iq.view(np.float64).reshape(iq.shape + (2,))
-        out = pair @ self.matrix.T + self.offsets
+        # (n, 2) I/Q pairs as a view, the layout np.stack would copy
+        pair = iq.view(np.float64).reshape(-1, 2)
+        # numpy multiplies a one-row matrix on its vector path, which
+        # rounds differently: a second row keeps every sample on one path
+        rows = np.repeat(pair, 2, axis=0) if len(pair) == 1 else pair
+        out = (rows @ self.matrix.T)[:len(pair)] + self.offsets
         top = 32767.0 / 32768.0
         clipped = np.clip(out, -1.0, top)
-        self.saturations += int(np.count_nonzero(clipped != out))
+        hit = clipped != out
+        if weights is None:
+            self.saturations += int(np.count_nonzero(hit))
+        else:
+            self.saturations += int(hit.sum(axis=1) @ weights)
         if self.dac_bits is not None:
             scale = float(1 << (self.dac_bits - 1))
             clipped = np.round(clipped * scale) / scale
             clipped = np.clip(clipped, -1.0, top)
-        return clipped[..., 0] + 1j * clipped[..., 1]
+        return (clipped[:, 0] + 1j * clipped[:, 1]).reshape(iq.shape)

@@ -181,3 +181,22 @@ def test_prefetch_insertion_is_idempotent_per_block():
     # the hinted call is now covered by an existing PREFETCH in the block
     n_hints = sum(1 for i in again.decode_all() if i.op is Opcode.PREFETCH)
     assert n_hints == 2  # planner re-sees the call; block dedupe keeps one per pass
+
+
+def test_each_hint_targets_its_call_target():
+    # the first call jumps forward over the second call's block, so the
+    # second block's hint moves the first call's target too
+    filler = "\n".join("  CMP = 0" for _ in range(700))
+    src = (f"  CALL far1\n  GOTO mid\n{filler}\nmid:\n  CALL far2\n"
+           f"  GOTO end\n{filler}\nfar1:\n  RETURN\n{filler}\n"
+           "far2:\n  RETURN\nend:\n  SYNC\n")
+    image = assemble(src)
+    hinted = asm.insert_prefetch_hints(image)
+    decoded = hinted.decode_all()
+    hints = [i.addr for i in decoded if i.op is Opcode.PREFETCH]
+    calls = [i.addr for i in decoded if i.op is Opcode.CALL]
+    assert hints == calls == [hinted.symbols["far1"], hinted.symbols["far2"]]
+    assert [t for _, t in hinted.prefetch_manifest] == hints
+    stripped = asm.strip_prefetch_hints(hinted)
+    assert stripped.words == image.words
+    assert stripped.symbols == image.symbols

@@ -1,6 +1,7 @@
 """Sequencer timing and semantics against hand-computed schedules."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,10 +48,10 @@ def wave_values(addr, count):
 def test_trigger_sets_first_output_tick():
     prog = image([Instruction(Opcode.WAIT), play(0, 8)])
     trace = Sequencer(prog).run_simple(triggers=[1000])
-    assert trace.analog[0].start == 1000 + 180
+    assert trace.analog.start[0] == 1000 + 180
     # an off-grid trigger latches on the next sequencer clock edge
     trace = Sequencer(prog).run_simple(triggers=[1003])
-    assert trace.analog[0].start == 1020 + 180
+    assert trace.analog.start[0] == 1020 + 180
 
 
 def test_all_engines_resume_on_the_same_edge():
@@ -63,15 +64,15 @@ def test_all_engines_resume_on_the_same_edge():
                                           state=1, count=1, last_word=0b1000)),
     ])
     trace = Sequencer(prog).run_simple(triggers=[2000])
-    assert trace.analog[0].start == 2180
-    assert trace.markers[0][0].start == 2180
-    assert trace.markers[3][0].start == 2180
+    assert trace.analog.start[0] == 2180
+    assert trace.markers[0].start[0] == 2180
+    assert trace.markers[3].start[0] == 2180
 
 
 def test_back_to_back_plays_are_gapless():
     trace = Sequencer(image([play(0, 8), play(8, 8)])).run_simple()
-    assert [r.start for r in trace.analog] == [180, 220]
-    assert trace.analog[0].end == trace.analog[1].start
+    assert trace.analog.start.tolist() == [180, 220]
+    assert trace.analog.end[0] == trace.analog.start[1]
     assert not [e for e in trace.events if e.kind == "underrun"]
     assert np.array_equal(trace.analog_values(),
                           np.concatenate([wave_values(0, 8), wave_values(8, 8)]))
@@ -80,7 +81,7 @@ def test_back_to_back_plays_are_gapless():
 def test_minimum_command_rate_forces_gaps_for_short_pulses():
     # 4-sample pulses last 20 ticks but a new command starts every 40
     trace = Sequencer(image([play(0, 4)] * 4)).run_simple()
-    starts = [r.start for r in trace.analog]
+    starts = trace.analog.start.tolist()
     assert starts == [180, 220, 260, 300]
     gaps = [e for e in trace.events if e.kind == "underrun"]
     assert len(gaps) == 3 and all(e.ticks == 20 for e in gaps)
@@ -94,7 +95,7 @@ def test_repeat_is_taken_and_costs_the_flush():
     ])
     trace = Sequencer(prog).run_simple()
     # the 16-clock flush dominates the 8-sample body: visible gaps
-    assert [r.start for r in trace.analog] == [200, 560, 920]
+    assert trace.analog.start.tolist() == [200, 560, 920]
     assert len(trace.analog) == 3
 
 
@@ -106,7 +107,7 @@ def test_lookahead_hides_the_flush_behind_long_pulses():
         Instruction(Opcode.REPEAT, addr=1),
     ])
     trace = Sequencer(prog).run_simple()
-    assert [r.start for r in trace.analog] == [200, 680, 1160]
+    assert trace.analog.start.tolist() == [200, 680, 1160]
     assert [e for e in trace.events if e.kind == "underrun"] == []
 
 
@@ -169,14 +170,14 @@ def test_load_cmp_blocks_then_latches_on_a_clock_edge():
     seq.deliver_steering(3, 95)       # usable at the 100-tick edge
     trace = seq.run_simple()
     # latch at 100, CMP at 120, taken branch at 140, play decoded at 480
-    assert [r.start for r in trace.analog] == [660]
+    assert trace.analog.start.tolist() == [660]
     assert np.array_equal(trace.analog_values(), wave_values(8, 8))
 
     seq = Sequencer(image(instrs))
     seq.run_until_blocked()
     seq.deliver_steering(7, 95)       # comparison fails, no branch
     trace = seq.run_simple()
-    assert [r.start for r in trace.analog] == [340, 380]
+    assert trace.analog.start.tolist() == [340, 380]
     assert np.array_equal(
         trace.analog_values(),
         np.concatenate([wave_values(0, 8), wave_values(8, 8)]))
@@ -190,7 +191,7 @@ def test_sync_fence_waits_for_drain():
     ])
     trace = Sequencer(prog).run_simple()
     # drain at 660, decode resumes at 680, second stream starts fresh
-    assert [r.start for r in trace.analog] == [180, 860]
+    assert trace.analog.start.tolist() == [180, 860]
     assert [e for e in trace.events if e.kind == "underrun"] == []
 
 
@@ -288,11 +289,9 @@ def test_waveform_page_swap_waits_for_the_fill():
     ]], wave)
     cfg = MemConfig(wave_mode="pingpong", wave_page_samples=16)
     trace = Sequencer(prog, mem_cfg=cfg).run_simple()
-    assert [r.start for r in trace.analog] == [180, 1500]
-    assert np.array_equal(trace.analog[0].data.real * 32768,
-                          np.arange(16))
-    assert np.array_equal(trace.analog[1].data.real * 32768,
-                          np.arange(16, 32))
+    assert trace.analog.start.tolist() == [180, 1500]
+    assert np.array_equal(trace.analog_values().real * 32768,
+                          np.arange(32))
     assert any(e.kind == "swap_stall" for e in trace.events)
 
 
@@ -373,7 +372,7 @@ def test_events_jsonl_round_trip(tmp_path):
             == [(e.tick, e.kind, e.ticks) for e in trace.events])
 
 
-def test_stall_ticks_of_far_calls_fit_inside_the_run():
+def far_calls_program():
     # as the farcall benchmark: a loop calling subroutines 8 cache lines
     # apart, each also playing one marker channel that idles in between
     body, subs = [None], []
@@ -389,11 +388,108 @@ def test_stall_ticks_of_far_calls_fit_inside_the_run():
     body.append(Instruction(Opcode.LOAD_REPEAT, value=3))
     body += [Instruction(Opcode.CALL, addr=subs[k]) for k in (0, 2, 1, 3)]
     body.append(Instruction(Opcode.REPEAT, addr=main + 1))
-    trace = Sequencer(image(body)).run_simple()
+    return image(body)
+
+
+def test_stall_ticks_of_far_calls_fit_inside_the_run():
+    trace = Sequencer(far_calls_program()).run_simple()
 
     stalled = sum(e.ticks for e in trace.stall_events())
     assert stalled > 0
     assert stalled <= trace.analog_ticks()[-1]
+
+
+def test_idle_markers_record_no_underrun():
+    trace = Sequencer(far_calls_program()).run_simple()
+    gaps = [e for e in trace.events if e.kind == "underrun"]
+    # markers idle low between their pulses by design; the waveform
+    # stream's 15 gaps are the far calls' fetch stalls
+    assert {e.detail["engine"] for e in gaps} == {"waveform"}
+    assert (len(gaps), sum(e.ticks for e in gaps)) == (15, 316_620)
+
+
+def marker_edges_by_sample(ticks, levels):
+    """marker_edges as a loop over samples: the reference."""
+    edges = []
+    level = 0
+    for i in range(len(ticks)):
+        if levels[i] != level:
+            level = int(levels[i])
+            edges.append((int(ticks[i]), level))
+        is_last = i + 1 == len(ticks)
+        gap_next = not is_last and ticks[i + 1] != ticks[i] + 5
+        if (is_last or gap_next) and level != 0:
+            edges.append((int(ticks[i]) + 5, 0))
+            level = 0
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_marker_edges_match_the_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    instrs = []
+    for _ in range(40):
+        if rng.random() < 0.2:
+            instrs += [FILLER] * int(rng.integers(1, 8))   # leaves a gap
+        instrs.append(Instruction(Opcode.MARKER, Marker(
+            MarkerAction.PLAY, channel=1, state=int(rng.integers(0, 2)),
+            count=int(rng.integers(1, 5)),
+            last_word=int(rng.integers(0, 16)))))
+    trace = Sequencer(image(instrs)).run_simple()
+    ticks, levels = trace.marker_levels(1)
+    assert trace.marker_edges(1) == marker_edges_by_sample(ticks, levels)
+    assert trace.marker_edges(0) == []
+
+
+MAX_COUNT = (1 << 24) - 1
+
+
+def test_max_count_ta_play_stays_lazy():
+    def peak(count):
+        seq = Sequencer(image([play(3, count, ta=True)]))
+        tracemalloc.start()
+        try:
+            trace = seq.run_simple()
+            return tracemalloc.get_traced_memory()[1], trace
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(1000)
+    big, trace = peak(MAX_COUNT)
+    assert big < 16e6
+    assert abs(big - small) < 64 * 1024       # no per-sample memory
+    assert len(trace.analog) == 1
+    values = trace.analog_values()
+    assert len(values) == MAX_COUNT
+    assert np.all(values == wave_values(3, 1)[0])
+
+
+def test_clipping_ta_run_counts_every_sample():
+    # I = 1500/32768 plus a 0.98 offset clips; Q stays in range
+    trace = Sequencer(image([play(15, 1000, ta=True)]),
+                      mod_cfg=ModConfig(dc_offset_i=0.98)).run_simple()
+    assert trace.saturations == 1000
+    values = trace.analog_values()
+    assert np.all(values.real == 32767 / 32768)
+    assert np.all(values.imag == -1500 / 32768)
+
+
+def test_ta_run_partly_inside_a_window_rotates_per_sample():
+    inc_word = 0x0000_0800_0000_0000
+    prog = image([
+        mod(ModAction.SET_PHASE_INCREMENT, phase_word=inc_word),
+        mod(ModAction.MODULATE, nco=0, count=10),
+        play(5, 30, ta=True),
+    ])
+    values = Sequencer(prog).run_simple().analog_values()
+    value = wave_values(5, 1)[0]
+    inc = turns_from_phase_word(inc_word)
+    # the increment latches just before the window's first sample
+    assert np.allclose(values[:10],
+                       value * np.exp(2j * np.pi * inc * np.arange(10)),
+                       rtol=0, atol=1e-15)
+    assert len(set(values[:10].tolist())) == 10
+    assert np.all(values[10:] == value)
 
 
 def test_words_are_decoded_when_fetched():

@@ -22,6 +22,7 @@ from aps2sim.isa import (
     decode,
     encode,
 )
+from aps2sim.mem import MemConfig
 
 addr24 = st.integers(0, (1 << 24) - 1)
 count24 = st.integers(0, (1 << 24) - 1)
@@ -209,3 +210,27 @@ def test_validate_warns_on_orphan_return():
     findings = isa.validate_program(image)
     assert any(f.severity == "warning" and "RETURN" in f.message for f in findings)
     assert not isa.errors(findings)
+
+
+def test_validate_checks_reads_against_the_pingpong_pages():
+    image = _demo_image()                      # 8 samples, PLAY at pc 2
+    cfg = MemConfig(wave_mode="pingpong", wave_page_samples=4)
+    findings = isa.validate_program(image, cfg)
+    assert [(f.severity, f.address) for f in findings] == [("error", 2)]
+    assert "page boundary" in findings[0].message
+    assert isa.validate_program(image) == []
+    assert isa.validate_program(
+        image, MemConfig(wave_mode="pingpong", wave_page_samples=8)) == []
+
+
+def test_validate_checks_single_mode_memory_and_prefetch():
+    image = _demo_image()
+    image.words[3] = encode(Instruction(
+        Opcode.WAVEFORM, engine=Waveform(WfAction.PREFETCH, addr=1)))
+    cfg = MemConfig(wave_mode="single", wave_page_samples=2)
+    findings = isa.validate_program(image, cfg)
+    assert all(f.severity == "error" for f in findings)
+    assert [f.address for f in findings] == [0, 2, 3]
+    assert "single mode" in findings[0].message        # 8 > 2 pages of 2
+    assert "PLAY [0, 8)" in findings[1].message
+    assert "PREFETCH" in findings[2].message

@@ -18,6 +18,19 @@ def sample_ticks(start, n):
     return start + TICKS * np.arange(n)
 
 
+def rotations(eng, runs, edges=()):
+    """Rotation factor of every sample of runs (arrays of contiguous
+    sample ticks), 1 outside the windows resolve() returns."""
+    ticks = np.concatenate(runs)
+    windows = eng.resolve([int(r[0]) for r in runs], [len(r) for r in runs],
+                          list(edges))
+    factors = np.ones(len(ticks), dtype=np.complex128)
+    for j in range(len(windows)):
+        span = slice(windows.lo[j], windows.hi[j])
+        factors[span] = windows.rotation(j, ticks[span])
+    return factors
+
+
 def test_two_nco_phase_continuity():
     """Alternating windows track each oscillator's own continuous phase."""
     eng = ModEngine(ModConfig())
@@ -30,7 +43,7 @@ def test_two_nco_phase_continuity():
         eng.submit(mk(ModAction.MODULATE, nco=nco, count=count), 0)
     total = sum(c for _, c in segs)
     ticks = sample_ticks(0, total)
-    [factors] = eng.resolve([ticks], [])
+    factors = rotations(eng, [ticks])
 
     # oracle: each NCO's phase is f_k * (samples since reset), reset at t=0
     pos = 0
@@ -52,7 +65,7 @@ def test_update_frame_pi_negates():
     eng.submit(mk(ModAction.UPDATE_FRAME, nco=0b01, turns=0.5), 1)
     eng.submit(mk(ModAction.MODULATE, nco=0, count=32), 2)
     ticks = sample_ticks(0, 64)
-    [factors] = eng.resolve([ticks], [])
+    factors = rotations(eng, [ticks])
     base = np.exp(2j * np.pi * inc * ticks / TICKS)
     assert np.allclose(factors[:32], base[:32], atol=1e-12)
     assert np.allclose(factors[32:], -base[32:], atol=1e-12)
@@ -66,7 +79,7 @@ def test_phase_command_held_until_window_end():
     eng.submit(mk(ModAction.SET_PHASE_OFFSET, nco=0b01, turns=0.25), 10)
     eng.submit(mk(ModAction.MODULATE, nco=0, count=16), 20)
     ticks = sample_ticks(0, 32)
-    [factors] = eng.resolve([ticks], [])
+    factors = rotations(eng, [ticks])
     assert np.allclose(factors[:16], 1.0, atol=1e-12)
     assert np.allclose(factors[16:], 1j, atol=1e-12)
 
@@ -82,7 +95,7 @@ def test_reset_on_trigger_gives_zero_phase_at_first_sample():
     trigger = 1000
     first_sample = trigger + 180          # engine pipeline after resume
     ticks = sample_ticks(first_sample, 8)
-    [factors] = eng.resolve([ticks], [trigger])
+    factors = rotations(eng, [ticks], [trigger])
     assert factors[0] == pytest.approx(1.0 + 0j, abs=1e-12)
     expect = np.exp(2j * np.pi * inc * np.arange(8))
     assert np.allclose(factors, expect, atol=1e-12)
@@ -97,7 +110,7 @@ def test_increment_change_keeps_accumulated_phase():
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=f2), 5)
     eng.submit(mk(ModAction.MODULATE, nco=0, count=20), 10)
     ticks = sample_ticks(0, 40)
-    [factors] = eng.resolve([ticks], [])
+    factors = rotations(eng, [ticks])
     # boundary is the tick after sample 19; accumulated phase carries over
     phase1 = f1 * np.arange(20)
     boundary = f1 * 20
@@ -111,14 +124,14 @@ def test_unmodulated_samples_pass_through():
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=0.1), 0)
     eng.submit(mk(ModAction.MODULATE, nco=0, count=4), 0)
     ticks = sample_ticks(0, 12)
-    [factors] = eng.resolve([ticks], [])
+    factors = rotations(eng, [ticks])
     assert np.allclose(factors[4:], 1.0)
 
 
 def test_underfilled_window_is_diagnosed():
     eng = ModEngine(ModConfig())
     eng.submit(mk(ModAction.MODULATE, nco=0, count=100), 0)
-    eng.resolve([sample_ticks(0, 10)], [])
+    eng.resolve([0], [10], [])
     assert any(e.kind == "modulate_underfilled" for e in eng.events)
 
 
@@ -132,7 +145,7 @@ def test_ncos_free_run_across_gaps():
     eng.submit(mk(ModAction.MODULATE, nco=0, count=8), 0)
     run1 = sample_ticks(0, 8)
     run2 = sample_ticks(1000, 8)          # 200 sample periods later
-    f1, f2 = eng.resolve([run1, run2], [])
+    f2 = rotations(eng, [run1, run2])[8:]
     expect2 = np.exp(2j * np.pi * inc * run2 / TICKS)
     assert np.allclose(f2, expect2, atol=1e-10)
 
@@ -147,6 +160,17 @@ def test_mixer_correction_and_saturation():
     assert out[0].imag == pytest.approx(0.98 * 0.5 - 0.02)
     assert corr.saturations >= 1
     assert out.real.max() <= 32767.0 / 32768.0
+
+
+def test_mixer_result_does_not_depend_on_the_call_size():
+    cfg = ModConfig(mixer_matrix=(1.03, 0.021, -0.017, 0.97),
+                    dc_offset_i=0.003, dc_offset_q=-0.002)
+    rng = np.random.default_rng(0)
+    iq = rng.uniform(-0.7, 0.7, 64) + 1j * rng.uniform(-0.7, 0.7, 64)
+    together = MixerCorrector(cfg).apply(iq)
+    alone = np.concatenate([MixerCorrector(cfg).apply(iq[k:k + 1])
+                            for k in range(len(iq))])
+    assert together.tobytes() == alone.tobytes()
 
 
 def test_dac_quantization_grid():

@@ -19,11 +19,7 @@ from oracle import interpret, random_program
 def engine_streams(image, initial_cmp, **kwargs):
     seq = Sequencer(image, EngineConfig(initial_cmp=initial_cmp, **kwargs))
     trace = seq.run_simple()
-    markers = {ch: (np.concatenate([r.data for r in runs]) if runs
-                    else np.zeros(0, dtype=np.uint8))
-               for ch, runs in trace.markers.items()}
-    for ch in range(4):
-        markers.setdefault(ch, np.zeros(0, dtype=np.uint8))
+    markers = {ch: trace.marker_levels(ch)[1] for ch in range(4)}
     return trace.analog_values(), markers
 
 
