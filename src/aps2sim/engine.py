@@ -30,6 +30,11 @@ gather from the image's waveform memory, one rotation of the samples
 inside windows and one mixer call per block, so its working memory is
 bounded by the block size.  A TA run outside every window stays lazy:
 one mixed value, expanded only by ``OutputTrace.analog_values``.
+
+Hot-path rule: code run per instruction or per command reads enum
+members through module globals (``isa.OP_*``, ``events.EV_*``), never
+through their class, and reads timing constants hoisted at construction,
+never a config property (``tests/test_hot_paths.py`` checks it).
 """
 
 from __future__ import annotations
@@ -41,16 +46,38 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clocks import ANALOG_SAMPLE_TICKS, SEQ_CLOCK_TICKS, align_up
-from .events import Event, EventKind, stalls
+from .events import (EV_FETCH_STALL, EV_QUEUE_FULL, EV_TRAP,
+                     EV_TRIGGER_DROPPED, EV_UNDERRUN, Event, stalls)
 from .isa import (
+    CMP_EQ,
+    CMP_LT,
+    CMP_NEQ,
+    MK_PLAY,
+    MK_SYNC,
+    MK_WAIT,
+    MOD_SYNC,
+    MOD_WAIT,
+    OP_CALL,
+    OP_CMP,
+    OP_GOTO,
+    OP_LOAD_CMP,
+    OP_LOAD_REPEAT,
+    OP_MARKER,
+    OP_MODULATOR,
+    OP_PREFETCH,
+    OP_REPEAT,
+    OP_RETURN,
+    OP_SYNC,
+    OP_WAIT,
+    OP_WAVEFORM,
+    WF_PLAY,
+    WF_PREFETCH,
+    WF_SYNC,
+    WF_WAIT,
     CmpOp,
     Instruction,
-    MarkerAction,
-    ModAction,
     Modulator,
-    Opcode,
     ProgramImage,
-    WfAction,
     decode,
 )
 from .mem import InstructionCache, MemConfig, Sdram, WaveformCache
@@ -98,6 +125,7 @@ class SimTrap(RuntimeError):
 
 
 BLOCK_SAMPLES = 1 << 16   # samples finalize gathers, rotates, mixes at once
+_MOD_WAIT_CMD = Modulator(MOD_WAIT)   # the modulator's share of a WAIT
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +176,11 @@ class _StreamEngine:
     def __init__(self, name: str, cfg: EngineConfig, events: list[Event],
                  min_gap_ticks: int):
         self.name = name
-        self.cfg = cfg
         self.events = events
         self.min_gap = min_gap_ticks
+        # timing constants read once: the command path reads no property
+        self.pipeline = cfg.pipeline_ticks
+        self.queue_depth = cfg.queue_depth
         self.starts: list[int] = []      # start tick of each run
         self.counts: list[int] = []      # count operand of each run
         self.pending: list[tuple[object, int]] = []
@@ -159,28 +189,28 @@ class _StreamEngine:
         self.last_start: int | None = None
         self.floor = 0                   # no command may start before this
 
-    # -- queue accounting ---------------------------------------------------
-
-    def occupancy(self, tick: int) -> int:
-        queued = len(self.starts) - bisect_right(self.starts, tick)
-        return queued + len(self.pending) + (1 if self.wait_dispatch is not None else 0)
-
-    def accept_tick(self, tick: int) -> int | None:
-        """Earliest tick with queue room; None means only a trigger helps."""
-        if self.occupancy(tick) < self.cfg.queue_depth:
-            return tick
-        idx = bisect_right(self.starts, tick)
-        if idx < len(self.starts):
-            return self.starts[idx]
-        return None
-
     # -- command flow -------------------------------------------------------
 
-    def submit(self, cmd, tick: int) -> None:
+    def accept_tick(self, tick: int) -> int | None:
+        """Earliest tick with queue room; None means only a trigger helps.
+
+        The queue holds the runs not yet started by tick, the commands
+        queued behind a WAIT and the WAIT itself."""
+        starts = self.starts
+        idx = bisect_right(starts, tick)
+        queued = len(starts) - idx + len(self.pending)
         if self.wait_dispatch is not None:
-            self.pending.append((cmd, tick))
-        else:
-            self._resolve(cmd, tick)
+            queued += 1
+        if queued < self.queue_depth:
+            return tick
+        if idx < len(starts):
+            return starts[idx]
+        return None
+
+    def submit(self, cmd, tick: int) -> None:  # pragma: no cover
+        """Resolve a command dispatched at tick, or queue it behind an
+        undelivered WAIT."""
+        raise NotImplementedError
 
     def submit_wait(self, tick: int) -> None:
         if self.wait_dispatch is not None:
@@ -213,24 +243,27 @@ class _StreamEngine:
                 else:
                     self.pending.append((cmd, tick))
             elif self.wait_dispatch is None:
-                self._resolve(cmd, max(tick, edge))
+                self.submit(cmd, max(tick, edge))
             else:
                 self.pending.append((cmd, tick))
         return True
 
     def _start_for(self, dispatch: int, duration: int) -> int:
-        earliest = max(align_up(dispatch, CLK) + self.cfg.pipeline_ticks,
-                       self.floor)
+        """The start-tick rule: the run starts after the pipeline, the
+        floor and the minimum gap, on the clock grid unless it continues
+        the stream; a gap that opens is an underrun."""
+        earliest = max(align_up(dispatch, CLK) + self.pipeline, self.floor)
         if self.last_start is not None:
             earliest = max(earliest, self.last_start + self.min_gap)
-        if self.frontier is not None and earliest <= self.frontier:
-            start = self.frontier
+        frontier = self.frontier
+        if frontier is not None and earliest <= frontier:
+            start = frontier
         else:
             start = align_up(earliest, CLK)
-            if self.frontier is not None and self.gaps_are_underruns:
-                self.events.append(Event(
-                    self.frontier, EventKind.UNDERRUN, start - self.frontier,
-                    {"engine": self.name}))
+            if frontier is not None and self.gaps_are_underruns:
+                self.events.append(Event(frontier, EV_UNDERRUN,
+                                         start - frontier,
+                                         {"engine": self.name}))
         self.starts.append(start)
         self.last_start = start
         self.frontier = start + duration
@@ -242,41 +275,30 @@ class _StreamEngine:
     def idle(self) -> bool:
         return self.wait_dispatch is None and not self.pending
 
-    def _resolve(self, cmd, tick: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
 
 class WaveformEngine(_StreamEngine):
     def __init__(self, cfg, events, cache: WaveformCache):
         super().__init__("waveform", cfg, events,
                          min_gap_ticks=cfg.min_play_gap_clocks * CLK)
         self.cache = cache
-        self.deferred_fill: int | None = None
         self.addrs: list[int] = []       # absolute waveform address per run
         self.ta: list[bool] = []         # run repeats one TA sample
 
-    def submit(self, cmd, tick: int) -> None:
-        wf = cmd
-        if wf.action is WfAction.PREFETCH and self.wait_dispatch is None \
-                and self.cache.pending_fill is None:
-            # fills start at dispatch so playback hides them
-            self.cache.begin_prefetch(wf.addr, tick)
-            self.deferred_fill = None
-        super().submit(cmd, tick)
-
-    def _resolve(self, wf, tick: int) -> None:
-        if wf.action is WfAction.PLAY:
+    def submit(self, wf, tick: int) -> None:
+        if self.wait_dispatch is not None:
+            self.pending.append((wf, tick))
+        elif wf.action is WF_PLAY:
             addr = self.cache.locate(wf.addr, 1 if wf.ta else wf.count)
             self._start_for(tick, ANALOG_SAMPLE_TICKS * wf.count)
             self.addrs.append(addr)
             self.counts.append(wf.count)
             self.ta.append(wf.ta)
-        elif wf.action is WfAction.PREFETCH:
-            if self.cache.pending_fill is None:
-                # dispatch-time start was not possible (fill already in
-                # flight, or queued behind a WAIT): start it now
-                self.cache.begin_prefetch(wf.addr, tick)
-            at = self.drain_tick() if self.frontier is not None else max(tick, self.floor)
+        elif wf.action is WF_PREFETCH:
+            # the fill starts as the command resolves: at dispatch, so
+            # playback hides it, or at the edge that releases a WAIT
+            self.cache.begin_prefetch(wf.addr, tick)
+            at = self.frontier if self.frontier is not None \
+                else max(tick, self.floor)
             swapped = self.cache.complete_swap(max(at, tick))
             self.floor = max(self.floor, align_up(swapped, CLK))
             self.frontier = None
@@ -293,13 +315,14 @@ class MarkerEngine(_StreamEngine):
         self.states: list[int] = []
         self.lasts: list[int] = []
 
-    def _resolve(self, mk, tick: int) -> None:
-        if mk.action is not MarkerAction.PLAY:
-            return
-        self._start_for(tick, ANALOG_SAMPLE_TICKS * 4 * mk.count)
-        self.counts.append(mk.count)
-        self.states.append(mk.state)
-        self.lasts.append(mk.last_word)
+    def submit(self, mk, tick: int) -> None:
+        if self.wait_dispatch is not None:
+            self.pending.append((mk, tick))
+        elif mk.action is MK_PLAY:
+            self._start_for(tick, ANALOG_SAMPLE_TICKS * 4 * mk.count)
+            self.counts.append(mk.count)
+            self.states.append(mk.state)
+            self.lasts.append(mk.last_word)
 
     def runs(self) -> MarkerRuns:
         return MarkerRuns(np.array(self.starts, np.int64),
@@ -388,12 +411,15 @@ class Sequencer:
             mod_cfg = replace(mod_cfg, pipeline_ticks=self.cfg.pipeline_ticks)
         self.mod_cfg = mod_cfg
         self.n_instrs = len(image.words)
-        self._decoded: dict[int, Instruction] = {}   # on first fetch
+        self._decoded: dict[int, Instruction] = {}   # word -> first fetch
         self.reset()
 
     def reset(self) -> None:
         """Fresh run state; the decoded program and config are reused."""
         cfg = self.cfg
+        # timing constants read once: the decode loop reads no property
+        self.hit_latency = self.mem_cfg.hit_latency_ticks
+        self.jump_penalty = cfg.jump_penalty_ticks
         self.sdram = Sdram(self.mem_cfg)
         self.icache = InstructionCache(self.mem_cfg, self.image.words,
                                        self.sdram)
@@ -402,6 +428,7 @@ class Sequencer:
         self.events: list[Event] = []
         self.wf = WaveformEngine(cfg, self.events, self.wavecache)
         self.markers = [MarkerEngine(ch, cfg, self.events) for ch in range(4)]
+        self.engines = (self.wf, *self.markers)
         self.modeng = ModEngine(self.mod_cfg)
         self.mod_waits = 0
         self.stream_pos = 0      # waveform samples dispatched so far
@@ -424,7 +451,7 @@ class Sequencer:
     def deliver_trigger(self, tick: int) -> None:
         edge = align_up(tick, CLK)
         consumed = False
-        for eng in (self.wf, *self.markers):
+        for eng in self.engines:
             consumed |= eng.deliver_trigger(edge)
         if self.mod_waits > 0:
             self.mod_waits -= 1
@@ -432,8 +459,8 @@ class Sequencer:
         if consumed:
             self.trigger_edges.append(edge)
         else:
-            self.events.append(Event(tick, EventKind.TRIGGER_DROPPED,
-                                     detail={"edge": edge}))
+            self.events.append(Event(tick, EV_TRIGGER_DROPPED, 0,
+                                     {"edge": edge}))
 
     def deliver_steering(self, word: int, tick: int) -> None:
         self.steering.append((word, tick))
@@ -442,67 +469,66 @@ class Sequencer:
 
     def run_until_blocked(self) -> str:
         """Advance until halted or blocked on an external input."""
-        cfg = self.cfg
+        max_decodes = self.cfg.max_decodes
+        lookahead = self.cfg.lookahead
         while not self.halted:
-            if self.decodes >= cfg.max_decodes:
+            if self.decodes >= max_decodes:
                 raise SimTrap("decode budget exhausted (runaway program?)")
             if self._sync_pending:
                 reason = self._try_sync()
                 if reason:
                     return reason
             if self.pc >= self.n_instrs:
-                if any(e.waiting() for e in (self.wf, *self.markers)):
+                if any(e.waiting() for e in self.engines):
                     return "need_trigger"   # queues still hold a WAIT
                 self.halted = True
                 break
-            if not cfg.lookahead:
+            if not lookahead:
                 blocked = self._no_lookahead_fence()
                 if blocked:
                     return blocked
-            tick = self.decode_tick
-            instr = self._fetch(tick)
+            instr = self._fetch(self.decode_tick)
             if instr is None:
                 continue               # fetch stall advanced decode_tick
             self.decodes += 1
             advance = self._execute(instr, self.decode_tick)
-            if advance == "need_steering":
-                return advance
-            if advance == "blocked_queue":
-                return "need_trigger"
+            if advance is not None:
+                return "need_trigger" if advance == "blocked_queue" \
+                    else advance
         return "halted"
 
     def _fetch(self, tick: int):
+        pc = self.pc
         carried = self._carried_fetch
-        if carried is not None and carried[0] == self.pc:
+        if carried is not None and carried[0] == pc:
             word, avail = carried[1], carried[2]
             self._carried_fetch = None
         else:
-            word, avail = self.icache.read_instruction(self.pc, tick)
-        hit = self.mem_cfg.hit_latency_ticks
-        if avail > tick + hit:
-            self.decode_tick = align_up(avail - hit, CLK)
-            self._fetch_stall(tick, self.pc)
-            self._carried_fetch = (self.pc, word, avail)
+            word, avail = self.icache.read_instruction(pc, tick)
+        if avail > tick + self.hit_latency:
+            self.decode_tick = align_up(avail - self.hit_latency, CLK)
+            self._fetch_stall(tick, pc)
+            self._carried_fetch = (pc, word, avail)
             return None
-        instr = self._decoded.get(self.pc)
+        instr = self._decoded.get(word)
         if instr is None:
-            instr = self._decoded[self.pc] = decode(self.image.words[self.pc])
+            instr = self._decoded[word] = decode(word)
         return instr
 
     def _fetch_stall(self, since: int, pc: int) -> None:
         """Record the decode ticks lost waiting for pc, from since on."""
-        self.events.append(Event(since, EventKind.FETCH_STALL,
+        self.events.append(Event(since, EV_FETCH_STALL,
                                  self.decode_tick - since, {"pc": pc}))
 
     def _no_lookahead_fence(self) -> str | None:
-        if any(e.waiting() for e in (self.wf, *self.markers)):
+        if any(e.waiting() for e in self.engines):
             return "need_trigger"
-        drain = max(e.drain_tick() for e in (self.wf, *self.markers))
+        drain = max(e.drain_tick() for e in self.engines)
         self.decode_tick = max(self.decode_tick, align_up(drain, CLK))
         return None
 
     def _try_sync(self) -> str | None:
-        engines = (self.wf, *self.markers)
+        engines = self.engines
         if any(not e.idle() for e in engines) or self.mod_waits > 0:
             return "need_trigger"      # queues hold a WAIT; fence must wait
         drain = align_up(max(e.drain_tick() for e in engines), CLK)
@@ -518,84 +544,87 @@ class Sequencer:
     def _redirect(self, target: int, tick: int) -> None:
         """Taken jump: flush penalty, overlap the target line fetch."""
         self.pc = target
+        flushed = tick + CLK + self.jump_penalty
         if target >= self.n_instrs:
             # jump one past the end: the program completes there
             self._carried_fetch = None
-            self.decode_tick = tick + CLK + self.cfg.jump_penalty_ticks
+            self.decode_tick = flushed
             return
         word, avail = self.icache.read_instruction(target, tick)
         self._carried_fetch = (target, word, avail)
-        hit = self.mem_cfg.hit_latency_ticks
-        flushed = tick + CLK + self.cfg.jump_penalty_ticks
-        self.decode_tick = max(flushed, align_up(avail - hit, CLK))
+        self.decode_tick = max(flushed,
+                               align_up(avail - self.hit_latency, CLK))
         if self.decode_tick > flushed:
             self._fetch_stall(flushed, target)
-
-    def _dispatch(self, engine: _StreamEngine, cmd, tick: int) -> str | None:
-        free = engine.accept_tick(tick)
-        if free is None:
-            return "blocked_queue"
-        if free > tick:
-            self.decode_tick = align_up(free, CLK)
-            self.events.append(Event(
-                tick, EventKind.QUEUE_FULL,
-                detail={"engine": engine.name, "until": self.decode_tick}))
-        engine.submit(cmd, self.decode_tick)
-        return None
 
     def _execute(self, instr: Instruction, tick: int) -> str | None:
         op = instr.op
         next_tick = tick + CLK
 
-        if op is Opcode.WAVEFORM:
-            wf = instr.engine
-            if wf.action is WfAction.WAIT:
-                self.wf.submit_wait(tick)
-            elif wf.action is WfAction.SYNC:
+        if op is OP_WAVEFORM or op is OP_MARKER:
+            cmd = instr.engine
+            action = cmd.action
+            eng = self.wf if op is OP_WAVEFORM else self.markers[cmd.channel]
+            if action is WF_WAIT or action is MK_WAIT:
+                eng.submit_wait(tick)
+            elif action is WF_SYNC or action is MK_SYNC:
                 self._sync_pending = True
             else:
-                blocked = self._dispatch(self.wf, wf, tick)
-                if blocked:
-                    return blocked
-                if wf.action is WfAction.PLAY:
-                    self.stream_pos += wf.count
+                # PLAY, or waveform PREFETCH: wait for queue room
+                free = eng.accept_tick(tick)
+                if free is None:
+                    return "blocked_queue"
+                if free > tick:
+                    self.decode_tick = align_up(free, CLK)
+                    self.events.append(Event(
+                        tick, EV_QUEUE_FULL, 0,
+                        {"engine": eng.name, "until": self.decode_tick}))
+                eng.submit(cmd, self.decode_tick)
+                if action is WF_PLAY:
+                    self.stream_pos += cmd.count
                 next_tick = self.decode_tick + CLK
-        elif op is Opcode.MARKER:
-            mk = instr.engine
-            eng = self.markers[mk.channel]
-            if mk.action is MarkerAction.WAIT:
-                eng.submit_wait(tick)
-            elif mk.action is MarkerAction.SYNC:
-                self._sync_pending = True
-            else:
-                blocked = self._dispatch(eng, mk, tick)
-                if blocked:
-                    return blocked
-                next_tick = self.decode_tick + CLK
-        elif op is Opcode.MODULATOR:
-            md = instr.engine
-            if md.action is ModAction.WAIT:
-                self.mod_waits += 1
-            elif md.action is ModAction.SYNC:
-                self._sync_pending = True
-            self.modeng.submit(md, tick, self.stream_pos)
-        elif op is Opcode.WAIT:
-            self.wf.submit_wait(tick)
-            for eng in self.markers:
-                eng.submit_wait(tick)
-            self.modeng.submit(Modulator(ModAction.WAIT), tick,
-                               self.stream_pos)
-            self.mod_waits += 1
-        elif op is Opcode.SYNC:
-            self._sync_pending = True
-        elif op is Opcode.LOAD_REPEAT:
-            self.repeat_register = instr.value
-        elif op is Opcode.REPEAT:
+        elif op is OP_CALL or op is OP_GOTO:
+            if not instr.conditional or self.cmp_result:
+                if op is OP_CALL:
+                    if len(self.stack) >= self.cfg.stack_depth:
+                        return self._trap(tick, "call stack overflow")
+                    self.stack.append((self.pc + 1, self.repeat_register))
+                self._redirect(instr.addr, tick)
+                return None
+        elif op is OP_RETURN:
+            if not self.stack:
+                return self._trap(tick, "RETURN with empty call stack")
+            target, repeat = self.stack.pop()
+            self.repeat_register = repeat
+            self._redirect(target, tick)
+            return None
+        elif op is OP_REPEAT:
             if self.repeat_register:
                 self.repeat_register -= 1
                 self._redirect(instr.addr, tick)
                 return None
-        elif op is Opcode.LOAD_CMP:
+        elif op is OP_MODULATOR:
+            md = instr.engine
+            if md.action is MOD_WAIT:
+                self.mod_waits += 1
+            elif md.action is MOD_SYNC:
+                self._sync_pending = True
+            self.modeng.submit(md, tick, self.stream_pos)
+        elif op is OP_PREFETCH:
+            self.icache.prefetch_line(instr.addr, tick)
+        elif op is OP_LOAD_REPEAT:
+            self.repeat_register = instr.value
+        elif op is OP_CMP:
+            self.cmp_result = _compare(instr.cmp_op, self.cmp_register,
+                                       instr.mask)
+        elif op is OP_WAIT:
+            for eng in self.engines:
+                eng.submit_wait(tick)
+            self.modeng.submit(_MOD_WAIT_CMD, tick, self.stream_pos)
+            self.mod_waits += 1
+        elif op is OP_SYNC:
+            self._sync_pending = True
+        elif op is OP_LOAD_CMP:
             if not self.steering:
                 return "need_steering"
             word, avail = self.steering.pop(0)
@@ -604,35 +633,13 @@ class Sequencer:
             self.decode_tick = edge + CLK
             self.pc += 1
             return None
-        elif op is Opcode.CMP:
-            self.cmp_result = _compare(instr.cmp_op, self.cmp_register,
-                                       instr.mask)
-        elif op in (Opcode.GOTO, Opcode.CALL):
-            taken = (not instr.conditional) or self.cmp_result
-            if taken:
-                if op is Opcode.CALL:
-                    if len(self.stack) >= self.cfg.stack_depth:
-                        return self._trap(tick, "call stack overflow")
-                    self.stack.append((self.pc + 1, self.repeat_register))
-                self._redirect(instr.addr, tick)
-                return None
-        elif op is Opcode.RETURN:
-            if not self.stack:
-                return self._trap(tick, "RETURN with empty call stack")
-            target, repeat = self.stack.pop()
-            self.repeat_register = repeat
-            self._redirect(target, tick)
-            return None
-        elif op is Opcode.PREFETCH:
-            self.icache.prefetch_line(instr.addr, tick)
 
         self.pc += 1
         self.decode_tick = next_tick
         return None
 
     def _trap(self, tick: int, reason: str) -> str | None:
-        self.events.append(Event(tick, EventKind.TRAP,
-                                 detail={"reason": reason}))
+        self.events.append(Event(tick, EV_TRAP, 0, {"reason": reason}))
         self.trap_reason = reason
         self.halted = True
         return None
@@ -746,10 +753,10 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compare(op: CmpOp, register: int, mask: int) -> bool:
-    if op is CmpOp.EQ:
+    if op is CMP_EQ:
         return register == mask
-    if op is CmpOp.NEQ:
+    if op is CMP_NEQ:
         return register != mask
-    if op is CmpOp.LT:
+    if op is CMP_LT:
         return register < mask
     return register > mask

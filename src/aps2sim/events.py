@@ -13,8 +13,9 @@ their hits instead of logging them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 __all__ = ["EventKind", "Event", "stalls"]
 
@@ -45,15 +46,35 @@ class EventKind(str, Enum):
     RESET_PHASE = "reset_phase", "mod"
 
 
-_STALLS = frozenset({EventKind.FETCH_STALL, EventKind.SWAP_STALL})
+# Members bound once as module globals for the layers that build events
+# per instruction or command: a class read costs ten global reads.
+EV_UNDERRUN = EventKind.UNDERRUN
+EV_QUEUE_FULL = EventKind.QUEUE_FULL
+EV_FETCH_STALL = EventKind.FETCH_STALL
+EV_TRIGGER_DROPPED = EventKind.TRIGGER_DROPPED
+EV_TRAP = EventKind.TRAP
+EV_MISS = EventKind.MISS
+EV_WINDOW_WAIT = EventKind.WINDOW_WAIT
+EV_ASSOC_WAIT = EventKind.ASSOC_WAIT
+EV_PREFETCH = EventKind.PREFETCH
+EV_PREFETCH_DUP = EventKind.PREFETCH_DUP
+EV_PAGE_FILL = EventKind.PAGE_FILL
+EV_PAGE_SWAP = EventKind.PAGE_SWAP
+EV_SWAP_STALL = EventKind.SWAP_STALL
+EV_MODULATE_UNDERFILLED = EventKind.MODULATE_UNDERFILLED
+EV_RESET_PHASE = EventKind.RESET_PHASE
+
+_STALLS = frozenset({EV_FETCH_STALL, EV_SWAP_STALL})
+_NO_DETAIL: Mapping = MappingProxyType({})    # shared, so read-only
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
+    """One event; a tuple, so immutable and cheap to build per run."""
+
     tick: int
     kind: EventKind
     ticks: int = 0          # cost; nonzero for stalls and underruns
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = _NO_DETAIL
 
     @property
     def stall(self) -> int:

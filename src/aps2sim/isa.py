@@ -125,6 +125,47 @@ class CmpOp(IntEnum):
 CMP_SYMBOL = {CmpOp.EQ: "=", CmpOp.NEQ: "!=", CmpOp.LT: "<", CmpOp.GT: ">"}
 CMP_FROM_SYMBOL = {v: k for k, v in CMP_SYMBOL.items()}
 
+# Members bound once as module globals for the per-instruction paths
+# (encode and decode here, the sequencer and the modulator): on CPython
+# 3.11 reading a member through its enum class costs ten global reads.
+OP_WAVEFORM = Opcode.WAVEFORM
+OP_MARKER = Opcode.MARKER
+OP_MODULATOR = Opcode.MODULATOR
+OP_WAIT = Opcode.WAIT
+OP_SYNC = Opcode.SYNC
+OP_LOAD_REPEAT = Opcode.LOAD_REPEAT
+OP_REPEAT = Opcode.REPEAT
+OP_LOAD_CMP = Opcode.LOAD_CMP
+OP_CMP = Opcode.CMP
+OP_GOTO = Opcode.GOTO
+OP_CALL = Opcode.CALL
+OP_RETURN = Opcode.RETURN
+OP_PREFETCH = Opcode.PREFETCH
+WF_PLAY = WfAction.PLAY
+WF_WAIT = WfAction.WAIT
+WF_SYNC = WfAction.SYNC
+WF_PREFETCH = WfAction.PREFETCH
+MK_PLAY = MarkerAction.PLAY
+MK_WAIT = MarkerAction.WAIT
+MK_SYNC = MarkerAction.SYNC
+MOD_WAIT = ModAction.WAIT
+MOD_SYNC = ModAction.SYNC
+MOD_RESET_PHASE = ModAction.RESET_PHASE
+MOD_SET_PHASE_OFFSET = ModAction.SET_PHASE_OFFSET
+MOD_SET_PHASE_INCREMENT = ModAction.SET_PHASE_INCREMENT
+MOD_UPDATE_FRAME = ModAction.UPDATE_FRAME
+MOD_MODULATE = ModAction.MODULATE
+CMP_EQ = CmpOp.EQ
+CMP_NEQ = CmpOp.NEQ
+CMP_LT = CmpOp.LT
+CMP_GT = CmpOp.GT
+
+_ENGINE_OPS = frozenset({OP_WAVEFORM, OP_MARKER, OP_MODULATOR})
+_BARE_OPS = frozenset({OP_WAIT, OP_SYNC, OP_LOAD_CMP, OP_RETURN})
+_BRANCH_OPS = frozenset({OP_GOTO, OP_CALL})
+_TARGET_OPS = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
+_MOD_BARE = frozenset({MOD_WAIT, MOD_SYNC})
+
 
 class EncodeError(ValueError):
     """Instruction cannot be represented in the 64-bit format."""
@@ -197,15 +238,15 @@ def encode(instr: Instruction) -> int:
     flags = 0
     payload = 0
 
-    if op is Opcode.WAVEFORM:
+    if op is OP_WAVEFORM:
         wf = instr.engine
         if not isinstance(wf, Waveform):
             raise EncodeError("WAVEFORM requires a Waveform payload")
         flags = int(wf.action) | (int(bool(wf.ta)) << 2)
-        if wf.action is WfAction.PLAY:
+        if wf.action is WF_PLAY:
             payload = (_check_field("waveform addr", wf.addr, ADDR_BITS) << COUNT_BITS) \
                 | _check_field("waveform count", wf.count, COUNT_BITS)
-        elif wf.action is WfAction.PREFETCH:
+        elif wf.action is WF_PREFETCH:
             if wf.ta:
                 raise EncodeError("waveform PREFETCH cannot be a TA pair")
             payload = _check_field("waveform page", wf.addr, ADDR_BITS) << COUNT_BITS
@@ -214,49 +255,49 @@ def encode(instr: Instruction) -> int:
         else:
             if wf.addr or wf.count or wf.ta:
                 raise EncodeError(f"waveform {wf.action.name} takes no payload")
-    elif op is Opcode.MARKER:
+    elif op is OP_MARKER:
         mk = instr.engine
         if not isinstance(mk, Marker):
             raise EncodeError("MARKER requires a Marker payload")
         _check_field("marker channel", mk.channel, 2)
         _check_field("marker state", mk.state, 1)
         flags = int(mk.action) | (mk.channel << 2) | (mk.state << 4)
-        if mk.action is MarkerAction.PLAY:
+        if mk.action is MK_PLAY:
             payload = (_check_field("marker last word", mk.last_word, 4) << COUNT_BITS) \
                 | _check_field("marker count", mk.count, COUNT_BITS)
         elif mk.count or mk.last_word or mk.state:
             raise EncodeError(f"marker {mk.action.name} takes no payload")
-    elif op is Opcode.MODULATOR:
+    elif op is OP_MODULATOR:
         md = instr.engine
         if not isinstance(md, Modulator):
             raise EncodeError("MODULATOR requires a Modulator payload")
         _check_field("nco field", md.nco, 4)
         flags = int(md.action) | (md.nco << 4)
-        if md.action is ModAction.MODULATE:
+        if md.action is MOD_MODULATE:
             if md.nco >= NUM_NCOS:
                 raise EncodeError(f"MODULATE nco index {md.nco} out of range")
             if md.phase_word:
                 raise EncodeError("MODULATE carries a count, not a phase")
             payload = _check_field("modulate count", md.count, COUNT_BITS)
-        elif md.action in (ModAction.WAIT, ModAction.SYNC):
+        elif md.action in _MOD_BARE:
             if md.nco or md.phase_word or md.count:
                 raise EncodeError(f"modulator {md.action.name} takes no payload")
         else:
             if md.count:
                 raise EncodeError(f"modulator {md.action.name} takes no count")
             payload = _check_field("phase word", md.phase_word, PHASE_BITS)
-            if md.action is ModAction.RESET_PHASE and md.phase_word:
+            if md.action is MOD_RESET_PHASE and md.phase_word:
                 raise EncodeError("RESET_PHASE takes no phase word")
-    elif op in (Opcode.WAIT, Opcode.SYNC, Opcode.LOAD_CMP, Opcode.RETURN):
+    elif op in _BARE_OPS:
         pass
-    elif op is Opcode.LOAD_REPEAT:
+    elif op is OP_LOAD_REPEAT:
         payload = _check_field("repeat value", instr.value, COUNT_BITS)
-    elif op in (Opcode.REPEAT, Opcode.PREFETCH):
+    elif op is OP_REPEAT or op is OP_PREFETCH:
         payload = _check_field("target address", instr.addr, ADDR_BITS) << COUNT_BITS
-    elif op in (Opcode.GOTO, Opcode.CALL):
+    elif op in _BRANCH_OPS:
         flags = int(bool(instr.conditional))
         payload = _check_field("target address", instr.addr, ADDR_BITS) << COUNT_BITS
-    elif op is Opcode.CMP:
+    elif op is OP_CMP:
         if instr.cmp_op is None:
             raise EncodeError("CMP requires a comparison operator")
         flags = int(instr.cmp_op)
@@ -270,16 +311,15 @@ def encode(instr: Instruction) -> int:
 
 def _check_stray(instr: Instruction, op: Opcode) -> None:
     """Reject payload fields that do not belong to the opcode."""
-    uses_engine = op in (Opcode.WAVEFORM, Opcode.MARKER, Opcode.MODULATOR)
-    if not uses_engine and instr.engine is not None:
+    if op not in _ENGINE_OPS and instr.engine is not None:
         raise EncodeError(f"{op.name} takes no engine payload")
-    if op not in (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT, Opcode.PREFETCH) and instr.addr:
+    if op not in _TARGET_OPS and instr.addr:
         raise EncodeError(f"{op.name} takes no address")
-    if op is not Opcode.LOAD_REPEAT and instr.value:
+    if op is not OP_LOAD_REPEAT and instr.value:
         raise EncodeError(f"{op.name} takes no value")
-    if op is not Opcode.CMP and (instr.cmp_op is not None or instr.mask):
+    if op is not OP_CMP and (instr.cmp_op is not None or instr.mask):
         raise EncodeError(f"{op.name} takes no comparison payload")
-    if op not in (Opcode.GOTO, Opcode.CALL) and instr.conditional:
+    if op not in _BRANCH_OPS and instr.conditional:
         raise EncodeError(f"{op.name} cannot be conditional")
 
 
@@ -298,28 +338,28 @@ def decode(word: int) -> Instruction:
         raise DecodeError(f"unknown opcode byte {op_bits:#04x}") from None
 
     try:
-        if op is Opcode.WAVEFORM:
+        if op is OP_WAVEFORM:
             instr = Instruction(op, engine=Waveform(
                 action=WfAction(flags & 0x3), addr=addr, count=count,
                 ta=bool(flags & 0x4)))
-        elif op is Opcode.MARKER:
+        elif op is OP_MARKER:
             instr = Instruction(op, engine=Marker(
                 action=MarkerAction(flags & 0x3), channel=(flags >> 2) & 0x3,
                 state=(flags >> 4) & 0x1, count=count, last_word=addr))
-        elif op is Opcode.MODULATOR:
+        elif op is OP_MODULATOR:
             action = ModAction(flags & 0x7)
             nco = (flags >> 4) & 0xF
-            if action is ModAction.MODULATE:
+            if action is MOD_MODULATE:
                 instr = Instruction(op, engine=Modulator(action, nco=nco, count=count))
             else:
                 instr = Instruction(op, engine=Modulator(action, nco=nco, phase_word=phase))
-        elif op is Opcode.LOAD_REPEAT:
+        elif op is OP_LOAD_REPEAT:
             instr = Instruction(op, value=count)
-        elif op in (Opcode.REPEAT, Opcode.PREFETCH):
+        elif op is OP_REPEAT or op is OP_PREFETCH:
             instr = Instruction(op, addr=addr)
-        elif op in (Opcode.GOTO, Opcode.CALL):
+        elif op in _BRANCH_OPS:
             instr = Instruction(op, addr=addr, conditional=bool(flags & 0x1))
-        elif op is Opcode.CMP:
+        elif op is OP_CMP:
             instr = Instruction(op, cmp_op=CmpOp(flags & 0x3), mask=count)
         else:
             instr = Instruction(op)
@@ -360,7 +400,16 @@ class ProgramImage:
         self.waveforms = np.asarray(self.waveforms, dtype=np.int16).reshape(-1, 2)
 
     def decode_all(self) -> list[Instruction]:
-        return [decode(w) for w in self.words]
+        """Every word decoded, each distinct word once: equal words share
+        one (frozen) Instruction."""
+        decoded: dict[int, Instruction] = {}
+        out = []
+        for w in self.words:
+            instr = decoded.get(w)
+            if instr is None:
+                instr = decoded[w] = decode(w)
+            out.append(instr)
+        return out
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import SEQ_CLOCK_TICKS, ns_to_ticks
-from .events import Event, EventKind, stalls
+from .events import (EV_ASSOC_WAIT, EV_MISS, EV_PAGE_FILL, EV_PAGE_SWAP,
+                     EV_PREFETCH, EV_PREFETCH_DUP, EV_SWAP_STALL,
+                     EV_WINDOW_WAIT, Event, stalls)
 from .isa import CACHE_LINE_INSTRUCTIONS
 
 __all__ = [
@@ -105,7 +107,11 @@ class InstructionCache:
         self.cfg = cfg
         self.words = words
         self.sdram = sdram
-        self.n_lines = max(1, -(-len(words) // cfg.line_instructions))
+        # timing constants read once: the fetch path reads no property
+        self.line = cfg.line_instructions
+        self.fill_bytes = cfg.line_bytes
+        self.hit_latency = cfg.hit_latency_ticks
+        self.n_lines = max(1, -(-len(words) // self.line))
         self.base_line = 0
         # line -> fill completion tick; initial window is warm
         self.window: dict[int, int] = {
@@ -127,47 +133,51 @@ class InstructionCache:
                 del self.window[ln]
         for ln in range(line, hi + 1):
             if ln not in self.window:
-                self.window[ln] = self.sdram.request(self.cfg.line_bytes, tick)
+                self.window[ln] = self.sdram.request(self.fill_bytes, tick)
 
     def read_instruction(self, addr: int, tick: int) -> tuple[int, int]:
         """Fetch one word; returns (word, available_tick)."""
         if not 0 <= addr < len(self.words):
             raise CacheError(f"instruction fetch {addr} beyond program end")
-        line = addr // self.cfg.line_instructions
-        hit_at = tick + self.cfg.hit_latency_ticks
+        line = addr // self.line
+        fill_done = self.window.get(line)
+        if fill_done is not None and fill_done <= tick \
+                and line <= self.base_line:
+            # filled window line at or behind the base: no re-centre
+            self.hits += 1
+            return self.words[addr], tick + self.hit_latency
         if self.cfg.ideal:
             self.hits += 1
-            return self.words[addr], hit_at
+            return self.words[addr], tick + self.hit_latency
 
-        if line in self.window:
+        if fill_done is not None:
             if line > self.base_line:
                 self._schedule_window(line, tick)
-            fill_done, cause = self.window[line], EventKind.WINDOW_WAIT
+            cause = EV_WINDOW_WAIT
             self.hits += 1
         elif line in self.assoc:
-            fill_done, cause = self.assoc[line], EventKind.ASSOC_WAIT
+            fill_done, cause = self.assoc[line], EV_ASSOC_WAIT
             self.hits += 1
         else:
             # demand miss: the window re-centers here and the demanded
             # line fill (always after tick) is on the critical path
             self.misses += 1
             self._schedule_window(line, tick)
-            fill_done, cause = self.window[line], EventKind.MISS
+            fill_done, cause = self.window[line], EV_MISS
         if fill_done <= tick:
-            return self.words[addr], hit_at
-        self.events.append(Event(tick, cause,
-                                 detail={"addr": addr, "line": line}))
-        return self.words[addr], fill_done + self.cfg.hit_latency_ticks
+            return self.words[addr], tick + self.hit_latency
+        self.events.append(Event(tick, cause, 0,
+                                 {"addr": addr, "line": line}))
+        return self.words[addr], fill_done + self.hit_latency
 
     def prefetch_line(self, addr: int, tick: int) -> None:
         """Explicit PREFETCH: round-robin fill of the associative half."""
         if self.cfg.ideal:
             return
-        line = addr // self.cfg.line_instructions
+        line = addr // self.line
         detail = {"addr": addr, "line": line}
         if line in self.assoc:
-            self.events.append(Event(tick, EventKind.PREFETCH_DUP,
-                                     detail=detail))
+            self.events.append(Event(tick, EV_PREFETCH_DUP, 0, detail))
             return
         if len(self.assoc_order) < self.cfg.assoc_lines:
             self.assoc_order.append(line)
@@ -176,8 +186,8 @@ class InstructionCache:
             del self.assoc[victim]
             self.assoc_order[self.rr] = line
             self.rr = (self.rr + 1) % self.cfg.assoc_lines
-        self.assoc[line] = self.sdram.request(self.cfg.line_bytes, tick)
-        self.events.append(Event(tick, EventKind.PREFETCH, detail=detail))
+        self.assoc[line] = self.sdram.request(self.fill_bytes, tick)
+        self.events.append(Event(tick, EV_PREFETCH, 0, detail))
 
 
 class WaveformCache:
@@ -238,8 +248,8 @@ class WaveformCache:
         idle = 1 - self.active_slot
         self.slots[idle] = (page_index, done)
         self.pending_fill = (idle, done)
-        self.events.append(Event(tick, EventKind.PAGE_FILL,
-                                 detail={"page": page_index, "slot": idle}))
+        self.events.append(Event(tick, EV_PAGE_FILL, 0,
+                                 {"page": page_index, "slot": idle}))
 
     def complete_swap(self, tick: int) -> int:
         """Swap to the freshly filled page; returns the actual swap tick."""
@@ -252,10 +262,10 @@ class WaveformCache:
         self.active_slot = idle
         detail = {"page": self.slots[idle][0], "slot": idle}
         if done > tick:
-            self.events.append(Event(tick, EventKind.SWAP_STALL, done - tick,
+            self.events.append(Event(tick, EV_SWAP_STALL, done - tick,
                                      detail))
             return done
-        self.events.append(Event(tick, EventKind.PAGE_SWAP, detail=detail))
+        self.events.append(Event(tick, EV_PAGE_SWAP, 0, detail))
         return tick
 
     def stall_events(self) -> list[Event]:

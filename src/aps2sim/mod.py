@@ -40,8 +40,10 @@ from itertools import accumulate
 import numpy as np
 
 from .clocks import ANALOG_SAMPLE_TICKS
-from .events import Event, EventKind
-from .isa import NUM_NCOS, ModAction, Modulator, turns_from_phase_word
+from .events import EV_MODULATE_UNDERFILLED, EV_RESET_PHASE, Event
+from .isa import (MOD_MODULATE, MOD_RESET_PHASE, MOD_SET_PHASE_INCREMENT,
+                  MOD_SET_PHASE_OFFSET, MOD_SYNC, MOD_UPDATE_FRAME, MOD_WAIT,
+                  NUM_NCOS, Modulator, turns_from_phase_word)
 
 __all__ = ["ModConfig", "NcoBank", "ModEngine", "Windows", "MixerCorrector"]
 
@@ -174,15 +176,16 @@ class ModEngine:
 
         for md, dispatch, dispatch_pos in self.queue:
             pos = max(dispatch_pos, cursor_pos)
-            if md.action is ModAction.WAIT:
+            action = md.action
+            if action is MOD_WAIT:
                 edge = next(edges, None)
                 if edge is None:
                     break        # parked at WAIT: nothing further applies
                 cursor_tick = max(cursor_tick, edge)
                 cursor_pos = pos
-            elif md.action is ModAction.SYNC:
+            elif action is MOD_SYNC:
                 cursor_pos = pos
-            elif md.action is ModAction.MODULATE:
+            elif action is MOD_MODULATE:
                 end = pos + md.count
                 bound = min(end, total)
                 if bound > pos:
@@ -193,8 +196,8 @@ class ModEngine:
                                       tick_at(bound - 1) + ANALOG_SAMPLE_TICKS)
                 if end > total:
                     self.events.append(Event(
-                        cursor_tick, EventKind.MODULATE_UNDERFILLED,
-                        detail={"nco": md.nco, "missing": end - total}))
+                        cursor_tick, EV_MODULATE_UNDERFILLED, 0,
+                        {"nco": md.nco, "missing": end - total}))
                 cursor_pos = end
             else:
                 # phase commands latch on the rotation-plane clock, just
@@ -214,15 +217,16 @@ class ModEngine:
 
     def _apply(self, bank: NcoBank, md: Modulator, tick: int) -> None:
         turns = turns_from_phase_word(md.phase_word)
-        if md.action is ModAction.RESET_PHASE:
+        action = md.action
+        if action is MOD_RESET_PHASE:
             bank.reset(md.nco, tick)
-            self.events.append(Event(tick, EventKind.RESET_PHASE,
-                                     detail={"mask": md.nco}))
-        elif md.action is ModAction.SET_PHASE_OFFSET:
+            self.events.append(Event(tick, EV_RESET_PHASE, 0,
+                                     {"mask": md.nco}))
+        elif action is MOD_SET_PHASE_OFFSET:
             bank.set_offset(md.nco, turns)
-        elif md.action is ModAction.SET_PHASE_INCREMENT:
+        elif action is MOD_SET_PHASE_INCREMENT:
             bank.set_increment(md.nco, turns, tick)
-        elif md.action is ModAction.UPDATE_FRAME:
+        elif action is MOD_UPDATE_FRAME:
             bank.update_frame(md.nco, turns)
 
 

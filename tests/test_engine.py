@@ -1,5 +1,6 @@
 """Sequencer timing and semantics against hand-computed schedules."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from aps2sim.engine import DeadlockError, EngineConfig, Sequencer
-from aps2sim.events import EventKind
+from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
     CmpOp,
     DecodeError,
@@ -25,6 +26,8 @@ from aps2sim.isa import (
 )
 from aps2sim.mem import MemConfig
 from aps2sim.mod import ModConfig
+
+from oracle import random_program
 
 RAMP = np.stack([np.arange(16, dtype=np.int16) * 100,
                  -np.arange(16, dtype=np.int16) * 100], axis=1)
@@ -340,21 +343,29 @@ def test_sequencer_leaves_the_passed_config_unchanged():
     assert seq.mod_cfg.pipeline_ticks == EngineConfig().pipeline_ticks
 
 
-def test_events_jsonl_round_trip(tmp_path):
+FAR = 6 * 128 + 3                     # beyond the warm instruction window
+
+
+def page_swap_program():
+    """A ping-pong run with an underrun, a page-swap stall, a far jump's
+    fetch stall and an underfilled window; returns the image and config."""
     wave = np.stack([np.arange(32, dtype=np.int16),
                      np.zeros(32, dtype=np.int16)], axis=1)
-    far = 6 * 128 + 3                 # beyond the warm instruction window
     body = [
         mod(ModAction.MODULATE, nco=0, count=1000),   # more than is played
         play(0, 4), play(4, 4),       # shorter than the command rate
         Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, addr=1)),
         play(0, 16),                  # swaps before the fill lands
-        Instruction(Opcode.GOTO, addr=far),
+        Instruction(Opcode.GOTO, addr=FAR),
     ]
-    body += [FILLER] * (far - len(body))
+    body += [FILLER] * (FAR - len(body))
     body.append(play(0, 8))
     cfg = MemConfig(wave_mode="pingpong", wave_page_samples=16)
-    prog = ProgramImage([encode(i) for i in body], wave)
+    return ProgramImage([encode(i) for i in body], wave), cfg
+
+
+def test_events_jsonl_round_trip(tmp_path):
+    prog, cfg = page_swap_program()
     trace = Sequencer(prog, mem_cfg=cfg).run_simple()
 
     kinds = {e.kind for e in trace.events}
@@ -362,7 +373,7 @@ def test_events_jsonl_round_trip(tmp_path):
             "modulate_underfilled"} <= kinds
     # the only fetch stall is the taken jump's, beyond its flush
     [stall] = [e for e in trace.events if e.kind == "fetch_stall"]
-    assert stall.detail["pc"] == far and stall.ticks > 0
+    assert stall.detail["pc"] == FAR and stall.ticks > 0
 
     path = tmp_path / "events.jsonl"
     trace.write_events_jsonl(path)
@@ -370,6 +381,26 @@ def test_events_jsonl_round_trip(tmp_path):
     assert len(rows) == len(trace.events)
     assert ([(r["tick"], EventKind(r["kind"]), r["ticks"]) for r in rows]
             == [(e.tick, e.kind, e.ticks) for e in trace.events])
+
+
+def test_event_is_an_immutable_record(tmp_path):
+    e = Event(120, EventKind.UNDERRUN, 20, {"engine": "waveform"})
+    with pytest.raises(AttributeError):
+        e.ticks = 0
+    bare = Event(0, EventKind.TRAP)
+    assert bare.ticks == 0 and dict(bare.detail) == {}
+    with pytest.raises(TypeError):
+        bare.detail["reason"] = "x"      # the shared default is read-only
+    assert Event(1, EventKind.TRAP).detail == {}
+    assert e.kind == "underrun" and e.kind.layer == "engine"
+    assert EventKind.SWAP_STALL.layer == "mem"
+    assert e.stall == e.ticks == 20
+    # the export reads the same bytes as when events were dataclasses
+    prog, cfg = page_swap_program()
+    path = tmp_path / "events.jsonl"
+    Sequencer(prog, mem_cfg=cfg).run_simple().write_events_jsonl(path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            == "ffe662b7972b3a77")
 
 
 def far_calls_program():
@@ -501,3 +532,97 @@ def test_words_are_decoded_when_fetched():
     assert np.array_equal(trace.analog_values(), wave_values(0, 8))
     with pytest.raises(DecodeError):
         Sequencer(ProgramImage([encode(play(0, 8)), bad], RAMP)).run_simple()
+
+
+# -- timing pins ---------------------------------------------------------
+#
+# Digests of every integer a run produces, recorded before the decode
+# loop was reworked for speed: a change to the loop that moves one tick,
+# one run or one event fails here.  Analog values are left out; the
+# oracle tests gate them.
+
+
+def run_digest(seq, triggers=()):
+    """sha256 prefix of where a run blocked (reason, pc, decode tick),
+    its waveform and marker run columns, every event as (tick, kind,
+    ticks, sorted detail), the instruction cache's hits and misses, and
+    the decode count."""
+    triggers = list(triggers)
+    blocks = []
+    while (reason := seq.run_until_blocked()) != "halted":
+        blocks.append((reason, seq.pc, seq.decode_tick))
+        seq.deliver_trigger(triggers.pop(0))
+    trace = seq.finalize()
+    markers = [(ch, r.start.tolist(), r.n.tolist(), r.state.tolist(),
+                r.last.tolist()) for ch, r in sorted(trace.markers.items())]
+    events = [(int(e.tick), e.kind.value, int(e.ticks),
+               sorted(e.detail.items())) for e in trace.events]
+    record = (blocks, trace.analog.start.tolist(), trace.analog.n.tolist(),
+              [int(a) for a in seq.wf.addrs], [bool(t) for t in seq.wf.ta],
+              trace.lazy.tolist(), markers, events,
+              seq.icache.hits, seq.icache.misses, seq.decodes)
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+def pinned_runs():
+    """name -> (sequencer, triggers) of every pinned run."""
+    runs = {}
+    for seed in range(25):
+        prog, initial_cmp = random_program(np.random.default_rng(1000 + seed))
+        runs[f"oracle{seed}"] = (
+            Sequencer(prog, EngineConfig(initial_cmp=initial_cmp)), ())
+    prog, initial_cmp = random_program(np.random.default_rng(2003))
+    runs["oracle_serial"] = (Sequencer(prog, EngineConfig(
+        initial_cmp=initial_cmp, lookahead=False)), ())
+    runs["far_calls"] = (Sequencer(far_calls_program()), ())
+    for depth in (4, 8):
+        runs[f"queue_depth{depth}"] = (Sequencer(
+            image([play(0, 8)] * 20), EngineConfig(queue_depth=depth)), ())
+    prog, cfg = page_swap_program()
+    runs["page_swap"] = (Sequencer(prog, mem_cfg=cfg), ())
+    # the second PLAY finds the queue full behind the WAIT: blocked_queue
+    runs["blocked_queue"] = (Sequencer(
+        image([Instruction(Opcode.WAIT)] + [play(0, 8)] * 4),
+        EngineConfig(queue_depth=2)), (1000,))
+    return runs
+
+
+PINNED = {
+    "oracle0": "01c56aa4ef9565ad",
+    "oracle1": "ca51b7592bac4645",
+    "oracle2": "ea56bcf1c2b8bf5e",
+    "oracle3": "b9f7fd1322775eb0",
+    "oracle4": "e0c0f3ad24dad71a",
+    "oracle5": "2a26bc312b7e9c65",
+    "oracle6": "067faa14e8281a49",
+    "oracle7": "1cecaf5ae98ed8af",
+    "oracle8": "11a22e4db499e35f",
+    "oracle9": "9671a9546609e88a",
+    "oracle10": "db60ce5569d5782a",
+    "oracle11": "af3604273dcc401a",
+    "oracle12": "4a9b2296bceb5018",
+    "oracle13": "0351ec8d4f490c71",
+    "oracle14": "d5ef685329345f71",
+    "oracle15": "4be18047f0a016a9",
+    "oracle16": "4e356bda727d36ab",
+    "oracle17": "b05dced9624be498",
+    "oracle18": "b68e9a5f14671c34",
+    "oracle19": "d63a017590cd281a",
+    "oracle20": "dfd83570064eb81f",
+    "oracle21": "1aaed90d70651cf3",
+    "oracle22": "32efe31e20b7bdeb",
+    "oracle23": "4955fe5f0def75da",
+    "oracle24": "adb4daaa42c2bf92",
+    "oracle_serial": "f33ecf32d9d6f7af",
+    "far_calls": "a8b3f72b85cf6f2e",
+    "queue_depth4": "c988781470701a14",
+    "queue_depth8": "8a19f2c81c0104f7",
+    "page_swap": "dca1e7b0663c6127",
+    "blocked_queue": "d73722558f6579fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_timing_is_pinned(name):
+    seq, triggers = pinned_runs()[name]
+    assert run_digest(seq, triggers) == PINNED[name]

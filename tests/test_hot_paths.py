@@ -1,0 +1,101 @@
+"""Tooling guard: the per-instruction paths stay cheap.
+
+On CPython 3.11 reading an enum member through its class, as in
+``Opcode.WAVEFORM``, costs about ten reads of a module global, and a
+config ``@property`` is a Python call; the decode loop would pay either
+thousands of times per run.  So the members are bound once as module
+globals (``isa.OP_*``, ``WF_*``, ``MK_*``, ``MOD_*``, ``CMP_*`` and
+``events.EV_*``) and timing constants are read from the configs once,
+at construction.  This check fails on any function of the hot paths
+that reads a member through its enum class or a config property.
+"""
+
+import ast
+import inspect
+import textwrap
+
+import pytest
+
+from aps2sim import engine, isa, mem, mod
+
+ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
+         "EventKind"}
+
+# functions, and classes whose every method but a constructor, that run
+# per decoded instruction, engine command or modulator command
+HOT = {
+    engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
+             "_compare"],
+    mem: ["InstructionCache", "WaveformCache"],
+    mod: ["ModEngine"],
+    isa: ["encode", "_check_stray", "decode", "ProgramImage.decode_all"],
+}
+CONSTRUCTORS = {"__init__", "reset"}     # read the configs once, by design
+
+
+def config_properties(module) -> set[str]:
+    """@property names of the config classes the module defines or
+    imports at run time."""
+    names = set()
+    for obj in vars(module).values():
+        if isinstance(obj, type) and obj.__name__.endswith("Config"):
+            names |= {n for n, v in vars(obj).items()
+                      if isinstance(v, property)}
+    return names
+
+
+def hot_functions():
+    for module, names in HOT.items():
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            if inspect.isfunction(obj):
+                yield module, name, obj
+                continue
+            for attr, fn in vars(obj).items():
+                if inspect.isfunction(fn) and attr not in CONSTRUCTORS:
+                    yield module, f"{name}.{attr}", fn
+
+
+def slow_reads(source: str, properties: set[str]) -> list[str]:
+    """Every Enum.MEMBER read and every read of a name in properties."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ENUMS:
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif node.attr in properties:
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+CASES = [(f"{m.__name__}.{name}", fn, config_properties(m))
+         for m, name, fn in hot_functions()]
+
+
+@pytest.mark.parametrize("fn, properties", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_hot_path_reads_no_enum_member_or_config_property(fn, properties):
+    assert slow_reads(inspect.getsource(fn), properties) == []
+
+
+def test_the_guard_sees_both_kinds_of_read():
+    source = '''
+    def f(self, op):
+        if op is Opcode.WAVEFORM:
+            return self.mem_cfg.hit_latency_ticks
+    '''
+    assert slow_reads(source, config_properties(engine)) == [
+        "line 3: Opcode.WAVEFORM", "line 4: .hit_latency_ticks"]
+    assert {"hit_latency_ticks", "line_bytes", "jump_penalty_ticks",
+            "pipeline_ticks"} <= config_properties(engine)
+
+
+def test_every_hot_name_exists():
+    assert len(CASES) > 40
+    assert {"aps2sim.engine.Sequencer._execute",
+            "aps2sim.mem.InstructionCache.read_instruction",
+            "aps2sim.mod.ModEngine.resolve",
+            "aps2sim.isa.decode"} <= {c[0] for c in CASES}
