@@ -31,16 +31,27 @@ inside windows and one mixer call per block, so its working memory is
 bounded by the block size.  A TA run outside every window stays lazy:
 one mixed value, expanded only by ``OutputTrace.analog_values``.
 
-Hot-path rule: code run per instruction or per command reads enum
-members through module globals (``isa.OP_*``, ``events.EV_*``), never
-through their class, and reads timing constants hoisted at construction,
-never a config property (``tests/test_hot_paths.py`` checks it).
+Hot-path rule: an instruction on a resident cache line costs no call.
+When no fetch is carried over a stall and pc lies in the instruction
+cache's ``resident`` range, the decode loop counts the hit for the cache
+and takes the instruction from a per-pc list, filled on first fetch
+(each distinct word is decoded once); every other fetch goes through
+``InstructionCache.read_instruction``.
+The loop dispatches PLAYs, waveform PREFETCH, engine WAIT and SYNC and
+modulator commands itself: queue room comes from each engine's head
+pointer, the first run not started by the decode tick (it only moves
+forward, since the decode tick never decreases), and a PLAY goes to its
+engine's ``play``, where ``_start_for`` is the one start-tick rule.
+Control flow and the rarer opcodes go through ``_execute``.  Code run
+per instruction or per command reads enum members through module
+globals (``isa.OP_*``, ``events.EV_*``), never through their class, and
+reads timing constants hoisted at construction, never a config property
+(``tests/test_hot_paths.py`` checks it).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,6 +194,7 @@ class _StreamEngine:
         self.queue_depth = cfg.queue_depth
         self.starts: list[int] = []      # start tick of each run
         self.counts: list[int] = []      # count operand of each run
+        self.head = 0        # first run not started by the decode tick
         self.pending: list[tuple[object, int]] = []
         self.wait_dispatch: int | None = None
         self.frontier: int | None = None
@@ -190,22 +202,6 @@ class _StreamEngine:
         self.floor = 0                   # no command may start before this
 
     # -- command flow -------------------------------------------------------
-
-    def accept_tick(self, tick: int) -> int | None:
-        """Earliest tick with queue room; None means only a trigger helps.
-
-        The queue holds the runs not yet started by tick, the commands
-        queued behind a WAIT and the WAIT itself."""
-        starts = self.starts
-        idx = bisect_right(starts, tick)
-        queued = len(starts) - idx + len(self.pending)
-        if self.wait_dispatch is not None:
-            queued += 1
-        if queued < self.queue_depth:
-            return tick
-        if idx < len(starts):
-            return starts[idx]
-        return None
 
     def submit(self, cmd, tick: int) -> None:  # pragma: no cover
         """Resolve a command dispatched at tick, or queue it behind an
@@ -284,15 +280,20 @@ class WaveformEngine(_StreamEngine):
         self.addrs: list[int] = []       # absolute waveform address per run
         self.ta: list[bool] = []         # run repeats one TA sample
 
+    def play(self, wf, tick: int) -> None:
+        """Start a PLAY dispatched at tick; the cache checks the read."""
+        count = wf.count
+        addr = self.cache.locate(wf.addr, 1 if wf.ta else count)
+        self._start_for(tick, ANALOG_SAMPLE_TICKS * count)
+        self.addrs.append(addr)
+        self.counts.append(count)
+        self.ta.append(wf.ta)
+
     def submit(self, wf, tick: int) -> None:
         if self.wait_dispatch is not None:
             self.pending.append((wf, tick))
         elif wf.action is WF_PLAY:
-            addr = self.cache.locate(wf.addr, 1 if wf.ta else wf.count)
-            self._start_for(tick, ANALOG_SAMPLE_TICKS * wf.count)
-            self.addrs.append(addr)
-            self.counts.append(wf.count)
-            self.ta.append(wf.ta)
+            self.play(wf, tick)
         elif wf.action is WF_PREFETCH:
             # the fill starts as the command resolves: at dispatch, so
             # playback hides it, or at the edge that releases a WAIT
@@ -315,14 +316,18 @@ class MarkerEngine(_StreamEngine):
         self.states: list[int] = []
         self.lasts: list[int] = []
 
+    def play(self, mk, tick: int) -> None:
+        """Start a PLAY dispatched at tick."""
+        self._start_for(tick, ANALOG_SAMPLE_TICKS * 4 * mk.count)
+        self.counts.append(mk.count)
+        self.states.append(mk.state)
+        self.lasts.append(mk.last_word)
+
     def submit(self, mk, tick: int) -> None:
         if self.wait_dispatch is not None:
             self.pending.append((mk, tick))
         elif mk.action is MK_PLAY:
-            self._start_for(tick, ANALOG_SAMPLE_TICKS * 4 * mk.count)
-            self.counts.append(mk.count)
-            self.states.append(mk.state)
-            self.lasts.append(mk.last_word)
+            self.play(mk, tick)
 
     def runs(self) -> MarkerRuns:
         return MarkerRuns(np.array(self.starts, np.int64),
@@ -411,7 +416,10 @@ class Sequencer:
             mod_cfg = replace(mod_cfg, pipeline_ticks=self.cfg.pipeline_ticks)
         self.mod_cfg = mod_cfg
         self.n_instrs = len(image.words)
-        self._decoded: dict[int, Instruction] = {}   # word -> first fetch
+        # pc -> its instruction, filled on first fetch; each distinct
+        # word is decoded once, so equal words share one Instruction
+        self._program: list[Instruction | None] = [None] * self.n_instrs
+        self._decoded: dict[int, Instruction] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -443,7 +451,7 @@ class Sequencer:
         self.halted = False
         self.trap_reason: str | None = None
         self.decodes = 0
-        self._carried_fetch: tuple[int, int, int] | None = None
+        self._carried_fetch: tuple[int, int] | None = None   # (pc, avail)
         self._sync_pending = False
 
     # -- external deliveries ------------------------------------------------
@@ -471,6 +479,14 @@ class Sequencer:
         """Advance until halted or blocked on an external input."""
         max_decodes = self.cfg.max_decodes
         lookahead = self.cfg.lookahead
+        queue_depth = self.cfg.queue_depth
+        n_instrs = self.n_instrs
+        program = self._program
+        words = self.image.words
+        icache = self.icache
+        wf = self.wf
+        markers = self.markers
+        mod_queue = self.modeng.queue
         while not self.halted:
             if self.decodes >= max_decodes:
                 raise SimTrap("decode budget exhausted (runaway program?)")
@@ -478,7 +494,8 @@ class Sequencer:
                 reason = self._try_sync()
                 if reason:
                     return reason
-            if self.pc >= self.n_instrs:
+            pc = self.pc
+            if pc >= n_instrs:
                 if any(e.waiting() for e in self.engines):
                     return "need_trigger"   # queues still hold a WAIT
                 self.halted = True
@@ -487,29 +504,85 @@ class Sequencer:
                 blocked = self._no_lookahead_fence()
                 if blocked:
                     return blocked
-            instr = self._fetch(self.decode_tick)
-            if instr is None:
+            tick = self.decode_tick
+            if self._carried_fetch is None and pc in icache.resident:
+                icache.hits += 1       # a plain hit, counted for the cache
+            elif not self._fetch(pc, tick):
                 continue               # fetch stall advanced decode_tick
+            instr = program[pc]
+            if instr is None:
+                instr = program[pc] = self._decode(words[pc])
             self.decodes += 1
-            advance = self._execute(instr, self.decode_tick)
-            if advance is not None:
-                return "need_trigger" if advance == "blocked_queue" \
-                    else advance
+            op = instr.op
+            if op is OP_MODULATOR:
+                md = instr.engine
+                action = md.action
+                if action is MOD_WAIT:
+                    self.mod_waits += 1
+                elif action is MOD_SYNC:
+                    self._sync_pending = True
+                mod_queue.append((md, tick, self.stream_pos))
+            elif op is OP_WAVEFORM or op is OP_MARKER:
+                cmd = instr.engine
+                action = cmd.action
+                eng = wf if op is OP_WAVEFORM else markers[cmd.channel]
+                if action is WF_WAIT or action is MK_WAIT:
+                    eng.submit_wait(tick)
+                elif action is WF_SYNC or action is MK_SYNC:
+                    self._sync_pending = True
+                else:
+                    # PLAY, or waveform PREFETCH: wait for queue room.
+                    # The queue holds the runs not started by tick, the
+                    # commands queued behind a WAIT and the WAIT itself.
+                    starts = eng.starts
+                    n_runs = len(starts)
+                    head = eng.head
+                    while head < n_runs and starts[head] <= tick:
+                        head += 1
+                    eng.head = head
+                    if (n_runs - head + len(eng.pending)
+                            + (eng.wait_dispatch is not None)) >= queue_depth:
+                        if head == n_runs:
+                            return "need_trigger"  # only a trigger helps
+                        until = align_up(starts[head], CLK)
+                        self.events.append(Event(
+                            tick, EV_QUEUE_FULL, 0,
+                            {"engine": eng.name, "until": until}))
+                        self.decode_tick = tick = until
+                    if eng.wait_dispatch is not None:
+                        eng.pending.append((cmd, tick))
+                    elif action is WF_PREFETCH:
+                        eng.submit(cmd, tick)
+                    else:
+                        eng.play(cmd, tick)
+                    if action is WF_PLAY:
+                        self.stream_pos += cmd.count
+            else:
+                advance = self._execute(instr, tick)
+                if advance is not None:
+                    return advance
+                continue
+            self.pc = pc + 1
+            self.decode_tick = tick + CLK
         return "halted"
 
-    def _fetch(self, tick: int):
-        pc = self.pc
+    def _fetch(self, pc: int, tick: int) -> bool:
+        """Fetch pc through the cache, or take the fetch carried over a
+        stall; False on a stall, which advanced decode_tick."""
         carried = self._carried_fetch
         if carried is not None and carried[0] == pc:
-            word, avail = carried[1], carried[2]
+            avail = carried[1]
             self._carried_fetch = None
         else:
-            word, avail = self.icache.read_instruction(pc, tick)
+            _, avail = self.icache.read_instruction(pc, tick)
         if avail > tick + self.hit_latency:
             self.decode_tick = align_up(avail - self.hit_latency, CLK)
             self._fetch_stall(tick, pc)
-            self._carried_fetch = (pc, word, avail)
-            return None
+            self._carried_fetch = (pc, avail)
+            return False
+        return True
+
+    def _decode(self, word: int) -> Instruction:
         instr = self._decoded.get(word)
         if instr is None:
             instr = self._decoded[word] = decode(word)
@@ -550,40 +623,19 @@ class Sequencer:
             self._carried_fetch = None
             self.decode_tick = flushed
             return
-        word, avail = self.icache.read_instruction(target, tick)
-        self._carried_fetch = (target, word, avail)
+        _, avail = self.icache.read_instruction(target, tick)
+        self._carried_fetch = (target, avail)
         self.decode_tick = max(flushed,
                                align_up(avail - self.hit_latency, CLK))
         if self.decode_tick > flushed:
             self._fetch_stall(flushed, target)
 
     def _execute(self, instr: Instruction, tick: int) -> str | None:
+        """Control flow and the opcodes the decode loop does not inline."""
         op = instr.op
         next_tick = tick + CLK
 
-        if op is OP_WAVEFORM or op is OP_MARKER:
-            cmd = instr.engine
-            action = cmd.action
-            eng = self.wf if op is OP_WAVEFORM else self.markers[cmd.channel]
-            if action is WF_WAIT or action is MK_WAIT:
-                eng.submit_wait(tick)
-            elif action is WF_SYNC or action is MK_SYNC:
-                self._sync_pending = True
-            else:
-                # PLAY, or waveform PREFETCH: wait for queue room
-                free = eng.accept_tick(tick)
-                if free is None:
-                    return "blocked_queue"
-                if free > tick:
-                    self.decode_tick = align_up(free, CLK)
-                    self.events.append(Event(
-                        tick, EV_QUEUE_FULL, 0,
-                        {"engine": eng.name, "until": self.decode_tick}))
-                eng.submit(cmd, self.decode_tick)
-                if action is WF_PLAY:
-                    self.stream_pos += cmd.count
-                next_tick = self.decode_tick + CLK
-        elif op is OP_CALL or op is OP_GOTO:
+        if op is OP_CALL or op is OP_GOTO:
             if not instr.conditional or self.cmp_result:
                 if op is OP_CALL:
                     if len(self.stack) >= self.cfg.stack_depth:
@@ -603,13 +655,6 @@ class Sequencer:
                 self.repeat_register -= 1
                 self._redirect(instr.addr, tick)
                 return None
-        elif op is OP_MODULATOR:
-            md = instr.engine
-            if md.action is MOD_WAIT:
-                self.mod_waits += 1
-            elif md.action is MOD_SYNC:
-                self._sync_pending = True
-            self.modeng.submit(md, tick, self.stream_pos)
         elif op is OP_PREFETCH:
             self.icache.prefetch_line(instr.addr, tick)
         elif op is OP_LOAD_REPEAT:

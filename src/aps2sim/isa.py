@@ -445,25 +445,32 @@ def validate_program(image: ProgramImage,
 
     has_call = False
     returns: list[int] = []
+    # each distinct word decoded once: its instruction or the error text
+    decoded: dict[int, Instruction | str] = {}
     for pc, word in enumerate(image.words):
-        try:
-            instr = decode(word)
-        except DecodeError as exc:
-            findings.append(Finding("error", pc, str(exc)))
+        instr = decoded.get(word)
+        if instr is None:
+            try:
+                instr = decode(word)
+            except DecodeError as exc:
+                instr = str(exc)
+            decoded[word] = instr
+        if isinstance(instr, str):
+            findings.append(Finding("error", pc, instr))
             continue
         op = instr.op
-        if op in (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT, Opcode.PREFETCH):
+        if op in _TARGET_OPS:
             # a branch to one past the last instruction halts cleanly
-            if instr.addr > n or (op is Opcode.PREFETCH and instr.addr >= n):
+            if instr.addr > n or (op is OP_PREFETCH and instr.addr >= n):
                 findings.append(Finding(
                     "error", pc, f"{op.name} target {instr.addr} beyond program end"))
-            if op is Opcode.CALL:
+            if op is OP_CALL:
                 has_call = True
-        elif op is Opcode.RETURN:
+        elif op is OP_RETURN:
             returns.append(pc)
-        elif op is Opcode.WAVEFORM:
+        elif op is OP_WAVEFORM:
             wf = instr.engine
-            if wf.action is WfAction.PLAY:
+            if wf.action is WF_PLAY:
                 if wf.count == 0:
                     findings.append(Finding("error", pc, "PLAY with zero count"))
                 end = wf.addr + (1 if wf.ta else wf.count)
@@ -479,16 +486,16 @@ def validate_program(image: ProgramImage,
                     findings.append(Finding(
                         "error", pc, f"PLAY [{wf.addr}, {end}) beyond the "
                         f"{2 * page} samples of single mode"))
-            elif wf.action is WfAction.PREFETCH and mode == "single":
+            elif wf.action is WF_PREFETCH and mode == "single":
                 findings.append(Finding(
                     "error", pc, "waveform PREFETCH is invalid in single mode"))
-        elif op is Opcode.MARKER:
+        elif op is OP_MARKER:
             mk = instr.engine
-            if mk.action is MarkerAction.PLAY and mk.count == 0:
+            if mk.action is MK_PLAY and mk.count == 0:
                 findings.append(Finding("error", pc, "marker PLAY with zero count"))
-        elif op is Opcode.MODULATOR:
+        elif op is OP_MODULATOR:
             md = instr.engine
-            if md.action is ModAction.MODULATE and md.count == 0:
+            if md.action is MOD_MODULATE and md.count == 0:
                 findings.append(Finding("warning", pc, "MODULATE with zero count"))
     if returns and not has_call:
         for pc in returns:

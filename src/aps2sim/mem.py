@@ -26,6 +26,16 @@ waveform cache records the one stall it owns: a page swap that waits for
 its fill.  Hits are counted, not logged.  Caches start warm over their
 initial contents, which stands in for configuration time before a
 sequence starts; every fill after that is on the clock.
+
+Resident fetch: ``InstructionCache.resident`` is the pc range of the
+line whose next read is a plain hit that changes no cache state (a
+filled window line at or behind the base, a filled associative line
+outside the window, or any line of an ideal cache).  The cache alone
+keeps it: a read that re-centres the window and a PREFETCH that evicts
+the line reset it.  A caller with no fetch of its own in flight may
+skip ``read_instruction`` for a pc inside it; the word is then
+available after the hit latency, and the caller adds the hit to
+``hits`` itself, so hits and misses count every fetch either way.
 """
 
 from __future__ import annotations
@@ -122,10 +132,13 @@ class InstructionCache:
         self.events: list[Event] = []
         self.hits = 0
         self.misses = 0
+        # pcs whose next read is a plain hit (see the module docstring)
+        self.resident = range(len(words)) if cfg.ideal else range(0)
 
     def _schedule_window(self, line: int, tick: int) -> None:
         """Re-center the window on line, scheduling any missing fills."""
         self.base_line = line
+        self.resident = range(0)
         lo = max(0, line - self.cfg.window_behind)
         hi = min(self.n_lines - 1, line + self.cfg.window_ahead)
         for ln in list(self.window):
@@ -145,6 +158,8 @@ class InstructionCache:
                 and line <= self.base_line:
             # filled window line at or behind the base: no re-centre
             self.hits += 1
+            if addr not in self.resident:
+                self._reside(line)
             return self.words[addr], tick + self.hit_latency
         if self.cfg.ideal:
             self.hits += 1
@@ -165,10 +180,17 @@ class InstructionCache:
             self._schedule_window(line, tick)
             fill_done, cause = self.window[line], EV_MISS
         if fill_done <= tick:
+            # the line is filled and now a window line at or behind the
+            # base, or an associative line outside the window
+            self._reside(line)
             return self.words[addr], tick + self.hit_latency
         self.events.append(Event(tick, cause, 0,
                                  {"addr": addr, "line": line}))
         return self.words[addr], fill_done + self.hit_latency
+
+    def _reside(self, line: int) -> None:
+        first = line * self.line
+        self.resident = range(first, min(first + self.line, len(self.words)))
 
     def prefetch_line(self, addr: int, tick: int) -> None:
         """Explicit PREFETCH: round-robin fill of the associative half."""
@@ -184,6 +206,8 @@ class InstructionCache:
         else:
             victim = self.assoc_order[self.rr]
             del self.assoc[victim]
+            if victim * self.line in self.resident:
+                self.resident = range(0)
             self.assoc_order[self.rr] = line
             self.rr = (self.rr + 1) % self.cfg.assoc_lines
         self.assoc[line] = self.sdram.request(self.fill_bytes, tick)
@@ -192,11 +216,13 @@ class InstructionCache:
 
 class WaveformCache:
     def __init__(self, cfg: MemConfig, wave_mem: np.ndarray, sdram: Sdram):
-        self.cfg = cfg
         self.mem = wave_mem
         self.sdram = sdram
         self.events: list[Event] = []
-        page = cfg.wave_page_samples
+        # constants read once: locate runs for every PLAY
+        self.page = page = cfg.wave_page_samples
+        self.pingpong = cfg.wave_mode == "pingpong"
+        self.size = len(wave_mem)     # at most two pages in single mode
         self.pending_fill: tuple[int, int] | None = None
         if cfg.wave_mode == "single":
             limit = 2 * page
@@ -204,8 +230,7 @@ class WaveformCache:
                 raise CacheError(
                     f"waveform memory {len(wave_mem)} exceeds {limit} samples "
                     "in single mode")
-            self.active_page = 0
-        elif cfg.wave_mode == "pingpong":
+        elif self.pingpong:
             # both pages warm at start: page 0 active, page 1 staged
             self.slots = [(0, 0), (1, 0)]      # (sdram page, fill done tick)
             self.active_slot = 0
@@ -215,20 +240,20 @@ class WaveformCache:
     def locate(self, addr: int, count: int) -> int:
         """Absolute waveform address of a page-local read of count
         samples at addr; raises CacheError for a read the mode forbids."""
-        page = self.cfg.wave_page_samples
-        if self.cfg.wave_mode == "single":
-            if addr + count > min(len(self.mem), 2 * page):
+        end = addr + count
+        if not self.pingpong:
+            if end > self.size:
                 raise CacheError(
                     f"waveform read [{addr}, {addr + count}) beyond resident "
                     "memory")
             return addr
-        if addr + count > page:
+        if end > self.page:
             raise CacheError(
                 f"waveform read [{addr}, {addr + count}) crosses the page "
                 "boundary in ping-pong mode")
         sdram_page, _ = self.slots[self.active_slot]
-        base = sdram_page * page
-        if base + addr + count > len(self.mem):
+        base = sdram_page * self.page
+        if base + end > self.size:
             raise CacheError(
                 f"waveform read [{addr}, {addr + count}) beyond page "
                 f"{sdram_page} contents")
@@ -241,10 +266,9 @@ class WaveformCache:
 
     def begin_prefetch(self, page_index: int, tick: int) -> None:
         """Start filling the idle page with the given deep-memory page."""
-        if self.cfg.wave_mode == "single":
+        if not self.pingpong:
             raise CacheError("waveform PREFETCH is invalid in single mode")
-        nbytes = 4 * self.cfg.wave_page_samples
-        done = self.sdram.request(nbytes, tick)
+        done = self.sdram.request(4 * self.page, tick)
         idle = 1 - self.active_slot
         self.slots[idle] = (page_index, done)
         self.pending_fill = (idle, done)
@@ -253,7 +277,7 @@ class WaveformCache:
 
     def complete_swap(self, tick: int) -> int:
         """Swap to the freshly filled page; returns the actual swap tick."""
-        if self.cfg.wave_mode == "single":
+        if not self.pingpong:
             raise CacheError("waveform PREFETCH is invalid in single mode")
         if self.pending_fill is None:
             raise CacheError("page swap with no prefetch in flight")

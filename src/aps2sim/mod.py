@@ -28,12 +28,13 @@ otherwise.  Samples outside any window pass through unrotated.
 MODULATE windows as ``Windows`` columns: each window's stream positions
 and the NCO state frozen when it opened.  It touches no sample; the
 caller rotates the samples inside windows in one pass with
-``Windows.rotation``.
+``Windows.rotation``.  Its command loop applies phase commands in place,
+and since the stream position a command binds never decreases, it finds
+the run holding that position by walking forward, not by search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -41,9 +42,9 @@ import numpy as np
 
 from .clocks import ANALOG_SAMPLE_TICKS
 from .events import EV_MODULATE_UNDERFILLED, EV_RESET_PHASE, Event
-from .isa import (MOD_MODULATE, MOD_RESET_PHASE, MOD_SET_PHASE_INCREMENT,
-                  MOD_SET_PHASE_OFFSET, MOD_SYNC, MOD_UPDATE_FRAME, MOD_WAIT,
-                  NUM_NCOS, Modulator, turns_from_phase_word)
+from .isa import (MOD_MODULATE, MOD_RESET_PHASE, MOD_SET_PHASE_OFFSET,
+                  MOD_SYNC, MOD_UPDATE_FRAME, MOD_WAIT, NUM_NCOS, PHASE_BITS,
+                  PHASE_MASK, Modulator)
 
 __all__ = ["ModConfig", "NcoBank", "ModEngine", "Windows", "MixerCorrector"]
 
@@ -70,40 +71,14 @@ class _Nco:
         self.offset = 0.0
         self.frame = 0.0
 
-    def advance(self, tick: int) -> None:
-        self.acc += self.inc * (tick - self.ref_tick) / ANALOG_SAMPLE_TICKS
-        self.ref_tick = tick
-
 
 class NcoBank:
     def __init__(self, cfg: ModConfig):
         self.ncos = [_Nco() for _ in range(cfg.num_ncos)]
         # the NCOs each value of the 4-bit mask field selects
-        self._selected = [[nco for k, nco in enumerate(self.ncos)
-                           if mask & (1 << k)]
-                          for mask in range(1 << NUM_NCOS)]
-
-    def _each(self, mask: int) -> list[_Nco]:
-        return self._selected[mask]
-
-    def reset(self, mask: int, tick: int) -> None:
-        for nco in self._each(mask):
-            nco.acc = 0.0
-            nco.frame = 0.0
-            nco.ref_tick = tick
-
-    def set_offset(self, mask: int, turns: float) -> None:
-        for nco in self._each(mask):
-            nco.offset = turns
-
-    def set_increment(self, mask: int, turns_per_sample: float, tick: int) -> None:
-        for nco in self._each(mask):
-            nco.advance(tick)
-            nco.inc = turns_per_sample
-
-    def update_frame(self, mask: int, turns: float) -> None:
-        for nco in self._each(mask):
-            nco.frame = (nco.frame + turns) % 1.0
+        self.selected = [[nco for k, nco in enumerate(self.ncos)
+                          if mask & (1 << k)]
+                         for mask in range(1 << NUM_NCOS)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,25 +134,42 @@ class ModEngine:
         """MODULATE windows over waveform runs given as columns: run k
         starts at tick starts[k] and plays counts[k] samples."""
         bank = NcoBank(self.cfg)      # fresh state: a repeat call agrees
-        self.events = []
+        ncos, selected = bank.ncos, bank.selected
+        events = self.events = []
         first = list(accumulate(counts, initial=0))  # stream position of runs
-        total = first.pop()
-
-        def tick_at(pos: int) -> int:
-            """Output tick of the sample at stream position pos < total."""
-            k = bisect_right(first, pos) - 1
-            return starts[k] + ANALOG_SAMPLE_TICKS * (pos - first[k])
+        total = first[-1]
+        run = 0                 # the run holding the latest bound position
 
         cols: list[tuple] = []          # one row per window
         edges = iter(trigger_edges)
         pipe = self.cfg.pipeline_ticks
+        turn = 1 << PHASE_BITS          # phase word units per turn
         cursor_pos = 0          # stream position the next command may bind
         cursor_tick = 0         # output-plane floor once samples ran out
 
         for md, dispatch, dispatch_pos in self.queue:
-            pos = max(dispatch_pos, cursor_pos)
+            pos = dispatch_pos if dispatch_pos > cursor_pos else cursor_pos
             action = md.action
-            if action is MOD_WAIT:
+            if action is MOD_MODULATE:
+                end = pos + md.count
+                bound = min(end, total)
+                if bound > pos:
+                    nco = ncos[md.nco]
+                    cols.append((pos, bound, nco.acc, nco.inc, nco.ref_tick,
+                                 nco.offset, nco.frame))
+                    # output tick just after the window's last sample
+                    last = bound - 1
+                    while first[run + 1] <= last:
+                        run += 1
+                    cursor_tick = max(cursor_tick, starts[run]
+                                      + ANALOG_SAMPLE_TICKS
+                                      * (last - first[run] + 1))
+                if end > total:
+                    events.append(Event(
+                        cursor_tick, EV_MODULATE_UNDERFILLED, 0,
+                        {"nco": md.nco, "missing": end - total}))
+                cursor_pos = end
+            elif action is MOD_WAIT:
                 edge = next(edges, None)
                 if edge is None:
                     break        # parked at WAIT: nothing further applies
@@ -185,28 +177,39 @@ class ModEngine:
                 cursor_pos = pos
             elif action is MOD_SYNC:
                 cursor_pos = pos
-            elif action is MOD_MODULATE:
-                end = pos + md.count
-                bound = min(end, total)
-                if bound > pos:
-                    nco = bank.ncos[md.nco]
-                    cols.append((pos, bound, nco.acc, nco.inc, nco.ref_tick,
-                                 nco.offset, nco.frame))
-                    cursor_tick = max(cursor_tick,
-                                      tick_at(bound - 1) + ANALOG_SAMPLE_TICKS)
-                if end > total:
-                    self.events.append(Event(
-                        cursor_tick, EV_MODULATE_UNDERFILLED, 0,
-                        {"nco": md.nco, "missing": end - total}))
-                cursor_pos = end
             else:
-                # phase commands latch on the rotation-plane clock, just
-                # before the sample at their stream position
-                if pos < total:
-                    at = tick_at(pos) - pipe
+                turns = (md.phase_word & PHASE_MASK) / turn
+                if action is MOD_UPDATE_FRAME:
+                    for nco in selected[md.nco]:
+                        nco.frame = (nco.frame + turns) % 1.0
+                elif action is MOD_SET_PHASE_OFFSET:
+                    for nco in selected[md.nco]:
+                        nco.offset = turns
                 else:
-                    at = max(cursor_tick, dispatch) - pipe
-                self._apply(bank, md, at)
+                    # RESET_PHASE and SET_PHASE_INC latch on the
+                    # rotation-plane clock, just before the sample at
+                    # their stream position
+                    if pos < total:
+                        while first[run + 1] <= pos:
+                            run += 1
+                        at = (starts[run] + ANALOG_SAMPLE_TICKS
+                              * (pos - first[run]) - pipe)
+                    else:
+                        at = max(cursor_tick, dispatch) - pipe
+                    if action is MOD_RESET_PHASE:
+                        for nco in selected[md.nco]:
+                            nco.acc = 0.0
+                            nco.frame = 0.0
+                            nco.ref_tick = at
+                        events.append(Event(at, EV_RESET_PHASE, 0,
+                                            {"mask": md.nco}))
+                    else:
+                        # accumulate at the old increment up to the latch
+                        for nco in selected[md.nco]:
+                            nco.acc += (nco.inc * (at - nco.ref_tick)
+                                        / ANALOG_SAMPLE_TICKS)
+                            nco.ref_tick = at
+                            nco.inc = turns
                 cursor_pos = pos
 
         lo, hi, acc, inc, ref, offset, frame = zip(*cols) if cols else [()] * 7
@@ -214,20 +217,6 @@ class ModEngine:
                        np.array(acc, np.float64), np.array(inc, np.float64),
                        np.array(ref, np.int64), np.array(offset, np.float64),
                        np.array(frame, np.float64), pipe)
-
-    def _apply(self, bank: NcoBank, md: Modulator, tick: int) -> None:
-        turns = turns_from_phase_word(md.phase_word)
-        action = md.action
-        if action is MOD_RESET_PHASE:
-            bank.reset(md.nco, tick)
-            self.events.append(Event(tick, EV_RESET_PHASE, 0,
-                                     {"mask": md.nco}))
-        elif action is MOD_SET_PHASE_OFFSET:
-            bank.set_offset(md.nco, turns)
-        elif action is MOD_SET_PHASE_INCREMENT:
-            bank.set_increment(md.nco, turns, tick)
-        elif action is MOD_UPDATE_FRAME:
-            bank.update_frame(md.nco, turns)
 
 
 class MixerCorrector:

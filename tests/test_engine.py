@@ -523,6 +523,47 @@ def test_ta_run_partly_inside_a_window_rotates_per_sample():
     assert np.all(values[10:] == value)
 
 
+ASSOC_LINE = 20                        # the subroutine's line, far away
+
+
+def assoc_eviction_program():
+    """A loop that calls a subroutine on an associative line whose nine
+    PREFETCHes of other lines evict it round-robin (eight associative
+    lines) while it runs; the main loop prefetches it again each lap."""
+    sub = ASSOC_LINE * 128
+    body = [Instruction(Opcode.LOAD_REPEAT, value=3),
+            Instruction(Opcode.PREFETCH, addr=sub)]
+    body += [FILLER] * 10
+    body += [Instruction(Opcode.CALL, addr=sub),
+             Instruction(Opcode.REPEAT, addr=1), None]
+    done = len(body) - 1
+    body += [FILLER] * (sub - len(body))
+    body += [play(0, 8)]
+    body += [Instruction(Opcode.PREFETCH, addr=(ASSOC_LINE + 2 + k) * 128)
+             for k in range(9)]
+    body += [play(8, 8), Instruction(Opcode.RETURN)]
+    body += [FILLER] * ((ASSOC_LINE + 11) * 128 + 1 - len(body))
+    body[done] = Instruction(Opcode.GOTO, addr=len(body))
+    return image(body)
+
+
+def window_jump_program():
+    """A forward jump into a filled window line beyond the base and a
+    sequential walk into the next one, each re-centring the window
+    without a miss, then a jump back behind the base."""
+    back, forward = 128 + 7, 2 * 128 + 5
+    body = [play(0, 8), Instruction(Opcode.GOTO, addr=forward)]
+    body += [FILLER] * (back - len(body))
+    body += [play(4, 8), None]
+    done = len(body) - 1
+    body += [FILLER] * (forward - len(body))
+    body += [play(8, 8)]
+    body += [FILLER] * (3 * 128 + 10 - len(body))
+    body += [play(0, 4), Instruction(Opcode.GOTO, addr=back)]
+    body[done] = Instruction(Opcode.GOTO, addr=len(body))
+    return image(body)
+
+
 def test_words_are_decoded_when_fetched():
     bad = 0xFF << 56                  # no such opcode
     words = [encode(play(0, 8)), encode(Instruction(Opcode.GOTO, addr=3)),
@@ -584,6 +625,16 @@ def pinned_runs():
     runs["blocked_queue"] = (Sequencer(
         image([Instruction(Opcode.WAIT)] + [play(0, 8)] * 4),
         EngineConfig(queue_depth=2)), (1000,))
+    runs["assoc_eviction"] = (Sequencer(assoc_eviction_program()), ())
+    runs["far_calls_ideal"] = (Sequencer(far_calls_program(),
+                                         mem_cfg=MemConfig(ideal=True)), ())
+    runs["window_jump"] = (Sequencer(window_jump_program()), ())
+    # one-word marker pulses start every clock: a run starts on the very
+    # tick a PLAY finds the queue full
+    runs["marker_queue_depth2"] = (Sequencer(
+        image([Instruction(Opcode.MARKER, Marker(
+            MarkerAction.PLAY, channel=0, state=1, count=1,
+            last_word=0b0101))] * 12), EngineConfig(queue_depth=2)), ())
     return runs
 
 
@@ -619,6 +670,10 @@ PINNED = {
     "queue_depth8": "8a19f2c81c0104f7",
     "page_swap": "dca1e7b0663c6127",
     "blocked_queue": "d73722558f6579fe",
+    "assoc_eviction": "0c70c7ebcc34170a",
+    "far_calls_ideal": "1d776d92023c2ee2",
+    "window_jump": "0a12493d44000668",
+    "marker_queue_depth2": "911fffc8983b59a7",
 }
 
 

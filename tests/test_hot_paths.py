@@ -28,7 +28,8 @@ HOT = {
              "_compare"],
     mem: ["InstructionCache", "WaveformCache"],
     mod: ["ModEngine"],
-    isa: ["encode", "_check_stray", "decode", "ProgramImage.decode_all"],
+    isa: ["encode", "_check_stray", "decode", "ProgramImage.decode_all",
+          "validate_program"],
 }
 CONSTRUCTORS = {"__init__", "reset"}     # read the configs once, by design
 

@@ -234,3 +234,16 @@ def test_validate_checks_single_mode_memory_and_prefetch():
     assert "single mode" in findings[0].message        # 8 > 2 pages of 2
     assert "PLAY [0, 8)" in findings[1].message
     assert "PREFETCH" in findings[2].message
+
+
+def test_validate_reports_a_repeated_word_at_every_pc():
+    bad = 0xFF << 56                           # no such opcode
+    overrun = encode(Instruction(
+        Opcode.WAVEFORM, engine=Waveform(WfAction.PLAY, addr=4, count=100)))
+    image = _demo_image()
+    image.words[1:1] = [bad, overrun, bad, overrun, bad, overrun]
+    findings = isa.validate_program(image)
+    assert [(f.severity, f.address) for f in findings] == [
+        ("error", pc) for pc in range(1, 7)]
+    assert all("unknown opcode" in f.message for f in findings[0::2])
+    assert all("PLAY [4, 104)" in f.message for f in findings[1::2])

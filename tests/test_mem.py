@@ -99,6 +99,39 @@ def test_associative_round_robin_and_dup():
     assert 20 not in cache.assoc and 62 in cache.assoc
 
 
+def test_resident_range_is_the_line_of_the_next_plain_hit():
+    cache, _ = make_icache(n_lines=64)
+    assert not cache.resident                  # nothing read yet
+    cache.read_instruction(5, 0)               # the warm window base
+    assert cache.resident == range(0, LINE)
+    # a filled window line beyond the base re-centres without a miss
+    cache.read_instruction(2 * LINE, 100)
+    assert cache.resident == range(2 * LINE, 3 * LINE)
+    assert cache.misses == 0
+    # a far miss re-centres the window on a line still filling
+    cache.read_instruction(40 * LINE, 200)
+    assert not cache.resident
+    # an associative line is resident once filled, not while filling
+    cache.prefetch_line(20 * LINE, 300)
+    cache.read_instruction(20 * LINE, 300)
+    assert [e.kind for e in cache.events][-1] == "assoc_wait"
+    assert not cache.resident
+    done = cache.assoc[20]
+    cache.read_instruction(20 * LINE + 1, done)
+    assert cache.resident == range(20 * LINE, 21 * LINE)
+    # PREFETCHes that evict other lines keep it; evicting it resets it
+    for ln in range(50, 57):
+        cache.prefetch_line(ln * LINE, done)
+    assert cache.resident == range(20 * LINE, 21 * LINE)
+    cache.prefetch_line(60 * LINE, done)       # round-robin slot 0: line 20
+    assert 20 not in cache.assoc and not cache.resident
+
+
+def test_every_line_of_an_ideal_cache_is_resident():
+    cache, _ = make_icache(n_lines=4, cfg=MemConfig(ideal=True))
+    assert cache.resident == range(4 * LINE)
+
+
 def test_prefetch_hides_call_miss():
     cfg = MemConfig()
     cache, _ = make_icache(n_lines=64, cfg=cfg)

@@ -1,5 +1,7 @@
 """NCO phase bookkeeping, latch boundaries, and mixer correction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,99 @@ def test_dac_quantization_grid():
 
 def test_bank_masks_address_multiple_ncos():
     bank = NcoBank(ModConfig())
-    bank.set_increment(0b0101, 0.25, 0)
-    assert bank.ncos[0].inc == 0.25
-    assert bank.ncos[1].inc == 0.0
-    assert bank.ncos[2].inc == 0.25
+    assert bank.selected[0b0101] == [bank.ncos[0], bank.ncos[2]]
+    # one window on each NCO, after an increment set through the mask
+    eng = ModEngine(ModConfig())
+    eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b0101, turns=0.25), 0)
+    for nco in range(3):
+        eng.submit(mk(ModAction.MODULATE, nco=nco, count=1), 0)
+    assert eng.resolve([0], [3], []).inc.tolist() == [0.25, 0.0, 0.25]
+
+
+# -- resolve pins ----------------------------------------------------------
+#
+# Digests of what resolve() computes from seeded command streams with
+# nonzero increments, recorded before its command loop was flattened: a
+# change that moves one bit of a window's frozen NCO state or one
+# modulator event fails here.
+
+PHASE_ACTIONS = (ModAction.RESET_PHASE, ModAction.SET_PHASE_OFFSET,
+                 ModAction.SET_PHASE_INCREMENT, ModAction.UPDATE_FRAME)
+
+
+def random_stream(seed):
+    """A ModEngine fed a seeded command stream, and the runs and trigger
+    edges to resolve it over.  The stream mixes nonzero SET_PHASE_INC,
+    multi-NCO masks, RESET_PHASE, SYNC, WAITs (an odd seed leaves the
+    last one without an edge) and windows; it ends with an underfilled
+    MODULATE.  Some runs play no sample."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 30, 40)
+    counts[rng.integers(0, 40, 3)] = 0
+    starts, tick = [], 0
+    for n in counts:
+        tick += TICKS * int(rng.integers(0, 3)) * int(rng.random() < 0.3)
+        starts.append(tick)
+        tick += TICKS * int(n)
+    total = int(counts.sum())
+
+    eng = ModEngine(ModConfig(pipeline_ticks=180))
+    dispatch = pos = waits = 0
+    for _ in range(120):
+        dispatch += 20 * int(rng.integers(0, 3))
+        pos = min(total + 30, pos + int(rng.integers(0, 12)))
+        r = rng.random()
+        if r < 0.5:
+            action = PHASE_ACTIONS[int(rng.integers(0, 4))]
+            word = 0 if action is ModAction.RESET_PHASE \
+                else int(rng.integers(0, 1 << 48))
+            md = Modulator(action, nco=int(rng.integers(1, 16)),
+                           phase_word=word)
+        elif r < 0.8:
+            md = Modulator(ModAction.MODULATE, nco=int(rng.integers(0, 4)),
+                           count=int(rng.integers(1, 40)))
+        elif r < 0.9:
+            md = Modulator(ModAction.SYNC)
+        else:
+            md = Modulator(ModAction.WAIT)
+            waits += 1
+        eng.submit(md, dispatch, pos)
+    eng.submit(Modulator(ModAction.MODULATE, nco=1, count=total + 50),
+               dispatch + 20, pos)
+    edges = sorted(int(e) for e in rng.integers(0, tick + 1000,
+                                                waits - seed % 2))
+    return eng, starts, [int(n) for n in counts], edges
+
+
+def resolve_digest(eng, starts, counts, edges):
+    """sha256 prefix of the bytes of every Windows column, the pipeline
+    delay and every modulator event as (tick, kind, ticks, detail)."""
+    w = eng.resolve(starts, counts, edges)
+    h = hashlib.sha256()
+    for col in (w.lo, w.hi, w.acc, w.inc, w.ref_tick, w.offset, w.frame):
+        h.update(col.tobytes())
+    events = [(int(e.tick), e.kind.value, int(e.ticks),
+               sorted(e.detail.items())) for e in eng.events]
+    h.update(repr((w.pipeline_ticks, events)).encode())
+    return h.hexdigest()[:16]
+
+
+RESOLVE_PINNED = {
+    0: "9dd91b23d4a70a71",
+    1: "35350623753c4c1d",
+    2: "d4a24d46e0fd4369",
+    3: "736f9176fce29b6a",
+    4: "b7392c86169eaf01",
+    5: "071eb08e42631095",
+    6: "005bab25029c351f",
+    7: "cff29b426fbb6da3",
+    8: "10b422a9b3ce84b5",
+    9: "98f6c60ceec21959",
+    10: "875c578d9a642d10",
+    11: "5d086104e7b7ecd4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RESOLVE_PINNED))
+def test_resolve_is_pinned(seed):
+    assert resolve_digest(*random_stream(seed)) == RESOLVE_PINNED[seed]
