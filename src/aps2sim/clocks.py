@@ -15,8 +15,6 @@ report boundaries.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = [
     "TICKS_PER_NS",
     "SEQ_CLOCK_TICKS",
@@ -26,8 +24,6 @@ __all__ = [
     "ANALOG_SAMPLE_HZ",
     "RX_SAMPLE_HZ",
     "ns_to_ticks",
-    "ticks_to_ns",
-    "us_to_ticks",
     "align_up",
 ]
 
@@ -44,19 +40,6 @@ RX_SAMPLE_HZ = 1.0e9
 def ns_to_ticks(ns: float) -> int:
     """Convert nanoseconds to the nearest integer tick count."""
     return round(ns * TICKS_PER_NS)
-
-
-def ticks_to_ns(ticks: int) -> float:
-    """Convert ticks to nanoseconds (exact when printed via Fraction)."""
-    return ticks / TICKS_PER_NS
-
-
-def ticks_to_ns_exact(ticks: int) -> Fraction:
-    return Fraction(ticks, TICKS_PER_NS)
-
-
-def us_to_ticks(us: float) -> int:
-    return round(us * 1000 * TICKS_PER_NS)
 
 
 def align_up(tick: int, period: int) -> int:

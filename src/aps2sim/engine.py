@@ -47,6 +47,30 @@ per instruction or per command reads enum members through module
 globals (``isa.OP_*``, ``events.EV_*``), never through their class, and
 reads timing constants hoisted at construction, never a config property
 (``tests/test_hot_paths.py`` checks it).
+
+Lap fast-forward: at each taken REPEAT, ``Sequencer._skip_laps``
+compares the machine state with its state at the previous taken REPEAT
+at the same pc.  Ticks are compared relative to the decode tick t0.  A
+tick at or below t0 is stale, and any two stale values of a field count
+as equal: the code only ever compares such a tick against a later one,
+with max or <=.  So ``last_start`` is compared as ``last_start +
+min_gap``, the bound it puts on a start, and the waveform frontier is
+never stale, since an underrun event records it.  If every tick moved
+by the same period P, a multiple of the sequencer clock, and the rest is
+equal (pc, call stack, comparison register and result, window base and
+lines, associative lines in victim order, resident range, active
+waveform page), each lap still to run is the last one moved on by P, 2P
+and so on.  The sequencer then appends m copies of the last lap's run
+columns, events and modulator commands (at stream positions moved on by
+the lap's samples), adds m laps to the decode, hit and miss counts and
+the stream position, takes m from the repeat register and moves every
+tick on by mP; a stale tick stays stale.  m is the repeat register, or
+fewer if the decode budget runs out first.  There is no skip when the
+lap wrote the repeat register itself (a LOAD_REPEAT in the loop's frame,
+or a RETURN out of it), when lookahead is off, or while an input could
+change the next lap: a WAIT queued in any engine or the modulator, a
+pending SYNC, queued steering words or a page fill in flight.  No lap
+spans a return from ``run_until_blocked``.
 """
 
 from __future__ import annotations
@@ -248,14 +272,18 @@ class _StreamEngine:
         """The start-tick rule: the run starts after the pipeline, the
         floor and the minimum gap, on the clock grid unless it continues
         the stream; a gap that opens is an underrun."""
-        earliest = max(align_up(dispatch, CLK) + self.pipeline, self.floor)
-        if self.last_start is not None:
-            earliest = max(earliest, self.last_start + self.min_gap)
+        # max and align_up written out: this runs once per PLAY
+        earliest = -(-dispatch // CLK) * CLK + self.pipeline
+        if self.floor > earliest:
+            earliest = self.floor
+        last = self.last_start
+        if last is not None and last + self.min_gap > earliest:
+            earliest = last + self.min_gap
         frontier = self.frontier
         if frontier is not None and earliest <= frontier:
             start = frontier
         else:
-            start = align_up(earliest, CLK)
+            start = -(-earliest // CLK) * CLK
             if frontier is not None and self.gaps_are_underruns:
                 self.events.append(Event(frontier, EV_UNDERRUN,
                                          start - frontier,
@@ -271,6 +299,43 @@ class _StreamEngine:
     def idle(self) -> bool:
         return self.wait_dispatch is None and not self.pending
 
+    # -- lap fast-forward (see Sequencer._skip_laps) -----------------------
+
+    def lap_key(self, t0: int) -> tuple:
+        """Scheduling state at decode tick t0, ticks relative to it and a
+        stale one as 0; moves head to the first run not started by t0."""
+        starts = self.starts
+        head, n_runs = self.head, len(starts)
+        while head < n_runs and starts[head] <= t0:
+            head += 1
+        self.head = head
+        frontier, last = self.frontier, self.last_start
+        if frontier is not None:
+            # an underrun event records the frontier: never stale there
+            frontier -= t0
+            if frontier < 0 and not self.gaps_are_underruns:
+                frontier = 0
+        if last is not None:
+            # last_start bounds a start only as last_start + min_gap
+            last = max(last + self.min_gap - t0, 0)
+        return (frontier, last, max(self.floor - t0, 0),
+                [start - t0 for start in starts[head:]])
+
+    def repeat_lap(self, first: int, shifts: range) -> None:
+        """Append runs first.. again once per shift, start ticks moved by
+        it, then move every scheduling tick on by the last shift."""
+        lap = self.starts[first:]
+        self.starts += [start + d for d in shifts for start in lap]
+        for column in self.columns:
+            column += column[first:] * len(shifts)
+        self.head += len(lap) * len(shifts)
+        moved = shifts[-1]
+        if self.frontier is not None:
+            self.frontier += moved
+        if self.last_start is not None:
+            self.last_start += moved
+        self.floor += moved
+
 
 class WaveformEngine(_StreamEngine):
     def __init__(self, cfg, events, cache: WaveformCache):
@@ -279,6 +344,7 @@ class WaveformEngine(_StreamEngine):
         self.cache = cache
         self.addrs: list[int] = []       # absolute waveform address per run
         self.ta: list[bool] = []         # run repeats one TA sample
+        self.columns = (self.counts, self.addrs, self.ta)   # besides starts
 
     def play(self, wf, tick: int) -> None:
         """Start a PLAY dispatched at tick; the cache checks the read."""
@@ -315,6 +381,7 @@ class MarkerEngine(_StreamEngine):
         self.channel = channel
         self.states: list[int] = []
         self.lasts: list[int] = []
+        self.columns = (self.counts, self.states, self.lasts)
 
     def play(self, mk, tick: int) -> None:
         """Start a PLAY dispatched at tick."""
@@ -453,6 +520,11 @@ class Sequencer:
         self.decodes = 0
         self._carried_fetch: tuple[int, int] | None = None   # (pc, avail)
         self._sync_pending = False
+        # the taken REPEAT the current lap began at: (pc, waveform lead,
+        # then, once a lead repeated, key, decode tick and _lap_marks())
+        self._lap: tuple | None = None
+        self._lap_depth = -1     # its stack depth; -1 once the lap writes
+                                 # the repeat register itself
 
     # -- external deliveries ------------------------------------------------
 
@@ -487,6 +559,7 @@ class Sequencer:
         wf = self.wf
         markers = self.markers
         mod_queue = self.modeng.queue
+        self._lap = None         # an input arrived: no lap spans it
         while not self.halted:
             if self.decodes >= max_decodes:
                 raise SimTrap("decode budget exhausted (runaway program?)")
@@ -647,17 +720,23 @@ class Sequencer:
             if not self.stack:
                 return self._trap(tick, "RETURN with empty call stack")
             target, repeat = self.stack.pop()
+            if len(self.stack) < self._lap_depth:
+                self._lap_depth = -1    # left the lap's frame
             self.repeat_register = repeat
             self._redirect(target, tick)
             return None
         elif op is OP_REPEAT:
             if self.repeat_register:
                 self.repeat_register -= 1
+                at = self.pc
                 self._redirect(instr.addr, tick)
+                self._skip_laps(at)
                 return None
         elif op is OP_PREFETCH:
             self.icache.prefetch_line(instr.addr, tick)
         elif op is OP_LOAD_REPEAT:
+            if len(self.stack) <= self._lap_depth:
+                self._lap_depth = -1
             self.repeat_register = instr.value
         elif op is OP_CMP:
             self.cmp_result = _compare(instr.cmp_op, self.cmp_register,
@@ -688,6 +767,97 @@ class Sequencer:
         self.trap_reason = reason
         self.halted = True
         return None
+
+    # -- lap fast-forward ----------------------------------------------------
+
+    def _skip_laps(self, at: int) -> None:
+        """At a taken REPEAT at pc at, append the laps still to run as
+        copies of the last one if the state repeats (module docstring)."""
+        t0 = self.decode_tick
+        lap = self._lap
+        depth = len(self.stack)
+        pure = self._lap_depth == depth
+        self._lap_depth = depth
+        frontier = self.wf.frontier
+        lead = None if frontier is None else frontier - t0
+        # cheap pre-check: a lap that moved the waveform frontier against
+        # the decode tick is not periodic, so no key is built for it
+        if lap is None or not pure or lap[0] != at or lap[1] != lead:
+            self._lap = (at, lead, None)
+            return
+        self._lap = None
+        if (not self.cfg.lookahead or self.mod_waits or self._sync_pending
+                or self.steering or self.wavecache.pending_fill is not None
+                or not all(e.idle() for e in self.engines)):
+            return
+        key = self._lap_key(t0)
+        if key == lap[2] and self._repeat_laps(t0 - lap[3], lap[4]):
+            return
+        self._lap = (at, lead, key, t0, self._lap_marks())
+
+    def _lap_key(self, t0: int) -> list:
+        """Everything the laps ahead read, ticks relative to t0."""
+        icache, wavecache = self.icache, self.wavecache
+        carried = self._carried_fetch
+        key = [self.pc, tuple(self.stack), self.cmp_register, self.cmp_result,
+               None if carried is None
+               else (carried[0], max(carried[1] - t0, 0)),
+               icache.base_line, icache.resident,
+               {line: max(t - t0, 0) for line, t in icache.window.items()},
+               [(line, max(t - t0, 0)) for line, t in icache.assoc.items()],
+               max(self.sdram.busy_until - t0, 0)]
+        if wavecache.pingpong:
+            key += [wavecache.active_slot,
+                    [(page, max(t - t0, 0)) for page, t in wavecache.slots]]
+        key += [e.lap_key(t0) for e in self.engines]
+        return key
+
+    def _lap_marks(self) -> tuple:
+        """Counters and list lengths a lap's additions are measured from."""
+        return (self.decodes, self.icache.hits, self.icache.misses,
+                self.stream_pos, len(self.events), len(self.icache.events),
+                len(self.wavecache.events), len(self.modeng.queue),
+                [len(e.starts) for e in self.engines])
+
+    def _repeat_laps(self, period: int, marks: tuple) -> bool:
+        """Append the laps after the last one, which began at marks, as
+        copies of it moved on by period each; False if none can be."""
+        decodes, hits, misses, pos, n_ev, n_icache_ev, n_wave_ev, n_mod, \
+            n_runs = marks
+        per_lap = self.decodes - decodes
+        laps = min(self.repeat_register,
+                   (self.cfg.max_decodes - self.decodes) // per_lap)
+        if period % CLK or laps <= 0:
+            return False
+        shifts = range(period, (laps + 1) * period, period)
+        moved = laps * period
+        for e, first in zip(self.engines, n_runs):
+            e.repeat_lap(first, shifts)
+        icache, wavecache = self.icache, self.wavecache
+        self.events += _shifted(self.events[n_ev:], shifts)
+        icache.events += _shifted(icache.events[n_icache_ev:], shifts)
+        wavecache.events += _shifted(wavecache.events[n_wave_ev:], shifts)
+        samples = self.stream_pos - pos
+        queue = self.modeng.queue
+        commands = queue[n_mod:]
+        queue += [(md, tick + d, p + k * samples)
+                  for k, d in enumerate(shifts, 1)
+                  for md, tick, p in commands]
+        self.decodes += laps * per_lap
+        icache.hits += laps * (icache.hits - hits)
+        icache.misses += laps * (icache.misses - misses)
+        self.stream_pos += laps * samples
+        self.repeat_register -= laps
+        self.decode_tick += moved
+        if self._carried_fetch is not None:
+            pc, avail = self._carried_fetch
+            self._carried_fetch = (pc, avail + moved)
+        icache.window = {line: t + moved for line, t in icache.window.items()}
+        icache.assoc = {line: t + moved for line, t in icache.assoc.items()}
+        self.sdram.busy_until += moved
+        if wavecache.pingpong:
+            wavecache.slots = [(page, t + moved) for page, t in wavecache.slots]
+        return True
 
     # -- convenience open-loop driver ---------------------------------------
 
@@ -788,6 +958,16 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
         mixed[b0:b1] = corrector.apply(
             z, None if weight is None else weight[run])
     return mixed, lazy
+
+
+def _shifted(events: list[Event], shifts: range) -> list[Event]:
+    """events again once per shift, their ticks moved on by it (and the
+    until tick of a queue_full); details without a tick are shared."""
+    new = tuple.__new__          # Event(...) less its Python-level __new__
+    return [new(Event, (tick + d, kind, ticks,
+                        {**detail, "until": detail["until"] + d}
+                        if kind is EV_QUEUE_FULL else detail))
+            for d in shifts for tick, kind, ticks, detail in events]
 
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

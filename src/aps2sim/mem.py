@@ -10,8 +10,10 @@ The instruction cache has two halves, both built from 128-instruction
 
   * a sequential circular window that tracks the program counter, keeping
     a few played lines behind and prefetching ahead, and
-  * a small fully associative cache filled round-robin, and only by
-    explicit PREFETCH instructions, for subroutines and branch targets.
+  * a small fully associative cache filled only by explicit PREFETCH
+    instructions, for subroutines and branch targets, and replaced
+    oldest-first: a PREFETCH of a new line into a full half evicts the
+    line filled longest ago.
 
 The waveform cache is either one linear 128 ksample memory (everything
 resident at start) or two 64 ksample pages in ping-pong mode where the
@@ -126,9 +128,8 @@ class InstructionCache:
         # line -> fill completion tick; initial window is warm
         self.window: dict[int, int] = {
             ln: 0 for ln in range(min(cfg.window_ahead + 1, self.n_lines))}
+        # line -> fill completion tick, oldest fill first (victim order)
         self.assoc: dict[int, int] = {}
-        self.assoc_order: list[int] = []     # round-robin victim order
-        self.rr = 0
         self.events: list[Event] = []
         self.hits = 0
         self.misses = 0
@@ -193,7 +194,7 @@ class InstructionCache:
         self.resident = range(first, min(first + self.line, len(self.words)))
 
     def prefetch_line(self, addr: int, tick: int) -> None:
-        """Explicit PREFETCH: round-robin fill of the associative half."""
+        """Explicit PREFETCH: fill the associative half, oldest out."""
         if self.cfg.ideal:
             return
         line = addr // self.line
@@ -201,15 +202,11 @@ class InstructionCache:
         if line in self.assoc:
             self.events.append(Event(tick, EV_PREFETCH_DUP, 0, detail))
             return
-        if len(self.assoc_order) < self.cfg.assoc_lines:
-            self.assoc_order.append(line)
-        else:
-            victim = self.assoc_order[self.rr]
+        if len(self.assoc) >= self.cfg.assoc_lines:
+            victim = next(iter(self.assoc))
             del self.assoc[victim]
             if victim * self.line in self.resident:
                 self.resident = range(0)
-            self.assoc_order[self.rr] = line
-            self.rr = (self.rr + 1) % self.cfg.assoc_lines
         self.assoc[line] = self.sdram.request(self.fill_bytes, tick)
         self.events.append(Event(tick, EV_PREFETCH, 0, detail))
 

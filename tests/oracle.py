@@ -212,9 +212,10 @@ class _Emitter:
 LIB_SAMPLES = 1024
 
 
-def random_program(rng: np.random.Generator,
-                   max_instructions: int = 400) -> tuple[ProgramImage, int]:
-    """A structured random program plus the comparison register preset."""
+def random_program(rng: np.random.Generator, max_instructions: int = 400,
+                   max_repeat: int = 4) -> tuple[ProgramImage, int]:
+    """A structured random program plus the comparison register preset;
+    each loop runs at most max_repeat laps."""
     wave = rng.integers(-32768, 32768, size=(LIB_SAMPLES, 2), dtype=np.int16)
     em = _Emitter()
     initial_cmp = int(rng.integers(0, 8))
@@ -257,7 +258,8 @@ def random_program(rng: np.random.Generator,
             play(p)
 
     def loop(sub_level: int) -> None:
-        em.put(Instruction(Opcode.LOAD_REPEAT, value=int(rng.integers(0, 4))))
+        em.put(Instruction(Opcode.LOAD_REPEAT,
+                           value=int(rng.integers(0, max_repeat))))
         top = em.fresh("loop")
         em.mark(top)
         block(sub_level, in_loop=True, size=int(rng.integers(1, 4)))

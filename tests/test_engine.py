@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aps2sim.engine import DeadlockError, EngineConfig, Sequencer
+from aps2sim.asm import insert_prefetch_hints
+from aps2sim.engine import DeadlockError, EngineConfig, Sequencer, SimTrap
 from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
     CmpOp,
@@ -27,7 +28,7 @@ from aps2sim.isa import (
 from aps2sim.mem import MemConfig
 from aps2sim.mod import ModConfig
 
-from oracle import random_program
+from oracle import interpret, random_program
 
 RAMP = np.stack([np.arange(16, dtype=np.int16) * 100,
                  -np.arange(16, dtype=np.int16) * 100], axis=1)
@@ -403,7 +404,7 @@ def test_event_is_an_immutable_record(tmp_path):
             == "ffe662b7972b3a77")
 
 
-def far_calls_program():
+def far_calls_program(repeats=3):
     # as the farcall benchmark: a loop calling subroutines 8 cache lines
     # apart, each also playing one marker channel that idles in between
     body, subs = [None], []
@@ -416,7 +417,7 @@ def far_calls_program():
                  play(0, 8), play(8, 8), Instruction(Opcode.RETURN)]
     main = len(body)
     body[0] = Instruction(Opcode.GOTO, addr=main)
-    body.append(Instruction(Opcode.LOAD_REPEAT, value=3))
+    body.append(Instruction(Opcode.LOAD_REPEAT, value=repeats))
     body += [Instruction(Opcode.CALL, addr=subs[k]) for k in (0, 2, 1, 3)]
     body.append(Instruction(Opcode.REPEAT, addr=main + 1))
     return image(body)
@@ -583,16 +584,19 @@ def test_words_are_decoded_when_fetched():
 # oracle tests gate them.
 
 
-def run_digest(seq, triggers=()):
+def run_digest(seq, triggers=(), steering=()):
     """sha256 prefix of where a run blocked (reason, pc, decode tick),
     its waveform and marker run columns, every event as (tick, kind,
     ticks, sorted detail), the instruction cache's hits and misses, and
     the decode count."""
-    triggers = list(triggers)
+    triggers, steering = list(triggers), list(steering)
     blocks = []
     while (reason := seq.run_until_blocked()) != "halted":
         blocks.append((reason, seq.pc, seq.decode_tick))
-        seq.deliver_trigger(triggers.pop(0))
+        if reason == "need_steering":
+            seq.deliver_steering(*steering.pop(0))
+        else:
+            seq.deliver_trigger(triggers.pop(0))
     trace = seq.finalize()
     markers = [(ch, r.start.tolist(), r.n.tolist(), r.state.tolist(),
                 r.last.tolist()) for ch, r in sorted(trace.markers.items())]
@@ -681,3 +685,137 @@ PINNED = {
 def test_timing_is_pinned(name):
     seq, triggers = pinned_runs()[name]
     assert run_digest(seq, triggers) == PINNED[name]
+
+
+# -- lap fast-forward ----------------------------------------------------
+#
+# A taken REPEAT whose state repeats the previous lap's appends the laps
+# still to run instead of decoding them.  Every run must stay identical
+# to decoding each lap, which is what Sequencer._skip_laps as a no-op
+# does.
+
+
+@pytest.fixture
+def skips(monkeypatch):
+    """The laps each fast-forward appended, in order."""
+    laps = []
+    repeat_laps = Sequencer._repeat_laps
+
+    def counted(self, period, marks):
+        before = self.repeat_register
+        done = repeat_laps(self, period, marks)
+        if done:
+            laps.append(before - self.repeat_register)
+        return done
+
+    monkeypatch.setattr(Sequencer, "_repeat_laps", counted)
+    return laps
+
+
+def decoding_every_lap(monkeypatch, run):
+    """run() with the lap fast-forward off."""
+    with monkeypatch.context() as m:
+        m.setattr(Sequencer, "_skip_laps", lambda self, at: None)
+        return run()
+
+
+def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
+    skipped = 0
+    for seed in range(100):
+        prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
+                                           max_repeat=40)
+        for hinted in (prog, insert_prefetch_hints(prog)):
+            def make():
+                return Sequencer(hinted, EngineConfig(initial_cmp=initial_cmp,
+                                                      queue_depth=4),
+                                 mem_cfg=MemConfig(assoc_lines=2,
+                                                   line_instructions=16))
+
+            skips.clear()
+            fast = run_digest(make())
+            assert fast == decoding_every_lap(
+                monkeypatch, lambda: run_digest(make())), seed
+            if not skips:
+                continue
+            skipped += 1
+            trace = make().run_simple()
+            ref = interpret(hinted, initial_cmp)
+            assert np.array_equal(trace.analog_values(), ref["analog"]), seed
+            for ch in range(4):
+                assert np.array_equal(trace.marker_levels(ch)[1],
+                                      ref["markers"][ch]), seed
+    assert skipped >= 50       # the fast path ran, not only its bail-outs
+
+
+def test_decode_budget_runs_out_at_the_same_point(monkeypatch, skips):
+    prog = image([Instruction(Opcode.LOAD_REPEAT, value=1000), play(0, 8),
+                  play(8, 8), Instruction(Opcode.REPEAT, addr=1)])
+
+    def trap_point():
+        seq = Sequencer(prog, EngineConfig(queue_depth=4, max_decodes=2000))
+        with pytest.raises(SimTrap):
+            seq.run_simple()
+        return seq.decodes, seq.pc, seq.decode_tick
+
+    fast = trap_point()
+    assert skips and fast[:2] == (2000, 2)      # inside a lap
+    assert fast == decoding_every_lap(monkeypatch, trap_point)
+
+
+def test_far_calls_skip_laps_without_changing_the_run(monkeypatch, skips):
+    prog = insert_prefetch_hints(far_calls_program(repeats=40))
+    fast = run_digest(Sequencer(prog))
+    assert sum(skips) > 30
+    assert fast == decoding_every_lap(
+        monkeypatch, lambda: run_digest(Sequencer(prog)))
+
+
+def loop(body, repeats=30, before=()):
+    """body run repeats + 1 times after the instructions before."""
+    top = len(before) + 1
+    return image([*before, Instruction(Opcode.LOAD_REPEAT, value=repeats),
+                  *body, Instruction(Opcode.REPEAT, addr=top)])
+
+
+def marker_pulse(count):
+    return Instruction(Opcode.MARKER, Marker(
+        MarkerAction.PLAY, channel=1, state=1, count=count, last_word=0b0011))
+
+
+LOAD_3 = Instruction(Opcode.LOAD_REPEAT, value=3)
+PREFETCHES = [Instruction(Opcode.PREFETCH, addr=line * 128)
+              for line in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("prog, inputs", [
+    # a WAIT or LOAD_CMP in the body needs an input every lap
+    (loop([Instruction(Opcode.WAIT), play(0, 8)]),
+     {"triggers": [1000 + 5000 * k for k in range(31)]}),
+    (loop([Instruction(Opcode.LOAD_CMP), play(0, 8)]),
+     {"steering": [(1, 100 * k) for k in range(31)]}),
+    # the body reloads the repeat register: the loop never ends
+    (loop([play(0, 8), LOAD_3]), {}),
+    # each lap returns out of the loop's frame and calls back into it
+    (image([LOAD_3, Instruction(Opcode.CALL, addr=3),
+            Instruction(Opcode.GOTO, addr=1), play(0, 8),
+            Instruction(Opcode.REPEAT, addr=5), Instruction(Opcode.RETURN)]),
+     {}),
+    # a marker-only body while the waveform stream sits finished
+    (loop([marker_pulse(2)], repeats=300, before=[play(0, 8)]), {}),
+    # the marker stream falls further behind each lap until its queue
+    # fills, while the waveform lead repeats from the first lap
+    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}),
+    # each lap's fills move the window, the bus and the associative half
+    (ProgramImage(loop([play(0, 8), *PREFETCHES], repeats=60).words
+                  + [encode(FILLER)] * (5 * 128), RAMP), {}),
+], ids=["wait", "load_cmp", "reload", "return_and_call", "marker_only",
+        "marker_bound", "prefetching"])
+def test_edge_loops_run_as_decoded(monkeypatch, prog, inputs):
+    def run():
+        seq = Sequencer(prog, EngineConfig(queue_depth=4, max_decodes=3000))
+        try:
+            return run_digest(seq, **inputs)
+        except SimTrap:
+            return seq.decodes, seq.pc, seq.decode_tick
+
+    assert run() == decoding_every_lap(monkeypatch, run)

@@ -94,7 +94,7 @@ def test_associative_round_robin_and_dup():
     cache.prefetch_line(30 * LINE, tick)
     assert cache.assoc == before
     assert cache.events[-1].kind == "prefetch_dup"
-    # ninth distinct line evicts the round-robin victim (slot 0)
+    # ninth distinct line evicts the oldest fill, line 20
     cache.prefetch_line(62 * LINE, tick)
     assert 20 not in cache.assoc and 62 in cache.assoc
 
