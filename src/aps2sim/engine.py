@@ -25,11 +25,17 @@ plain integers per run: the waveform engine the start tick, absolute
 waveform address (the active ping-pong page base included), sample
 count and TA flag; a marker engine the start tick, count, state and
 last word.  ``finalize`` resolves the modulator's windows over those
-columns, then walks the stream in blocks of ``BLOCK_SAMPLES``: one
-gather from the image's waveform memory, one rotation of the samples
-inside windows and one mixer call per block, so its working memory is
-bounded by the block size.  A TA run outside every window stays lazy:
-one mixed value, expanded only by ``OutputTrace.analog_values``.
+columns, then walks the stream in blocks of ``BLOCK_SAMPLES``, so its
+working memory is bounded by the block size.  Per block it gathers
+one 32-bit word per sample from a word view of the image's waveform
+memory (each word an int16 I/Q pair), converts the pairs to float and
+scales them in place, and views them as complex samples.  It rotates
+the samples inside windows in place and makes one mixer call, which
+reads the complex samples as (I, Q) rows, adds the DC offset as one
+complex number and returns a complex view of its product.  A TA run
+outside every window stays lazy: one mixed value, expanded only by
+``OutputTrace.analog_values``; the mixer counts its saturations once
+per sample it stands for, at the cost of the lazy entries alone.
 
 Hot-path rule: an instruction on a resident cache line costs no call.
 When no fetch is carried over a stall and pc lies in the instruction
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -899,10 +906,10 @@ class Sequencer:
                            np.array(wf.ta, dtype=bool), windows, corrector)
         events = (self.events + self.icache.events + self.wavecache.events
                   + self.modeng.events)
+        events.sort(key=itemgetter(0))      # by tick; an Event is a tuple
         markers = {m.channel: m.runs() for m in self.markers if m.starts}
         return OutputTrace(analog=analog, markers=markers,
-                           events=sorted(events, key=lambda e: e.tick),
-                           mixed=mixed, lazy=lazy,
+                           events=events, mixed=mixed, lazy=lazy,
                            saturations=corrector.saturations)
 
 
@@ -926,12 +933,18 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
     entry = np.cumsum(width) - width            # first entry of each run
     entry_end = entry + width
     step = np.where(ta, 0, 1)
-    weight = np.where(lazy, count, 1) if lazy.any() else None
+    # entry p of run k reads word base[k] + step[k]*p and, expanded,
+    # plays at tick origin[k] + ANALOG_SAMPLE_TICKS*p
+    base = addr - step * entry
+    origin = runs.start - ANALOG_SAMPLE_TICKS * entry
+    held_at, held_count = entry[lazy], count[lazy]
     # a window touches expanded runs only, so it covers consecutive
     # entries, shifted from stream positions as its first run is
     k = np.searchsorted(first, windows.lo, side="right") - 1
     w_lo = windows.lo - first[k] + entry[k]
     w_hi = w_lo + (windows.hi - windows.lo)
+    # one I/Q pair of int16 per 32-bit word
+    words = np.ascontiguousarray(waveforms).view(np.uint32).reshape(-1)
 
     total = int(width.sum())
     mixed = np.empty(total, dtype=np.complex128)
@@ -942,21 +955,22 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
         pos, run = _spans(np.maximum(entry[k0:k1], b0),
                           np.minimum(entry_end[k0:k1], b1))
         run += k0
-        off = pos - entry[run]
-        raw = waveforms[addr[run] + step[run] * off]
-        z = (raw[:, 0].astype(np.float64)
-             + 1j * raw[:, 1].astype(np.float64)) / 32768.0
+        # I/Q to [-1, 1): scaling by a power of two is exact
+        z = words[base[run] + step[run] * pos].view(np.int16) \
+            .astype(np.float64)
+        z *= 1.0 / 32768.0
+        z = z.view(np.complex128)
         j0, j1 = (np.searchsorted(w_hi, b0, side="right"),
                   np.searchsorted(w_lo, b1))
         if j1 > j0:
             inside, which = _spans(np.maximum(w_lo[j0:j1], b0),
                                    np.minimum(w_hi[j0:j1], b1))
-            inside -= b0
-            ticks = (runs.start[run[inside]]
-                     + ANALOG_SAMPLE_TICKS * off[inside])
-            z[inside] = z[inside] * windows.rotation(which + j0, ticks)
+            ticks = origin[run[inside - b0]] + ANALOG_SAMPLE_TICKS * inside
+            inside -= b0            # entry p is z[p - b0]
+            z[inside] *= windows.rotation(which + j0, ticks)
+        h0, h1 = np.searchsorted(held_at, (b0, b1))
         mixed[b0:b1] = corrector.apply(
-            z, None if weight is None else weight[run])
+            z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None)
     return mixed, lazy
 
 

@@ -107,11 +107,18 @@ class Windows:
                  ticks: np.ndarray) -> np.ndarray:
         """Factors for samples emitted at ticks inside windows which
         (one index, or one per tick), evaluated on the rotation plane."""
-        rel = (ticks - self.pipeline_ticks - self.ref_tick[which]) \
-            / ANALOG_SAMPLE_TICKS
-        phase = (self.acc[which] + self.inc[which] * rel
-                 + self.offset[which] + self.frame[which])
-        return np.exp(1j * TWO_PI * phase)
+        rel = ticks - self.pipeline_ticks
+        rel -= self.ref_tick[which]
+        phase = rel / ANALOG_SAMPLE_TICKS
+        # acc + inc*rel + offset + frame, added in that order, which
+        # fixes the rounding
+        phase *= self.inc[which]
+        phase += self.acc[which]
+        phase += self.offset[which]
+        phase += self.frame[which]
+        factor = np.zeros(phase.shape, np.complex128)
+        np.multiply(phase, TWO_PI, out=factor.imag)
+        return np.exp(factor, out=factor)
 
 
 class ModEngine:
@@ -225,16 +232,23 @@ class MixerCorrector:
     def __init__(self, cfg: ModConfig):
         a, b, c, d = cfg.mixer_matrix
         self.matrix = np.array([[a, b], [c, d]])
-        self.offsets = np.array([cfg.dc_offset_i, cfg.dc_offset_q])
+        self.offset = complex(cfg.dc_offset_i, cfg.dc_offset_q)
         self.dac_bits = cfg.dac_bits
         self.saturations = 0
 
-    def apply(self, iq: np.ndarray, weights: np.ndarray | None = None
+    def apply(self, iq: np.ndarray,
+              held: tuple[np.ndarray, np.ndarray] | None = None
               ) -> np.ndarray:
         """Correct a complex sample array; saturates into [-1, 1).
 
-        weights[k] is how many output samples iq[k] stands for (one
-        each by default); each clipped I or Q counts that many times.
+        Each I or Q outside the range counts one saturation, counted
+        before the clip, which works in place on the product.  held is
+        (index, count): iq[index[m]] stands for count[m] output samples
+        (a lazy TA run), so its saturations count count[m] times; only
+        those entries pay for that.  The product stays numpy's matrix
+        path (rows @ matrix.T), whose rounding the value pins in
+        tests/test_engine.py hold: an elementwise I/Q formula, or a
+        one-row call, may round the same sample differently.
         """
         iq = np.ascontiguousarray(iq, dtype=np.complex128)
         # (n, 2) I/Q pairs as a view, the layout np.stack would copy
@@ -242,16 +256,26 @@ class MixerCorrector:
         # numpy multiplies a one-row matrix on its vector path, which
         # rounds differently: a second row keeps every sample on one path
         rows = np.repeat(pair, 2, axis=0) if len(pair) == 1 else pair
-        out = (rows @ self.matrix.T)[:len(pair)] + self.offsets
+        out = (rows @ self.matrix.T)[:len(pair)]
+        z = out.view(np.complex128).reshape(-1)
+        z += self.offset
         top = 32767.0 / 32768.0
-        clipped = np.clip(out, -1.0, top)
-        hit = clipped != out
-        if weights is None:
-            self.saturations += int(np.count_nonzero(hit))
-        else:
-            self.saturations += int(hit.sum(axis=1) @ weights)
+        flat = out.reshape(-1)
+        self.saturations += (int(np.count_nonzero(flat < -1.0))
+                             + int(np.count_nonzero(flat > top)))
+        if held is not None:
+            index, count = held
+            part = out[index]
+            hit = (part < -1.0) | (part > top)
+            self.saturations += int(hit.sum(axis=1) @ (count - 1))
+        np.clip(flat, -1.0, top, out=flat)
         if self.dac_bits is not None:
             scale = float(1 << (self.dac_bits - 1))
-            clipped = np.round(clipped * scale) / scale
-            clipped = np.clip(clipped, -1.0, top)
-        return (clipped[:, 0] + 1j * clipped[:, 1]).reshape(iq.shape)
+            flat *= scale
+            np.round(flat, out=flat)
+            flat /= scale
+            np.clip(flat, -1.0, top, out=flat)
+        # signed zeros as I + 1j*Q gives them: a zero Q is +0, a zero I
+        # keeps its sign only where Q's sign bit is set
+        z += z.imag * 0.0
+        return z.reshape(iq.shape)

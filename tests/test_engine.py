@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -496,6 +497,30 @@ def test_max_count_ta_play_stays_lazy():
     assert np.all(values == wave_values(3, 1)[0])
 
 
+def test_long_modulated_play_mixes_in_blocks():
+    # a TA play inside a window expands to one entry per sample; finalize
+    # holds those 16 MB plus a few 2^16-sample blocks (1 MiB of complex
+    # samples each) of working memory
+    count = 1 << 20
+    seq = Sequencer(image([
+        mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_0000_0000),
+        mod(ModAction.MODULATE, nco=0, count=count),
+        play(3, count, ta=True)]))
+    assert seq.run_until_blocked() == "halted"
+    tracemalloc.start()
+    try:
+        trace = seq.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not trace.lazy.any() and trace.mixed.nbytes == 16 * count
+    assert peak - trace.mixed.nbytes < 12 * (1 << 20)
+    values = trace.analog_values()
+    assert len(set(values[:100].tolist())) == 100      # rotated
+    assert np.allclose(np.abs(values), abs(wave_values(3, 1)[0]),
+                       rtol=1e-12, atol=0)
+
+
 def test_clipping_ta_run_counts_every_sample():
     # I = 1500/32768 plus a 0.98 offset clips; Q stays in range
     trace = Sequencer(image([play(15, 1000, ta=True)]),
@@ -685,6 +710,123 @@ PINNED = {
 def test_timing_is_pinned(name):
     seq, triggers = pinned_runs()[name]
     assert run_digest(seq, triggers) == PINNED[name]
+
+
+# -- value pins ----------------------------------------------------------
+#
+# Digests of the analog values byte for byte, recorded before finalize's
+# gather, rotation and mixer were reworked for speed: a change to the
+# sample plane that moves one value by one ulp, or one saturation count,
+# fails here.
+
+SKEW = ModConfig(mixer_matrix=(1.07, -0.13, 0.09, 0.94),
+                 dc_offset_i=0.31, dc_offset_q=-0.27)   # clips full scale
+BIG_WAVE = np.random.default_rng(77).integers(
+    -32768, 32768, size=(8192, 2), dtype=np.int16)
+
+
+def value_digest(trace):
+    """sha256 prefix of the analog values and ticks as bytes, every
+    marker channel's levels and the saturation count."""
+    h = hashlib.sha256()
+    h.update(trace.analog_values().tobytes())
+    h.update(trace.analog_ticks().tobytes())
+    for ch in sorted(trace.markers):
+        h.update(bytes([ch]) + trace.marker_levels(ch)[1].tobytes())
+    h.update(repr(trace.saturations).encode())
+    return h.hexdigest()[:16]
+
+
+def value_runs():
+    """name -> (sequencer, triggers): every pinned run, plus runs that
+    reach the mixer's offsets, clipping, DAC rounding and block edges."""
+    runs = pinned_runs()
+    inc = mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_0000_0000)
+    prog, initial_cmp = random_program(np.random.default_rng(2001))
+    runs["skewed_mixer"] = (Sequencer(
+        prog, EngineConfig(initial_cmp=initial_cmp), mod_cfg=SKEW), ())
+    runs["dac_bits14"] = (Sequencer(
+        prog, EngineConfig(initial_cmp=initial_cmp),
+        mod_cfg=replace(SKEW, dac_bits=14)), ())
+    # I or Q of -1/32768 rounds to a signed zero on the 14-bit grid
+    tiny = np.array([[-1, 5], [-1, -5], [3, -1], [-3, -1], [-1, -1],
+                     [0, -1], [-1, 0], [0, 0]], dtype=np.int16)
+    runs["dac_signed_zeros"] = (Sequencer(
+        image([play(0, 8)], tiny), mod_cfg=ModConfig(dac_bits=14)), ())
+    # I = 1500/32768 plus 0.98 clips on every sample of the lazy run
+    runs["lazy_clip_between_windows"] = (Sequencer(image([
+        inc, mod(ModAction.MODULATE, nco=0, count=16), play(0, 16),
+        play(15, 1000, ta=True),
+        mod(ModAction.MODULATE, nco=0, count=16), play(0, 16)]),
+        mod_cfg=ModConfig(dc_offset_i=0.98)), ())
+    runs["ta_partly_in_window"] = (Sequencer(image([
+        inc, mod(ModAction.MODULATE, nco=0, count=10), play(5, 30, ta=True),
+        play(0, 8)]), mod_cfg=SKEW), ())
+    # 17 plays and part of a TA run in one window: 71,632 entries span
+    # two blocks, then a lazy run; every block mixes more than one row
+    long = [inc, mod(ModAction.MODULATE, nco=0, count=70000)]
+    long += [play(256 * k, 4096) for k in range(17)]
+    long += [play(9, 2000, ta=True), play(100, 500, ta=True)]
+    runs["long_window"] = (Sequencer(image(long, BIG_WAVE),
+                                     mod_cfg=SKEW), ())
+    # 65,536 expanded entries and one lazy run: the last block is one row
+    edge = [play(4096 * (k % 2), 4096) for k in range(16)]
+    runs["one_row_block"] = (Sequencer(
+        image(edge + [play(7, 300, ta=True)], BIG_WAVE), mod_cfg=SKEW), ())
+    return runs
+
+
+PINNED_VALUES = {
+    "assoc_eviction": "5a8abc043bb2d770",
+    "blocked_queue": "01a676a610b3c440",
+    "dac_bits14": "d67523d72a961deb",
+    "dac_signed_zeros": "45c8c2d9512f24f3",
+    "far_calls": "4d11243153baa9ef",
+    "far_calls_ideal": "f137ccf79101a3bd",
+    "lazy_clip_between_windows": "4f59aa9695997d41",
+    "long_window": "eb68dcd3d5dbab2e",
+    "marker_queue_depth2": "66280c62ffb1bfa2",
+    "one_row_block": "05fd2a45cfa5a9b8",
+    "oracle0": "b10787c72d7b700c",
+    "oracle1": "9f39cef5e43ecd11",
+    "oracle10": "8744ca3e6532a6cb",
+    "oracle11": "e8c5c37d923e0970",
+    "oracle12": "e9b61a3148695829",
+    "oracle13": "81ec716916643335",
+    "oracle14": "633a04afbd70a709",
+    "oracle15": "867906c5463e03ad",
+    "oracle16": "12dba28dd400f46f",
+    "oracle17": "c0fd9da243022723",
+    "oracle18": "d15f99ff2150f0a0",
+    "oracle19": "d55843f2bcc8deee",
+    "oracle2": "25a5a59d3de0a0c1",
+    "oracle20": "72cc3052e94da8ed",
+    "oracle21": "3588d80d16126230",
+    "oracle22": "c5728f20303fdb96",
+    "oracle23": "9d9df7a718eded82",
+    "oracle24": "302e25fb05e959f8",
+    "oracle3": "7e54964dffce7387",
+    "oracle4": "8f64db0c9be9a25b",
+    "oracle5": "372fc0d297c56fa7",
+    "oracle6": "5e93edb10d44d72f",
+    "oracle7": "1d9ecc3db5557a32",
+    "oracle8": "f8ee778f9c8dafc8",
+    "oracle9": "f4ea9d51159436ab",
+    "oracle_serial": "1ae13019ec63832b",
+    "page_swap": "630d12dccff2077f",
+    "queue_depth4": "99d0c1452b739582",
+    "queue_depth8": "bc22c599803885a3",
+    "skewed_mixer": "7678303fe908a40a",
+    "ta_partly_in_window": "d691e496729d7cfd",
+    "window_jump": "83505a110476d574",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VALUES))
+def test_values_are_pinned(name):
+    seq, triggers = value_runs()[name]
+    assert value_digest(seq.run_simple(triggers=triggers)) \
+        == PINNED_VALUES[name]
 
 
 # -- lap fast-forward ----------------------------------------------------
