@@ -37,6 +37,27 @@ outside every window stays lazy: one mixed value, expanded only by
 ``OutputTrace.analog_values``; the mixer counts its saturations once
 per sample it stands for, at the cost of the lazy entries alone.
 
+Shared rotation factors: a window that plays contiguously, with the
+length, the offset r0 from its NCO reference tick (its first tick less
+the pipeline and ref_tick) and the acc, inc, offset and frame bits of an
+earlier window, has byte-identical factors (``mod.Windows.leaders``
+gives the rule).  Before the blocks, ``_sharing`` names each window's
+leader in one vectorised key pass and gives every leader that has
+followers a slot in one complex buffer, in stream order, while the slots
+fit in ``BLOCK_SAMPLES`` entries (1 MiB); a leader whose slot would end
+past that gets none, and its followers rotate on their own.  Per block
+``_factors`` rotates the pieces no slot serves with one ``rotation``
+call, stores the kept leaders' pieces in their slots and reads the
+followers' pieces back, all as ``_spans`` index arrays, so a piece may
+cross a block edge.  The factors come out in the same order as rotating
+every piece, and the block makes the same complex multiply and mixer
+call: complex multiplies may round differently in numpy's vector loop
+and its scalar tail, so the multiply's operands keep their layout.  A
+block with no kept or following piece rotates every piece.  The buffer
+is the only memory the sharing adds.  Triggered readout shots, each a
+RESET_PHASE and one window, share one leader; loop laps on a
+free-running NCO share nothing and pay only the key pass.
+
 Hot-path rule: an instruction on a resident cache line costs no call.
 When no fetch is carried over a stall and pc lies in the instruction
 cache's ``resident`` range, the decode loop counts the hit for the cache
@@ -82,6 +103,7 @@ spans a return from ``run_until_blocked``.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -187,10 +209,16 @@ class Runs:
 
     def ticks(self) -> np.ndarray:
         """Output tick of every sample, in order."""
-        first = np.cumsum(self.n) - self.n      # stream index of each start
-        return (np.repeat(self.start - ANALOG_SAMPLE_TICKS * first, self.n)
-                + ANALOG_SAMPLE_TICKS * np.arange(self.n.sum(),
-                                                  dtype=np.int64))
+        # each tick as the step from the one before, summed in place: a
+        # run's first sample steps from the last sample of the run before
+        played = self.n > 0
+        start, n = self.start[played], self.n[played]
+        out = np.full(int(n.sum()), ANALOG_SAMPLE_TICKS, dtype=np.int64)
+        if len(n):
+            step = start.copy()
+            step[1:] -= start[:-1] + ANALOG_SAMPLE_TICKS * (n[:-1] - 1)
+            out[np.cumsum(n) - n] = step
+        return np.cumsum(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -943,6 +971,9 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
     k = np.searchsorted(first, windows.lo, side="right") - 1
     w_lo = windows.lo - first[k] + entry[k]
     w_hi = w_lo + (windows.hi - windows.lo)
+    k_last = np.searchsorted(first, windows.hi - 1, side="right") - 1
+    share = _sharing(windows, w_lo, origin[k] + ANALOG_SAMPLE_TICKS * w_lo,
+                     origin[k_last] + ANALOG_SAMPLE_TICKS * (w_hi - 1))
     # one I/Q pair of int16 per 32-bit word
     words = np.ascontiguousarray(waveforms).view(np.uint32).reshape(-1)
 
@@ -963,15 +994,83 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
         j0, j1 = (np.searchsorted(w_hi, b0, side="right"),
                   np.searchsorted(w_lo, b1))
         if j1 > j0:
-            inside, which = _spans(np.maximum(w_lo[j0:j1], b0),
-                                   np.minimum(w_hi[j0:j1], b1))
-            ticks = origin[run[inside - b0]] + ANALOG_SAMPLE_TICKS * inside
+            inside, factor = _factors(
+                windows, j0, np.maximum(w_lo[j0:j1], b0),
+                np.minimum(w_hi[j0:j1], b1),
+                lambda p: origin[run[p - b0]] + ANALOG_SAMPLE_TICKS * p,
+                share)
             inside -= b0            # entry p is z[p - b0]
-            z[inside] *= windows.rotation(which + j0, ticks)
+            z[inside] *= factor
         h0, h1 = np.searchsorted(held_at, (b0, b1))
         mixed[b0:b1] = corrector.apply(
             z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None)
     return mixed, lazy
+
+
+def _sharing(windows: Windows, w_lo: np.ndarray, first_tick: np.ndarray,
+             last_tick: np.ndarray) -> tuple:
+    """Which windows' rotation factors _factors keeps and which it reads
+    back, given each window's first entry and the output ticks of its
+    first and last sample: (follows, kept, shift, buffer).
+
+    A window repeats its leader's factors (mod.Windows.leaders).  Leaders
+    with followers keep theirs in slots of one buffer, in stream order,
+    while the slots fit in BLOCK_SAMPLES entries; a follower of a leader
+    without a slot is rotated as if it had none.  Entry p of a kept
+    window or a follower is buffer entry shift + p.
+    """
+    size = windows.hi - windows.lo
+    leader = windows.leaders(first_tick, last_tick)
+    follows = leader != np.arange(len(windows))
+    kept = np.zeros(len(windows), dtype=bool)
+    kept[leader[follows]] = True
+    kept &= size <= BLOCK_SAMPLES
+    slot_end = np.cumsum(np.where(kept, size, 0))
+    kept &= slot_end <= BLOCK_SAMPLES
+    follows &= kept[leader]
+    shift = (slot_end - size)[leader] - w_lo
+    buffer = np.empty(int(size[kept].sum()), dtype=np.complex128)
+    return follows, kept, shift, buffer
+
+
+def _factors(windows: Windows, j0: int, lo: np.ndarray, hi: np.ndarray,
+             ticks: Callable[[np.ndarray], np.ndarray],
+             share: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry of the pieces [lo[i], hi[i]) of windows j0 + i, in
+    order, and its rotation factor; ticks(p) is the output tick of
+    entries p and share comes from _sharing.
+
+    Only the pieces of windows that do not follow a kept leader are
+    rotated; those of kept windows are stored in the buffer and the
+    followers' read from it.  The temporaries are freed as soon as they
+    are used, so the working set stays that of rotating every piece.
+    """
+    follows, kept, shift, buffer = share
+    j1 = j0 + len(lo)
+    if not (kept[j0:j1].any() or follows[j0:j1].any()):
+        inside, which = _spans(lo, hi)
+        which += j0
+        return inside, windows.rotation(which, ticks(inside))
+    own = ~follows[j0:j1]
+    at, which = _spans(lo[own], hi[own])
+    which = (j0 + np.flatnonzero(own))[which]
+    rotated = windows.rotation(which, ticks(at))
+    keep = kept[which]
+    at += shift[which]                  # now the buffer entries
+    buffer[at[keep]] = rotated[keep]
+    del at, which, keep
+    n = hi - lo
+    to = np.cumsum(n)                   # piece i is factor[to - n:to]
+    inside = _spans(lo, hi)[0]
+    fresh = _spans((to - n)[own], to[own])[0]
+    src = np.repeat(shift[j0:j1], n)
+    src += inside
+    # an entry of a window without a slot reads some buffer entry,
+    # clipped into range, and is overwritten next
+    factor = buffer.take(src, mode="clip")
+    del src
+    factor[fresh] = rotated
+    return inside, factor
 
 
 def _shifted(events: list[Event], shifts: range) -> list[Event]:

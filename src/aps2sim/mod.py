@@ -31,6 +31,22 @@ caller rotates the samples inside windows in one pass with
 ``Windows.rotation``.  Its command loop applies phase commands in place,
 and since the stream position a command binds never decreases, it finds
 the run holding that position by walking forward, not by search.
+
+Shared rotation factors: a sample of window j at output tick T rotates
+by exp(2πi·phase) with phase = acc + inc·rel/5 + offset + frame and
+rel = T - pipeline_ticks - ref_tick, every term the window's.  A window
+that plays contiguously (its last sample's tick is its first's plus
+ANALOG_SAMPLE_TICKS per sample) has rel = r0, r0 + 5, ... with r0 = its
+first tick - pipeline_ticks - ref_tick.  Two such windows of equal
+length, equal r0 and bit-equal acc, inc, offset and frame therefore run
+the same float operations on the same operands, and get byte-identical
+factors.  ``Windows.leaders`` groups windows by that key (bits, not
+values: a -0.0 frame gives another signed zero than +0.0) and names for
+each the first window of its group in stream order, its leader.  This
+is what every triggered shot of a readout looks like: a RESET_PHASE on
+the trigger edge gives each shot r0 = 0 and the same NCO state.  Loop
+laps of a free-running NCO differ in r0, acc or frame and share
+nothing.
 """
 
 from __future__ import annotations
@@ -119,6 +135,30 @@ class Windows:
         factor = np.zeros(phase.shape, np.complex128)
         np.multiply(phase, TWO_PI, out=factor.imag)
         return np.exp(factor, out=factor)
+
+    def leaders(self, first_tick: np.ndarray,
+                last_tick: np.ndarray) -> np.ndarray:
+        """For each window, the first window whose rotation factors it
+        repeats (itself if none), given the output ticks of each
+        window's first and last sample (module docstring)."""
+        n = len(self)
+        size = self.hi - self.lo
+        index = np.arange(n)
+        gapped = last_tick - first_tick != ANALOG_SAMPLE_TICKS * (size - 1)
+        # float columns as their bits: -0.0 and +0.0 rotate differently
+        keys = np.stack([
+            np.where(gapped, index, -1), size,
+            first_tick - self.pipeline_ticks - self.ref_tick,
+            self.acc.view(np.int64), self.inc.view(np.int64),
+            self.offset.view(np.int64), self.frame.view(np.int64)])
+        order = np.lexsort(keys)     # stable: stream order within a key
+        ranked = keys[:, order]
+        opens = np.ones(n, dtype=bool)
+        opens[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        leader = np.empty(n, dtype=np.int64)
+        leader[order] = order[np.maximum.accumulate(
+            np.where(opens, index, 0))]
+        return leader
 
 
 class ModEngine:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from aps2sim.asm import insert_prefetch_hints
-from aps2sim.engine import DeadlockError, EngineConfig, Sequencer, SimTrap
+from aps2sim.engine import (BLOCK_SAMPLES, DeadlockError, EngineConfig,
+                            Sequencer, SimTrap)
 from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
     CmpOp,
@@ -27,7 +28,7 @@ from aps2sim.isa import (
     turns_from_phase_word,
 )
 from aps2sim.mem import MemConfig
-from aps2sim.mod import ModConfig
+from aps2sim.mod import ModConfig, Windows
 
 from oracle import interpret, random_program
 
@@ -773,6 +774,41 @@ def value_runs():
     edge = [play(4096 * (k % 2), 4096) for k in range(16)]
     runs["one_row_block"] = (Sequencer(
         image(edge + [play(7, 300, ta=True)], BIG_WAVE), mod_cfg=SKEW), ())
+    # readout shots: every window opens from the same NCO state and
+    # repeats the first one's factors; at 17,385 entries a shot, the
+    # windows of shots 4 and 8 cross a block edge
+    offset = mod(ModAction.SET_PHASE_OFFSET, phase_word=0x1234_5678_9ABC)
+    shot = [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
+            mod(ModAction.UPDATE_FRAME, phase_word=0x5A00_0000_0000),
+            mod(ModAction.MODULATE, nco=0, count=4 * 4096 + 1000)]
+    shot += [play(1024 * k, 4096) for k in range(4)]
+    shot += [play(7, 1000, ta=True), play(8191, 3000, ta=True)]
+    runs["reset_shots"] = (Sequencer(
+        image([inc, offset, *shot * 8], BIG_WAVE), mod_cfg=SKEW),
+        [1000 + 150_000 * k for k in range(8)])
+    # a SYNC between a shot's plays opens an output gap inside its
+    # window; the shots without one play theirs contiguously
+    gap = [inc]
+    for k in range(6):
+        gap += [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
+                mod(ModAction.MODULATE, nco=0, count=16), play(0, 8)]
+        gap += [Instruction(Opcode.SYNC)] * (k % 2) + [play(8, 8)]
+    runs["gap_in_window"] = (Sequencer(image(gap), mod_cfg=SKEW),
+                             [1000 + 5000 * k for k in range(6)])
+    # no RESET_PHASE: equal NCO state, but each window opens at a later
+    # point of the free-running phase
+    free = [Instruction(Opcode.WAIT), mod(ModAction.MODULATE, nco=0,
+                                          count=4096), play(0, 4096)]
+    runs["free_running_shots"] = (Sequencer(
+        image([inc, *free * 3], BIG_WAVE), mod_cfg=SKEW),
+        [1000 + 30_000 * k for k in range(3)])
+    # windows longer than a block: each is rotated on its own
+    big = [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
+           mod(ModAction.MODULATE, nco=0, count=70_000),
+           play(9, 70_000, ta=True)]
+    runs["long_repeated_window"] = (Sequencer(
+        image([inc, *big * 3], BIG_WAVE), mod_cfg=SKEW),
+        [1000 + 400_000 * k for k in range(3)])
     return runs
 
 
@@ -783,7 +819,10 @@ PINNED_VALUES = {
     "dac_signed_zeros": "45c8c2d9512f24f3",
     "far_calls": "4d11243153baa9ef",
     "far_calls_ideal": "f137ccf79101a3bd",
+    "free_running_shots": "ce04617bccd648f5",
+    "gap_in_window": "8aa0abbd03d6ca4e",
     "lazy_clip_between_windows": "4f59aa9695997d41",
+    "long_repeated_window": "1d6f5233459d9620",
     "long_window": "eb68dcd3d5dbab2e",
     "marker_queue_depth2": "66280c62ffb1bfa2",
     "one_row_block": "05fd2a45cfa5a9b8",
@@ -816,6 +855,7 @@ PINNED_VALUES = {
     "page_swap": "630d12dccff2077f",
     "queue_depth4": "99d0c1452b739582",
     "queue_depth8": "bc22c599803885a3",
+    "reset_shots": "5810d7d4ff45b6ea",
     "skewed_mixer": "7678303fe908a40a",
     "ta_partly_in_window": "d691e496729d7cfd",
     "window_jump": "83505a110476d574",
@@ -827,6 +867,91 @@ def test_values_are_pinned(name):
     seq, triggers = value_runs()[name]
     assert value_digest(seq.run_simple(triggers=triggers)) \
         == PINNED_VALUES[name]
+
+
+# -- shared rotation factors ---------------------------------------------
+#
+# A window in the same NCO state as an earlier one reads that leader's
+# rotation factors from a buffer instead of rotating again.  Every value
+# must stay byte-identical to rotating each window on its own, which is
+# what Windows.leaders naming each window its own leader does.
+
+
+@pytest.fixture
+def followers(monkeypatch):
+    """Per resolve of windows, how many repeat an earlier one's factors."""
+    counts = []
+    leaders = Windows.leaders
+
+    def counted(self, first_tick, last_tick):
+        leader = leaders(self, first_tick, last_tick)
+        counts.append(int(np.count_nonzero(leader != np.arange(len(self)))))
+        return leader
+
+    monkeypatch.setattr(Windows, "leaders", counted)
+    return counts
+
+
+def no_sharing(monkeypatch, run):
+    """run() with every window its own leader."""
+    with monkeypatch.context() as m:
+        m.setattr(Windows, "leaders",
+                  lambda self, first_tick, last_tick: np.arange(len(self)))
+        return run()
+
+
+def test_shared_factors_leave_pinned_values_unchanged(monkeypatch, followers):
+    shared = {}
+    for name, (seq, triggers) in value_runs().items():
+        digest = value_digest(seq.run_simple(triggers=triggers))
+        assert digest == no_sharing(
+            monkeypatch, lambda: value_digest(seq.finalize())), name
+        shared[name] = followers[-1]
+    # every shot but the first repeats it; a window with a gap inside
+    # shares nothing, and neither does a free-running NCO's
+    assert shared["reset_shots"] == 7
+    assert shared["gap_in_window"] == 2
+    assert shared["free_running_shots"] == 0
+    assert shared["long_repeated_window"] == 2      # but too long to keep
+
+
+def test_shared_factors_leave_random_programs_unchanged(monkeypatch,
+                                                        followers):
+    for seed in range(60):
+        prog, initial_cmp = random_program(np.random.default_rng(5000 + seed))
+        seq = Sequencer(prog, EngineConfig(initial_cmp=initial_cmp))
+        digest = value_digest(seq.run_simple())
+        assert digest == no_sharing(
+            monkeypatch, lambda: value_digest(seq.finalize())), seed
+    assert sum(n > 0 for n in followers) >= 3     # sharing ran
+
+
+def test_shared_factors_stay_within_one_block_of_memory(monkeypatch,
+                                                        followers):
+    # 64 shots of distinct frames, then each again: 64 leaders with a
+    # follower each, of which 16 fill the buffer
+    inc = mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_0000_0000)
+    shots = []
+    for c in list(range(64)) * 2:
+        shots += [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
+                  mod(ModAction.UPDATE_FRAME, phase_word=(c + 1) << 40),
+                  mod(ModAction.MODULATE, nco=0, count=4096), play(0, 4096)]
+    seq = Sequencer(image([inc, *shots], BIG_WAVE))
+    seq.run_simple(triggers=[1000 + 25_000 * k for k in range(128)])
+
+    def peak():
+        tracemalloc.start()
+        try:
+            trace = seq.finalize()
+            return tracemalloc.get_traced_memory()[1], trace
+        finally:
+            tracemalloc.stop()
+
+    shared, trace = peak()
+    alone, alone_trace = no_sharing(monkeypatch, peak)
+    assert followers[-1] == 64
+    assert value_digest(trace) == value_digest(alone_trace)
+    assert shared - alone < 17 * BLOCK_SAMPLES       # 16 B an entry, + 6 %
 
 
 # -- lap fast-forward ----------------------------------------------------

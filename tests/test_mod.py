@@ -1,12 +1,14 @@
 """NCO phase bookkeeping, latch boundaries, and mixer correction."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aps2sim.isa import ModAction, Modulator, phase_word_from_turns
-from aps2sim.mod import MixerCorrector, ModConfig, ModEngine, NcoBank
+from aps2sim.mod import (MixerCorrector, ModConfig, ModEngine, NcoBank,
+                         Windows)
 
 TICKS = 5  # analog sample period
 
@@ -150,6 +152,79 @@ def test_ncos_free_run_across_gaps():
     f2 = rotations(eng, [run1, run2])[8:]
     expect2 = np.exp(2j * np.pi * inc * run2 / TICKS)
     assert np.allclose(f2, expect2, atol=1e-10)
+
+
+def two_windows(gap=0, first_tick=1280, **column):
+    """Two contiguous 8-sample windows opened 180 ticks after their NCO
+    reference in the same NCO state, with the second window's column
+    values, first tick and a gap before its last sample changed as
+    given; returns the windows and their first and last sample ticks."""
+    cols = {"lo": [0, 8], "hi": [8, 16], "acc": [0.25, 0.25],
+            "inc": [0.01, 0.01], "ref_tick": [100, 1100],
+            "offset": [0.5, 0.5], "frame": [0.0, 0.0]}
+    for name, value in column.items():
+        cols[name][1] = value
+    windows = Windows(**{name: np.array(col, np.int64 if name in
+                                        ("lo", "hi", "ref_tick")
+                                        else np.float64)
+                         for name, col in cols.items()}, pipeline_ticks=180)
+    first = np.array([280, first_tick])
+    last = first + TICKS * (windows.hi - windows.lo - 1) + [0, gap]
+    return windows, first, last
+
+
+def test_windows_in_the_same_state_share_factors():
+    windows, first, last = two_windows()
+    assert windows.leaders(first, last).tolist() == [0, 0]
+    # the same rel vector, the same operations: the same bytes
+    rotated = [windows.rotation(j, np.arange(first[j], last[j] + 1, TICKS))
+               for j in (0, 1)]
+    assert rotated[0].tobytes() == rotated[1].tobytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"acc": np.nextafter(0.25, 1.0)},
+    {"inc": np.nextafter(0.01, 1.0)},
+    {"offset": np.nextafter(0.5, 1.0)},
+    {"frame": -0.0},                     # equal in value, not in bits
+    {"ref_tick": 1101},                  # r0 = -1
+    {"first_tick": 1285},                # r0 = 5
+    {"hi": 15},                          # seven samples
+    {"gap": TICKS},                      # one sample period lost inside
+], ids=["acc", "inc", "offset", "signed_zero_frame", "ref_tick",
+        "first_tick", "length", "gap"])
+def test_windows_that_differ_share_nothing(change):
+    windows, first, last = two_windows(**change)
+    assert windows.leaders(first, last).tolist() == [0, 1]
+
+
+def test_signed_zero_frames_rotate_differently():
+    # with every other term -0.0, the frame's sign is the phase's sign
+    windows, first, last = two_windows(frame=-0.0)
+    zeros = np.full(2, -0.0)
+    windows = replace(windows, acc=zeros, inc=zeros, offset=zeros)
+    ticks = [np.arange(first[j], last[j] + 1, TICKS) for j in (0, 1)]
+    assert windows.leaders(first, last).tolist() == [0, 1]
+    assert (windows.rotation(0, ticks[0]).tobytes()
+            != windows.rotation(1, ticks[1]).tobytes())
+
+
+def test_leaders_are_the_first_window_of_each_group():
+    # three groups of equal windows, interleaved, and a gapped window
+    n = 7
+    group = np.array([0, 1, 0, 2, 1, 0, 0])
+    size = np.full(n, 4)
+    lo = np.arange(n) * 4
+    first = 1000 * np.arange(n) + 180
+    last = first + TICKS * (size - 1)
+    last[6] += TICKS
+    windows = Windows(lo, lo + size, np.zeros(n), 0.01 * (group + 1),
+                      first - 180, np.zeros(n), np.zeros(n), 180)
+    assert windows.leaders(first, last).tolist() == [0, 1, 0, 3, 1, 0, 6]
+    empty = Windows(*[np.zeros(0, np.int64)] * 2, *[np.zeros(0)] * 2,
+                    np.zeros(0, np.int64), *[np.zeros(0)] * 2, 180)
+    assert empty.leaders(np.zeros(0, np.int64), np.zeros(0, np.int64)) \
+        .tolist() == []
 
 
 def test_mixer_correction_and_saturation():
