@@ -88,9 +88,11 @@ equal (pc, call stack, comparison register and result, window base and
 lines, associative lines in victim order, resident range, active
 waveform page), each lap still to run is the last one moved on by P, 2P
 and so on.  The sequencer then appends m copies of the last lap's run
-columns, events and modulator commands (at stream positions moved on by
-the lap's samples), adds m laps to the decode, hit and miss counts and
-the stream position, takes m from the repeat register and moves every
+columns and events, and ``ModEngine.repeat_lap`` appends the lap's
+modulator commands m times as one array chunk (dispatch ticks moved on
+by P and stream positions by the lap's samples per lap, no Python object
+per copy).  It adds m laps to the decode, hit and miss counts and the
+stream position, takes m from the repeat register and moves every
 tick on by mP; a stale tick stays stale.  m is the repeat register, or
 fewer if the decode budget runs out first.  There is no skip when the
 lap wrote the repeat register itself (a LOAD_REPEAT in the loop's frame,
@@ -593,7 +595,9 @@ class Sequencer:
         icache = self.icache
         wf = self.wf
         markers = self.markers
-        mod_queue = self.modeng.queue
+        modeng = self.modeng
+        mod_commands, mod_ticks, mod_positions = (
+            modeng.commands, modeng.ticks, modeng.positions)
         self._lap = None         # an input arrived: no lap spans it
         while not self.halted:
             if self.decodes >= max_decodes:
@@ -629,7 +633,9 @@ class Sequencer:
                     self.mod_waits += 1
                 elif action is MOD_SYNC:
                     self._sync_pending = True
-                mod_queue.append((md, tick, self.stream_pos))
+                mod_commands.append(md)
+                mod_ticks.append(tick)
+                mod_positions.append(self.stream_pos)
             elif op is OP_WAVEFORM or op is OP_MARKER:
                 cmd = instr.engine
                 action = cmd.action
@@ -851,7 +857,7 @@ class Sequencer:
         """Counters and list lengths a lap's additions are measured from."""
         return (self.decodes, self.icache.hits, self.icache.misses,
                 self.stream_pos, len(self.events), len(self.icache.events),
-                len(self.wavecache.events), len(self.modeng.queue),
+                len(self.wavecache.events), self.modeng.pending_commands(),
                 [len(e.starts) for e in self.engines])
 
     def _repeat_laps(self, period: int, marks: tuple) -> bool:
@@ -873,11 +879,7 @@ class Sequencer:
         icache.events += _shifted(icache.events[n_icache_ev:], shifts)
         wavecache.events += _shifted(wavecache.events[n_wave_ev:], shifts)
         samples = self.stream_pos - pos
-        queue = self.modeng.queue
-        commands = queue[n_mod:]
-        queue += [(md, tick + d, p + k * samples)
-                  for k, d in enumerate(shifts, 1)
-                  for md, tick, p in commands]
+        self.modeng.repeat_lap(n_mod, shifts, samples)
         self.decodes += laps * per_lap
         icache.hits += laps * (icache.hits - hits)
         icache.misses += laps * (icache.misses - misses)
@@ -924,11 +926,11 @@ class Sequencer:
     def finalize(self) -> OutputTrace:
         """Assemble the trace; a repeat call returns an equal trace."""
         wf = self.wf
-        windows = self.modeng.resolve(wf.starts, wf.counts,
-                                      self.trigger_edges)
-        corrector = MixerCorrector(self.mod_cfg)
         analog = Runs(np.array(wf.starts, np.int64),
                       np.array(wf.counts, np.int64))
+        windows = self.modeng.resolve(analog.start, analog.n,
+                                      self.trigger_edges)
+        corrector = MixerCorrector(self.mod_cfg)
         mixed, lazy = _mix(self.image.waveforms, analog,
                            np.array(wf.addrs, np.int64),
                            np.array(wf.ta, dtype=bool), windows, corrector)

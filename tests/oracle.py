@@ -6,6 +6,12 @@ no pipeline, queue, clock, or cache model, and shares nothing with the
 simulator beyond the instruction encoding, so agreement between the two
 routes checks engine semantics rather than restating them.
 
+``reference_resolve`` is the modulator's command loop in the same
+style: it applies a ``ModEngine``'s commands one at a time, in stream
+order, to an NCO bank of Python floats.  ``ModEngine.resolve`` computes
+the same windows and events in array passes, and must match it byte
+for byte.
+
 Generated programs stay inside the value-comparable subset:
 
 * phase increments stay zero.  A nonzero increment makes sample values
@@ -20,9 +26,13 @@ Generated programs stay inside the value-comparable subset:
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from aps2sim import isa
+from aps2sim.clocks import ANALOG_SAMPLE_TICKS
+from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
     CmpOp,
     Instruction,
@@ -36,6 +46,7 @@ from aps2sim.isa import (
     WfAction,
     turns_from_phase_word,
 )
+from aps2sim.mod import ModConfig, ModEngine, Windows
 
 TWO_PI = 2.0 * np.pi
 _TOP = 32767.0 / 32768.0
@@ -310,3 +321,137 @@ def random_program(rng: np.random.Generator, max_instructions: int = 400,
     block(0, in_loop=False, size=int(rng.integers(4, 9)))
 
     return em.build(wave), initial_cmp
+
+
+# ---------------------------------------------------------------------------
+# reference modulator resolve
+
+
+class _Nco:
+    __slots__ = ("inc", "acc", "ref_tick", "offset", "frame")
+
+    def __init__(self) -> None:
+        self.inc = 0.0          # turns per analog sample
+        self.acc = 0.0          # turns accumulated up to ref_tick
+        self.ref_tick = 0
+        self.offset = 0.0
+        self.frame = 0.0
+
+
+class NcoBank:
+    def __init__(self, cfg: ModConfig):
+        self.ncos = [_Nco() for _ in range(cfg.num_ncos)]
+        # the NCOs each value of the 4-bit mask field selects
+        self.selected = [[nco for k, nco in enumerate(self.ncos)
+                          if mask & (1 << k)]
+                         for mask in range(1 << isa.NUM_NCOS)]
+
+
+def reference_resolve(eng: ModEngine, starts, counts,
+                      trigger_edges) -> tuple[Windows, list[Event]]:
+    """What eng.resolve returns, one command at a time: the windows and
+    the modulator events.
+
+    Commands apply in stream order to an NCO bank held as Python floats,
+    so each float operation is the one the module docstring of
+    aps2sim.mod describes.  The run holding a position is found by
+    walking forward, since the position a command binds never decreases.
+    """
+    starts, counts = np.asarray(starts).tolist(), np.asarray(counts).tolist()
+    code, dispatch_ticks, dispatch_positions = eng.columns()
+    stream = zip([eng.table[c] for c in code.tolist()],
+                 dispatch_ticks.tolist(), dispatch_positions.tolist())
+    bank = NcoBank(eng.cfg)
+    ncos, selected = bank.ncos, bank.selected
+    events: list[Event] = []
+    first = list(accumulate(counts, initial=0))  # stream position of runs
+    total = first[-1]
+    run = 0                 # the run holding the latest bound position
+
+    cols: list[tuple] = []          # one row per window
+    edges = iter(trigger_edges)
+    pipe = eng.cfg.pipeline_ticks
+    turn = 1 << isa.PHASE_BITS      # phase word units per turn
+    cursor_pos = 0          # stream position the next command may bind
+    cursor_tick = 0         # output-plane floor once samples ran out
+
+    for md, dispatch, dispatch_pos in stream:
+        pos = dispatch_pos if dispatch_pos > cursor_pos else cursor_pos
+        action = md.action
+        if action is ModAction.MODULATE:
+            end = pos + md.count
+            bound = min(end, total)
+            if bound > pos:
+                nco = ncos[md.nco]
+                cols.append((pos, bound, nco.acc, nco.inc, nco.ref_tick,
+                             nco.offset, nco.frame))
+                # output tick just after the window's last sample
+                last = bound - 1
+                while first[run + 1] <= last:
+                    run += 1
+                cursor_tick = max(cursor_tick, starts[run]
+                                  + ANALOG_SAMPLE_TICKS
+                                  * (last - first[run] + 1))
+            if end > total:
+                events.append(Event(
+                    cursor_tick, EventKind.MODULATE_UNDERFILLED, 0,
+                    {"nco": md.nco, "missing": end - total}))
+            cursor_pos = end
+        elif action is ModAction.WAIT:
+            edge = next(edges, None)
+            if edge is None:
+                break        # parked at WAIT: nothing further applies
+            cursor_tick = max(cursor_tick, edge)
+            cursor_pos = pos
+        elif action is ModAction.SYNC:
+            cursor_pos = pos
+        else:
+            turns = (md.phase_word & isa.PHASE_MASK) / turn
+            if action is ModAction.UPDATE_FRAME:
+                for nco in selected[md.nco]:
+                    nco.frame = (nco.frame + turns) % 1.0
+            elif action is ModAction.SET_PHASE_OFFSET:
+                for nco in selected[md.nco]:
+                    nco.offset = turns
+            else:
+                # RESET_PHASE and SET_PHASE_INC latch on the
+                # rotation-plane clock, just before the sample at
+                # their stream position
+                if pos < total:
+                    while first[run + 1] <= pos:
+                        run += 1
+                    at = (starts[run] + ANALOG_SAMPLE_TICKS
+                          * (pos - first[run]) - pipe)
+                else:
+                    at = max(cursor_tick, dispatch) - pipe
+                if action is ModAction.RESET_PHASE:
+                    for nco in selected[md.nco]:
+                        nco.acc = 0.0
+                        nco.frame = 0.0
+                        nco.ref_tick = at
+                    events.append(Event(at, EventKind.RESET_PHASE, 0,
+                                        {"mask": md.nco}))
+                else:
+                    # accumulate at the old increment up to the latch
+                    for nco in selected[md.nco]:
+                        nco.acc += (nco.inc * (at - nco.ref_tick)
+                                    / ANALOG_SAMPLE_TICKS)
+                        nco.ref_tick = at
+                        nco.inc = turns
+            cursor_pos = pos
+
+    lo, hi, acc, inc, ref, offset, frame = zip(*cols) if cols else [()] * 7
+    return Windows(np.array(lo, np.int64), np.array(hi, np.int64),
+                   np.array(acc, np.float64), np.array(inc, np.float64),
+                   np.array(ref, np.int64), np.array(offset, np.float64),
+                   np.array(frame, np.float64), pipe), events
+
+
+def resolved(windows: Windows, events: list[Event]) -> tuple:
+    """A resolve's result as comparable values: each Windows column's
+    dtype and bytes, the pipeline delay and the events' repr, which shows
+    a numpy scalar where a Python int belongs."""
+    cols = (windows.lo, windows.hi, windows.acc, windows.inc,
+            windows.ref_tick, windows.offset, windows.frame)
+    return ([(c.dtype.str, c.tobytes()) for c in cols],
+            windows.pipeline_ticks, repr(events))

@@ -30,7 +30,7 @@ from aps2sim.isa import (
 from aps2sim.mem import MemConfig
 from aps2sim.mod import ModConfig, Windows
 
-from oracle import interpret, random_program
+from oracle import interpret, random_program, reference_resolve, resolved
 
 RAMP = np.stack([np.arange(16, dtype=np.int16) * 100,
                  -np.arange(16, dtype=np.int16) * 100], axis=1)
@@ -869,6 +869,27 @@ def test_values_are_pinned(name):
         == PINNED_VALUES[name]
 
 
+def resolve_matches_the_reference(seq):
+    """seq's modulator windows and events, resolved over the run
+    columns finalize passes, equal tests/oracle.py's command loop."""
+    eng, runs = seq.modeng, seq.finalize().analog
+    expect = resolved(*reference_resolve(eng, runs.start, runs.n,
+                                         seq.trigger_edges))
+    return resolved(eng.resolve(runs.start, runs.n, seq.trigger_edges),
+                    eng.events) == expect
+
+
+def test_resolve_matches_the_reference_on_value_runs():
+    modulated = []
+    for name, (seq, triggers) in value_runs().items():
+        seq.run_simple(triggers=triggers)
+        assert resolve_matches_the_reference(seq), name
+        if seq.modeng.pending_commands():
+            modulated.append(name)
+    assert len(modulated) >= 20
+    assert {"reset_shots", "gap_in_window", "long_window"} <= set(modulated)
+
+
 # -- shared rotation factors ---------------------------------------------
 #
 # A window in the same NCO state as an earlier one reads that leader's
@@ -1035,6 +1056,26 @@ def test_far_calls_skip_laps_without_changing_the_run(monkeypatch, skips):
     assert sum(skips) > 30
     assert fast == decoding_every_lap(
         monkeypatch, lambda: run_digest(Sequencer(prog)))
+
+
+def test_lap_copies_count_as_modulator_commands(skips):
+    # modloop's shape: per lap an increment, three frame updates on
+    # three NCOs, one window over two plays and a marker pulse
+    lap = [mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_0000_0000),
+           mod(ModAction.UPDATE_FRAME, phase_word=0x5A00_0000_0000),
+           mod(ModAction.UPDATE_FRAME, nco=0b0010, phase_word=0x1234),
+           mod(ModAction.UPDATE_FRAME, nco=0b0100, phase_word=0x5678),
+           mod(ModAction.MODULATE, nco=0, count=16), play(0, 8), play(8, 8),
+           marker_pulse(3)]
+    seq = Sequencer(image([Instruction(Opcode.WAIT),
+                           Instruction(Opcode.LOAD_REPEAT, value=39), *lap,
+                           Instruction(Opcode.REPEAT, addr=2)]),
+                    EngineConfig(queue_depth=4))
+    seq.run_simple(triggers=[1000])
+    assert sum(skips) > 30                  # most laps were copies
+    assert seq.modeng.pending_commands() == 5 * 40 + 1
+    assert len(seq.modeng.chunks) == 2      # decoded, then the copies
+    assert resolve_matches_the_reference(seq)
 
 
 def loop(body, repeats=30, before=()):

@@ -22,12 +22,13 @@ ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
          "EventKind"}
 
 # functions, and classes whose every method but a constructor, that run
-# per decoded instruction, engine command or modulator command
+# per decoded instruction, engine command or modulator command, or per
+# modulator command chunk or NCO
 HOT = {
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
              "_compare"],
     mem: ["InstructionCache", "WaveformCache"],
-    mod: ["ModEngine"],
+    mod: ["ModEngine", "_nco_states", "_segment_sums"],
     isa: ["encode", "_check_stray", "decode", "ProgramImage.decode_all",
           "validate_program"],
 }
@@ -99,4 +100,5 @@ def test_every_hot_name_exists():
     assert {"aps2sim.engine.Sequencer._execute",
             "aps2sim.mem.InstructionCache.read_instruction",
             "aps2sim.mod.ModEngine.resolve",
+            "aps2sim.mod._nco_states",
             "aps2sim.isa.decode"} <= {c[0] for c in CASES}

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from aps2sim.isa import ModAction, Modulator, phase_word_from_turns
-from aps2sim.mod import (MixerCorrector, ModConfig, ModEngine, NcoBank,
-                         Windows)
+from aps2sim.mod import MixerCorrector, ModConfig, ModEngine, Windows
+
+from oracle import NcoBank, reference_resolve, resolved
 
 TICKS = 5  # analog sample period
 
@@ -356,3 +357,114 @@ RESOLVE_PINNED = {
 @pytest.mark.parametrize("seed", sorted(RESOLVE_PINNED))
 def test_resolve_is_pinned(seed):
     assert resolve_digest(*random_stream(seed)) == RESOLVE_PINNED[seed]
+
+
+# -- array resolve against the reference loop ------------------------------
+#
+# resolve() works in array passes over the command columns; the command
+# loop it replaced is tests/oracle.py's reference_resolve.  Both must give
+# the same column bytes and the same events.
+
+
+def check_against_reference(eng, starts, counts, edges):
+    expect = resolved(*reference_resolve(eng, starts, counts, edges))
+    assert resolved(eng.resolve(starts, counts, edges), eng.events) == expect
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_resolve_matches_the_reference_loop(block):
+    for seed in range(20 * block, 20 * block + 20):
+        check_against_reference(*random_stream(seed))
+
+
+def add_laps(eng, rng, starts, counts, decoded, *, submit_each=False):
+    """Append laps as Sequencer._repeat_laps does: the commands from a
+    seeded index at or after decoded on again, a seeded number of times,
+    each lap's dispatch ticks a period and its positions a lap's samples
+    further on; then decode a few commands more.  Runs are appended for
+    the laps' samples.  submit_each submits every copied command instead.
+    Returns the index of the first command decoded after the laps."""
+    first = int(rng.integers(decoded, eng.pending_commands()))
+    period = 20 * int(rng.integers(1, 40))
+    laps = int(rng.integers(1, 8))
+    samples = int(rng.integers(0, 80))
+    shifts = range(period, (laps + 1) * period, period)
+    if submit_each:
+        code, tick, pos = (col[first:].tolist() for col in eng.columns())
+        for k, d in enumerate(shifts, 1):
+            for c, t, p in zip(code, tick, pos):
+                eng.submit(eng.table[c], t + d, p + k * samples)
+    else:
+        eng.repeat_lap(first, shifts, samples)
+    decoded = eng.pending_commands()
+    dispatch, pos = (int(col[-1]) for col in eng.columns()[1:])
+    for _ in range(int(rng.integers(1, 5))):
+        dispatch += 20
+        pos += int(rng.integers(0, 12))
+        action = (*PHASE_ACTIONS, ModAction.MODULATE,
+                  ModAction.WAIT)[int(rng.integers(0, 6))]
+        eng.submit(Modulator(action, nco=int(rng.integers(1, 4)),
+                             phase_word=int(rng.integers(0, 1 << 48)),
+                             count=int(rng.integers(1, 40))),
+                   dispatch, pos)
+    tick = starts[-1] + TICKS * counts[-1]
+    for _ in range(laps):
+        tick += TICKS * int(rng.integers(0, 3))
+        starts.append(tick)
+        counts.append(samples)
+        tick += TICKS * samples
+    return decoded
+
+
+def lapped_stream(seed, submit_each=False):
+    """random_stream with three rounds of add_laps, and a trigger edge
+    for every WAIT but, for an odd seed, the last."""
+    eng, starts, counts, _ = random_stream(seed)
+    rng = np.random.default_rng(10_000 + seed)
+    decoded = 0
+    for _ in range(3):
+        decoded = add_laps(eng, rng, starts, counts, decoded,
+                           submit_each=submit_each)
+    code = eng.columns()[0]
+    waits = sum(eng.table[c].action is ModAction.WAIT for c in code.tolist())
+    edge_ticks = rng.integers(0, starts[-1] + 1000, waits - seed % 2)
+    return eng, starts, counts, sorted(int(e) for e in edge_ticks)
+
+
+def test_lap_chunks_are_the_commands_submitted_one_by_one():
+    for seed in range(40):
+        chunked, *runs = lapped_stream(seed)
+        single, *same_runs = lapped_stream(seed, submit_each=True)
+        assert runs == same_runs
+        assert chunked.pending_commands() == single.pending_commands()
+        assert len(chunked.chunks) == 6 and not single.chunks
+        (code, tick, pos), (code1, tick1, pos1) = (chunked.columns(),
+                                                   single.columns())
+        assert ([chunked.table[c] for c in code.tolist()]
+                == [single.table[c] for c in code1.tolist()]), seed
+        assert np.array_equal(tick, tick1) and np.array_equal(pos, pos1)
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_resolve_of_lap_chunks_matches_the_reference_loop(block):
+    for seed in range(20 * block, 20 * block + 20):
+        check_against_reference(*lapped_stream(seed))
+
+
+def test_mask_bits_beyond_the_bank_select_nothing():
+    eng = ModEngine(ModConfig(num_ncos=2))
+    eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b1111, turns=0.25), 0)
+    eng.submit(mk(ModAction.UPDATE_FRAME, nco=0b1110, turns=0.5), 0)
+    for nco in (0, 1):
+        eng.submit(mk(ModAction.MODULATE, nco=nco, count=4), 0)
+    check_against_reference(eng, [0], [8], [])
+    assert eng.resolve([0], [8], []).frame.tolist() == [0.0, 0.5]
+    eng.submit(mk(ModAction.MODULATE, nco=3, count=4), 0)
+    with pytest.raises(IndexError):
+        eng.resolve([0], [12], [])
+
+
+def test_an_empty_stream_resolves_to_no_window():
+    eng = ModEngine(ModConfig())
+    check_against_reference(eng, [0, 40], [8, 0], [])
+    assert eng.events == [] and not len(eng.resolve([], [], []))
