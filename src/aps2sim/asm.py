@@ -1,4 +1,4 @@
-"""Two-pass assembler, disassembler, and cache layout planning.
+"""Two-pass assembler, disassembler, and prefetch hint insertion.
 
 Source dialect (.qasm2s): one instruction per line, labels as ``name:``,
 comments from ``;`` to end of line.  Operands are bare words, label
@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,13 @@ from .isa import (
     Waveform,
     WfAction,
 )
+from .mem import WINDOW_AHEAD, WINDOW_BEHIND
 
 __all__ = [
     "AsmError",
     "WaveformLibrary",
     "assemble",
     "disassemble",
-    "CacheLayoutPlan",
-    "plan_layout",
     "insert_prefetch_hints",
     "strip_prefetch_hints",
 ]
@@ -445,42 +444,21 @@ def _format(instr: Instruction, label, wave_names) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cache layout planning: PREFETCH hints ahead of distant CALL sites.
+# PREFETCH hints ahead of distant CALL sites.
 
 LINE = isa.CACHE_LINE_INSTRUCTIONS
 
 
-@dataclass
-class CacheLayoutPlan:
-    """Where subroutines live and which call sites need a hint.
-
-    subroutine_lines maps each CALL target address to its cache line;
-    sites lists (call site address, target address) pairs whose target
-    line falls outside the sequential window around the site.
-    """
-
-    subroutine_lines: dict[int, int] = field(default_factory=dict)
-    sites: list[tuple[int, int]] = field(default_factory=list)
-
-
-def plan_layout(image: ProgramImage, window_ahead: int = 4,
-                window_behind: int = 2) -> CacheLayoutPlan:
-    return _plan(image.decode_all(), window_ahead, window_behind)
-
-
-def _plan(instrs: list[Instruction], window_ahead: int = 4,
-          window_behind: int = 2) -> CacheLayoutPlan:
-    plan = CacheLayoutPlan()
+def _far_calls(instrs: list[Instruction]) -> list[tuple[int, int]]:
+    """(call site, target) of every CALL whose target line lies outside
+    the sequential window around the site."""
+    far = []
     for pc, instr in enumerate(instrs):
-        if instr.op is not Opcode.CALL:
-            continue
-        target = instr.addr
-        plan.subroutine_lines[target] = target // LINE
-        lo = pc // LINE - window_behind
-        hi = pc // LINE + window_ahead
-        if not lo <= target // LINE <= hi:
-            plan.sites.append((pc, target))
-    return plan
+        if instr.op is Opcode.CALL:
+            lines_ahead = instr.addr // LINE - pc // LINE
+            if not -WINDOW_BEHIND <= lines_ahead <= WINDOW_AHEAD:
+                far.append((pc, instr.addr))
+    return far
 
 
 def _block_start(instrs: list[Instruction], labels: set[int], pc: int) -> int:
@@ -520,8 +498,7 @@ def _moved_words(words: list[int], instrs: list[Instruction],
     return out
 
 
-def insert_prefetch_hints(image: ProgramImage,
-                          plan: CacheLayoutPlan | None = None) -> ProgramImage:
+def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
     """Insert one PREFETCH per call region for each distant CALL target.
 
     Program semantics are unchanged; only the cache behaves differently.
@@ -530,14 +507,12 @@ def insert_prefetch_hints(image: ProgramImage,
     hint targets its CALL target's new address.
     """
     instrs = image.decode_all()
-    if plan is None:
-        plan = _plan(instrs)
     label_addrs = set(image.symbols.values())
     jump_targets = {i.addr for i in instrs if i.op in
                     (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT)}
     inserts: list[tuple[int, int]] = []   # (insert position, target)
     seen: set[tuple[int, int]] = set()
-    for site, target in sorted(plan.sites, reverse=True):
+    for site, target in reversed(_far_calls(instrs)):
         pos = _block_start(instrs, label_addrs | jump_targets, site)
         if (pos, target // LINE) in seen:
             continue

@@ -9,12 +9,14 @@ queue.  Taken jumps cost a fixed pipeline flush; lookahead hides it from
 the analog stream whenever the queues hold enough work.
 
 Engine timing: a PLAY dispatched at D starts no earlier than
-D + pipeline; starts are clock aligned unless they continue a contiguous
-stream, and a waveform engine begins a new command at most every
-2 sequencer clocks so 8-sample minimum pulses play back to back.  All
-engines released by the same trigger emit their first sample on the same
-tick.  Trace timestamps are at the engine output plane; the DAC chain
-delay after it is not modelled.
+D + ``PIPELINE_TICKS``; starts are clock aligned unless they continue a
+contiguous stream, and a waveform engine begins a new command at most
+every ``MIN_PLAY_GAP_TICKS`` (2 sequencer clocks) so 8-sample minimum
+pulses play back to back.  A WAIT, a SYNC fence and a waveform page swap
+each end the stream through ``_StreamEngine.restart``: the next run
+starts fresh, with no underrun.  All engines released by the same trigger
+emit their first sample on the same tick.  Trace timestamps are at the
+engine output plane; the DAC chain delay after it is not modelled.
 
 A blocked run returns a reason ("need_trigger", "need_steering") so a
 harness can feed fabric messages in and resume, which is how the closed
@@ -71,9 +73,14 @@ forward, since the decode tick never decreases), and a PLAY goes to its
 engine's ``play``, where ``_start_for`` is the one start-tick rule.
 Control flow and the rarer opcodes go through ``_execute``.  Code run
 per instruction or per command reads enum members through module
-globals (``isa.OP_*``, ``events.EV_*``), never through their class, and
-reads timing constants hoisted at construction, never a config property
-(``tests/test_hot_paths.py`` checks it).
+globals (``isa.OP_*``, ``events.EV_*``), never through their class.  The
+gateware's fixed timing is module constants, each defined once and read
+as a global: ``STACK_DEPTH``, ``JUMP_PENALTY_TICKS``, ``PIPELINE_TICKS``
+and ``MIN_PLAY_GAP_TICKS`` here, the hit latency, window and SDRAM
+constants in ``mem``.  The configured values the loop needs (queue
+depth, lookahead, decode budget) are read into locals once per
+``run_until_blocked``, and no hot path reads a config property
+(``tests/test_hot_paths.py`` checks both rules).
 
 Lap fast-forward: at each taken REPEAT, ``Sequencer._skip_laps``
 compares the machine state with its state at the previous taken REPEAT
@@ -146,10 +153,15 @@ from .isa import (
     ProgramImage,
     decode,
 )
-from .mem import InstructionCache, MemConfig, Sdram, WaveformCache
+from .mem import (HIT_LATENCY_TICKS, InstructionCache, MemConfig, Sdram,
+                  WaveformCache)
 from .mod import MixerCorrector, ModConfig, ModEngine, Windows
 
 __all__ = [
+    "STACK_DEPTH",
+    "JUMP_PENALTY_TICKS",
+    "PIPELINE_TICKS",
+    "MIN_PLAY_GAP_TICKS",
     "EngineConfig",
     "Sequencer",
     "OutputTrace",
@@ -161,25 +173,26 @@ __all__ = [
 
 CLK = SEQ_CLOCK_TICKS
 
+# fixed in the gateware, so constants rather than configuration
+STACK_DEPTH = 16                     # CALL frames
+JUMP_PENALTY_TICKS = 16 * CLK        # taken-branch pipeline flush
+PIPELINE_TICKS = 9 * CLK             # dispatch to first output sample
+MIN_PLAY_GAP_TICKS = 2 * CLK         # new waveform every 2 clocks
+
 
 @dataclass
 class EngineConfig:
     queue_depth: int = 64
-    stack_depth: int = 16
     lookahead: bool = True
-    jump_penalty_clocks: int = 16        # taken-branch pipeline flush
-    waveform_pipeline_clocks: int = 9    # dispatch to first output sample
-    min_play_gap_clocks: int = 2         # new waveform every 2 clocks
     initial_cmp: int = 0                 # comparison register at start
     max_decodes: int = 20_000_000
 
-    @property
-    def jump_penalty_ticks(self) -> int:
-        return self.jump_penalty_clocks * CLK
-
-    @property
-    def pipeline_ticks(self) -> int:
-        return self.waveform_pipeline_clocks * CLK
+    def __post_init__(self):
+        for name in ("queue_depth", "max_decodes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"EngineConfig.{name} must be at least 1, "
+                                 f"got {value}")
 
 
 class DeadlockError(RuntimeError):
@@ -245,14 +258,10 @@ class _StreamEngine:
 
     gaps_are_underruns = True     # a gap in the stream is lost output
 
-    def __init__(self, name: str, cfg: EngineConfig, events: list[Event],
-                 min_gap_ticks: int):
+    def __init__(self, name: str, events: list[Event], min_gap_ticks: int):
         self.name = name
         self.events = events
         self.min_gap = min_gap_ticks
-        # timing constants read once: the command path reads no property
-        self.pipeline = cfg.pipeline_ticks
-        self.queue_depth = cfg.queue_depth
         self.starts: list[int] = []      # start tick of each run
         self.counts: list[int] = []      # count operand of each run
         self.head = 0        # first run not started by the decode tick
@@ -277,11 +286,8 @@ class _StreamEngine:
 
     def _begin_wait(self, tick: int) -> None:
         self.wait_dispatch = tick
-        if self.frontier is not None:
-            # resume may not overlap samples already committed
-            self.floor = max(self.floor, self.frontier)
-        self.frontier = None
-        self.last_start = None
+        # resume may not overlap samples already committed
+        self.restart(self.drain_tick())
 
     def waiting(self) -> bool:
         return self.wait_dispatch is not None
@@ -310,7 +316,7 @@ class _StreamEngine:
         floor and the minimum gap, on the clock grid unless it continues
         the stream; a gap that opens is an underrun."""
         # max and align_up written out: this runs once per PLAY
-        earliest = -(-dispatch // CLK) * CLK + self.pipeline
+        earliest = -(-dispatch // CLK) * CLK + PIPELINE_TICKS
         if self.floor > earliest:
             earliest = self.floor
         last = self.last_start
@@ -332,6 +338,13 @@ class _StreamEngine:
 
     def drain_tick(self) -> int:
         return self.frontier if self.frontier is not None else self.floor
+
+    def restart(self, floor: int) -> None:
+        """End the stream: the next run starts fresh, no earlier than
+        floor, with no minimum gap to the last run and no underrun."""
+        self.floor = max(self.floor, floor)
+        self.frontier = None
+        self.last_start = None
 
     def idle(self) -> bool:
         return self.wait_dispatch is None and not self.pending
@@ -375,9 +388,8 @@ class _StreamEngine:
 
 
 class WaveformEngine(_StreamEngine):
-    def __init__(self, cfg, events, cache: WaveformCache):
-        super().__init__("waveform", cfg, events,
-                         min_gap_ticks=cfg.min_play_gap_clocks * CLK)
+    def __init__(self, events, cache: WaveformCache):
+        super().__init__("waveform", events, min_gap_ticks=MIN_PLAY_GAP_TICKS)
         self.cache = cache
         self.addrs: list[int] = []       # absolute waveform address per run
         self.ta: list[bool] = []         # run repeats one TA sample
@@ -404,17 +416,15 @@ class WaveformEngine(_StreamEngine):
             at = self.frontier if self.frontier is not None \
                 else max(tick, self.floor)
             swapped = self.cache.complete_swap(max(at, tick))
-            self.floor = max(self.floor, align_up(swapped, CLK))
-            self.frontier = None
-            self.last_start = None
+            self.restart(align_up(swapped, CLK))
         # engine-level SYNC is handled as a dispatcher fence
 
 
 class MarkerEngine(_StreamEngine):
     gaps_are_underruns = False    # a marker idles low between pulses
 
-    def __init__(self, channel: int, cfg, events):
-        super().__init__(f"marker{channel}", cfg, events, min_gap_ticks=CLK)
+    def __init__(self, channel: int, events):
+        super().__init__(f"marker{channel}", events, min_gap_ticks=CLK)
         self.channel = channel
         self.states: list[int] = []
         self.lasts: list[int] = []
@@ -517,7 +527,7 @@ class Sequencer:
         self.mem_cfg = mem_cfg or MemConfig()
         mod_cfg = mod_cfg or ModConfig()
         if mod_cfg.pipeline_ticks == 0:
-            mod_cfg = replace(mod_cfg, pipeline_ticks=self.cfg.pipeline_ticks)
+            mod_cfg = replace(mod_cfg, pipeline_ticks=PIPELINE_TICKS)
         self.mod_cfg = mod_cfg
         self.n_instrs = len(image.words)
         # pc -> its instruction, filled on first fetch; each distinct
@@ -528,18 +538,14 @@ class Sequencer:
 
     def reset(self) -> None:
         """Fresh run state; the decoded program and config are reused."""
-        cfg = self.cfg
-        # timing constants read once: the decode loop reads no property
-        self.hit_latency = self.mem_cfg.hit_latency_ticks
-        self.jump_penalty = cfg.jump_penalty_ticks
-        self.sdram = Sdram(self.mem_cfg)
+        self.sdram = Sdram()
         self.icache = InstructionCache(self.mem_cfg, self.image.words,
                                        self.sdram)
         self.wavecache = WaveformCache(self.mem_cfg, self.image.waveforms,
                                        self.sdram)
         self.events: list[Event] = []
-        self.wf = WaveformEngine(cfg, self.events, self.wavecache)
-        self.markers = [MarkerEngine(ch, cfg, self.events) for ch in range(4)]
+        self.wf = WaveformEngine(self.events, self.wavecache)
+        self.markers = [MarkerEngine(ch, self.events) for ch in range(4)]
         self.engines = (self.wf, *self.markers)
         self.modeng = ModEngine(self.mod_cfg)
         self.mod_waits = 0
@@ -549,7 +555,7 @@ class Sequencer:
         self.decode_tick = 0
         self.repeat_register = 0
         self.stack: list[tuple[int, int]] = []
-        self.cmp_register = cfg.initial_cmp
+        self.cmp_register = self.cfg.initial_cmp
         self.cmp_result = False
         self.steering: list[tuple[int, int]] = []   # (word, available tick)
         self.halted = False
@@ -608,7 +614,7 @@ class Sequencer:
                     return reason
             pc = self.pc
             if pc >= n_instrs:
-                if any(e.waiting() for e in self.engines):
+                if self.mod_waits or any(e.waiting() for e in self.engines):
                     return "need_trigger"   # queues still hold a WAIT
                 self.halted = True
                 break
@@ -689,8 +695,8 @@ class Sequencer:
             self._carried_fetch = None
         else:
             _, avail = self.icache.read_instruction(pc, tick)
-        if avail > tick + self.hit_latency:
-            self.decode_tick = align_up(avail - self.hit_latency, CLK)
+        if avail > tick + HIT_LATENCY_TICKS:
+            self.decode_tick = align_up(avail - HIT_LATENCY_TICKS, CLK)
             self._fetch_stall(tick, pc)
             self._carried_fetch = (pc, avail)
             return False
@@ -721,17 +727,14 @@ class Sequencer:
         drain = align_up(max(e.drain_tick() for e in engines), CLK)
         self.decode_tick = max(self.decode_tick, drain + CLK)
         for e in engines:
-            # the fence ends the stream: what follows starts fresh
-            e.frontier = None
-            e.last_start = None
-            e.floor = max(e.floor, drain)
+            e.restart(drain)    # the fence ends the stream
         self._sync_pending = False
         return None
 
     def _redirect(self, target: int, tick: int) -> None:
         """Taken jump: flush penalty, overlap the target line fetch."""
         self.pc = target
-        flushed = tick + CLK + self.jump_penalty
+        flushed = tick + CLK + JUMP_PENALTY_TICKS
         if target >= self.n_instrs:
             # jump one past the end: the program completes there
             self._carried_fetch = None
@@ -740,7 +743,7 @@ class Sequencer:
         _, avail = self.icache.read_instruction(target, tick)
         self._carried_fetch = (target, avail)
         self.decode_tick = max(flushed,
-                               align_up(avail - self.hit_latency, CLK))
+                               align_up(avail - HIT_LATENCY_TICKS, CLK))
         if self.decode_tick > flushed:
             self._fetch_stall(flushed, target)
 
@@ -752,7 +755,7 @@ class Sequencer:
         if op is OP_CALL or op is OP_GOTO:
             if not instr.conditional or self.cmp_result:
                 if op is OP_CALL:
-                    if len(self.stack) >= self.cfg.stack_depth:
+                    if len(self.stack) >= STACK_DEPTH:
                         return self._trap(tick, "call stack overflow")
                     self.stack.append((self.pc + 1, self.repeat_register))
                 self._redirect(instr.addr, tick)

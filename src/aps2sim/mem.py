@@ -3,7 +3,10 @@
 SDRAM is a latency plus bandwidth abstraction: a request occupies the data
 bus for bytes/rate, bursts are serialized in request order, and a request
 completes at max(request + latency, end of previous burst) + burst.  No
-protocol detail beyond that.
+protocol detail beyond that.  The latency is 200 ns (``SDRAM_LATENCY_TICKS``,
+1200 ticks) and the rate 1.45 GB/s (``SDRAM_TICKS_PER_BYTE``, 6e9 / 1.45e9
+ticks per byte), so one 1 kB line fill takes 1200 + 4238 ticks on an idle
+bus.
 
 The instruction cache has two halves, both built from 128-instruction
 (1 kB) lines:
@@ -15,19 +18,25 @@ The instruction cache has two halves, both built from 128-instruction
     oldest-first: a PREFETCH of a new line into a full half evicts the
     line filled longest ago.
 
+The window re-centres on the line the program counter enters; it keeps
+``WINDOW_BEHIND`` lines behind that base and fills ``WINDOW_AHEAD``
+lines ahead of it.  This geometry and the latencies are fixed in the
+gateware, so they are module constants, not configuration.
+
 The waveform cache is either one linear 128 ksample memory (everything
 resident at start) or two 64 ksample pages in ping-pong mode where the
 waveform engine's PREFETCH command refills the idle page.
 
 Timing contract: every read returns (data, available_tick).  Hits are
-available after the configured hit latency; the caller treats anything
-later as a stall and records it, since only the caller knows how many of
-those ticks it lost.  So the sequencer records fetch stalls, and the
-caches record a miss or a late fill only as a cause, with no ticks.  The
-waveform cache records the one stall it owns: a page swap that waits for
-its fill.  Hits are counted, not logged.  Caches start warm over their
-initial contents, which stands in for configuration time before a
-sequence starts; every fill after that is on the clock.
+available after ``HIT_LATENCY_TICKS`` (2 sequencer clocks); the caller
+treats anything later as a stall and records it, since only the caller
+knows how many of those ticks it lost.  So the sequencer records fetch
+stalls, and the caches record a miss or a late fill only as a cause,
+with no ticks.  The waveform cache records the one stall it owns: a page
+swap that waits for its fill.  Hits are counted, not logged.  Caches
+start warm over their initial contents, which stands in for
+configuration time before a sequence starts; every fill after that is on
+the clock.
 
 Resident fetch: ``InstructionCache.resident`` is the pc range of the
 line whose next read is a plain hit that changes no cache state (a
@@ -47,13 +56,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import SEQ_CLOCK_TICKS, ns_to_ticks
+from .clocks import SEQ_CLOCK_TICKS, TICKS_PER_NS, ns_to_ticks
 from .events import (EV_ASSOC_WAIT, EV_MISS, EV_PAGE_FILL, EV_PAGE_SWAP,
                      EV_PREFETCH, EV_PREFETCH_DUP, EV_SWAP_STALL,
                      EV_WINDOW_WAIT, Event, stalls)
 from .isa import CACHE_LINE_INSTRUCTIONS
 
 __all__ = [
+    "WINDOW_AHEAD",
+    "WINDOW_BEHIND",
+    "HIT_LATENCY_TICKS",
+    "SDRAM_LATENCY_TICKS",
+    "SDRAM_TICKS_PER_BYTE",
     "MemConfig",
     "CacheError",
     "Sdram",
@@ -63,22 +77,30 @@ __all__ = [
 ]
 
 
+WINDOW_AHEAD = 4                  # lines the window fills past its base
+WINDOW_BEHIND = 2                 # played lines it keeps behind its base
+HIT_LATENCY_TICKS = 2 * SEQ_CLOCK_TICKS
+SDRAM_LATENCY_TICKS = ns_to_ticks(200.0)
+SDRAM_TICKS_PER_BYTE = TICKS_PER_NS * 1e9 / 1.45e9   # at 1.45 GB/s
+
+
 @dataclass
 class MemConfig:
     line_instructions: int = CACHE_LINE_INSTRUCTIONS
-    window_ahead: int = 4
-    window_behind: int = 2
     assoc_lines: int = 8
-    hit_latency_clocks: int = 2
-    sdram_latency_ns: float = 200.0
-    sdram_rate_bytes_per_s: float = 1.45e9
     wave_mode: str = "single"          # "single" or "pingpong"
     wave_page_samples: int = 65536
     ideal: bool = False                # every fetch hits, for comparison runs
 
-    @property
-    def hit_latency_ticks(self) -> int:
-        return self.hit_latency_clocks * SEQ_CLOCK_TICKS
+    def __post_init__(self):
+        for name in ("line_instructions", "assoc_lines", "wave_page_samples"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"MemConfig.{name} must be at least 1, "
+                                 f"got {value}")
+        if self.wave_mode not in ("single", "pingpong"):
+            raise ValueError("MemConfig.wave_mode must be 'single' or "
+                             f"'pingpong', got {self.wave_mode!r}")
 
     @property
     def line_bytes(self) -> int:
@@ -92,26 +114,19 @@ class CacheError(RuntimeError):
 class Sdram:
     """Serialized burst bus with a fixed first-word latency."""
 
-    def __init__(self, cfg: MemConfig):
-        self.latency_ticks = ns_to_ticks(cfg.sdram_latency_ns)
-        self.ticks_per_byte = 6e9 / cfg.sdram_rate_bytes_per_s
+    def __init__(self):
         self.busy_until = 0
-
-    def burst_ticks(self, nbytes: int) -> int:
-        return math.ceil(nbytes * self.ticks_per_byte)
 
     def request(self, nbytes: int, tick: int) -> int:
         """Schedule a transfer; returns the completion tick."""
-        burst = self.burst_ticks(nbytes)
-        start = max(tick + self.latency_ticks, self.busy_until)
-        self.busy_until = start + burst
+        start = max(tick + SDRAM_LATENCY_TICKS, self.busy_until)
+        self.busy_until = start + math.ceil(nbytes * SDRAM_TICKS_PER_BYTE)
         return self.busy_until
 
 
 def page_fill_ticks(cfg: MemConfig) -> int:
     """Idle-bus fill time for one waveform page (4 bytes per sample)."""
-    sdram = Sdram(cfg)
-    return sdram.request(4 * cfg.wave_page_samples, 0)
+    return Sdram().request(4 * cfg.wave_page_samples, 0)
 
 
 class InstructionCache:
@@ -119,15 +134,14 @@ class InstructionCache:
         self.cfg = cfg
         self.words = words
         self.sdram = sdram
-        # timing constants read once: the fetch path reads no property
+        # config read once: the fetch path reads no property
         self.line = cfg.line_instructions
         self.fill_bytes = cfg.line_bytes
-        self.hit_latency = cfg.hit_latency_ticks
         self.n_lines = max(1, -(-len(words) // self.line))
         self.base_line = 0
         # line -> fill completion tick; initial window is warm
         self.window: dict[int, int] = {
-            ln: 0 for ln in range(min(cfg.window_ahead + 1, self.n_lines))}
+            ln: 0 for ln in range(min(WINDOW_AHEAD + 1, self.n_lines))}
         # line -> fill completion tick, oldest fill first (victim order)
         self.assoc: dict[int, int] = {}
         self.events: list[Event] = []
@@ -140,8 +154,8 @@ class InstructionCache:
         """Re-center the window on line, scheduling any missing fills."""
         self.base_line = line
         self.resident = range(0)
-        lo = max(0, line - self.cfg.window_behind)
-        hi = min(self.n_lines - 1, line + self.cfg.window_ahead)
+        lo = max(0, line - WINDOW_BEHIND)
+        hi = min(self.n_lines - 1, line + WINDOW_AHEAD)
         for ln in list(self.window):
             if not lo <= ln <= hi:
                 del self.window[ln]
@@ -161,10 +175,10 @@ class InstructionCache:
             self.hits += 1
             if addr not in self.resident:
                 self._reside(line)
-            return self.words[addr], tick + self.hit_latency
+            return self.words[addr], tick + HIT_LATENCY_TICKS
         if self.cfg.ideal:
             self.hits += 1
-            return self.words[addr], tick + self.hit_latency
+            return self.words[addr], tick + HIT_LATENCY_TICKS
 
         if fill_done is not None:
             if line > self.base_line:
@@ -184,10 +198,10 @@ class InstructionCache:
             # the line is filled and now a window line at or behind the
             # base, or an associative line outside the window
             self._reside(line)
-            return self.words[addr], tick + self.hit_latency
+            return self.words[addr], tick + HIT_LATENCY_TICKS
         self.events.append(Event(tick, cause, 0,
                                  {"addr": addr, "line": line}))
-        return self.words[addr], fill_done + self.hit_latency
+        return self.words[addr], fill_done + HIT_LATENCY_TICKS
 
     def _reside(self, line: int) -> None:
         first = line * self.line
@@ -221,18 +235,14 @@ class WaveformCache:
         self.pingpong = cfg.wave_mode == "pingpong"
         self.size = len(wave_mem)     # at most two pages in single mode
         self.pending_fill: tuple[int, int] | None = None
-        if cfg.wave_mode == "single":
-            limit = 2 * page
-            if len(wave_mem) > limit:
-                raise CacheError(
-                    f"waveform memory {len(wave_mem)} exceeds {limit} samples "
-                    "in single mode")
-        elif self.pingpong:
+        if self.pingpong:
             # both pages warm at start: page 0 active, page 1 staged
             self.slots = [(0, 0), (1, 0)]      # (sdram page, fill done tick)
             self.active_slot = 0
-        else:
-            raise CacheError(f"unknown waveform cache mode {cfg.wave_mode!r}")
+        elif len(wave_mem) > 2 * page:
+            raise CacheError(
+                f"waveform memory {len(wave_mem)} exceeds {2 * page} samples "
+                "in single mode")
 
     def locate(self, addr: int, count: int) -> int:
         """Absolute waveform address of a page-local read of count

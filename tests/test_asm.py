@@ -150,12 +150,8 @@ def test_prefetch_hint_insertion_and_strip():
     lib.add("w", 0.1 * np.ones(16))
     src = distant_call_program()
     image = assemble(src, lib)
-    plan = asm.plan_layout(image)
-    sub = image.symbols["sub"]
-    assert plan.subroutine_lines[sub] == sub // 128
-    assert len(plan.sites) == 1
 
-    hinted = asm.insert_prefetch_hints(image, plan)
+    hinted = asm.insert_prefetch_hints(image)
     assert len(hinted.words) == len(image.words) + 1
     decoded = hinted.decode_all()
     hints = [(pc, i) for pc, i in enumerate(decoded) if i.op is Opcode.PREFETCH]

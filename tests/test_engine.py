@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from aps2sim.asm import insert_prefetch_hints
-from aps2sim.engine import (BLOCK_SAMPLES, DeadlockError, EngineConfig,
-                            Sequencer, SimTrap)
+from aps2sim.engine import (BLOCK_SAMPLES, PIPELINE_TICKS, STACK_DEPTH,
+                            DeadlockError, EngineConfig, Sequencer, SimTrap)
 from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
     CmpOp,
@@ -151,10 +151,10 @@ def test_call_restores_the_repeat_register():
 
 def test_call_stack_overflow_traps():
     prog = image([Instruction(Opcode.CALL, addr=0)])
-    seq = Sequencer(prog, EngineConfig(stack_depth=16))
+    seq = Sequencer(prog)
     assert seq.run_until_blocked() == "halted"
     assert seq.trap_reason == "call stack overflow"
-    assert len(seq.stack) == 16
+    assert len(seq.stack) == STACK_DEPTH == 16
 
 
 def test_return_without_call_traps():
@@ -317,6 +317,26 @@ def mod(action, nco=0b0001, phase_word=0, count=0):
 FILLER = Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=0)
 
 
+def test_a_wait_held_only_by_the_modulator_needs_its_trigger():
+    quarter_turn = 1 << 46                   # 2^48 phase words per turn
+    prog = image([mod(ModAction.SET_PHASE_OFFSET, phase_word=quarter_turn),
+                  mod(ModAction.WAIT, nco=0),
+                  mod(ModAction.MODULATE, nco=0, count=16),
+                  play(0, 16)])
+    assert Sequencer(prog).run_until_blocked() == "need_trigger"
+    with pytest.raises(DeadlockError):
+        Sequencer(prog).run_simple()
+    trace = Sequencer(prog).run_simple(triggers=[1000])
+    assert np.allclose(trace.analog_values(), 1j * wave_values(0, 16),
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["queue_depth", "max_decodes"])
+def test_engine_config_rejects_a_value_below_one(field):
+    with pytest.raises(ValueError, match=f"EngineConfig.{field}"):
+        EngineConfig(**{field: 0})
+
+
 def test_finalize_is_repeatable():
     # a modulated loop with frame updates and no RESET_PHASE, and
     # triggered shots that reset the phase: both rebuild NCO state
@@ -343,7 +363,7 @@ def test_sequencer_leaves_the_passed_config_unchanged():
     mod_cfg = ModConfig()
     seq = Sequencer(image([play(0, 8)]), mod_cfg=mod_cfg)
     assert mod_cfg == ModConfig()
-    assert seq.mod_cfg.pipeline_ticks == EngineConfig().pipeline_ticks
+    assert seq.mod_cfg.pipeline_ticks == PIPELINE_TICKS
 
 
 FAR = 6 * 128 + 3                     # beyond the warm instruction window

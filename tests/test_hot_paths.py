@@ -5,9 +5,11 @@ On CPython 3.11 reading an enum member through its class, as in
 config ``@property`` is a Python call; the decode loop would pay either
 thousands of times per run.  So the members are bound once as module
 globals (``isa.OP_*``, ``WF_*``, ``MK_*``, ``MOD_*``, ``CMP_*`` and
-``events.EV_*``) and timing constants are read from the configs once,
-at construction.  This check fails on any function of the hot paths
-that reads a member through its enum class or a config property.
+``events.EV_*``).  The fixed timing is module constants
+(``engine.PIPELINE_TICKS``, ``mem.HIT_LATENCY_TICKS`` and the like), read
+as globals, and a value a config derives in a property is read once, at
+construction.  This check fails on any function of the hot paths that
+reads a member through its enum class or a config property.
 """
 
 import ast
@@ -87,12 +89,11 @@ def test_the_guard_sees_both_kinds_of_read():
     source = '''
     def f(self, op):
         if op is Opcode.WAVEFORM:
-            return self.mem_cfg.hit_latency_ticks
+            return self.mem_cfg.line_bytes
     '''
     assert slow_reads(source, config_properties(engine)) == [
-        "line 3: Opcode.WAVEFORM", "line 4: .hit_latency_ticks"]
-    assert {"hit_latency_ticks", "line_bytes", "jump_penalty_ticks",
-            "pipeline_ticks"} <= config_properties(engine)
+        "line 3: Opcode.WAVEFORM", "line 4: .line_bytes"]
+    assert "line_bytes" in config_properties(engine)
 
 
 def test_every_hot_name_exists():

@@ -14,13 +14,19 @@ LINE = 128
 def make_icache(n_lines=64, cfg=None):
     cfg = cfg or MemConfig()
     words = list(range(n_lines * LINE))
-    sdram = Sdram(cfg)
-    return InstructionCache(cfg, words, sdram), cfg
+    return InstructionCache(cfg, words, Sdram()), cfg
+
+
+@pytest.mark.parametrize("field, value", [
+    ("line_instructions", 0), ("assoc_lines", 0), ("wave_page_samples", 0),
+    ("wave_mode", "linear")])
+def test_mem_config_rejects_a_bad_value(field, value):
+    with pytest.raises(ValueError, match=f"MemConfig.{field}"):
+        MemConfig(**{field: value})
 
 
 def test_sdram_latency_plus_bandwidth():
-    cfg = MemConfig()
-    sdram = Sdram(cfg)
+    sdram = Sdram()
     # independent arithmetic: 200 ns latency then 1024 bytes at 1.45 GB/s
     expect = 1200 + math.ceil(1024 * 6e9 / 1.45e9)
     assert sdram.request(1024, 0) == expect
@@ -50,35 +56,34 @@ def test_sequential_walk_zero_stalls_at_play_rate():
 
 
 def test_far_jump_misses_then_window_recentre():
-    cache, cfg = make_icache(n_lines=64)
+    cache, _ = make_icache(n_lines=64)
     word, avail = cache.read_instruction(0, 0)
-    assert word == 0 and avail == cfg.hit_latency_ticks
+    assert word == 0 and avail == mem.HIT_LATENCY_TICKS
     # jump far outside the window
     target = 40 * LINE + 5
     _, avail = cache.read_instruction(target, 1000)
-    assert avail > 1000 + cfg.hit_latency_ticks
+    assert avail > 1000 + mem.HIT_LATENCY_TICKS
     assert cache.misses == 1
     # the miss is recorded as a cause; the stall is the caller's to record
     assert [(e.kind, e.ticks) for e in cache.events] == [("miss", 0)]
     # once re-centered, the same line is a plain hit
     _, avail2 = cache.read_instruction(target + 1, avail)
-    assert avail2 == avail + cfg.hit_latency_ticks
+    assert avail2 == avail + mem.HIT_LATENCY_TICKS
 
 
 def test_backward_loop_within_window_hits():
-    cache, cfg = make_icache(n_lines=16)
+    cache, _ = make_icache(n_lines=16)
     tick = 0
     for addr in range(3 * LINE + 8):          # advance into line 3
         _, avail = cache.read_instruction(addr, tick)
         tick = max(tick + 40, avail)
     _, avail = cache.read_instruction(1 * LINE + 4, tick)   # 2 lines back
-    assert avail == tick + cfg.hit_latency_ticks
+    assert avail == tick + mem.HIT_LATENCY_TICKS
     assert cache.misses == 0
 
 
 def test_associative_round_robin_and_dup():
-    cfg = MemConfig()
-    cache, _ = make_icache(n_lines=64, cfg=cfg)
+    cache, _ = make_icache(n_lines=64)
     lines = [20, 30, 40, 45, 50, 55, 58, 60]
     tick = 0
     for ln in lines:
@@ -87,7 +92,7 @@ def test_associative_round_robin_and_dup():
     tick = cache.sdram.busy_until + 10
     for ln in lines:
         _, avail = cache.read_instruction(ln * LINE + 3, tick)
-        assert avail == tick + cfg.hit_latency_ticks
+        assert avail == tick + mem.HIT_LATENCY_TICKS
     assert cache.misses == 0
     # duplicate prefetch is a no-op
     before = dict(cache.assoc)
@@ -136,9 +141,9 @@ def test_prefetch_hides_call_miss():
     cfg = MemConfig()
     cache, _ = make_icache(n_lines=64, cfg=cfg)
     cache.prefetch_line(40 * LINE, 0)
-    lead = mem.Sdram(cfg).request(cfg.line_bytes, 0) + 100
+    lead = mem.Sdram().request(cfg.line_bytes, 0) + 100
     _, avail = cache.read_instruction(40 * LINE, lead)
-    assert avail == lead + cfg.hit_latency_ticks
+    assert avail == lead + mem.HIT_LATENCY_TICKS
     assert [e.kind for e in cache.events] == ["prefetch"]
 
 
@@ -151,7 +156,7 @@ def waveform_mem(pages=4, page=256):
 
 def test_single_mode_reads_and_traps():
     cfg = MemConfig(wave_mode="single", wave_page_samples=256)
-    cache = WaveformCache(cfg, waveform_mem(pages=2), Sdram(cfg))
+    cache = WaveformCache(cfg, waveform_mem(pages=2), Sdram())
     data = cache.read(10, 4, 0)
     assert list(data[:, 0]) == [10, 11, 12, 13]
     with pytest.raises(CacheError):
@@ -162,7 +167,7 @@ def test_single_mode_reads_and_traps():
 
 def test_pingpong_swap_timing():
     cfg = MemConfig(wave_mode="pingpong", wave_page_samples=256)
-    cache = WaveformCache(cfg, waveform_mem(pages=4), Sdram(cfg))
+    cache = WaveformCache(cfg, waveform_mem(pages=4), Sdram())
     assert cache.read(0, 2, 0)[0, 0] == 0
     cache.begin_prefetch(2, 0)
     fill_done = cache.slots[1][1]
@@ -183,6 +188,6 @@ def test_pingpong_swap_timing():
 
 def test_pingpong_page_bound_trap():
     cfg = MemConfig(wave_mode="pingpong", wave_page_samples=256)
-    cache = WaveformCache(cfg, waveform_mem(pages=4), Sdram(cfg))
+    cache = WaveformCache(cfg, waveform_mem(pages=4), Sdram())
     with pytest.raises(CacheError):
         cache.read(250, 10, 0)
