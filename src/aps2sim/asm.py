@@ -446,16 +446,15 @@ def _format(instr: Instruction, label, wave_names) -> str:
 # ---------------------------------------------------------------------------
 # PREFETCH hints ahead of distant CALL sites.
 
-LINE = isa.CACHE_LINE_INSTRUCTIONS
-
 
 def _far_calls(instrs: list[Instruction]) -> list[tuple[int, int]]:
     """(call site, target) of every CALL whose target line lies outside
     the sequential window around the site."""
+    line = isa.CACHE_LINE_INSTRUCTIONS
     far = []
     for pc, instr in enumerate(instrs):
         if instr.op is Opcode.CALL:
-            lines_ahead = instr.addr // LINE - pc // LINE
+            lines_ahead = instr.addr // line - pc // line
             if not -WINDOW_BEHIND <= lines_ahead <= WINDOW_AHEAD:
                 far.append((pc, instr.addr))
     return far
@@ -514,9 +513,10 @@ def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
     seen: set[tuple[int, int]] = set()
     for site, target in reversed(_far_calls(instrs)):
         pos = _block_start(instrs, label_addrs | jump_targets, site)
-        if (pos, target // LINE) in seen:
+        key = (pos, target // isa.CACHE_LINE_INSTRUCTIONS)
+        if key in seen:
             continue
-        seen.add((pos, target // LINE))
+        seen.add(key)
         inserts.append((pos, target))
 
     inserts.sort()                        # hints at one position by target

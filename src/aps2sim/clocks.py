@@ -19,6 +19,7 @@ __all__ = [
     "TICKS_PER_NS",
     "SEQ_CLOCK_TICKS",
     "ANALOG_SAMPLE_TICKS",
+    "PIPELINE_TICKS",
     "RX_CLOCK_TICKS",
     "RX_SAMPLE_TICKS",
     "ANALOG_SAMPLE_HZ",
@@ -32,6 +33,10 @@ SEQ_CLOCK_TICKS = 20
 ANALOG_SAMPLE_TICKS = 5
 RX_CLOCK_TICKS = 24
 RX_SAMPLE_TICKS = 6
+
+# engine dispatch to first output sample, fixed in the gateware; the NCO
+# rotation stage sits this far ahead of the output plane
+PIPELINE_TICKS = 9 * SEQ_CLOCK_TICKS
 
 ANALOG_SAMPLE_HZ = 1.2e9
 RX_SAMPLE_HZ = 1.0e9

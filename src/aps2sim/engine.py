@@ -39,26 +39,18 @@ outside every window stays lazy: one mixed value, expanded only by
 ``OutputTrace.analog_values``; the mixer counts its saturations once
 per sample it stands for, at the cost of the lazy entries alone.
 
-Shared rotation factors: a window that plays contiguously, with the
-length, the offset r0 from its NCO reference tick (its first tick less
-the pipeline and ref_tick) and the acc, inc, offset and frame bits of an
-earlier window, has byte-identical factors (``mod.Windows.leaders``
-gives the rule).  Before the blocks, ``_sharing`` names each window's
-leader in one vectorised key pass and gives every leader that has
-followers a slot in one complex buffer, in stream order, while the slots
-fit in ``BLOCK_SAMPLES`` entries (1 MiB); a leader whose slot would end
-past that gets none, and its followers rotate on their own.  Per block
-``_factors`` rotates the pieces no slot serves with one ``rotation``
-call, stores the kept leaders' pieces in their slots and reads the
-followers' pieces back, all as ``_spans`` index arrays, so a piece may
-cross a block edge.  The factors come out in the same order as rotating
-every piece, and the block makes the same complex multiply and mixer
-call: complex multiplies may round differently in numpy's vector loop
-and its scalar tail, so the multiply's operands keep their layout.  A
-block with no kept or following piece rotates every piece.  The buffer
-is the only memory the sharing adds.  Triggered readout shots, each a
-RESET_PHASE and one window, share one leader; loop laps on a
-free-running NCO share nothing and pay only the key pass.
+Rotation ramps: the entry of window j that plays d sample periods after
+the window's first (gaps count) rotates by the direct exp of its exact
+phase word start_j + inc_j·d, mod 2^48.  With d = m·L + r that is
+phasor(start_j + inc_j·m·L) times ramp(inc_j)[r].  ``_ramps`` builds one
+ramp per distinct increment once, each as long as its longest window but
+all in ``BLOCK_SAMPLES`` entries (1 MiB).  Per block ``_Rotation.rotate``
+cuts the entries where the phasor changes (run starts, window edges,
+multiples of L), so its pieces never outgrow a block, and takes one
+direct exp per piece; an entry then costs a ramp gather and two complex
+multiplies, and one outside windows is multiplied by exactly 1.  A factor
+is within a few ulp of ``mod.Windows.rotation`` and equal to it at
+r = 0, so a zero increment rotates by exactly the direct exp.
 
 Hot-path rule: an instruction on a resident cache line costs no call.
 When no fetch is carried over a stall and pc lies in the instruction
@@ -75,9 +67,10 @@ Control flow and the rarer opcodes go through ``_execute``.  Code run
 per instruction or per command reads enum members through module
 globals (``isa.OP_*``, ``events.EV_*``), never through their class.  The
 gateware's fixed timing is module constants, each defined once and read
-as a global: ``STACK_DEPTH``, ``JUMP_PENALTY_TICKS``, ``PIPELINE_TICKS``
-and ``MIN_PLAY_GAP_TICKS`` here, the hit latency, window and SDRAM
-constants in ``mem``.  The configured values the loop needs (queue
+as a global: ``STACK_DEPTH``, ``JUMP_PENALTY_TICKS`` and
+``MIN_PLAY_GAP_TICKS`` here, ``PIPELINE_TICKS`` in ``clocks`` (the
+modulator reads it too), the hit latency, window and SDRAM constants
+in ``mem``.  The configured values the loop needs (queue
 depth, lookahead, decode budget) are read into locals once per
 ``run_until_blocked``, and no hot path reads a config property
 (``tests/test_hot_paths.py`` checks both rules).
@@ -112,13 +105,13 @@ spans a return from ``run_until_blocked``.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .clocks import ANALOG_SAMPLE_TICKS, SEQ_CLOCK_TICKS, align_up
+from .clocks import (ANALOG_SAMPLE_TICKS, PIPELINE_TICKS, SEQ_CLOCK_TICKS,
+                     align_up)
 from .events import (EV_FETCH_STALL, EV_QUEUE_FULL, EV_TRAP,
                      EV_TRIGGER_DROPPED, EV_UNDERRUN, Event, stalls)
 from .isa import (
@@ -143,6 +136,7 @@ from .isa import (
     OP_SYNC,
     OP_WAIT,
     OP_WAVEFORM,
+    PHASE_MASK,
     WF_PLAY,
     WF_PREFETCH,
     WF_SYNC,
@@ -155,7 +149,7 @@ from .isa import (
 )
 from .mem import (HIT_LATENCY_TICKS, InstructionCache, MemConfig, Sdram,
                   WaveformCache)
-from .mod import MixerCorrector, ModConfig, ModEngine, Windows
+from .mod import MixerCorrector, ModConfig, ModEngine, Windows, phasors
 
 __all__ = [
     "STACK_DEPTH",
@@ -176,7 +170,6 @@ CLK = SEQ_CLOCK_TICKS
 # fixed in the gateware, so constants rather than configuration
 STACK_DEPTH = 16                     # CALL frames
 JUMP_PENALTY_TICKS = 16 * CLK        # taken-branch pipeline flush
-PIPELINE_TICKS = 9 * CLK             # dispatch to first output sample
 MIN_PLAY_GAP_TICKS = 2 * CLK         # new waveform every 2 clocks
 
 
@@ -525,10 +518,7 @@ class Sequencer:
         self.image = image
         self.cfg = cfg or EngineConfig()
         self.mem_cfg = mem_cfg or MemConfig()
-        mod_cfg = mod_cfg or ModConfig()
-        if mod_cfg.pipeline_ticks == 0:
-            mod_cfg = replace(mod_cfg, pipeline_ticks=PIPELINE_TICKS)
-        self.mod_cfg = mod_cfg
+        self.mod_cfg = mod_cfg or ModConfig()
         self.n_instrs = len(image.words)
         # pc -> its instruction, filled on first fetch; each distinct
         # word is decoded once, so equal words share one Instruction
@@ -967,22 +957,21 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
     entry_end = entry + width
     step = np.where(ta, 0, 1)
     # entry p of run k reads word base[k] + step[k]*p and, expanded,
-    # plays at tick origin[k] + ANALOG_SAMPLE_TICKS*p
+    # plays origin[k] + p sample periods after tick 0 (run starts lie on
+    # the sample grid)
     base = addr - step * entry
-    origin = runs.start - ANALOG_SAMPLE_TICKS * entry
+    origin = runs.start // ANALOG_SAMPLE_TICKS - entry
     held_at, held_count = entry[lazy], count[lazy]
     # a window touches expanded runs only, so it covers consecutive
     # entries, shifted from stream positions as its first run is
     k = np.searchsorted(first, windows.lo, side="right") - 1
     w_lo = windows.lo - first[k] + entry[k]
     w_hi = w_lo + (windows.hi - windows.lo)
-    k_last = np.searchsorted(first, windows.hi - 1, side="right") - 1
-    share = _sharing(windows, w_lo, origin[k] + ANALOG_SAMPLE_TICKS * w_lo,
-                     origin[k_last] + ANALOG_SAMPLE_TICKS * (w_hi - 1))
+    total = int(width.sum())
+    rotation = _Rotation(windows, w_lo, w_hi, entry, origin)
     # one I/Q pair of int16 per 32-bit word
     words = np.ascontiguousarray(waveforms).view(np.uint32).reshape(-1)
 
-    total = int(width.sum())
     mixed = np.empty(total, dtype=np.complex128)
     for b0 in range(0, total, BLOCK_SAMPLES):
         b1 = min(b0 + BLOCK_SAMPLES, total)
@@ -996,86 +985,88 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
             .astype(np.float64)
         z *= 1.0 / 32768.0
         z = z.view(np.complex128)
-        j0, j1 = (np.searchsorted(w_hi, b0, side="right"),
-                  np.searchsorted(w_lo, b1))
-        if j1 > j0:
-            inside, factor = _factors(
-                windows, j0, np.maximum(w_lo[j0:j1], b0),
-                np.minimum(w_hi[j0:j1], b1),
-                lambda p: origin[run[p - b0]] + ANALOG_SAMPLE_TICKS * p,
-                share)
-            inside -= b0            # entry p is z[p - b0]
-            z[inside] *= factor
+        rotation.rotate(z, b0, b1)
         h0, h1 = np.searchsorted(held_at, (b0, b1))
         mixed[b0:b1] = corrector.apply(
             z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None)
     return mixed, lazy
 
 
-def _sharing(windows: Windows, w_lo: np.ndarray, first_tick: np.ndarray,
-             last_tick: np.ndarray) -> tuple:
-    """Which windows' rotation factors _factors keeps and which it reads
-    back, given each window's first entry and the output ticks of its
-    first and last sample: (follows, kept, shift, buffer).
+class _Rotation:
+    """Window j's entries [lo[j], hi[j]), rotated block by block (module
+    docstring); entry p of run k plays origin[k] + p sample periods
+    after tick 0."""
 
-    A window repeats its leader's factors (mod.Windows.leaders).  Leaders
-    with followers keep theirs in slots of one buffer, in stream order,
-    while the slots fit in BLOCK_SAMPLES entries; a follower of a leader
-    without a slot is rotated as if it had none.  Entry p of a kept
-    window or a follower is buffer entry shift + p.
-    """
-    size = windows.hi - windows.lo
-    leader = windows.leaders(first_tick, last_tick)
-    follows = leader != np.arange(len(windows))
-    kept = np.zeros(len(windows), dtype=bool)
-    kept[leader[follows]] = True
-    kept &= size <= BLOCK_SAMPLES
-    slot_end = np.cumsum(np.where(kept, size, 0))
-    kept &= slot_end <= BLOCK_SAMPLES
-    follows &= kept[leader]
-    shift = (slot_end - size)[leader] - w_lo
-    buffer = np.empty(int(size[kept].sum()), dtype=np.complex128)
-    return follows, kept, shift, buffer
+    def __init__(self, windows: Windows, lo: np.ndarray, hi: np.ndarray,
+                 entry: np.ndarray, origin: np.ndarray):
+        self.windows, self.lo, self.hi = windows, lo, hi
+        self.entry, self.origin = entry, origin
+        self.first = self.played(lo)
+        self.ramp, self.ramp_at, self.period = _ramps(
+            windows.inc, self.played(hi - 1) - self.first + 1)
+
+    def played(self, p: np.ndarray) -> np.ndarray:
+        """Sample periods after tick 0 of entries p, from their run."""
+        return self.origin[np.searchsorted(self.entry, p, side="right")
+                           - 1] + p
+
+    def rotate(self, z: np.ndarray, b0: int, b1: int) -> None:
+        """Rotate entries [b0, b1), held in z, in place."""
+        j0, j1 = (np.searchsorted(self.hi, b0, side="right"),
+                  np.searchsorted(self.lo, b1))
+        if j1 == j0:
+            return
+        k0, k1 = np.searchsorted(self.entry, (b0, b1))
+        cut = np.unique(np.concatenate([[b0], self.entry[k0:k1],
+                                        self.lo[j0:j1], self.hi[j0:j1]]))
+        cut = cut[(cut >= b0) & (cut < b1)]
+        size = np.diff(cut, append=b1)
+        j = np.searchsorted(self.lo, cut, side="right") - 1
+        inside = (j >= 0) & (cut < self.hi[j])
+        # outside windows: d = 0 and one phasor row longer than the block
+        j[~inside] = 0
+        d = np.where(inside, self.played(cut) - self.first[j], 0)
+        row = np.where(inside, self.period[j], b1 - b0)
+        # one piece per cut and phasor row m
+        m, rep = _spans(d // row, (d + size - 1) // row + 1)
+        j, d, inside = j[rep], d[rep], inside[rep]
+        edge = m * row[rep]                 # d at the phasor row's start
+        d_at = np.maximum(d, edge)
+        at = cut[rep] + d_at - d
+        # entry p reads ramp[p + shift]; outside windows, the last, 1
+        shift = np.where(inside, self.ramp_at[j] + d_at - edge,
+                         len(self.ramp) - 1) - at
+        turn = np.where(inside, phasors(self.windows.words(
+            j, ANALOG_SAMPLE_TICKS * (self.first[j] + edge))), 1)
+        size = np.diff(at, append=b1)
+        index = np.repeat(shift, size)
+        index += np.arange(b0, b1)
+        factor = self.ramp.take(index, mode="clip")
+        del index
+        factor *= np.repeat(turn, size)
+        z *= factor
 
 
-def _factors(windows: Windows, j0: int, lo: np.ndarray, hi: np.ndarray,
-             ticks: Callable[[np.ndarray], np.ndarray],
-             share: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Every entry of the pieces [lo[i], hi[i]) of windows j0 + i, in
-    order, and its rotation factor; ticks(p) is the output tick of
-    entries p and share comes from _sharing.
-
-    Only the pieces of windows that do not follow a kept leader are
-    rotated; those of kept windows are stored in the buffer and the
-    followers' read from it.  The temporaries are freed as soon as they
-    are used, so the working set stays that of rotating every piece.
-    """
-    follows, kept, shift, buffer = share
-    j1 = j0 + len(lo)
-    if not (kept[j0:j1].any() or follows[j0:j1].any()):
-        inside, which = _spans(lo, hi)
-        which += j0
-        return inside, windows.rotation(which, ticks(inside))
-    own = ~follows[j0:j1]
-    at, which = _spans(lo[own], hi[own])
-    which = (j0 + np.flatnonzero(own))[which]
-    rotated = windows.rotation(which, ticks(at))
-    keep = kept[which]
-    at += shift[which]                  # now the buffer entries
-    buffer[at[keep]] = rotated[keep]
-    del at, which, keep
-    n = hi - lo
-    to = np.cumsum(n)                   # piece i is factor[to - n:to]
-    inside = _spans(lo, hi)[0]
-    fresh = _spans((to - n)[own], to[own])[0]
-    src = np.repeat(shift[j0:j1], n)
-    src += inside
-    # an entry of a window without a slot reads some buffer entry,
-    # clipped into range, and is overwritten next
-    factor = buffer.take(src, mode="clip")
-    del src
-    factor[fresh] = rotated
-    return inside, factor
+def _ramps(inc: np.ndarray, span: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ramp, at, period) for windows of increment words inc that span
+    span sample periods, gaps included: ramp[at[j] + r] is window j's
+    factor r samples on from a phasor, for r < period[j], and the last
+    entry is 1.  One ramp per distinct increment, as long as its longest
+    span but at most BLOCK_SAMPLES over the distinct count."""
+    distinct, owner = np.unique(inc, return_inverse=True)
+    longest = np.zeros(len(distinct), np.int64)
+    np.maximum.at(longest, owner, span)
+    length = np.minimum(longest, BLOCK_SAMPLES // max(1, len(distinct)))
+    at = np.cumsum(length) - length
+    n = int(length.sum())
+    words = np.zeros(n + 1, np.int64)   # the last word 0 turns into 1
+    words[:n] = np.arange(n) - np.repeat(at, length)
+    words[:n] *= np.repeat(distinct, length)
+    words &= PHASE_MASK
+    # past BLOCK_SAMPLES increments a ramp is empty: r is 0, read as 1
+    return (phasors(words), np.where(length > 0, at, n)[owner],
+            np.maximum(length, 1)[owner])
 
 
 def _shifted(events: list[Event], shifts: range) -> list[Event]:

@@ -8,8 +8,8 @@ protocol detail beyond that.  The latency is 200 ns (``SDRAM_LATENCY_TICKS``,
 ticks per byte), so one 1 kB line fill takes 1200 + 4238 ticks on an idle
 bus.
 
-The instruction cache has two halves, both built from 128-instruction
-(1 kB) lines:
+The instruction cache has two halves, both built from 1 kB lines of
+``isa.CACHE_LINE_INSTRUCTIONS`` (128) instructions:
 
   * a sequential circular window that tracks the program counter, keeping
     a few played lines behind and prefetching ahead, and
@@ -63,6 +63,7 @@ from .events import (EV_ASSOC_WAIT, EV_MISS, EV_PAGE_FILL, EV_PAGE_SWAP,
 from .isa import CACHE_LINE_INSTRUCTIONS
 
 __all__ = [
+    "LINE_FILL_BYTES",
     "WINDOW_AHEAD",
     "WINDOW_BEHIND",
     "HIT_LATENCY_TICKS",
@@ -77,6 +78,7 @@ __all__ = [
 ]
 
 
+LINE_FILL_BYTES = 8 * CACHE_LINE_INSTRUCTIONS   # 8-byte instruction words
 WINDOW_AHEAD = 4                  # lines the window fills past its base
 WINDOW_BEHIND = 2                 # played lines it keeps behind its base
 HIT_LATENCY_TICKS = 2 * SEQ_CLOCK_TICKS
@@ -86,14 +88,13 @@ SDRAM_TICKS_PER_BYTE = TICKS_PER_NS * 1e9 / 1.45e9   # at 1.45 GB/s
 
 @dataclass
 class MemConfig:
-    line_instructions: int = CACHE_LINE_INSTRUCTIONS
     assoc_lines: int = 8
     wave_mode: str = "single"          # "single" or "pingpong"
     wave_page_samples: int = 65536
     ideal: bool = False                # every fetch hits, for comparison runs
 
     def __post_init__(self):
-        for name in ("line_instructions", "assoc_lines", "wave_page_samples"):
+        for name in ("assoc_lines", "wave_page_samples"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"MemConfig.{name} must be at least 1, "
@@ -101,10 +102,6 @@ class MemConfig:
         if self.wave_mode not in ("single", "pingpong"):
             raise ValueError("MemConfig.wave_mode must be 'single' or "
                              f"'pingpong', got {self.wave_mode!r}")
-
-    @property
-    def line_bytes(self) -> int:
-        return self.line_instructions * 8
 
 
 class CacheError(RuntimeError):
@@ -134,10 +131,7 @@ class InstructionCache:
         self.cfg = cfg
         self.words = words
         self.sdram = sdram
-        # config read once: the fetch path reads no property
-        self.line = cfg.line_instructions
-        self.fill_bytes = cfg.line_bytes
-        self.n_lines = max(1, -(-len(words) // self.line))
+        self.n_lines = max(1, -(-len(words) // CACHE_LINE_INSTRUCTIONS))
         self.base_line = 0
         # line -> fill completion tick; initial window is warm
         self.window: dict[int, int] = {
@@ -161,13 +155,13 @@ class InstructionCache:
                 del self.window[ln]
         for ln in range(line, hi + 1):
             if ln not in self.window:
-                self.window[ln] = self.sdram.request(self.fill_bytes, tick)
+                self.window[ln] = self.sdram.request(LINE_FILL_BYTES, tick)
 
     def read_instruction(self, addr: int, tick: int) -> tuple[int, int]:
         """Fetch one word; returns (word, available_tick)."""
         if not 0 <= addr < len(self.words):
             raise CacheError(f"instruction fetch {addr} beyond program end")
-        line = addr // self.line
+        line = addr // CACHE_LINE_INSTRUCTIONS
         fill_done = self.window.get(line)
         if fill_done is not None and fill_done <= tick \
                 and line <= self.base_line:
@@ -204,14 +198,15 @@ class InstructionCache:
         return self.words[addr], fill_done + HIT_LATENCY_TICKS
 
     def _reside(self, line: int) -> None:
-        first = line * self.line
-        self.resident = range(first, min(first + self.line, len(self.words)))
+        first = line * CACHE_LINE_INSTRUCTIONS
+        self.resident = range(first, min(first + CACHE_LINE_INSTRUCTIONS,
+                                         len(self.words)))
 
     def prefetch_line(self, addr: int, tick: int) -> None:
         """Explicit PREFETCH: fill the associative half, oldest out."""
         if self.cfg.ideal:
             return
-        line = addr // self.line
+        line = addr // CACHE_LINE_INSTRUCTIONS
         detail = {"addr": addr, "line": line}
         if line in self.assoc:
             self.events.append(Event(tick, EV_PREFETCH_DUP, 0, detail))
@@ -219,9 +214,9 @@ class InstructionCache:
         if len(self.assoc) >= self.cfg.assoc_lines:
             victim = next(iter(self.assoc))
             del self.assoc[victim]
-            if victim * self.line in self.resident:
+            if victim * CACHE_LINE_INSTRUCTIONS in self.resident:
                 self.resident = range(0)
-        self.assoc[line] = self.sdram.request(self.fill_bytes, tick)
+        self.assoc[line] = self.sdram.request(LINE_FILL_BYTES, tick)
         self.events.append(Event(tick, EV_PREFETCH, 0, detail))
 
 

@@ -1,15 +1,18 @@
 """Modulation engine: NCO bank, phase bookkeeping, mixer correction.
 
 Each NCO free-runs on the analog sample clock (one increment per 5-tick
-sample period) whether or not it is selected, so applied phase at tick t
-is always
+sample period) whether or not it is selected.  Phase is a 48-bit word,
+2^-48 turn per unit, as in the hardware, and every sum of words wraps
+mod 2^48, so the applied phase at tick t is exactly
 
-    phase(t) = accumulated(t) + offset + frame        (turns, mod 1)
+    phase(t) = accumulated(t) + offset + frame        (words, mod 2^48)
 
-with accumulated(t) advancing from the last RESET_PHASE epoch.  The
-accumulators live at the rotation stage, a fixed pipeline ahead of the
+with accumulated(t) advancing by the increment word per sample from the
+last RESET_PHASE epoch.  It turns into a float only for the rotation:
+the word as turns, then one complex exp (``phasors``).  The
+accumulators live at the rotation stage, ``PIPELINE_TICKS`` ahead of the
 output plane, so a sample emitted at tick T carries the phase evaluated
-at T - pipeline_ticks.  A RESET_PHASE processed on a trigger edge
+at T - PIPELINE_TICKS.  A RESET_PHASE processed on a trigger edge
 therefore gives exactly zero accumulated phase and frame on the first
 post-trigger output sample.
 
@@ -21,14 +24,16 @@ window always covers the plays that follow it in the program, never
 samples already in flight down the pipeline.  Phase commands latch at
 the next boundary: the end of an open MODULATE window, the trigger edge
 if the stream sits at a WAIT, or directly before the next sample
-otherwise.  Samples outside any window pass through unrotated.
+otherwise.  Samples outside any window pass through unrotated.  A latch
+lies on the 5-tick sample grid, as sample ticks, dispatch ticks and
+trigger edges do; ``resolve`` raises ``ValueError`` for one off it.
 
 ``ModEngine.resolve`` resolves the command stream over the run columns
 (start tick and sample count of each waveform run) and returns the
 MODULATE windows as ``Windows`` columns: each window's stream positions
-and the NCO state frozen when it opened.  It touches no sample; the
-caller rotates the samples inside windows in one pass with
-``Windows.rotation``.
+and the NCO state frozen when it opened, as its reference tick, its
+phase word there and its increment word.  It touches no sample; the
+caller rotates the samples inside windows in one pass.
 
 Array resolve: the engine keeps the stream as columns (command code,
 dispatch tick, dispatch position), and a copied loop lap arrives as one
@@ -46,33 +51,14 @@ no Python step per command:
   running maximum of window-end ticks and consumed trigger edges, and
   the first WAIT without an edge ends the stream.
 
-NCO state is built per NCO over the phase commands that select it, and
-is bit for bit what applying them in order gives.  offset, inc and
-ref_tick are forward fills of the last value set.  frame is the sum of
-the UPDATE_FRAME phase words since the last RESET_PHASE, mod 2^48: every
-term is a multiple of 2^-48 and frame + turns stays below 2, so the
-float update (frame + turns) % 1.0 never rounds and the integer sum has
-the same bits.  acc does round: each SET_PHASE_INC adds
-inc * (at - ref_tick) / 5, so acc is summed in command order, one
-``np.add.accumulate`` per RESET_PHASE segment, seeded with 0.0 so that a
--0.0 first term gives +0.0 as ``acc += term`` does.  The command loop
-this replaced is ``reference_resolve`` in ``tests/oracle.py``.
-
-Shared rotation factors: a sample of window j at output tick T rotates
-by exp(2πi·phase) with phase = acc + inc·rel/5 + offset + frame and
-rel = T - pipeline_ticks - ref_tick, every term the window's.  A window
-that plays contiguously (its last sample's tick is its first's plus
-ANALOG_SAMPLE_TICKS per sample) has rel = r0, r0 + 5, ... with r0 = its
-first tick - pipeline_ticks - ref_tick.  Two such windows of equal
-length, equal r0 and bit-equal acc, inc, offset and frame therefore run
-the same float operations on the same operands, and get byte-identical
-factors.  ``Windows.leaders`` groups windows by that key (bits, not
-values: a -0.0 frame gives another signed zero than +0.0) and names for
-each the first window of its group in stream order, its leader.  This
-is what every triggered shot of a readout looks like: a RESET_PHASE on
-the trigger edge gives each shot r0 = 0 and the same NCO state.  Loop
-laps of a free-running NCO differ in r0, acc or frame and share
-nothing.
+NCO state is built per NCO over the phase commands that select it.
+offset, inc and ref_tick are forward fills of the last value set.  acc
+and frame restart at each RESET_PHASE, and both only add words: each
+SET_PHASE_INC adds inc * (at - ref_tick) / 5 to acc, each UPDATE_FRAME
+its word to frame.  So acc + frame is one wrapping integer cumulative
+sum less its value at the last RESET_PHASE, and integer sums need no
+order kept.  The command loop this replaced is ``reference_resolve`` in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -81,15 +67,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import ANALOG_SAMPLE_TICKS
+from .clocks import ANALOG_SAMPLE_TICKS, PIPELINE_TICKS
 from .events import EV_MODULATE_UNDERFILLED, EV_RESET_PHASE, Event
 from .isa import (MOD_MODULATE, MOD_RESET_PHASE, MOD_SET_PHASE_INCREMENT,
                   MOD_SET_PHASE_OFFSET, MOD_UPDATE_FRAME, MOD_WAIT, NUM_NCOS,
                   PHASE_BITS, PHASE_MASK, Modulator)
 
-__all__ = ["ModConfig", "ModEngine", "Windows", "MixerCorrector"]
+__all__ = ["ModConfig", "ModEngine", "Windows", "MixerCorrector", "phasors"]
 
-TWO_PI = 2.0 * np.pi
+RADIANS_PER_WORD = 2.0 * np.pi / (1 << PHASE_BITS)   # 2π scaled by 2^-48
 
 
 @dataclass
@@ -99,71 +85,54 @@ class ModConfig:
     dc_offset_i: float = 0.0
     dc_offset_q: float = 0.0
     dac_bits: int | None = None      # optional output quantization, e.g. 14
-    pipeline_ticks: int = 0          # rotation stage to output plane delay
+
+
+def phasors(words: np.ndarray) -> np.ndarray:
+    """exp(2πi·word / 2^48) of 48-bit phase words: the word (exact in
+    float64) as radians, then one complex exp."""
+    factor = np.zeros(np.shape(words), np.complex128)
+    np.multiply(words, RADIANS_PER_WORD, out=factor.imag)
+    return np.exp(factor, out=factor)
 
 
 @dataclass(frozen=True, eq=False)
 class Windows:
     """MODULATE windows in stream order, as columns.
 
-    Window j rotates stream positions [lo[j], hi[j]) by one NCO whose
-    state (acc, inc, ref_tick, offset, frame) is frozen when the window
-    opens; phase commands bound inside it latch only after it closes.
+    Window j rotates stream positions [lo[j], hi[j]) by one NCO in the
+    state frozen when it opens: phase[j], its word at rotation-plane tick
+    ref_tick[j] (acc + offset + frame, mod 2^48), and inc[j], its word per
+    sample.  Phase commands bound inside it latch after it closes.
     Windows never overlap.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    acc: np.ndarray
-    inc: np.ndarray
     ref_tick: np.ndarray
-    offset: np.ndarray
-    frame: np.ndarray
-    pipeline_ticks: int          # rotation stage to output plane delay
+    phase: np.ndarray
+    inc: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lo)
 
+    def words(self, which: int | np.ndarray,
+              ticks: np.ndarray) -> np.ndarray:
+        """Phase words of samples emitted at ticks (on the sample grid)
+        inside windows which (one index, or one per tick)."""
+        samples = ticks - PIPELINE_TICKS
+        samples -= self.ref_tick[which]
+        samples //= ANALOG_SAMPLE_TICKS
+        # int64 products and sums wrap mod 2^64, a multiple of 2^48
+        samples *= self.inc[which]
+        samples += self.phase[which]
+        samples &= PHASE_MASK
+        return samples
+
     def rotation(self, which: int | np.ndarray,
                  ticks: np.ndarray) -> np.ndarray:
-        """Factors for samples emitted at ticks inside windows which
-        (one index, or one per tick), evaluated on the rotation plane."""
-        rel = ticks - self.pipeline_ticks
-        rel -= self.ref_tick[which]
-        phase = rel / ANALOG_SAMPLE_TICKS
-        # acc + inc*rel + offset + frame, added in that order, which
-        # fixes the rounding
-        phase *= self.inc[which]
-        phase += self.acc[which]
-        phase += self.offset[which]
-        phase += self.frame[which]
-        factor = np.zeros(phase.shape, np.complex128)
-        np.multiply(phase, TWO_PI, out=factor.imag)
-        return np.exp(factor, out=factor)
-
-    def leaders(self, first_tick: np.ndarray,
-                last_tick: np.ndarray) -> np.ndarray:
-        """For each window, the first window whose rotation factors it
-        repeats (itself if none), given the output ticks of each
-        window's first and last sample (module docstring)."""
-        n = len(self)
-        size = self.hi - self.lo
-        index = np.arange(n)
-        gapped = last_tick - first_tick != ANALOG_SAMPLE_TICKS * (size - 1)
-        # float columns as their bits: -0.0 and +0.0 rotate differently
-        keys = np.stack([
-            np.where(gapped, index, -1), size,
-            first_tick - self.pipeline_ticks - self.ref_tick,
-            self.acc.view(np.int64), self.inc.view(np.int64),
-            self.offset.view(np.int64), self.frame.view(np.int64)])
-        order = np.lexsort(keys)     # stable: stream order within a key
-        ranked = keys[:, order]
-        opens = np.ones(n, dtype=bool)
-        opens[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-        leader = np.empty(n, dtype=np.int64)
-        leader[order] = order[np.maximum.accumulate(
-            np.where(opens, index, 0))]
-        return leader
+        """Factors for samples emitted at ticks inside windows which,
+        each the direct exp of its exact phase word."""
+        return phasors(self.words(which, ticks))
 
 
 class ModEngine:
@@ -254,13 +223,10 @@ class ModEngine:
         """MODULATE windows over waveform runs given as columns (arrays or
         lists): run k starts at tick starts[k] and plays counts[k]
         samples."""
-        pipe = self.cfg.pipeline_ticks
         code, dispatch, dispatch_pos = self.columns()
         if not len(code):           # no command: no window, no event
             self.events = []
-            ints, floats = np.zeros(0, np.int64), np.zeros(0)
-            return Windows(ints, ints, floats, floats, ints, floats, floats,
-                           pipe)
+            return Windows(*[np.zeros(0, np.int64)] * 5)
         starts = np.asarray(starts, np.int64)
         counts = np.asarray(counts, np.int64)
         table = self.table
@@ -314,7 +280,11 @@ class ModEngine:
         # just before the sample at their position, or at the floor
         at = np.maximum(cursor, dispatch)
         at[placed[~closes]] = tick[~closes]
-        at -= pipe
+        off = latch & (at % ANALOG_SAMPLE_TICKS != 0)
+        if off.any():
+            raise ValueError(f"latch at output tick {int(at[off][0])} is "
+                             f"off the {ANALOG_SAMPLE_TICKS}-tick sample grid")
+        at -= PIPELINE_TICKS
 
         under = modulate & (end > total)
         reset = act == MOD_RESET_PHASE
@@ -331,27 +301,25 @@ class ModEngine:
         if (on >= self.cfg.num_ncos).any():
             raise IndexError(f"MODULATE selects NCO {int(on.max())}, "
                              f"the bank has {self.cfg.num_ncos}")
-        acc, inc, offset, frame = (np.zeros(len(opened)) for _ in range(4))
-        ref = np.zeros(len(opened), np.int64)
-        phase = latch | (act == MOD_SET_PHASE_OFFSET) \
+        state = [np.zeros(len(opened), np.int64) for _ in range(3)]
+        phase_cmds = latch | (act == MOD_SET_PHASE_OFFSET) \
             | (act == MOD_UPDATE_FRAME)
         for k in range(self.cfg.num_ncos):
             mine = on == k
             if not mine.any():
                 continue        # no window reads this NCO's state
-            sel = np.flatnonzero(phase & (nco & (1 << k) != 0))
+            sel = np.flatnonzero(phase_cmds & (nco & (1 << k) != 0))
             states = _nco_states(act[sel], word[sel], at[sel])
             # the state after the last of its commands before the window
             j = np.searchsorted(sel, opened[mine])
-            for column, values in zip((acc, inc, ref, offset, frame), states):
+            for column, values in zip(state, states):
                 column[mine] = values[j]
-        return Windows(pos[opened], bound[opened], acc, inc, ref, offset,
-                       frame, pipe)
+        return Windows(pos[opened], bound[opened], *state)
 
 
 def _nco_states(act: np.ndarray, word: np.ndarray,
                 at: np.ndarray) -> tuple[np.ndarray, ...]:
-    """acc, inc, ref_tick, offset and frame of one NCO before its phase
+    """ref_tick, phase word there and inc of one NCO before its phase
     commands (action, 48-bit phase word, latch tick) and after each one:
     entry j is the state after the first j commands."""
     n = len(act)
@@ -364,42 +332,22 @@ def _nco_states(act: np.ndarray, word: np.ndarray,
         last[1:] = np.where(sets, np.arange(1, n + 1), 0)
         return np.maximum.accumulate(last, out=last)
 
-    def after(values: np.ndarray, initial) -> np.ndarray:
-        return np.concatenate([np.array([initial], values.dtype), values])
+    def after(values: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.zeros(1, np.int64), values])
 
-    turns = after(word / (1 << PHASE_BITS), 0.0)    # exact: word < 2^48
-    inc = turns[latest(set_inc)]
-    offset = turns[latest(act == MOD_SET_PHASE_OFFSET)]
-    latched = latest(reset | set_inc)
-    ref_tick = after(at, 0)[latched]
-    # frame words summed mod 2^48 since the last RESET_PHASE: the float
-    # sums (frame + turns) % 1.0 the hardware model does are exact
-    added = np.zeros(n + 1, np.uint64)
-    np.cumsum(np.where(act == MOD_UPDATE_FRAME, word, 0).astype(np.uint64),
-              out=added[1:])
-    added -= added[latest(reset)]
-    added &= np.uint64(PHASE_MASK)
-    frame = added.astype(np.float64) / (1 << PHASE_BITS)
-    # SET_PHASE_INC accumulates at the old increment up to its latch;
-    # RESET_PHASE zeroes acc.  Each segment between resets is summed in
-    # command order from 0.0, as acc += term rounds.
+    words = after(word)
+    inc = words[latest(set_inc)]
+    ref_tick = after(at)[latest(reset | set_inc)]
+    # acc + frame since the last RESET_PHASE: SET_PHASE_INC adds the old
+    # increment's samples up to its latch, UPDATE_FRAME its word
+    added = after(np.where(act == MOD_UPDATE_FRAME, word, 0))
     j = np.flatnonzero(set_inc)
-    term = inc[j] * (at[j] - ref_tick[j]) / ANALOG_SAMPLE_TICKS
-    value = np.zeros(n + 1)
-    value[j + 1] = _segment_sums(term, np.cumsum(reset)[j])
-    acc = value[latched]
-    return acc, inc, ref_tick, offset, frame
-
-
-def _segment_sums(term: np.ndarray, segment: np.ndarray) -> np.ndarray:
-    """Running sums of term, restarted from 0.0 where segment changes."""
-    out = np.empty(len(term))
-    cuts = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), len(term)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part = np.zeros(hi - lo + 1)
-        part[1:] = term[lo:hi]
-        out[lo:hi] = np.add.accumulate(part)[1:]
-    return out
+    added[j + 1] = inc[j] * ((at[j] - ref_tick[j]) // ANALOG_SAMPLE_TICKS)
+    np.cumsum(added, out=added)          # wraps mod 2^64, like the words
+    added -= added[latest(reset)]
+    added += words[latest(act == MOD_SET_PHASE_OFFSET)]
+    added &= PHASE_MASK
+    return ref_tick, added, inc
 
 
 class MixerCorrector:

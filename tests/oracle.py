@@ -8,15 +8,18 @@ routes checks engine semantics rather than restating them.
 
 ``reference_resolve`` is the modulator's command loop in the same
 style: it applies a ``ModEngine``'s commands one at a time, in stream
-order, to an NCO bank of Python floats.  ``ModEngine.resolve`` computes
-the same windows and events in array passes, and must match it byte
-for byte.
+order, to an NCO bank of Python ints, each phase a 48-bit word summed
+mod 2^48.  ``ModEngine.resolve`` computes the same windows and events
+in array passes, and must match it byte for byte.
 
 Generated programs stay inside the value-comparable subset:
 
 * phase increments stay zero.  A nonzero increment makes sample values
   depend on playback timing, which the interpreter deliberately cannot
-  see.  Timing-dependent phase is covered by dedicated engine tests.
+  see.  Timing-dependent phase is covered by dedicated engine tests,
+  among them one that rebuilds every modulated sample from its output
+  tick and ``reference_resolve``'s words, over programs made with
+  ``random_program(..., increments=True)``.
 * no WAIT and no LOAD_CMP, so control flow needs no external events.
 * every MODULATE window is emitted directly before the plays it binds
   and covers them exactly.  Windows bind samples by arrival order at the
@@ -31,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from aps2sim import isa
-from aps2sim.clocks import ANALOG_SAMPLE_TICKS
+from aps2sim.clocks import ANALOG_SAMPLE_TICKS, PIPELINE_TICKS
 from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
     CmpOp,
@@ -44,7 +47,6 @@ from aps2sim.isa import (
     ProgramImage,
     Waveform,
     WfAction,
-    turns_from_phase_word,
 )
 from aps2sim.mod import ModConfig, ModEngine, Windows
 
@@ -67,22 +69,23 @@ def interpret(image: ProgramImage, initial_cmp: int = 0,
     analog: list[np.ndarray] = []
     markers: dict[int, list[np.ndarray]] = {ch: [] for ch in range(4)}
 
-    offsets = [0.0, 0.0, 0.0, 0.0]
-    frames = [0.0, 0.0, 0.0, 0.0]
+    # phase words, 2^-48 turn each, summed mod 2^48
+    offsets = [0, 0, 0, 0]
+    frames = [0, 0, 0, 0]
     window_nco = 0
     window_left = 0
     pending: list[Modulator] = []    # commands latch when the window closes
 
     def apply_phase(md: Modulator) -> None:
-        turns = turns_from_phase_word(md.phase_word)
+        word = md.phase_word & isa.PHASE_MASK
         for k in range(4):
             if md.nco & (1 << k):
                 if md.action is ModAction.RESET_PHASE:
-                    frames[k] = 0.0
+                    frames[k] = 0
                 elif md.action is ModAction.SET_PHASE_OFFSET:
-                    offsets[k] = turns
+                    offsets[k] = word
                 elif md.action is ModAction.UPDATE_FRAME:
-                    frames[k] = (frames[k] + turns) % 1.0
+                    frames[k] = (frames[k] + word) & isa.PHASE_MASK
 
     def pump() -> None:
         nonlocal window_nco, window_left
@@ -104,9 +107,9 @@ def interpret(image: ProgramImage, initial_cmp: int = 0,
                 out.append(samples[pos:])
                 break
             take = min(window_left, n - pos)
-            # same float expression as the hardware phase evaluation
-            phase = ((0.0 + 0.0) + offsets[window_nco]) + frames[window_nco]
-            factor = np.exp(1j * TWO_PI * np.full(take, phase))
+            word = (offsets[window_nco] + frames[window_nco]) & isa.PHASE_MASK
+            turns = word / (1 << isa.PHASE_BITS)
+            factor = np.exp(1j * TWO_PI * np.full(take, turns))
             out.append(samples[pos:pos + take] * factor)
             window_left -= take
             pos += take
@@ -193,6 +196,7 @@ class _Emitter:
     def __init__(self) -> None:
         self.items: list = []       # Instruction or (op, label, conditional)
         self.labels: dict[str, int] = {}
+        self.dead = 0               # padding words, never executed
         self._n = 0
 
     def put(self, instr: Instruction) -> None:
@@ -203,6 +207,11 @@ class _Emitter:
 
     def mark(self, label: str) -> None:
         self.labels[label] = len(self.items)
+
+    def pad(self, n: int) -> None:
+        """n words no path reaches, which move what follows them on."""
+        self.items += [DEAD] * n
+        self.dead += n
 
     def fresh(self, base: str) -> str:
         self._n += 1
@@ -221,12 +230,19 @@ class _Emitter:
 
 
 LIB_SAMPLES = 1024
+DEAD = Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=0)
 
 
 def random_program(rng: np.random.Generator, max_instructions: int = 400,
-                   max_repeat: int = 4) -> tuple[ProgramImage, int]:
+                   max_repeat: int = 4, increments: bool = False,
+                   pad: int = 0) -> tuple[ProgramImage, int]:
     """A structured random program plus the comparison register preset;
-    each loop runs at most max_repeat laps."""
+    each loop runs at most max_repeat laps.  increments adds nonzero
+    SET_PHASE_INC commands, whose values interpret() cannot check.  A
+    pad above 1 spreads the program over cache lines: up to pad dead
+    words after the first GOTO and each RETURN, and GOTOs over as many
+    inside blocks, loop bodies included (max_instructions counts no
+    dead word)."""
     wave = rng.integers(-32768, 32768, size=(LIB_SAMPLES, 2), dtype=np.int16)
     em = _Emitter()
     initial_cmp = int(rng.integers(0, 8))
@@ -248,10 +264,13 @@ def random_program(rng: np.random.Generator, max_instructions: int = 400,
             state=int(rng.integers(0, 2)), count=int(rng.integers(1, 6)),
             last_word=int(rng.integers(0, 16)))))
 
+    phase_actions = [ModAction.SET_PHASE_OFFSET, ModAction.UPDATE_FRAME,
+                     ModAction.RESET_PHASE]
+    if increments:
+        phase_actions.append(ModAction.SET_PHASE_INCREMENT)
+
     def phase_command() -> None:
-        action = ModAction(rng.choice([ModAction.SET_PHASE_OFFSET,
-                                       ModAction.UPDATE_FRAME,
-                                       ModAction.RESET_PHASE]))
+        action = ModAction(rng.choice(phase_actions))
         word = (0 if action is ModAction.RESET_PHASE
                 else int(rng.integers(0, 1 << 48)))
         em.put(Instruction(Opcode.MODULATOR, Modulator(
@@ -287,10 +306,18 @@ def random_program(rng: np.random.Generator, max_instructions: int = 400,
 
     subs: list[list[str]] = [[] for _ in range(4)]
 
+    def jump_over_padding() -> None:
+        over = em.fresh("over")
+        em.branch(Opcode.GOTO, over)
+        em.pad(int(rng.integers(1, pad)))
+        em.mark(over)
+
     def block(sub_level: int, in_loop: bool, size: int) -> None:
         for _ in range(size):
-            if len(em.items) > max_instructions:
+            if len(em.items) - em.dead > max_instructions:
                 return
+            if pad and rng.random() < 0.15:
+                jump_over_padding()
             roll = rng.random()
             if roll < 0.30:
                 play()
@@ -310,12 +337,16 @@ def random_program(rng: np.random.Generator, max_instructions: int = 400,
                 phase_command()
 
     em.branch(Opcode.GOTO, "main")
+    if pad:
+        em.pad(int(rng.integers(0, pad)))
     for level in range(3, 0, -1):
         for s in range(int(rng.integers(1, 3))):
             name = f"sub{level}_{s}"
             em.mark(name)
             block(level, in_loop=False, size=int(rng.integers(2, 5)))
             em.put(Instruction(Opcode.RETURN))
+            if pad:
+                em.pad(int(rng.integers(0, pad)))
             subs[level].append(name)
     em.mark("main")
     block(0, in_loop=False, size=int(rng.integers(4, 9)))
@@ -328,14 +359,16 @@ def random_program(rng: np.random.Generator, max_instructions: int = 400,
 
 
 class _Nco:
+    """One NCO's state as 48-bit phase words (2^-48 turn each)."""
+
     __slots__ = ("inc", "acc", "ref_tick", "offset", "frame")
 
     def __init__(self) -> None:
-        self.inc = 0.0          # turns per analog sample
-        self.acc = 0.0          # turns accumulated up to ref_tick
+        self.inc = 0            # per analog sample
+        self.acc = 0            # accumulated up to ref_tick
         self.ref_tick = 0
-        self.offset = 0.0
-        self.frame = 0.0
+        self.offset = 0
+        self.frame = 0
 
 
 class NcoBank:
@@ -352,9 +385,8 @@ def reference_resolve(eng: ModEngine, starts, counts,
     """What eng.resolve returns, one command at a time: the windows and
     the modulator events.
 
-    Commands apply in stream order to an NCO bank held as Python floats,
-    so each float operation is the one the module docstring of
-    aps2sim.mod describes.  The run holding a position is found by
+    Commands apply in stream order to an NCO bank of Python ints, every
+    sum of words taken mod 2^48.  The run holding a position is found by
     walking forward, since the position a command binds never decreases.
     """
     starts, counts = np.asarray(starts).tolist(), np.asarray(counts).tolist()
@@ -370,8 +402,8 @@ def reference_resolve(eng: ModEngine, starts, counts,
 
     cols: list[tuple] = []          # one row per window
     edges = iter(trigger_edges)
-    pipe = eng.cfg.pipeline_ticks
-    turn = 1 << isa.PHASE_BITS      # phase word units per turn
+    pipe = PIPELINE_TICKS
+    mask = isa.PHASE_MASK
     cursor_pos = 0          # stream position the next command may bind
     cursor_tick = 0         # output-plane floor once samples ran out
 
@@ -383,8 +415,9 @@ def reference_resolve(eng: ModEngine, starts, counts,
             bound = min(end, total)
             if bound > pos:
                 nco = ncos[md.nco]
-                cols.append((pos, bound, nco.acc, nco.inc, nco.ref_tick,
-                             nco.offset, nco.frame))
+                cols.append((pos, bound, nco.ref_tick,
+                             (nco.acc + nco.offset + nco.frame) & mask,
+                             nco.inc))
                 # output tick just after the window's last sample
                 last = bound - 1
                 while first[run + 1] <= last:
@@ -406,13 +439,13 @@ def reference_resolve(eng: ModEngine, starts, counts,
         elif action is ModAction.SYNC:
             cursor_pos = pos
         else:
-            turns = (md.phase_word & isa.PHASE_MASK) / turn
+            word = md.phase_word & mask
             if action is ModAction.UPDATE_FRAME:
                 for nco in selected[md.nco]:
-                    nco.frame = (nco.frame + turns) % 1.0
+                    nco.frame = (nco.frame + word) & mask
             elif action is ModAction.SET_PHASE_OFFSET:
                 for nco in selected[md.nco]:
-                    nco.offset = turns
+                    nco.offset = word
             else:
                 # RESET_PHASE and SET_PHASE_INC latch on the
                 # rotation-plane clock, just before the sample at
@@ -426,32 +459,30 @@ def reference_resolve(eng: ModEngine, starts, counts,
                     at = max(cursor_tick, dispatch) - pipe
                 if action is ModAction.RESET_PHASE:
                     for nco in selected[md.nco]:
-                        nco.acc = 0.0
-                        nco.frame = 0.0
+                        nco.acc = 0
+                        nco.frame = 0
                         nco.ref_tick = at
                     events.append(Event(at, EventKind.RESET_PHASE, 0,
                                         {"mask": md.nco}))
                 else:
                     # accumulate at the old increment up to the latch
                     for nco in selected[md.nco]:
-                        nco.acc += (nco.inc * (at - nco.ref_tick)
-                                    / ANALOG_SAMPLE_TICKS)
+                        samples, off = divmod(at - nco.ref_tick,
+                                              ANALOG_SAMPLE_TICKS)
+                        assert not off, f"latch tick {at} is off the grid"
+                        nco.acc = (nco.acc + nco.inc * samples) & mask
                         nco.ref_tick = at
-                        nco.inc = turns
+                        nco.inc = word
             cursor_pos = pos
 
-    lo, hi, acc, inc, ref, offset, frame = zip(*cols) if cols else [()] * 7
-    return Windows(np.array(lo, np.int64), np.array(hi, np.int64),
-                   np.array(acc, np.float64), np.array(inc, np.float64),
-                   np.array(ref, np.int64), np.array(offset, np.float64),
-                   np.array(frame, np.float64), pipe), events
+    return Windows(*(np.array(col, np.int64) for col in (
+        zip(*cols) if cols else [()] * 5))), events
 
 
 def resolved(windows: Windows, events: list[Event]) -> tuple:
     """A resolve's result as comparable values: each Windows column's
-    dtype and bytes, the pipeline delay and the events' repr, which shows
-    a numpy scalar where a Python int belongs."""
-    cols = (windows.lo, windows.hi, windows.acc, windows.inc,
-            windows.ref_tick, windows.offset, windows.frame)
-    return ([(c.dtype.str, c.tobytes()) for c in cols],
-            windows.pipeline_ticks, repr(events))
+    dtype and bytes, and the events' repr, which shows a numpy scalar
+    where a Python int belongs."""
+    cols = (windows.lo, windows.hi, windows.ref_tick, windows.phase,
+            windows.inc)
+    return [(c.dtype.str, c.tobytes()) for c in cols], repr(events)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aps2sim.asm import insert_prefetch_hints
+from aps2sim import engine
 from aps2sim.engine import (BLOCK_SAMPLES, PIPELINE_TICKS, STACK_DEPTH,
                             DeadlockError, EngineConfig, Sequencer, SimTrap)
 from aps2sim.events import Event, EventKind
@@ -24,11 +25,12 @@ from aps2sim.isa import (
     ProgramImage,
     Waveform,
     WfAction,
+    PHASE_MASK,
     encode,
     turns_from_phase_word,
 )
 from aps2sim.mem import MemConfig
-from aps2sim.mod import ModConfig, Windows
+from aps2sim.mod import MixerCorrector, ModConfig, Windows
 
 from oracle import interpret, random_program, reference_resolve, resolved
 
@@ -360,10 +362,12 @@ def test_finalize_is_repeatable():
 
 
 def test_sequencer_leaves_the_passed_config_unchanged():
-    mod_cfg = ModConfig()
-    seq = Sequencer(image([play(0, 8)]), mod_cfg=mod_cfg)
-    assert mod_cfg == ModConfig()
-    assert seq.mod_cfg.pipeline_ticks == PIPELINE_TICKS
+    cfgs = EngineConfig(), MemConfig(), ModConfig()
+    seq = Sequencer(image([mod(ModAction.MODULATE, nco=0, count=8),
+                           play(0, 8)]), *cfgs)
+    seq.run_simple()
+    assert cfgs == (EngineConfig(), MemConfig(), ModConfig())
+    assert seq.mod_cfg is cfgs[2]
 
 
 FAR = 6 * 128 + 3                     # beyond the warm instruction window
@@ -735,10 +739,10 @@ def test_timing_is_pinned(name):
 
 # -- value pins ----------------------------------------------------------
 #
-# Digests of the analog values byte for byte, recorded before finalize's
-# gather, rotation and mixer were reworked for speed: a change to the
-# sample plane that moves one value by one ulp, or one saturation count,
-# fails here.
+# Digests of the analog values byte for byte, recorded when NCO phase
+# became exact 48-bit words rotated through ramps: a change to the sample
+# plane that moves one value by one ulp, or one saturation count, fails
+# here.
 
 SKEW = ModConfig(mixer_matrix=(1.07, -0.13, 0.09, 0.94),
                  dc_offset_i=0.31, dc_offset_q=-0.27)   # clips full scale
@@ -795,8 +799,8 @@ def value_runs():
     runs["one_row_block"] = (Sequencer(
         image(edge + [play(7, 300, ta=True)], BIG_WAVE), mod_cfg=SKEW), ())
     # readout shots: every window opens from the same NCO state and
-    # repeats the first one's factors; at 17,385 entries a shot, the
-    # windows of shots 4 and 8 cross a block edge
+    # starts the same phasor rows; at 17,385 entries a shot, the windows
+    # of shots 4 and 8 cross a block edge
     offset = mod(ModAction.SET_PHASE_OFFSET, phase_word=0x1234_5678_9ABC)
     shot = [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
             mod(ModAction.UPDATE_FRAME, phase_word=0x5A00_0000_0000),
@@ -822,7 +826,8 @@ def value_runs():
     runs["free_running_shots"] = (Sequencer(
         image([inc, *free * 3], BIG_WAVE), mod_cfg=SKEW),
         [1000 + 30_000 * k for k in range(3)])
-    # windows longer than a block: each is rotated on its own
+    # windows longer than a block, so longer than their ramp: each takes
+    # a second phasor row
     big = [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
            mod(ModAction.MODULATE, nco=0, count=70_000),
            play(9, 70_000, ta=True)]
@@ -839,11 +844,11 @@ PINNED_VALUES = {
     "dac_signed_zeros": "45c8c2d9512f24f3",
     "far_calls": "4d11243153baa9ef",
     "far_calls_ideal": "f137ccf79101a3bd",
-    "free_running_shots": "ce04617bccd648f5",
+    "free_running_shots": "97494c295702fd7a",
     "gap_in_window": "8aa0abbd03d6ca4e",
-    "lazy_clip_between_windows": "4f59aa9695997d41",
-    "long_repeated_window": "1d6f5233459d9620",
-    "long_window": "eb68dcd3d5dbab2e",
+    "lazy_clip_between_windows": "6187942ec745a7c5",
+    "long_repeated_window": "268027b07815f24a",
+    "long_window": "20ab9193a01cf016",
     "marker_queue_depth2": "66280c62ffb1bfa2",
     "one_row_block": "05fd2a45cfa5a9b8",
     "oracle0": "b10787c72d7b700c",
@@ -858,14 +863,14 @@ PINNED_VALUES = {
     "oracle17": "c0fd9da243022723",
     "oracle18": "d15f99ff2150f0a0",
     "oracle19": "d55843f2bcc8deee",
-    "oracle2": "25a5a59d3de0a0c1",
+    "oracle2": "4167b37a16ef11d1",
     "oracle20": "72cc3052e94da8ed",
-    "oracle21": "3588d80d16126230",
+    "oracle21": "0fc8a8a4daf8110e",
     "oracle22": "c5728f20303fdb96",
     "oracle23": "9d9df7a718eded82",
-    "oracle24": "302e25fb05e959f8",
+    "oracle24": "98c7ee119e4130a1",
     "oracle3": "7e54964dffce7387",
-    "oracle4": "8f64db0c9be9a25b",
+    "oracle4": "788fedfa67968ef0",
     "oracle5": "372fc0d297c56fa7",
     "oracle6": "5e93edb10d44d72f",
     "oracle7": "1d9ecc3db5557a32",
@@ -875,7 +880,7 @@ PINNED_VALUES = {
     "page_swap": "630d12dccff2077f",
     "queue_depth4": "99d0c1452b739582",
     "queue_depth8": "bc22c599803885a3",
-    "reset_shots": "5810d7d4ff45b6ea",
+    "reset_shots": "93c46230d35d4abd",
     "skewed_mixer": "7678303fe908a40a",
     "ta_partly_in_window": "d691e496729d7cfd",
     "window_jump": "83505a110476d574",
@@ -910,89 +915,226 @@ def test_resolve_matches_the_reference_on_value_runs():
     assert {"reset_shots", "gap_in_window", "long_window"} <= set(modulated)
 
 
-# -- shared rotation factors ---------------------------------------------
+# -- rotation ramps -------------------------------------------------------
 #
-# A window in the same NCO state as an earlier one reads that leader's
-# rotation factors from a buffer instead of rotating again.  Every value
-# must stay byte-identical to rotating each window on its own, which is
-# what Windows.leaders naming each window its own leader does.
+# finalize rotates an entry by its window's phasor times an entry of the
+# ramp its increment shares.  These checks rebuild the values on their
+# own: from the output ticks, the waveform words and the phase words
+# tests/oracle.py's reference_resolve keeps as Python ints, with one
+# direct exp per sample.
 
 
-@pytest.fixture
-def followers(monkeypatch):
-    """Per resolve of windows, how many repeat an earlier one's factors."""
-    counts = []
-    leaders = Windows.leaders
+def rebuilt_values(seq, trace):
+    """trace's analog values rebuilt from its ticks: each sample's
+    waveform word, rotated by the direct exp of its exact phase word,
+    through the mixer correction of seq's config."""
+    ticks, runs, wf = trace.analog_ticks(), trace.analog, seq.wf
+    windows, _ = reference_resolve(seq.modeng, runs.start, runs.n,
+                                   seq.trigger_edges)
+    index = np.concatenate([np.zeros(0, np.int64)] + [
+        np.full(n, a) if ta else a + np.arange(n)
+        for a, n, ta in zip(wf.addrs, wf.counts, wf.ta)])
+    raw = seq.image.waveforms[index].astype(np.float64)
+    z = (raw[:, 0] + 1j * raw[:, 1]) / 32768.0
+    for lo, hi, ref, phase, inc in zip(*(col.tolist() for col in (
+            windows.lo, windows.hi, windows.ref_tick, windows.phase,
+            windows.inc))):
+        samples, off = np.divmod(ticks[lo:hi] - PIPELINE_TICKS - ref, 5)
+        assert not off.any()
+        words = (phase + samples.astype(object) * inc) & PHASE_MASK
+        z[lo:hi] *= np.exp(2j * np.pi * (words / (1 << 48)).astype(float))
+    return MixerCorrector(seq.mod_cfg).apply(z), len(windows)
 
-    def counted(self, first_tick, last_tick):
-        leader = leaders(self, first_tick, last_tick)
-        counts.append(int(np.count_nonzero(leader != np.arange(len(self)))))
-        return leader
 
-    monkeypatch.setattr(Windows, "leaders", counted)
-    return counts
-
-
-def no_sharing(monkeypatch, run):
-    """run() with every window its own leader."""
-    with monkeypatch.context() as m:
-        m.setattr(Windows, "leaders",
-                  lambda self, first_tick, last_tick: np.arange(len(self)))
-        return run()
-
-
-def test_shared_factors_leave_pinned_values_unchanged(monkeypatch, followers):
-    shared = {}
+def test_modulated_values_rebuild_from_ticks_and_words():
+    modulated = []
     for name, (seq, triggers) in value_runs().items():
-        digest = value_digest(seq.run_simple(triggers=triggers))
-        assert digest == no_sharing(
-            monkeypatch, lambda: value_digest(seq.finalize())), name
-        shared[name] = followers[-1]
-    # every shot but the first repeats it; a window with a gap inside
-    # shares nothing, and neither does a free-running NCO's
-    assert shared["reset_shots"] == 7
-    assert shared["gap_in_window"] == 2
-    assert shared["free_running_shots"] == 0
-    assert shared["long_repeated_window"] == 2      # but too long to keep
+        trace = seq.run_simple(triggers=triggers)
+        rebuilt, windows = rebuilt_values(seq, trace)
+        if windows:
+            modulated.append(name)
+            assert np.abs(trace.analog_values() - rebuilt).max() <= 1e-13, \
+                name
+    assert len(modulated) >= 20
+    assert {"reset_shots", "gap_in_window", "free_running_shots",
+            "long_window", "long_repeated_window"} <= set(modulated)
 
 
-def test_shared_factors_leave_random_programs_unchanged(monkeypatch,
-                                                        followers):
-    for seed in range(60):
-        prog, initial_cmp = random_program(np.random.default_rng(5000 + seed))
+def test_random_programs_with_increments_rebuild_from_ticks_and_words():
+    rotating = 0
+    for seed in range(100):
+        prog, initial_cmp = random_program(
+            np.random.default_rng(5000 + seed), max_repeat=20,
+            increments=True)
         seq = Sequencer(prog, EngineConfig(initial_cmp=initial_cmp))
-        digest = value_digest(seq.run_simple())
-        assert digest == no_sharing(
-            monkeypatch, lambda: value_digest(seq.finalize())), seed
-    assert sum(n > 0 for n in followers) >= 3     # sharing ran
+        trace = seq.run_simple()
+        rebuilt, _ = rebuilt_values(seq, trace)
+        assert np.abs(trace.analog_values() - rebuilt).max(initial=0) \
+            <= 1e-13, seed
+        windows = seq.modeng.resolve(trace.analog.start, trace.analog.n, [])
+        rotating += bool(windows.inc.any())
+    assert rotating >= 20      # programs with a window at an increment
 
 
-def test_shared_factors_stay_within_one_block_of_memory(monkeypatch,
-                                                        followers):
-    # 64 shots of distinct frames, then each again: 64 leaders with a
-    # follower each, of which 16 fill the buffer
-    inc = mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_0000_0000)
-    shots = []
-    for c in list(range(64)) * 2:
-        shots += [Instruction(Opcode.WAIT), mod(ModAction.RESET_PHASE),
-                  mod(ModAction.UPDATE_FRAME, phase_word=(c + 1) << 40),
-                  mod(ModAction.MODULATE, nco=0, count=4096), play(0, 4096)]
-    seq = Sequencer(image([inc, *shots], BIG_WAVE))
-    seq.run_simple(triggers=[1000 + 25_000 * k for k in range(128)])
+HALF = np.array([[16384, 0]], dtype=np.int16)    # 0.5: exact products
 
-    def peak():
+
+def test_ramp_stays_within_1e_14_of_the_direct_exp_over_2_20_samples():
+    # one window of 2^20 samples of 0.5, in four plays with a trigger
+    # wait between each: the ramp's phasor rows cross the gaps
+    count = 1 << 20
+    prog = [mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_4567_89AB),
+            mod(ModAction.MODULATE, nco=0, count=count)]
+    for k in range(4):
+        prog += [Instruction(Opcode.WAIT)] * (k > 0)
+        prog.append(play(0, count // 4, ta=True))
+    seq = Sequencer(image(prog, HALF))
+    trace = seq.run_simple(triggers=[2_000_000 * k for k in (2, 3, 5)])
+    ticks = trace.analog_ticks()
+    assert np.count_nonzero(np.diff(ticks) != 5) == 3
+    windows = seq.modeng.resolve(trace.analog.start, trace.analog.n,
+                                 seq.trigger_edges)
+    assert len(windows) == 1
+    direct = windows.rotation(0, ticks)
+    # 0.5 times a factor, through the identity mixer, is exact
+    assert np.abs(2 * trace.analog_values() - direct).max() <= 1e-14
+
+
+def two_window_rotations(gap=0, first_tick=1280, **column):
+    """Two windows of 0.5 samples through _mix, the second's column
+    values, first tick and a gap after its first sample changed as
+    given: twice the mixed entries, and the direct exp of each entry's
+    exact phase word."""
+    cols = {"lo": [0, 8], "hi": [8, 16], "ref_tick": [100, 1100],
+            "phase": [0x4000_0000_0001] * 2, "inc": [0x0321_0000_0000] * 2}
+    for name, value in column.items():
+        cols[name][1] = value
+    windows = Windows(*(np.array(cols[name], np.int64) for name in
+                        ("lo", "hi", "ref_tick", "phase", "inc")))
+    n = np.array([8, 1, cols["hi"][1] - 9])
+    runs = engine.Runs(np.array([280, first_tick, first_tick + 5 + gap]), n)
+    mixed, lazy = engine._mix(HALF, runs, np.zeros(3, np.int64),
+                              np.ones(3, bool), windows,
+                              MixerCorrector(ModConfig()))
+    assert not lazy.any()
+    which = np.repeat([0, 1], [8, n[1:].sum()])
+    return 2 * mixed, windows.rotation(which, runs.ticks())
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"phase": 0x4000_0000_0002}, {"inc": 0x0321_0000_0001},
+    {"inc": 0}, {"ref_tick": 1105}, {"first_tick": 1285}, {"hi": 15},
+    {"gap": 5}, {"hi": 100_008},
+], ids=["same_state", "phase", "inc", "zero_inc", "ref_tick", "first_tick",
+        "length", "gap", "past_a_block"])
+def test_the_ramp_rotates_every_window_shape_as_the_direct_exp(change):
+    ramped, direct = two_window_rotations(**change)
+    assert np.abs(ramped - direct).max() <= 1e-14
+    # r = 0, each window's first sample: the phasor itself
+    assert ramped[[0, 8]].tobytes() == direct[[0, 8]].tobytes()
+
+
+def test_ramps_are_one_per_increment_and_fit_in_a_block():
+    inc = np.array([3, 5 << 40, 3, 0, 5 << 40])
+    span = np.array([10, 4, 20, 7, 100_000])
+    ramp, at, period = engine._ramps(inc, span)
+    # three ramps, each as long as its increment's longest span, but the
+    # longest cut to a third of a block, and the unit entry
+    assert period.tolist() == [20, BLOCK_SAMPLES // 3, 20, 7,
+                               BLOCK_SAMPLES // 3]
+    assert len(ramp) == 27 + BLOCK_SAMPLES // 3 + 1 and ramp[-1] == 1
+    assert at[0] == at[2] and at[1] == at[4] and len(set(at.tolist())) == 3
+    for j in range(5):
+        words = [(int(inc[j]) * r) & PHASE_MASK for r in range(period[j])]
+        assert np.allclose(ramp[at[j]:at[j] + period[j]],
+                           np.exp(2j * np.pi * np.array(words) / 2**48),
+                           rtol=0, atol=1e-15)
+    # past BLOCK_SAMPLES increments every window reads the unit entry
+    many = np.arange(BLOCK_SAMPLES + 1)
+    ramp, at, period = engine._ramps(many, np.full(len(many), 9))
+    assert (period == 1).all() and (at == 0).all() and ramp.tolist() == [1]
+
+
+def test_ramps_stay_within_one_block_of_memory(monkeypatch):
+    # 128 shots, each at its own increment or all at one: 128 ramps cut
+    # to 512 entries each, against one ramp of 4,096
+    ramps = []
+    make_ramps = engine._ramps
+
+    def spy(inc, span):
+        made = make_ramps(inc, span)
+        ramps.append(made)
+        return made
+
+    monkeypatch.setattr(engine, "_ramps", spy)
+
+    def peak(distinct):
+        shots = []
+        for c in range(128):
+            word = 0x0321_0000_0000 + (c << 20) * distinct
+            shots += [Instruction(Opcode.WAIT),
+                      mod(ModAction.SET_PHASE_INCREMENT, phase_word=word),
+                      mod(ModAction.RESET_PHASE),
+                      mod(ModAction.MODULATE, nco=0, count=4096),
+                      play(0, 4096)]
+        seq = Sequencer(image(shots, BIG_WAVE))
+        seq.run_simple(triggers=[1000 + 25_000 * k for k in range(128)])
         tracemalloc.start()
         try:
             trace = seq.finalize()
-            return tracemalloc.get_traced_memory()[1], trace
+            return tracemalloc.get_traced_memory()[1], trace, seq
         finally:
             tracemalloc.stop()
 
-    shared, trace = peak()
-    alone, alone_trace = no_sharing(monkeypatch, peak)
-    assert followers[-1] == 64
-    assert value_digest(trace) == value_digest(alone_trace)
-    assert shared - alone < 17 * BLOCK_SAMPLES       # 16 B an entry, + 6 %
+    shared, _, _ = peak(False)
+    apart, trace, seq = peak(True)
+    ramp, at, period = ramps[-1]
+    assert len(set(at.tolist())) == 128 and (period == 512).all()
+    assert len(ramp) == BLOCK_SAMPLES + 1          # and the unit entry
+    assert len(ramps[-3][0]) == 4096 + 1        # the one shared ramp
+    assert apart - shared < 17 * BLOCK_SAMPLES    # 16 B an entry, + 6 %
+    rebuilt, _ = rebuilt_values(seq, trace)
+    assert np.abs(trace.analog_values() - rebuilt).max() <= 1e-13
+
+
+def test_many_increments_keep_the_rotation_within_a_block(monkeypatch):
+    # 4,096 back-to-back windows of 512 samples, each at its own
+    # increment or all at one: 4,096 ramps of 16 entries give 32 phasor
+    # rows a window, 131,072 pieces in all, but a block cuts only its own
+    ramps = []
+    make_ramps = engine._ramps
+
+    def spy(inc, span):
+        ramps.append(make_ramps(inc, span))
+        return ramps[-1]
+
+    monkeypatch.setattr(engine, "_ramps", spy)
+
+    def peak(distinct):
+        prog = []
+        for c in range(4096):
+            word = 0x0321_0000_0000 + (c << 20) * distinct
+            prog += [mod(ModAction.SET_PHASE_INCREMENT, phase_word=word),
+                     mod(ModAction.MODULATE, nco=0, count=512),
+                     play(0, 512)]
+        seq = Sequencer(image(prog, BIG_WAVE))
+        assert seq.run_until_blocked() == "halted"
+        tracemalloc.start()
+        try:
+            trace = seq.finalize()
+            return tracemalloc.get_traced_memory()[1], trace, seq
+        finally:
+            tracemalloc.stop()
+
+    shared, _, _ = peak(False)
+    apart, trace, seq = peak(True)
+    assert (ramps[-1][2] == 16).all() and len(ramps[-2][0]) == 512 + 1
+    # the ramps' 1 MiB and a block's pieces, not the 4 MiB that the
+    # stream's 131,072 pieces hold at 32 B each
+    assert apart - shared < 2 * 16 * BLOCK_SAMPLES
+    rebuilt, windows = rebuilt_values(seq, trace)
+    assert windows == 4096
+    assert np.abs(trace.analog_values() - rebuilt).max() <= 1e-13
 
 
 # -- lap fast-forward ----------------------------------------------------
@@ -1028,24 +1170,39 @@ def decoding_every_lap(monkeypatch, run):
 
 
 def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
-    skipped = 0
+    # padded over about a dozen cache lines, so loops and calls cross
+    # lines the window has yet to fill: some fast-forwards replay
+    # instruction-cache misses and window waits along with the laps
+    replayed = []           # instruction-cache events each one appended
+    counted = Sequencer._repeat_laps
+
+    def replaying(self, period, marks):
+        before = len(self.icache.events)
+        done = counted(self, period, marks)
+        if done:
+            replayed.append(len(self.icache.events) - before)
+        return done
+
+    monkeypatch.setattr(Sequencer, "_repeat_laps", replaying)
+    skipped = cached = 0
     for seed in range(100):
         prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
-                                           max_repeat=40)
+                                           max_repeat=40, pad=300)
         for hinted in (prog, insert_prefetch_hints(prog)):
             def make():
                 return Sequencer(hinted, EngineConfig(initial_cmp=initial_cmp,
                                                       queue_depth=4),
-                                 mem_cfg=MemConfig(assoc_lines=2,
-                                                   line_instructions=16))
+                                 mem_cfg=MemConfig(assoc_lines=2))
 
             skips.clear()
+            replayed.clear()
             fast = run_digest(make())
             assert fast == decoding_every_lap(
                 monkeypatch, lambda: run_digest(make())), seed
             if not skips:
                 continue
             skipped += 1
+            cached += any(replayed)
             trace = make().run_simple()
             ref = interpret(hinted, initial_cmp)
             assert np.array_equal(trace.analog_values(), ref["analog"]), seed
@@ -1053,6 +1210,7 @@ def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
                 assert np.array_equal(trace.marker_levels(ch)[1],
                                       ref["markers"][ch]), seed
     assert skipped >= 50       # the fast path ran, not only its bail-outs
+    assert cached >= 10        # and carried the instruction cache along
 
 
 def test_decode_budget_runs_out_at_the_same_point(monkeypatch, skips):

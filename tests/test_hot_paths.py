@@ -6,10 +6,11 @@ config ``@property`` is a Python call; the decode loop would pay either
 thousands of times per run.  So the members are bound once as module
 globals (``isa.OP_*``, ``WF_*``, ``MK_*``, ``MOD_*``, ``CMP_*`` and
 ``events.EV_*``).  The fixed timing is module constants
-(``engine.PIPELINE_TICKS``, ``mem.HIT_LATENCY_TICKS`` and the like), read
-as globals, and a value a config derives in a property is read once, at
-construction.  This check fails on any function of the hot paths that
-reads a member through its enum class or a config property.
+(``clocks.PIPELINE_TICKS``, ``mem.HIT_LATENCY_TICKS`` and the like), read
+as globals, and no config class derives a value in a property any more.
+This check fails on any function of the hot paths that reads a member
+through its enum class or a config property, so a property added back
+is caught where a hot path reads it.
 """
 
 import ast
@@ -25,12 +26,12 @@ ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
 
 # functions, and classes whose every method but a constructor, that run
 # per decoded instruction, engine command or modulator command, or per
-# modulator command chunk or NCO
+# modulator command chunk, NCO or output block
 HOT = {
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
-             "_compare"],
+             "_compare", "_Rotation", "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
-    mod: ["ModEngine", "_nco_states", "_segment_sums"],
+    mod: ["ModEngine", "_nco_states"],
     isa: ["encode", "_check_stray", "decode", "ProgramImage.decode_all",
           "validate_program"],
 }
@@ -85,15 +86,28 @@ def test_hot_path_reads_no_enum_member_or_config_property(fn, properties):
     assert slow_reads(inspect.getsource(fn), properties) == []
 
 
+class FixtureConfig:
+    """A config class with a derived value, as the guard would see one;
+    the package's configs have none left."""
+
+    gap_clocks = 2
+
+    @property
+    def gap_ticks(self) -> int:
+        return 20 * self.gap_clocks
+
+
 def test_the_guard_sees_both_kinds_of_read():
     source = '''
     def f(self, op):
         if op is Opcode.WAVEFORM:
-            return self.mem_cfg.line_bytes
+            return self.cfg.gap_ticks
     '''
-    assert slow_reads(source, config_properties(engine)) == [
-        "line 3: Opcode.WAVEFORM", "line 4: .line_bytes"]
-    assert "line_bytes" in config_properties(engine)
+    module = type(engine)("fixture")
+    module.FixtureConfig = FixtureConfig
+    assert config_properties(module) == {"gap_ticks"}
+    assert slow_reads(source, config_properties(module)) == [
+        "line 3: Opcode.WAVEFORM", "line 4: .gap_ticks"]
 
 
 def test_every_hot_name_exists():
@@ -102,4 +116,6 @@ def test_every_hot_name_exists():
             "aps2sim.mem.InstructionCache.read_instruction",
             "aps2sim.mod.ModEngine.resolve",
             "aps2sim.mod._nco_states",
+            "aps2sim.engine._ramps",
+            "aps2sim.engine._Rotation.rotate",
             "aps2sim.isa.decode"} <= {c[0] for c in CASES}

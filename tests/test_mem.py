@@ -18,8 +18,7 @@ def make_icache(n_lines=64, cfg=None):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("line_instructions", 0), ("assoc_lines", 0), ("wave_page_samples", 0),
-    ("wave_mode", "linear")])
+    ("assoc_lines", 0), ("wave_page_samples", 0), ("wave_mode", "linear")])
 def test_mem_config_rejects_a_bad_value(field, value):
     with pytest.raises(ValueError, match=f"MemConfig.{field}"):
         MemConfig(**{field: value})
@@ -141,7 +140,7 @@ def test_prefetch_hides_call_miss():
     cfg = MemConfig()
     cache, _ = make_icache(n_lines=64, cfg=cfg)
     cache.prefetch_line(40 * LINE, 0)
-    lead = mem.Sdram().request(cfg.line_bytes, 0) + 100
+    lead = mem.Sdram().request(mem.LINE_FILL_BYTES, 0) + 100
     _, avail = cache.read_instruction(40 * LINE, lead)
     assert avail == lead + mem.HIT_LATENCY_TICKS
     assert [e.kind for e in cache.events] == ["prefetch"]

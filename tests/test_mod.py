@@ -1,12 +1,12 @@
 """NCO phase bookkeeping, latch boundaries, and mixer correction."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aps2sim.isa import ModAction, Modulator, phase_word_from_turns
+from aps2sim.clocks import PIPELINE_TICKS
+from aps2sim.isa import PHASE_MASK, ModAction, Modulator, phase_word_from_turns
 from aps2sim.mod import MixerCorrector, ModConfig, ModEngine, Windows
 
 from oracle import NcoBank, reference_resolve, resolved
@@ -91,7 +91,7 @@ def test_phase_command_held_until_window_end():
 
 def test_reset_on_trigger_gives_zero_phase_at_first_sample():
     # rotation stage sits one engine pipeline ahead of the output plane
-    eng = ModEngine(ModConfig(pipeline_ticks=180))
+    eng = ModEngine(ModConfig())
     inc = 0.021
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=inc), 0)
     eng.submit(mk(ModAction.WAIT), 0)
@@ -155,77 +155,48 @@ def test_ncos_free_run_across_gaps():
     assert np.allclose(f2, expect2, atol=1e-10)
 
 
-def two_windows(gap=0, first_tick=1280, **column):
-    """Two contiguous 8-sample windows opened 180 ticks after their NCO
-    reference in the same NCO state, with the second window's column
-    values, first tick and a gap before its last sample changed as
-    given; returns the windows and their first and last sample ticks."""
-    cols = {"lo": [0, 8], "hi": [8, 16], "acc": [0.25, 0.25],
-            "inc": [0.01, 0.01], "ref_tick": [100, 1100],
-            "offset": [0.5, 0.5], "frame": [0.0, 0.0]}
-    for name, value in column.items():
-        cols[name][1] = value
-    windows = Windows(**{name: np.array(col, np.int64 if name in
-                                        ("lo", "hi", "ref_tick")
-                                        else np.float64)
-                         for name, col in cols.items()}, pipeline_ticks=180)
-    first = np.array([280, first_tick])
-    last = first + TICKS * (windows.hi - windows.lo - 1) + [0, gap]
-    return windows, first, last
+def word_factor(word):
+    """exp(2πi·word/2^48) from a Python-int word, one sample at a time."""
+    return complex(np.exp(2j * np.pi * ((word & PHASE_MASK) / 2**48)))
 
 
-def test_windows_in_the_same_state_share_factors():
-    windows, first, last = two_windows()
-    assert windows.leaders(first, last).tolist() == [0, 0]
-    # the same rel vector, the same operations: the same bytes
-    rotated = [windows.rotation(j, np.arange(first[j], last[j] + 1, TICKS))
-               for j in (0, 1)]
+def test_rotation_is_the_direct_exp_of_the_exact_word():
+    # the word at a tick is phase + inc·samples since ref_tick, mod 2^48,
+    # with the ticks on the rotation plane; window 1's products pass 2^64
+    phase = [0xFFFF_FFFF_FFF0, 0x1234_5678_9ABC]
+    inc = [0x0321_4567_89AB, 0xFFFF_0000_0001]
+    windows = Windows(np.array([0, 8]), np.array([8, 16]),
+                      np.array([-400, 10**12]), np.array(phase),
+                      np.array(inc))
+    for j, first in ((0, 1280), (1, 10**12 + 2**40 * TICKS)):
+        ticks = sample_ticks(first + PIPELINE_TICKS, 8)
+        samples = (ticks - PIPELINE_TICKS - windows.ref_tick[j]) // TICKS
+        words = [(phase[j] + inc[j] * int(n)) & PHASE_MASK for n in samples]
+        assert windows.words(j, ticks).tolist() == words
+        assert np.allclose(windows.rotation(j, ticks),
+                           [word_factor(w) for w in words], rtol=0,
+                           atol=1e-15)
+    assert windows.rotation(0, np.zeros(0, np.int64)).shape == (0,)
+
+
+def test_equal_words_rotate_to_equal_bytes():
+    # two windows whose NCO state splits the same phase differently
+    # between the word at ref_tick and the samples since: with integer
+    # words the factors are the same bytes
+    inc = 0x0321_0000_0000
+    windows = Windows(np.array([0, 8]), np.array([8, 16]),
+                      np.array([100, 1100]),
+                      np.array([0x5A00_0000_0000,
+                                (0x5A00_0000_0000 - 40 * inc) & PHASE_MASK]),
+                      np.array([inc, inc]))
+    # window 1 opens 40 samples after its reference tick
+    rotated = [windows.rotation(j, sample_ticks(t, 8))
+               for j, t in ((0, 280), (1, 1480))]
     assert rotated[0].tobytes() == rotated[1].tobytes()
-
-
-@pytest.mark.parametrize("change", [
-    {"acc": np.nextafter(0.25, 1.0)},
-    {"inc": np.nextafter(0.01, 1.0)},
-    {"offset": np.nextafter(0.5, 1.0)},
-    {"frame": -0.0},                     # equal in value, not in bits
-    {"ref_tick": 1101},                  # r0 = -1
-    {"first_tick": 1285},                # r0 = 5
-    {"hi": 15},                          # seven samples
-    {"gap": TICKS},                      # one sample period lost inside
-], ids=["acc", "inc", "offset", "signed_zero_frame", "ref_tick",
-        "first_tick", "length", "gap"])
-def test_windows_that_differ_share_nothing(change):
-    windows, first, last = two_windows(**change)
-    assert windows.leaders(first, last).tolist() == [0, 1]
-
-
-def test_signed_zero_frames_rotate_differently():
-    # with every other term -0.0, the frame's sign is the phase's sign
-    windows, first, last = two_windows(frame=-0.0)
-    zeros = np.full(2, -0.0)
-    windows = replace(windows, acc=zeros, inc=zeros, offset=zeros)
-    ticks = [np.arange(first[j], last[j] + 1, TICKS) for j in (0, 1)]
-    assert windows.leaders(first, last).tolist() == [0, 1]
-    assert (windows.rotation(0, ticks[0]).tobytes()
-            != windows.rotation(1, ticks[1]).tobytes())
-
-
-def test_leaders_are_the_first_window_of_each_group():
-    # three groups of equal windows, interleaved, and a gapped window
-    n = 7
-    group = np.array([0, 1, 0, 2, 1, 0, 0])
-    size = np.full(n, 4)
-    lo = np.arange(n) * 4
-    first = 1000 * np.arange(n) + 180
-    last = first + TICKS * (size - 1)
-    last[6] += TICKS
-    windows = Windows(lo, lo + size, np.zeros(n), 0.01 * (group + 1),
-                      first - 180, np.zeros(n), np.zeros(n), 180)
-    assert windows.leaders(first, last).tolist() == [0, 1, 0, 3, 1, 0, 6]
-    empty = Windows(*[np.zeros(0, np.int64)] * 2, *[np.zeros(0)] * 2,
-                    np.zeros(0, np.int64), *[np.zeros(0)] * 2, 180)
-    assert empty.leaders(np.zeros(0, np.int64), np.zeros(0, np.int64)) \
-        .tolist() == []
+    # a zero word rotates by exactly 1, never by a signed zero's angle
+    zero = Windows(*[np.zeros(1, np.int64)] * 5)
+    assert zero.rotation(0, sample_ticks(PIPELINE_TICKS, 4)).tobytes() \
+        == np.ones(4, np.complex128).tobytes()
 
 
 def test_mixer_correction_and_saturation():
@@ -267,14 +238,14 @@ def test_bank_masks_address_multiple_ncos():
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b0101, turns=0.25), 0)
     for nco in range(3):
         eng.submit(mk(ModAction.MODULATE, nco=nco, count=1), 0)
-    assert eng.resolve([0], [3], []).inc.tolist() == [0.25, 0.0, 0.25]
+    assert eng.resolve([0], [3], []).inc.tolist() == [1 << 46, 0, 1 << 46]
 
 
 # -- resolve pins ----------------------------------------------------------
 #
 # Digests of what resolve() computes from seeded command streams with
-# nonzero increments, recorded before its command loop was flattened: a
-# change that moves one bit of a window's frozen NCO state or one
+# nonzero increments, recorded when NCO state became exact 48-bit words:
+# a change that moves one bit of a window's frozen NCO state or one
 # modulator event fails here.
 
 PHASE_ACTIONS = (ModAction.RESET_PHASE, ModAction.SET_PHASE_OFFSET,
@@ -297,7 +268,7 @@ def random_stream(seed):
         tick += TICKS * int(n)
     total = int(counts.sum())
 
-    eng = ModEngine(ModConfig(pipeline_ticks=180))
+    eng = ModEngine(ModConfig())
     dispatch = pos = waits = 0
     for _ in range(120):
         dispatch += 20 * int(rng.integers(0, 3))
@@ -320,37 +291,42 @@ def random_stream(seed):
         eng.submit(md, dispatch, pos)
     eng.submit(Modulator(ModAction.MODULATE, nco=1, count=total + 50),
                dispatch + 20, pos)
-    edges = sorted(int(e) for e in rng.integers(0, tick + 1000,
-                                                waits - seed % 2))
-    return eng, starts, [int(n) for n in counts], edges
+    return eng, starts, [int(n) for n in counts], clock_edges(
+        rng, tick + 1000, waits - seed % 2)
+
+
+def clock_edges(rng, below, n):
+    """n sorted trigger edges below a tick, on the 20-tick sequencer clock
+    as Sequencer.deliver_trigger aligns them."""
+    return sorted(20 * int(e) for e in rng.integers(0, below // 20, n))
 
 
 def resolve_digest(eng, starts, counts, edges):
-    """sha256 prefix of the bytes of every Windows column, the pipeline
-    delay and every modulator event as (tick, kind, ticks, detail)."""
+    """sha256 prefix of the bytes of every Windows column and every
+    modulator event as (tick, kind, ticks, detail)."""
     w = eng.resolve(starts, counts, edges)
     h = hashlib.sha256()
-    for col in (w.lo, w.hi, w.acc, w.inc, w.ref_tick, w.offset, w.frame):
+    for col in (w.lo, w.hi, w.ref_tick, w.phase, w.inc):
         h.update(col.tobytes())
     events = [(int(e.tick), e.kind.value, int(e.ticks),
                sorted(e.detail.items())) for e in eng.events]
-    h.update(repr((w.pipeline_ticks, events)).encode())
+    h.update(repr(events).encode())
     return h.hexdigest()[:16]
 
 
 RESOLVE_PINNED = {
-    0: "9dd91b23d4a70a71",
-    1: "35350623753c4c1d",
-    2: "d4a24d46e0fd4369",
-    3: "736f9176fce29b6a",
-    4: "b7392c86169eaf01",
-    5: "071eb08e42631095",
-    6: "005bab25029c351f",
-    7: "cff29b426fbb6da3",
-    8: "10b422a9b3ce84b5",
-    9: "98f6c60ceec21959",
-    10: "875c578d9a642d10",
-    11: "5d086104e7b7ecd4",
+    0: "a011338a4351feb8",
+    1: "4fc0956f14398351",
+    2: "f678ccde33ae5c39",
+    3: "9768bd6dd2dae985",
+    4: "18587cd1e01040ef",
+    5: "7c1ebced924b952b",
+    6: "6765b3addab62f5e",
+    7: "5ee40564e3edbef1",
+    8: "27dcb5b22f815bf8",
+    9: "76b23db66662a11b",
+    10: "1d2fab39dd74fadb",
+    11: "82abb1a8f7fb4058",
 }
 
 
@@ -427,8 +403,8 @@ def lapped_stream(seed, submit_each=False):
                            submit_each=submit_each)
     code = eng.columns()[0]
     waits = sum(eng.table[c].action is ModAction.WAIT for c in code.tolist())
-    edge_ticks = rng.integers(0, starts[-1] + 1000, waits - seed % 2)
-    return eng, starts, counts, sorted(int(e) for e in edge_ticks)
+    return eng, starts, counts, clock_edges(rng, starts[-1] + 1000,
+                                            waits - seed % 2)
 
 
 def test_lap_chunks_are_the_commands_submitted_one_by_one():
@@ -458,7 +434,7 @@ def test_mask_bits_beyond_the_bank_select_nothing():
     for nco in (0, 1):
         eng.submit(mk(ModAction.MODULATE, nco=nco, count=4), 0)
     check_against_reference(eng, [0], [8], [])
-    assert eng.resolve([0], [8], []).frame.tolist() == [0.0, 0.5]
+    assert eng.resolve([0], [8], []).phase.tolist() == [0, 1 << 47]
     eng.submit(mk(ModAction.MODULATE, nco=3, count=4), 0)
     with pytest.raises(IndexError):
         eng.resolve([0], [12], [])
@@ -468,3 +444,18 @@ def test_an_empty_stream_resolves_to_no_window():
     eng = ModEngine(ModConfig())
     check_against_reference(eng, [0, 40], [8, 0], [])
     assert eng.events == [] and not len(eng.resolve([], [], []))
+
+
+@pytest.mark.parametrize("edge", [1003, 1000])
+def test_a_latch_off_the_sample_grid_is_a_value_error(edge):
+    # a RESET_PHASE after a WAIT latches on the trigger edge: an edge off
+    # the 5-tick grid gives a latch off it
+    eng = ModEngine(ModConfig())
+    eng.submit(mk(ModAction.WAIT), 0)
+    eng.submit(mk(ModAction.RESET_PHASE, nco=0b01), 0)
+    if edge % TICKS:
+        with pytest.raises(ValueError, match=f"output tick {edge} is off"):
+            eng.resolve([], [], [edge])
+    else:
+        eng.resolve([], [], [edge])
+        assert [e.tick for e in eng.events] == [edge - PIPELINE_TICKS]
