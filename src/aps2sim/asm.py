@@ -22,6 +22,15 @@ Integers accept 0x/0b prefixes.  Phases are given in turns (``phase=0.5``
 is half a turn), NCO frequencies in Hz (``freq=``), or the raw 48-bit
 fixed-point word (``phase_word=``) which is what the disassembler emits so
 text -> image -> text -> image is exact.
+
+Set-up costs scale with distinct lines, not program length.  Pass 1
+(``_scan``) records the labels and each instruction line's number and
+stripped text.  Once every label is known, a line's word depends on its
+text alone, label references included, so pass 2 builds each distinct
+text once, at its first occurrence, and later occurrences reuse the
+word.  Label errors therefore come before build errors, and a bad line
+is reported at its first occurrence.  The hint passes likewise decode
+each distinct word once and visit only the branch and PREFETCH sites.
 """
 
 from __future__ import annotations
@@ -29,14 +38,19 @@ from __future__ import annotations
 import dataclasses
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import isa
 from .clocks import ANALOG_SAMPLE_HZ
 from .isa import (
-    CmpOp,
+    OP_CALL,
+    OP_GOTO,
+    OP_PREFETCH,
+    OP_REPEAT,
+    OP_RETURN,
+    OP_SYNC,
+    OP_WAIT,
     Instruction,
     Marker,
     MarkerAction,
@@ -149,11 +163,12 @@ def _parse_int(tok: str, line_no: int) -> int:
 
 
 def _split_operands(tokens: list[str], line_no: int):
-    """Separate key=value pairs from positional/flag tokens."""
+    """Separate key=value pairs from positional/flag tokens; the CMP
+    operators = and != are positional."""
     kv: dict[str, str] = {}
     bare: list[str] = []
     for tok in tokens:
-        if "=" in tok and not tok.startswith("="):
+        if "=" in tok and not tok.startswith("=") and tok != "!=":
             key, _, val = tok.partition("=")
             if key in kv:
                 raise AsmError(line_no, f"duplicate operand {key}=")
@@ -171,7 +186,11 @@ def _phase_word(kv: dict[str, str], line_no: int) -> int:
     key = given[0]
     if key == "phase_word":
         return _parse_int(kv.pop(key), line_no)
-    val = float(kv.pop(key))
+    tok = kv.pop(key)
+    try:
+        val = float(tok)
+    except ValueError:
+        raise AsmError(line_no, f"bad number {tok!r}") from None
     if key == "freq":
         val = val / ANALOG_SAMPLE_HZ   # turns per analog sample
     return isa.phase_word_from_turns(val)
@@ -189,22 +208,15 @@ _MOD_NAMES = {
 _MOD_CANON = {v: k for k, v in _MOD_NAMES.items()}
 
 
-@dataclass
-class _Line:
-    no: int
-    mnemonic: str
-    tokens: list[str]
-
-
-def _scan(text: str):
-    """Pass 1: labels and instruction lines with addresses assigned."""
+def _scan(text: str) -> tuple[dict[str, int], list[int], list[str]]:
+    """Pass 1: labels, plus the line number and stripped text of every
+    instruction line (its address is its index)."""
     labels: dict[str, int] = {}
-    lines: list[_Line] = []
+    numbers: list[int] = []
+    lines: list[str] = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split(";", 1)[0].strip()
-        if not content:
-            continue
-        while True:
+        content = raw.partition(";")[0].strip()
+        while ":" in content:
             head = content.split(None, 1)[0]
             if not head.endswith(":"):
                 break
@@ -215,17 +227,15 @@ def _scan(text: str):
                 raise AsmError(no, f"duplicate label {name!r}")
             labels[name] = len(lines)
             content = content[len(head):].strip()
-            if not content:
-                break
         if content:
-            toks = content.split()
-            lines.append(_Line(no, toks[0].upper(), toks[1:]))
-    return labels, lines
+            numbers.append(no)
+            lines.append(content)
+    return labels, numbers, lines
 
 
 def assemble(text: str, library: WaveformLibrary | None = None) -> ProgramImage:
     """Assemble source text against an optional waveform library."""
-    labels, lines = _scan(text)
+    labels, numbers, lines = _scan(text)
     if library is not None:
         wave_mem, wave_syms = library.pack()
     else:
@@ -240,21 +250,29 @@ def assemble(text: str, library: WaveformLibrary | None = None) -> ProgramImage:
         except ValueError:
             raise AsmError(line_no, f"unknown label {tok!r}") from None
 
-    words: list[int] = []
-    for line in lines:
-        no = line.no
-        bare, kv = _split_operands(line.tokens, no)
-        try:
-            instr = _build(line.mnemonic, bare, kv, no, resolve, wave_syms)
-            word = isa.encode(instr)
-        except isa.EncodeError as exc:
-            raise AsmError(no, str(exc)) from None
-        if kv:
-            raise AsmError(no, f"unknown operands {sorted(kv)}")
-        words.append(word)
+    # Pass 2: every label is known, so a line's word depends on its text
+    # alone; each distinct text is built once, at its first occurrence.
+    word_of: dict[str, int] = {}
+    for no, line in zip(numbers, lines):
+        if line not in word_of:
+            word_of[line] = _word(line, no, resolve, wave_syms)
+    return ProgramImage(words=list(map(word_of.__getitem__, lines)),
+                        waveforms=wave_mem, symbols=labels,
+                        wave_symbols=wave_syms)
 
-    return ProgramImage(words=words, waveforms=wave_mem,
-                        symbols=dict(labels), wave_symbols=wave_syms)
+
+def _word(line: str, no: int, resolve, wave_syms) -> int:
+    """The word of one instruction line."""
+    mnemonic, *tokens = line.split()
+    bare, kv = _split_operands(tokens, no)
+    try:
+        word = isa.encode(_build(mnemonic.upper(), bare, kv, no, resolve,
+                                 wave_syms))
+    except isa.EncodeError as exc:
+        raise AsmError(no, str(exc)) from None
+    if kv:
+        raise AsmError(no, f"unknown operands {sorted(kv)}")
+    return word
 
 
 def _build(mnemonic, bare, kv, no, resolve, wave_syms) -> Instruction:
@@ -384,21 +402,22 @@ def _build_mod(bare, kv, no) -> Instruction:
 def disassemble(image: ProgramImage) -> str:
     """Image back to source text; reassembles to the identical word list."""
     instrs = image.decode_all()
-    targets = {i.addr for i in instrs
-               if i.op in (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT, Opcode.PREFETCH)}
+    targets = {i.addr for i in instrs if i.op in _TARGETED}
     names = {addr: name for name, addr in image.symbols.items()}
+    for addr in targets - names.keys():
+        name = f"L{addr}"
+        while name in image.symbols:   # a user label may be named L<n>
+            name = "_" + name
+        names[addr] = name
     wave_names = {span: name for name, span in image.wave_symbols.items()}
-
-    def label(addr: int) -> str:
-        return names.get(addr, f"L{addr}")
 
     out = []
     for pc, instr in enumerate(instrs):
-        if pc in targets or pc in names:
-            out.append(f"{label(pc)}:")
-        out.append("  " + _format(instr, label, wave_names))
-    if targets and max(targets) == len(instrs):
-        out.append(f"{label(len(instrs))}:")
+        if pc in names:
+            out.append(f"{names[pc]}:")
+        out.append("  " + _format(instr, names.__getitem__, wave_names))
+    if len(instrs) in names:
+        out.append(f"{names[len(instrs)]}:")
     return "\n".join(out) + "\n"
 
 
@@ -447,34 +466,40 @@ def _format(instr: Instruction, label, wave_names) -> str:
 # PREFETCH hints ahead of distant CALL sites.
 
 
-def _far_calls(instrs: list[Instruction]) -> list[tuple[int, int]]:
-    """(call site, target) of every CALL whose target line lies outside
-    the sequential window around the site."""
+_TARGETED = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
+_BLOCK_ENDS = frozenset({OP_GOTO, OP_CALL, OP_RETURN, OP_REPEAT, OP_WAIT,
+                         OP_SYNC})
+
+
+def _sites(words: list[int], table: dict[int, Instruction]) -> list[int]:
+    """Address of every branch and PREFETCH: the words with a target."""
+    hit = {w for w, instr in table.items() if instr.op in _TARGETED}
+    return [pc for pc, w in enumerate(words) if w in hit]
+
+
+def _far_calls(words: list[int], table: dict[int, Instruction],
+               sites: list[int]) -> list[tuple[int, int]]:
+    """(call site, target) of every CALL among the sites whose target
+    line lies outside the sequential window around the site."""
     line = isa.CACHE_LINE_INSTRUCTIONS
     far = []
-    for pc, instr in enumerate(instrs):
-        if instr.op is Opcode.CALL:
+    for pc in sites:
+        instr = table[words[pc]]
+        if instr.op is OP_CALL:
             lines_ahead = instr.addr // line - pc // line
             if not -WINDOW_BEHIND <= lines_ahead <= WINDOW_AHEAD:
                 far.append((pc, instr.addr))
     return far
 
 
-def _block_start(instrs: list[Instruction], labels: set[int], pc: int) -> int:
-    """Start of the basic block holding pc: previous label or flow change."""
+def _block_start(words: list[int], ends: set[int], labels: set[int],
+                 pc: int) -> int:
+    """Start of the basic block holding pc: previous label or the word
+    after a flow change (a word in ends)."""
     start = pc
-    while start > 0:
-        if start in labels:
-            return start
-        prev = instrs[start - 1].op
-        if prev in (Opcode.GOTO, Opcode.CALL, Opcode.RETURN, Opcode.REPEAT,
-                    Opcode.WAIT, Opcode.SYNC):
-            return start
+    while start > 0 and start not in labels and words[start - 1] not in ends:
         start -= 1
     return start
-
-
-_TARGETED = (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT, Opcode.PREFETCH)
 
 
 def _mover(points: list[int], shift: int):
@@ -483,17 +508,16 @@ def _mover(points: list[int], shift: int):
     return lambda a: a + shift * bisect_right(points, a)
 
 
-def _moved_words(words: list[int], instrs: list[Instruction],
-                 move) -> list[int]:
-    """Words with every branch and PREFETCH target a replaced by move(a);
-    a word whose target does not move is kept as it is."""
-    out = []
-    for word, instr in zip(words, instrs):
-        if instr.op in _TARGETED:
-            addr = move(instr.addr)
-            if addr != instr.addr:
-                word = isa.encode(dataclasses.replace(instr, addr=addr))
-        out.append(word)
+def _moved_words(words: list[int], table: dict[int, Instruction],
+                 sites: list[int], move) -> list[int]:
+    """Words with the branch or PREFETCH target a of each site replaced
+    by move(a); only a word whose target moves is re-encoded."""
+    out = list(words)
+    for pc in sites:
+        instr = table[words[pc]]
+        addr = move(instr.addr)
+        if addr != instr.addr:
+            out[pc] = isa.encode(dataclasses.replace(instr, addr=addr))
     return out
 
 
@@ -501,18 +525,23 @@ def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
     """Insert one PREFETCH per call region for each distant CALL target.
 
     Program semantics are unchanged; only the cache behaves differently.
-    The image is decoded once and relocated in one pass: an address a
-    moves up by the number of hints inserted at or below a, and each
-    hint targets its CALL target's new address.
+    Each distinct word is decoded once, and only the targeted sites
+    (GOTO, CALL, REPEAT, PREFETCH) are visited after that.  The image is
+    relocated in one pass: an address a moves up by the number of hints
+    inserted at or below a, and each hint targets its CALL target's new
+    address.
     """
-    instrs = image.decode_all()
-    label_addrs = set(image.symbols.values())
-    jump_targets = {i.addr for i in instrs if i.op in
-                    (Opcode.GOTO, Opcode.CALL, Opcode.REPEAT)}
+    words = image.words
+    table = isa.decode_table(words)
+    sites = _sites(words, table)
+    ends = {w for w, instr in table.items() if instr.op in _BLOCK_ENDS}
+    labels = set(image.symbols.values())
+    labels.update(table[words[pc]].addr for pc in sites
+                  if table[words[pc]].op is not OP_PREFETCH)
     inserts: list[tuple[int, int]] = []   # (insert position, target)
     seen: set[tuple[int, int]] = set()
-    for site, target in reversed(_far_calls(instrs)):
-        pos = _block_start(instrs, label_addrs | jump_targets, site)
+    for site, target in reversed(_far_calls(words, table, sites)):
+        pos = _block_start(words, ends, labels, site)
         key = (pos, target // isa.CACHE_LINE_INSTRUCTIONS)
         if key in seen:
             continue
@@ -521,18 +550,17 @@ def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
 
     inserts.sort()                        # hints at one position by target
     move = _mover([pos for pos, _ in inserts], 1)
-    body = _moved_words(image.words, instrs, move)
-    words: list[int] = []
+    body = _moved_words(words, table, sites, move)
+    out: list[int] = []
     manifest = [(move(s), move(t)) for s, t in image.prefetch_manifest]
     done = 0
     for pos, target in inserts:
-        words += body[done:pos]
+        out += body[done:pos]
         done = pos
-        manifest.append((len(words), move(target)))
-        words.append(isa.encode(Instruction(Opcode.PREFETCH,
-                                            addr=move(target))))
-    words += body[done:]
-    return ProgramImage(words=words, waveforms=image.waveforms,
+        manifest.append((len(out), move(target)))
+        out.append(isa.encode(Instruction(OP_PREFETCH, addr=move(target))))
+    out += body[done:]
+    return ProgramImage(words=out, waveforms=image.waveforms,
                         symbols={n: move(a) for n, a in image.symbols.items()},
                         wave_symbols=dict(image.wave_symbols),
                         prefetch_manifest=sorted(manifest))
@@ -540,13 +568,19 @@ def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
 
 def strip_prefetch_hints(image: ProgramImage) -> ProgramImage:
     """Remove instruction-cache PREFETCH ops, fixing up branch targets."""
-    instrs = image.decode_all()
-    hints = [pc for pc, i in enumerate(instrs) if i.op is Opcode.PREFETCH]
+    words = image.words
+    table = isa.decode_table(words)
+    sites = _sites(words, table)
+    hints = [pc for pc in sites if table[words[pc]].op is OP_PREFETCH]
     # an address moves down by the number of hints below it
     move = _mover([pc + 1 for pc in hints], -1)
-    kept = [pc for pc, i in enumerate(instrs) if i.op is not Opcode.PREFETCH]
-    words = _moved_words([image.words[pc] for pc in kept],
-                         [instrs[pc] for pc in kept], move)
-    return ProgramImage(words=words, waveforms=image.waveforms,
+    body = _moved_words(words, table, sites, move)
+    out: list[int] = []
+    done = 0
+    for pc in hints:
+        out += body[done:pc]
+        done = pc + 1
+    out += body[done:]
+    return ProgramImage(words=out, waveforms=image.waveforms,
                         symbols={n: move(a) for n, a in image.symbols.items()},
                         wave_symbols=dict(image.wave_symbols))

@@ -51,6 +51,7 @@ __all__ = [
     "DecodeError",
     "encode",
     "decode",
+    "decode_table",
     "ProgramImage",
     "Finding",
     "validate_program",
@@ -371,6 +372,12 @@ def decode(word: int) -> Instruction:
     return instr
 
 
+def decode_table(words) -> dict[int, Instruction]:
+    """Each distinct word decoded once, in order of first occurrence, so
+    the first bad word in program order raises."""
+    return {w: decode(w) for w in dict.fromkeys(words)}
+
+
 # ---------------------------------------------------------------------------
 # Program images and the on-disk binary format.
 
@@ -402,14 +409,7 @@ class ProgramImage:
     def decode_all(self) -> list[Instruction]:
         """Every word decoded, each distinct word once: equal words share
         one (frozen) Instruction."""
-        decoded: dict[int, Instruction] = {}
-        out = []
-        for w in self.words:
-            instr = decoded.get(w)
-            if instr is None:
-                instr = decoded[w] = decode(w)
-            out.append(instr)
-        return out
+        return list(map(decode_table(self.words).__getitem__, self.words))
 
 
 @dataclass(frozen=True)

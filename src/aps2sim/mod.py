@@ -229,6 +229,11 @@ class ModEngine:
             return Windows(*[np.zeros(0, np.int64)] * 5)
         starts = np.asarray(starts, np.int64)
         counts = np.asarray(counts, np.int64)
+        off = np.flatnonzero(starts % ANALOG_SAMPLE_TICKS)
+        if len(off):
+            raise ValueError(f"run {int(off[0])} starts at output tick "
+                             f"{int(starts[off[0]])}, off the "
+                             f"{ANALOG_SAMPLE_TICKS}-tick sample grid")
         table = self.table
         act, nco, word, count = (
             np.array(col, np.int64)[code] for col in (

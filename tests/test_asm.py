@@ -1,11 +1,14 @@
 """Assembler, disassembler, waveform library, and prefetch hint insertion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from aps2sim import asm, isa
 from aps2sim.asm import AsmError, WaveformLibrary, assemble, disassemble
 from aps2sim.isa import CmpOp, ModAction, Opcode, WfAction
+from oracle import random_program
 
 
 def small_library():
@@ -57,6 +60,14 @@ def test_assemble_basics():
     assert ta.ta and ta.count == 64 and ta.addr == image.wave_symbols["square"][0]
 
 
+def test_every_cmp_operator_assembles():
+    # "!=" is the operator, not an empty operand named "!"
+    text = "".join(f"  CMP {sym} 0x5\n" for sym in isa.CMP_FROM_SYMBOL)
+    instrs = assemble(text).decode_all()
+    assert [i.cmp_op for i in instrs] == list(CmpOp)
+    assert disassemble(assemble(text)) == text
+
+
 def test_freq_operand_quantizes_to_grid():
     image = assemble("MOD SET_PHASE_INC nco=1 freq=10e6\n")
     md = image.decode_all()[0].engine
@@ -102,9 +113,85 @@ def test_errors_carry_line_numbers(line, msg):
     assert msg in str(err.value)
 
 
+def test_a_bad_phase_number_carries_its_line_number():
+    with pytest.raises(AsmError, match="line 2: bad number 'abc'"):
+        assemble("SYNC\nMOD SET_PHASE_INC nco=1 freq=abc\n")
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(AsmError):
         assemble("a:\nSYNC\na:\nSYNC\n")
+
+
+def test_each_distinct_line_is_built_once(monkeypatch):
+    calls = []
+    build = asm._build
+
+    def spy(mnemonic, bare, kv, no, *rest):
+        calls.append(no)
+        return build(mnemonic, bare, kv, no, *rest)
+
+    monkeypatch.setattr(asm, "_build", spy)
+    body = ["  WAVEFORM PLAY gauss", "  MOD MODULATE nco=0 count=16",
+            "  MARKER PLAY ch=2 state=1 count=3 last=0b1110",
+            "  GOTO top", "  CMP > 0x1"]
+    src = "top:\n" + "\n".join(body * 1000) + "\n  GOTO top if\n"
+    image = assemble(src, small_library())
+    assert calls == [2, 3, 4, 5, 6, 5002]
+    assert len(image.words) == 5001 and len(set(image.words)) == 6
+    monkeypatch.undo()
+    assert assemble(src, small_library()).words == image.words
+
+
+def test_a_repeated_bad_line_reports_its_first_line():
+    src = "SYNC\nWAIT\nGOTO nowhere\nSYNC\nWAIT\nSYNC\nGOTO nowhere\n"
+    with pytest.raises(AsmError, match="line 3: unknown label 'nowhere'"):
+        assemble(src)
+
+
+def test_label_errors_come_before_build_errors():
+    with pytest.raises(AsmError, match="line 4: duplicate label 'a'"):
+        assemble("a:\nBOGUS\nSYNC\na:\nSYNC\n")
+
+
+def test_repeated_forward_references_resolve():
+    src = ("  CALL sub\n  GOTO end\n" * 300 + "sub:\n  RETURN\n"
+           + "  CALL sub\n  GOTO end\n" * 300 + "end:\n  SYNC\n")
+    image = assemble(src)
+    sub, end = image.symbols["sub"], image.symbols["end"]
+    assert (sub, end) == (600, 1201)
+    targets = [i.addr for i in image.decode_all()
+               if i.op in (Opcode.CALL, Opcode.GOTO)]
+    assert targets == [sub, end] * 600
+
+
+def test_disassembler_names_avoid_user_labels():
+    # a user label L3 at 0 and an unnamed target at 3
+    image = assemble("L3:\n  SYNC\n  GOTO 3\n  GOTO L3\n  SYNC\n")
+    assert image.symbols == {"L3": 0}
+    text = disassemble(image)
+    again = assemble(text)
+    assert again.words == image.words
+    assert again.symbols == {"L3": 0, "_L3": 3}
+
+
+def test_the_hint_pass_decodes_each_distinct_word_once(monkeypatch):
+    lib = WaveformLibrary()
+    lib.add("w", 0.1 * np.ones(16))
+    image = assemble(distant_call_program(), lib)
+    decoded = []
+    decode = isa.decode
+
+    def spy(word):
+        decoded.append(word)
+        return decode(word)
+
+    monkeypatch.setattr(isa, "decode", spy)
+    hinted = asm.insert_prefetch_hints(image)
+    assert sorted(decoded) == sorted(set(image.words))
+    decoded.clear()
+    asm.strip_prefetch_hints(hinted)
+    assert sorted(decoded) == sorted(set(hinted.words))
 
 
 def test_library_quantization(tmp_path):
@@ -196,3 +283,92 @@ def test_each_hint_targets_its_call_target():
     stripped = asm.strip_prefetch_hints(hinted)
     assert stripped.words == image.words
     assert stripped.symbols == image.symbols
+
+
+# -- differential image check --------------------------------------------
+
+def image_digest(*images) -> str:
+    """sha256 prefix of the words, symbols and prefetch manifest of each
+    image in turn."""
+    h = hashlib.sha256()
+    for image in images:
+        h.update(np.asarray(image.words, dtype="<u8").tobytes())
+        h.update(repr(sorted(image.symbols.items())).encode())
+        h.update(repr(image.prefetch_manifest).encode())
+    return h.hexdigest()[:16]
+
+
+def padded_program(seed: int) -> isa.ProgramImage:
+    return random_program(np.random.default_rng(4000 + seed), pad=300)[0]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_image_roundtrips_through_the_disassembler(seed):
+    image = padded_program(seed)
+    assert assemble(disassemble(image)).words == image.words
+
+
+# words, symbols and manifest of each image after insert_prefetch_hints
+# and then strip_prefetch_hints, recorded with the per-line assembler and
+# hint pass that decoded and encoded every word
+HINTS_PINNED = {
+    0: "c50d40ccb2712d4b",
+    1: "b2cda92b4d919481",
+    2: "8a931f5cce2ee28d",
+    3: "1f2d014bb533b2ae",
+    4: "63cbce6a14ce6a85",
+    5: "703a95314655615c",
+    6: "f519064ac37ad696",
+    7: "120bded5fe939350",
+    8: "8807966a10f7842e",
+    9: "a912d12707067f4e",
+    10: "2cdbf79d71811424",
+    11: "871cd4b9b5593c00",
+    12: "39f3bb0c6e846497",
+    13: "69bd4c180664d42a",
+    14: "5c511d3b9e4a2c8b",
+    15: "53b39980c0a9a7ec",
+    16: "467069d0d97b0cee",
+    17: "a92c38ed7c97f3db",
+    18: "fdb05b9017facdb5",
+    19: "7dcd66a45535ae4b",
+    20: "6e5d5fcbe2b7388f",
+    21: "f5f5aa946bba8e23",
+    22: "d50b99257e6206d6",
+    23: "85da2f31673aad2f",
+    24: "dac9f073fb867b14",
+    25: "1e24b35d2b60f7f6",
+    26: "a2782d0f8a1dd39b",
+    27: "0bcf1a10e7465676",
+    28: "8cffa1c2285eab2b",
+    29: "5fb3dfa4343e4fe4",
+    30: "3a1edb5a75e2a39b",
+    31: "c875de7ba56f1bdb",
+    32: "92eb3681de4e7eaa",
+    33: "823f50b8676343ec",
+    34: "317a06fe045422c6",
+    35: "56cb96efecd1161d",
+    36: "e93ca8b0c6bb813f",
+    37: "1c3518417ff72dca",
+    38: "e239afae8e09b614",
+    39: "42d0518f7321d6a3",
+    40: "ec0d9aa55fb95b30",
+    41: "d16699dca8920b39",
+    42: "37630b1342145c5a",
+    43: "4508cdbf2bf13afc",
+    44: "73ad1a7fc89cd50f",
+    45: "709a80410383992f",
+    46: "da15def3f3a09932",
+    47: "60f4098f79920834",
+    48: "dbf6ca1ec08710ff",
+    49: "0b7e7873f9cfae53",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HINTS_PINNED))
+def test_hint_insertion_and_strip_are_pinned(seed):
+    image = padded_program(seed)
+    hinted = asm.insert_prefetch_hints(image)
+    stripped = asm.strip_prefetch_hints(hinted)
+    assert (stripped.words, stripped.symbols) == (image.words, image.symbols)
+    assert image_digest(hinted, stripped) == HINTS_PINNED[seed]

@@ -19,21 +19,25 @@ import textwrap
 
 import pytest
 
-from aps2sim import engine, isa, mem, mod
+from aps2sim import asm, engine, isa, mem, mod
 
 ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
          "EventKind"}
 
 # functions, and classes whose every method but a constructor, that run
 # per decoded instruction, engine command or modulator command, or per
-# modulator command chunk, NCO or output block
+# modulator command chunk, NCO or output block; and set-up's per-line and
+# per-word loops (asm._build runs once per distinct line, so it is not here)
 HOT = {
+    asm: ["_scan", "assemble", "_sites", "_far_calls", "_block_start",
+          "_mover", "_moved_words", "insert_prefetch_hints",
+          "strip_prefetch_hints"],
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
              "_compare", "_Rotation", "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
     mod: ["ModEngine", "_nco_states"],
-    isa: ["encode", "_check_stray", "decode", "ProgramImage.decode_all",
-          "validate_program"],
+    isa: ["encode", "_check_stray", "decode", "decode_table",
+          "ProgramImage.decode_all", "validate_program"],
 }
 CONSTRUCTORS = {"__init__", "reset"}     # read the configs once, by design
 
@@ -118,4 +122,6 @@ def test_every_hot_name_exists():
             "aps2sim.mod._nco_states",
             "aps2sim.engine._ramps",
             "aps2sim.engine._Rotation.rotate",
-            "aps2sim.isa.decode"} <= {c[0] for c in CASES}
+            "aps2sim.isa.decode",
+            "aps2sim.asm.assemble",
+            "aps2sim.asm.insert_prefetch_hints"} <= {c[0] for c in CASES}

@@ -446,6 +446,17 @@ def test_an_empty_stream_resolves_to_no_window():
     assert eng.events == [] and not len(eng.resolve([], [], []))
 
 
+def test_a_run_off_the_sample_grid_is_a_value_error():
+    # windows read phase per 5-tick sample from the run start, so a run
+    # at 1003 would silently take the phase word of tick 1000
+    eng = ModEngine(ModConfig())
+    eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=0.125), 0)
+    eng.submit(mk(ModAction.MODULATE, nco=0, count=16), 0)
+    with pytest.raises(ValueError, match="run 1 starts at output tick 1003"):
+        eng.resolve([1000, 1003], [8, 8], [])
+    assert len(eng.resolve([1000, 1040], [8, 8], [])) == 1
+
+
 @pytest.mark.parametrize("edge", [1003, 1000])
 def test_a_latch_off_the_sample_grid_is_a_value_error(edge):
     # a RESET_PHASE after a WAIT latches on the trigger edge: an edge off
