@@ -31,6 +31,18 @@ text once, at its first occurrence, and later occurrences reuse the
 word.  Label errors therefore come before build errors, and a bad line
 is reported at its first occurrence.  The hint passes likewise decode
 each distinct word once and visit only the branch and PREFETCH sites.
+
+Prefetch planning (``insert_prefetch_hints``): a far CALL is paid in
+line fills over the serial SDRAM bus, so the hints keep that bus busy
+ahead of the calls without evicting a line before it plays.  In a
+REPEAT loop the lines that the far calls' entries span, in the body's
+call order, are one lap.  The preheader prefetches the first
+``mem.ASSOC_LINES`` of them, and each call j is followed by the hints
+for as many lines as it spans, ``ASSOC_LINES`` lines further on in the
+lap (wrapping into the next lap).  So a lap with more lines than the
+associative half holds streams them at the bus rate, and the oldest
+line, the one each fill evicts, has already played.  A far call outside
+every loop is prefetched at the start of its basic block.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ from .isa import (
     Waveform,
     WfAction,
 )
-from .mem import WINDOW_AHEAD, WINDOW_BEHIND
+from .mem import ASSOC_LINES, WINDOW_AHEAD, WINDOW_BEHIND
 
 __all__ = [
     "AsmError",
@@ -469,6 +481,7 @@ def _format(instr: Instruction, label, wave_names) -> str:
 _TARGETED = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
 _BLOCK_ENDS = frozenset({OP_GOTO, OP_CALL, OP_RETURN, OP_REPEAT, OP_WAIT,
                          OP_SYNC})
+_LINE = isa.CACHE_LINE_INSTRUCTIONS
 
 
 def _sites(words: list[int], table: dict[int, Instruction]) -> list[int]:
@@ -477,19 +490,11 @@ def _sites(words: list[int], table: dict[int, Instruction]) -> list[int]:
     return [pc for pc, w in enumerate(words) if w in hit]
 
 
-def _far_calls(words: list[int], table: dict[int, Instruction],
-               sites: list[int]) -> list[tuple[int, int]]:
-    """(call site, target) of every CALL among the sites whose target
-    line lies outside the sequential window around the site."""
-    line = isa.CACHE_LINE_INSTRUCTIONS
-    far = []
-    for pc in sites:
-        instr = table[words[pc]]
-        if instr.op is OP_CALL:
-            lines_ahead = instr.addr // line - pc // line
-            if not -WINDOW_BEHIND <= lines_ahead <= WINDOW_AHEAD:
-                far.append((pc, instr.addr))
-    return far
+def _is_far(site: int, target: int) -> bool:
+    """A CALL whose target line lies outside the sequential window
+    around its site."""
+    lines_ahead = target // _LINE - site // _LINE
+    return not -WINDOW_BEHIND <= lines_ahead <= WINDOW_AHEAD
 
 
 def _block_start(words: list[int], ends: set[int], labels: set[int],
@@ -502,10 +507,31 @@ def _block_start(words: list[int], ends: set[int], labels: set[int],
     return start
 
 
+def _entry_end(words: list[int], ends: set[int], target: int) -> int:
+    """The first block-ending word at or after target, or the last word:
+    a callee's straight-line entry runs from target through it."""
+    end, last = target, len(words) - 1
+    while end < last and words[end] not in ends:
+        end += 1
+    return end
+
+
 def _mover(points: list[int], shift: int):
     """Address map after shifting by `shift` every address at or above
     each of the sorted points: a -> a + shift * (points <= a)."""
     return lambda a: a + shift * bisect_right(points, a)
+
+
+def _relocation(hints) -> tuple:
+    """(word_at, target_at) for hints (position, before, ...) inserted in
+    one pass.  Every hint goes before the word at its position, so a word
+    moves up by the hints at or below it.  A branch target moves up by the
+    hints below it and by those placed before its label (a loop's
+    preheader); a hint placed at a label stays behind it, so a branch to
+    the label runs the hint."""
+    word_at = _mover(sorted(h[0] for h in hints), 1)
+    target_at = _mover(sorted(h[0] + (not h[1]) for h in hints), 1)
+    return word_at, target_at
 
 
 def _moved_words(words: list[int], table: dict[int, Instruction],
@@ -521,47 +547,151 @@ def _moved_words(words: list[int], table: dict[int, Instruction],
     return out
 
 
-def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
-    """Insert one PREFETCH per call region for each distant CALL target.
-
-    Program semantics are unchanged; only the cache behaves differently.
-    Each distinct word is decoded once, and only the targeted sites
-    (GOTO, CALL, REPEAT, PREFETCH) are visited after that.  The image is
-    relocated in one pass: an address a moves up by the number of hints
-    inserted at or below a, and each hint targets its CALL target's new
-    address.
-    """
+def _hint_sites(image: ProgramImage, table: dict[int, Instruction],
+                sites: list[int]) -> tuple[list, list, list, dict]:
+    """What the plan reads, in the image's own addresses: each backward
+    REPEAT as (loop label, preheader block); each CALL as (site, target,
+    index of the innermost loop holding it or None, start of its basic
+    block outside every loop); each PREFETCH as (block, target); and the
+    entry end of each call target.  A block is (start, False), and an
+    empty preheader, one whose label follows a flow change, is (label,
+    True)."""
     words = image.words
-    table = isa.decode_table(words)
-    sites = _sites(words, table)
     ends = {w for w, instr in table.items() if instr.op in _BLOCK_ENDS}
     labels = set(image.symbols.values())
     labels.update(table[words[pc]].addr for pc in sites
                   if table[words[pc]].op is not OP_PREFETCH)
-    inserts: list[tuple[int, int]] = []   # (insert position, target)
-    seen: set[tuple[int, int]] = set()
-    for site, target in reversed(_far_calls(words, table, sites)):
-        pos = _block_start(words, ends, labels, site)
-        key = (pos, target // isa.CACHE_LINE_INSTRUCTIONS)
-        if key in seen:
-            continue
-        seen.add(key)
-        inserts.append((pos, target))
 
-    inserts.sort()                        # hints at one position by target
-    move = _mover([pos for pos, _ in inserts], 1)
-    body = _moved_words(words, table, sites, move)
+    def block(pc):
+        return (_block_start(words, ends, labels, pc), False)
+
+    repeats, calls, prefetches = [], [], []
+    for pc in sites:
+        instr = table[words[pc]]
+        if instr.op is OP_REPEAT and instr.addr <= pc:
+            repeats.append((instr.addr, pc))
+        elif instr.op is OP_CALL and instr.addr < len(words):
+            calls.append((pc, instr.addr))
+        elif instr.op is OP_PREFETCH:
+            prefetches.append((block(pc), instr.addr))
+    loops = [(head, block(head - 1) if head and words[head - 1] not in ends
+              else (head, True)) for head, _ in repeats]
+    placed = []
+    for site, target in calls:
+        inside = [(end - head, j) for j, (head, end) in enumerate(repeats)
+                  if head <= site <= end]
+        placed.append((site, target, min(inside)[1] if inside else None,
+                       None if inside else block(site)[0]))
+    entry_ends = {target: _entry_end(words, ends, target)
+                  for _, target in calls}
+    return loops, placed, prefetches, entry_ends
+
+
+def _plan(loops, calls, prefetches, entry_ends, word_at, target_at) -> list:
+    """The hints wanted with the image relocated by word_at and
+    target_at, each (position, before, block, call target, line offset):
+    a PREFETCH of the offset-th line of the callee's entry, inserted at
+    position (before its label if before), in the basic block block.  A
+    line that a PREFETCH already fetches in the same block is covered
+    and left out."""
+    cover = {(block, target_at(addr) // _LINE) for block, addr in prefetches}
+    wanted = []
+
+    def want(pos, before, block, target, offset):
+        key = (block, target_at(target) // _LINE + offset)
+        if key not in cover:
+            cover.add(key)
+            wanted.append((pos, before, block, target, offset))
+
+    def lines(target):
+        return (word_at(entry_ends[target]) // _LINE
+                - target_at(target) // _LINE + 1)
+
+    bodies = [[] for _ in loops]
+    for site, target, loop, start in calls:
+        if not _is_far(word_at(site), target_at(target)):
+            continue
+        if loop is not None:
+            bodies[loop].append((site, target))
+            continue
+        for offset in range(lines(target)):
+            want(start, False, (start, False), target, offset)
+    for (head, preheader), body in zip(loops, bodies):
+        sizes = [lines(target) for _, target in body]
+        lap = [(target, offset) for (_, target), n in zip(body, sizes)
+               for offset in range(n)]
+        for target, offset in lap[:ASSOC_LINES]:
+            want(head, True, preheader, target, offset)
+        if len(lap) <= ASSOC_LINES:
+            continue
+        # after call j, its own number of lines ASSOC_LINES further on
+        ahead = ASSOC_LINES
+        for (site, _), n in zip(body, sizes):
+            for k in range(ahead, ahead + n):
+                want(site + 1, False, (site + 1, False), *lap[k % len(lap)])
+            ahead += n
+    return wanted
+
+
+def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
+    """Insert PREFETCH hints that fill the associative cache half ahead
+    of each distant CALL.
+
+    A callee's entry is its target through its first block-ending word,
+    and each line it spans gets a hint.  A far call in a REPEAT loop
+    (the innermost one holding it) is planned along the loop's static
+    call order: the lines of the far calls in its body, in order, are one
+    lap.  The preheader, before the loop label, prefetches the first
+    ``mem.ASSOC_LINES`` of them.  If a lap has more, call j is followed
+    by one hint per line it spans, each for the line ``ASSOC_LINES``
+    places further on in the lap (wrapping into the next lap).  So at
+    most ``ASSOC_LINES`` lines are in flight or waiting, and the
+    oldest-first victim of each fill is a line the lap has played.  A far call outside
+    every loop gets its hints at the start of its basic block.  A hint at
+    a label stays behind it, so a branch to the label runs the hint.
+
+    Lines are counted in the relocated image.  The plan is redone with
+    the relocation it implies until it adds nothing (a hint below a
+    callee may move its entry across a line end); each pass only adds
+    hints, of which there are finitely many, so it stops.  A PREFETCH of a line already in the block it
+    would go to counts as cover, so a second insertion changes nothing.
+    Program semantics are unchanged; only the cache behaves differently,
+    and a cache configured with fewer associative lines than the plan
+    assumes costs stalls, never values.  Each distinct word is decoded
+    once, and only the targeted sites (GOTO, CALL, REPEAT, PREFETCH) are
+    visited after that.
+    """
+    words = image.words
+    table = isa.decode_table(words)
+    sites = _sites(words, table)
+    analysis = _hint_sites(image, table, sites)
+    planned: dict[tuple, None] = {}
+    while True:
+        word_at, target_at = _relocation(planned)
+        fresh = [hint for hint in _plan(*analysis, word_at, target_at)
+                 if hint not in planned]
+        if not fresh:
+            break
+        planned.update(dict.fromkeys(fresh))
+
+    # at one position, the hints before a label first, then in plan order
+    hints = sorted(planned, key=lambda hint: (hint[0], not hint[1]))
+    body = _moved_words(words, table, sites, target_at)
     out: list[int] = []
-    manifest = [(move(s), move(t)) for s, t in image.prefetch_manifest]
+    manifest = [(word_at(s), target_at(t)) for s, t in image.prefetch_manifest]
     done = 0
-    for pos, target in inserts:
+    for pos, _, _, target, offset in hints:
         out += body[done:pos]
         done = pos
-        manifest.append((len(out), move(target)))
-        out.append(isa.encode(Instruction(OP_PREFETCH, addr=move(target))))
+        addr = target_at(target)
+        if offset:
+            addr = (addr // _LINE + offset) * _LINE
+        manifest.append((len(out), addr))
+        out.append(isa.encode(Instruction(OP_PREFETCH, addr=addr)))
     out += body[done:]
     return ProgramImage(words=out, waveforms=image.waveforms,
-                        symbols={n: move(a) for n, a in image.symbols.items()},
+                        symbols={n: target_at(a)
+                                 for n, a in image.symbols.items()},
                         wave_symbols=dict(image.wave_symbols),
                         prefetch_manifest=sorted(manifest))
 

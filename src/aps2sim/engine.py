@@ -76,35 +76,45 @@ depth, lookahead, decode budget) are read into locals once per
 (``tests/test_hot_paths.py`` checks both rules).
 
 Lap fast-forward: at each taken REPEAT, ``Sequencer._skip_laps``
-compares the machine state with its state at the previous taken REPEAT
-at the same pc.  Ticks are compared relative to the decode tick t0.  A
-tick at or below t0 is stale, and any two stale values of a field count
-as equal: the code only ever compares such a tick against a later one,
-with max or <=.  So ``last_start`` is compared as ``last_start +
-min_gap``, the bound it puts on a start, and the waveform frontier is
-never stale, since an underrun event records it.  If every tick moved
-by the same period P, a multiple of the sequencer clock, and the rest is
-equal (pc, call stack, comparison register and result, window base and
-lines, associative lines in victim order, resident range, active
-waveform page), each lap still to run is the last one moved on by P, 2P
-and so on.  The sequencer then appends m copies of the last lap's run
-columns and events, and ``ModEngine.repeat_lap`` appends the lap's
-modulator commands m times as one array chunk (dispatch ticks moved on
-by P and stream positions by the lap's samples per lap, no Python object
-per copy).  It adds m laps to the decode, hit and miss counts and the
-stream position, takes m from the repeat register and moves every
-tick on by mP; a stale tick stays stale.  m is the repeat register, or
-fewer if the decode budget runs out first.  There is no skip when the
-lap wrote the repeat register itself (a LOAD_REPEAT in the loop's frame,
-or a RETURN out of it), when lookahead is off, or while an input could
-change the next lap: a WAIT queued in any engine or the modulator, a
-pending SYNC, queued steering words or a page fill in flight.  No lap
-spans a return from ``run_until_blocked``.
+compares the machine state with its state at the taken REPEATs at the
+same pc that began the last few laps, up to ``CLK`` of them.  Ticks are
+compared relative to the decode tick t0.  A tick at or below t0 is
+stale, and any two stale values of a field count as equal: the code only
+ever compares such a tick against a later one, with max or <=.  So
+``last_start`` is compared as ``last_start + min_gap``, the bound it
+puts on a start, and the waveform frontier is never stale, since an
+underrun event records it.  A lap records its waveform lead (frontier
+less t0) first; the full state is built only when the lead equals a
+recorded one, so a loop whose lead drifts pays one lookup a lap.  If
+the state k laps back matches, every tick moved by the same period P, a
+multiple of the sequencer clock, and the rest is equal (pc, call stack,
+comparison register and result, window base and lines, associative
+lines in victim order, resident range, active waveform page), then each
+block of k laps still to run is the last k moved on by P, 2P and so on.
+The nearest such record wins.  k exceeds 1 when the laps are paced by
+something off the clock grid: a lap bound by the SDRAM bus takes B
+ticks, decode runs on the 20-tick clock, so fill ticks drift B mod 20
+against t0 each lap and the state repeats only after 20 / gcd(B, 20)
+laps, at most ``CLK``.  The sequencer then appends m copies of the last
+k laps' run columns and events, and ``ModEngine.repeat_lap`` appends
+their modulator commands m times as one array chunk (dispatch ticks
+moved on by P and stream positions by the samples per block, no Python
+object per copy).  It adds m blocks to the decode, hit and miss counts
+and the stream position, takes mk from the repeat register and moves
+every tick on by mP; a stale tick stays stale.  m is the repeat register
+divided by k, rounded down, or fewer if the decode budget runs out
+first; the laps left over are decoded.  There is no skip over a lap
+that wrote the repeat register itself (a LOAD_REPEAT in the loop's
+frame, or a RETURN out of it), when lookahead is off, or while an input
+could change the next lap: a WAIT queued in any engine or the
+modulator, a pending SYNC, queued steering words or a page fill in
+flight.  No lap spans a return from ``run_until_blocked``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -553,10 +563,13 @@ class Sequencer:
         self.decodes = 0
         self._carried_fetch: tuple[int, int] | None = None   # (pc, avail)
         self._sync_pending = False
-        # the taken REPEAT the current lap began at: (pc, waveform lead,
-        # then, once a lead repeated, key, decode tick and _lap_marks())
-        self._lap: tuple | None = None
-        self._lap_depth = -1     # its stack depth; -1 once the lap writes
+        # the taken REPEATs at pc _lap_at that began the laps since, the
+        # last CLK of them, oldest first: each one's waveform lead, and
+        # (key, decode tick, _lap_marks()) if a key was built, else None
+        self._lap_leads: deque = deque(maxlen=CLK)
+        self._lap_records: deque = deque(maxlen=CLK)
+        self._lap_at = -1
+        self._lap_depth = -1     # their stack depth; -1 once a lap writes
                                  # the repeat register itself
 
     # -- external deliveries ------------------------------------------------
@@ -594,7 +607,7 @@ class Sequencer:
         modeng = self.modeng
         mod_commands, mod_ticks, mod_positions = (
             modeng.commands, modeng.ticks, modeng.positions)
-        self._lap = None         # an input arrived: no lap spans it
+        self._forget_laps()      # an input arrived: no lap spans it
         while not self.halted:
             if self.decodes >= max_decodes:
                 raise SimTrap("decode budget exhausted (runaway program?)")
@@ -806,28 +819,41 @@ class Sequencer:
 
     def _skip_laps(self, at: int) -> None:
         """At a taken REPEAT at pc at, append the laps still to run as
-        copies of the last one if the state repeats (module docstring)."""
+        copies of the last k if the state repeats (module docstring)."""
         t0 = self.decode_tick
-        lap = self._lap
         depth = len(self.stack)
-        pure = self._lap_depth == depth
+        if self._lap_depth != depth or self._lap_at != at:
+            self._forget_laps()  # another loop, or the lap was not pure
+            self._lap_at = at
         self._lap_depth = depth
         frontier = self.wf.frontier
         lead = None if frontier is None else frontier - t0
-        # cheap pre-check: a lap that moved the waveform frontier against
-        # the decode tick is not periodic, so no key is built for it
-        if lap is None or not pure or lap[0] != at or lap[1] != lead:
-            self._lap = (at, lead, None)
-            return
-        self._lap = None
-        if (not self.cfg.lookahead or self.mod_waits or self._sync_pending
-                or self.steering or self.wavecache.pending_fill is not None
-                or not all(e.idle() for e in self.engines)):
-            return
-        key = self._lap_key(t0)
-        if key == lap[2] and self._repeat_laps(t0 - lap[3], lap[4]):
-            return
-        self._lap = (at, lead, key, t0, self._lap_marks())
+        record = None
+        # cheap pre-check: a lap whose waveform lead against the decode
+        # tick no recorded lap shares repeats none, so no key is built
+        if lead in self._lap_leads:
+            if (not self.cfg.lookahead or self.mod_waits
+                    or self._sync_pending or self.steering
+                    or self.wavecache.pending_fill is not None
+                    or not all(e.idle() for e in self.engines)):
+                self._forget_laps()
+                return
+            key = self._lap_key(t0)
+            records = self._lap_records
+            for k in range(1, len(records) + 1):
+                old = records[-k]
+                if old is not None and old[0] == key:
+                    if self._repeat_laps(t0 - old[1], old[2], k):
+                        self._forget_laps()
+                        return
+                    break
+            record = (key, t0, self._lap_marks())
+        self._lap_leads.append(lead)
+        self._lap_records.append(record)
+
+    def _forget_laps(self) -> None:
+        self._lap_leads.clear()
+        self._lap_records.clear()
 
     def _lap_key(self, t0: int) -> list:
         """Everything the laps ahead read, ticks relative to t0."""
@@ -853,18 +879,19 @@ class Sequencer:
                 len(self.wavecache.events), self.modeng.pending_commands(),
                 [len(e.starts) for e in self.engines])
 
-    def _repeat_laps(self, period: int, marks: tuple) -> bool:
-        """Append the laps after the last one, which began at marks, as
-        copies of it moved on by period each; False if none can be."""
+    def _repeat_laps(self, period: int, marks: tuple, k: int) -> bool:
+        """Append the laps after the last k, which began at marks, as
+        blocks of copies of those k, each moved on by period from the
+        one before; False if not one block can be."""
         decodes, hits, misses, pos, n_ev, n_icache_ev, n_wave_ev, n_mod, \
             n_runs = marks
-        per_lap = self.decodes - decodes
-        laps = min(self.repeat_register,
-                   (self.cfg.max_decodes - self.decodes) // per_lap)
-        if period % CLK or laps <= 0:
+        per_block = self.decodes - decodes
+        blocks = min(self.repeat_register // k,
+                     (self.cfg.max_decodes - self.decodes) // per_block)
+        if period % CLK or blocks <= 0:
             return False
-        shifts = range(period, (laps + 1) * period, period)
-        moved = laps * period
+        shifts = range(period, (blocks + 1) * period, period)
+        moved = blocks * period
         for e, first in zip(self.engines, n_runs):
             e.repeat_lap(first, shifts)
         icache, wavecache = self.icache, self.wavecache
@@ -873,11 +900,11 @@ class Sequencer:
         wavecache.events += _shifted(wavecache.events[n_wave_ev:], shifts)
         samples = self.stream_pos - pos
         self.modeng.repeat_lap(n_mod, shifts, samples)
-        self.decodes += laps * per_lap
-        icache.hits += laps * (icache.hits - hits)
-        icache.misses += laps * (icache.misses - misses)
-        self.stream_pos += laps * samples
-        self.repeat_register -= laps
+        self.decodes += blocks * per_block
+        icache.hits += blocks * (icache.hits - hits)
+        icache.misses += blocks * (icache.misses - misses)
+        self.stream_pos += blocks * samples
+        self.repeat_register -= blocks * k
         self.decode_tick += moved
         if self._carried_fetch is not None:
             pc, avail = self._carried_fetch

@@ -16,7 +16,10 @@ The instruction cache has two halves, both built from 1 kB lines of
   * a small fully associative cache filled only by explicit PREFETCH
     instructions, for subroutines and branch targets, and replaced
     oldest-first: a PREFETCH of a new line into a full half evicts the
-    line filled longest ago.
+    line filled longest ago.  It holds ``ASSOC_LINES`` (8) lines unless
+    ``MemConfig.assoc_lines`` says otherwise; the prefetch planner in
+    ``asm`` plans for ``ASSOC_LINES``, so a smaller cache costs stalls,
+    never values.
 
 The window re-centres on the line the program counter enters; it keeps
 ``WINDOW_BEHIND`` lines behind that base and fills ``WINDOW_AHEAD``
@@ -63,6 +66,7 @@ from .events import (EV_ASSOC_WAIT, EV_MISS, EV_PAGE_FILL, EV_PAGE_SWAP,
 from .isa import CACHE_LINE_INSTRUCTIONS
 
 __all__ = [
+    "ASSOC_LINES",
     "LINE_FILL_BYTES",
     "WINDOW_AHEAD",
     "WINDOW_BEHIND",
@@ -81,6 +85,7 @@ __all__ = [
 LINE_FILL_BYTES = 8 * CACHE_LINE_INSTRUCTIONS   # 8-byte instruction words
 WINDOW_AHEAD = 4                  # lines the window fills past its base
 WINDOW_BEHIND = 2                 # played lines it keeps behind its base
+ASSOC_LINES = 8                   # associative lines, the default capacity
 HIT_LATENCY_TICKS = 2 * SEQ_CLOCK_TICKS
 SDRAM_LATENCY_TICKS = ns_to_ticks(200.0)
 SDRAM_TICKS_PER_BYTE = TICKS_PER_NS * 1e9 / 1.45e9   # at 1.45 GB/s
@@ -88,7 +93,7 @@ SDRAM_TICKS_PER_BYTE = TICKS_PER_NS * 1e9 / 1.45e9   # at 1.45 GB/s
 
 @dataclass
 class MemConfig:
-    assoc_lines: int = 8
+    assoc_lines: int = ASSOC_LINES
     wave_mode: str = "single"          # "single" or "pingpong"
     wave_page_samples: int = 65536
     ideal: bool = False                # every fetch hits, for comparison runs

@@ -167,8 +167,9 @@ class ModEngine:
 
     def repeat_lap(self, first: int, shifts: range, samples: int) -> None:
         """Append commands first.. again once per shift: dispatch ticks
-        moved on by it, dispatch positions by samples per lap.  The lap
-        is decoded commands: first is not before a chunk's end."""
+        moved on by it, dispatch positions by samples per copy (one lap
+        or a block of laps).  The copied commands are decoded ones:
+        first is not before a chunk's end."""
         if first < self._sealed:
             raise ValueError(f"lap from command {first} starts inside a "
                              f"chunk (the chunks hold {self._sealed})")

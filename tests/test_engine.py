@@ -10,6 +10,7 @@ import pytest
 
 from aps2sim.asm import insert_prefetch_hints
 from aps2sim import engine
+from aps2sim.clocks import ANALOG_SAMPLE_TICKS
 from aps2sim.engine import (BLOCK_SAMPLES, PIPELINE_TICKS, STACK_DEPTH,
                             DeadlockError, EngineConfig, Sequencer, SimTrap)
 from aps2sim.events import Event, EventKind
@@ -29,7 +30,8 @@ from aps2sim.isa import (
     encode,
     turns_from_phase_word,
 )
-from aps2sim.mem import MemConfig
+from aps2sim.mem import (LINE_FILL_BYTES, SDRAM_LATENCY_TICKS, MemConfig,
+                        Sdram)
 from aps2sim.mod import MixerCorrector, ModConfig, Windows
 
 from oracle import interpret, random_program, reference_resolve, resolved
@@ -1151,9 +1153,9 @@ def skips(monkeypatch):
     laps = []
     repeat_laps = Sequencer._repeat_laps
 
-    def counted(self, period, marks):
+    def counted(self, period, marks, k):
         before = self.repeat_register
-        done = repeat_laps(self, period, marks)
+        done = repeat_laps(self, period, marks, k)
         if done:
             laps.append(before - self.repeat_register)
         return done
@@ -1176,9 +1178,9 @@ def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
     replayed = []           # instruction-cache events each one appended
     counted = Sequencer._repeat_laps
 
-    def replaying(self, period, marks):
+    def replaying(self, period, marks, k):
         before = len(self.icache.events)
-        done = counted(self, period, marks)
+        done = counted(self, period, marks, k)
         if done:
             replayed.append(len(self.icache.events) - before)
         return done
@@ -1305,3 +1307,145 @@ def test_edge_loops_run_as_decoded(monkeypatch, prog, inputs):
             return seq.decodes, seq.pc, seq.decode_tick
 
     assert run() == decoding_every_lap(monkeypatch, run)
+
+
+# -- planned prefetch hints ----------------------------------------------
+#
+# insert_prefetch_hints plans each REPEAT loop's far calls as one lap of
+# lines: the hints change the cache's timing, never a value.
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_planned_hints_change_no_value(seed):
+    prog, initial_cmp = random_program(np.random.default_rng(4000 + seed),
+                                       pad=300)
+    ref = interpret(prog, initial_cmp)
+    for hinted in (prog, insert_prefetch_hints(prog)):
+        trace = Sequencer(hinted, EngineConfig(
+            initial_cmp=initial_cmp)).run_simple()
+        assert np.array_equal(trace.analog_values(), ref["analog"])
+        for ch in range(4):
+            assert np.array_equal(trace.marker_levels(ch)[1],
+                                  ref["markers"][ch])
+
+
+def test_a_hint_at_a_loop_label_runs_every_lap():
+    # a loop closed by a conditional GOTO, so the call's only block start
+    # is the label the GOTO targets; eight PREFETCHes after the call
+    # evict the callee's line every lap, which only a hint run on every
+    # lap refills before the call
+    far = 10 * 128
+    body = [Instruction(Opcode.LOAD_CMP),
+            Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=1),
+            Instruction(Opcode.CALL, addr=far)]
+    body += [Instruction(Opcode.PREFETCH, addr=(12 + k) * 128)
+             for k in range(8)]
+    body += [Instruction(Opcode.GOTO, addr=0, conditional=True), None]
+    done = len(body) - 1
+    body += [FILLER] * (far - len(body))
+    body += [play(0, 8), Instruction(Opcode.RETURN)]
+    body += [FILLER] * (20 * 128 - len(body))
+    body[done] = Instruction(Opcode.GOTO, addr=len(body))
+    seq = Sequencer(insert_prefetch_hints(image(body)))
+    steering = [1] * 5 + [0]             # six laps
+    laps = []                            # decode tick each lap starts at
+    while (reason := seq.run_until_blocked()) != "halted":
+        assert reason == "need_steering"
+        laps.append(seq.decode_tick)
+        seq.deliver_steering(steering.pop(0), 0)
+    events = seq.finalize().events
+    assert len(laps) == 6
+    assert [e for e in events if e.kind == "miss" and e.tick >= laps[1]] == []
+    refills = [e for e in events
+               if e.kind == "prefetch" and e.detail["line"] == 10]
+    assert len(refills) == 6
+
+
+def test_a_two_line_callee_in_a_loop_stops_missing_after_lap_1(monkeypatch):
+    sub = 10 * 128 - 2                  # its five words end in line 10
+    body = [None]
+    body += [FILLER] * (sub - len(body))
+    body += [play(0, 8), play(8, 8), FILLER, FILLER,
+             Instruction(Opcode.RETURN)]
+    body += [FILLER] * (16 * 128 - len(body))
+    body[0] = Instruction(Opcode.GOTO, addr=len(body))
+    body += [Instruction(Opcode.LOAD_REPEAT, value=9), play(0, 8),
+             Instruction(Opcode.CALL, addr=sub),
+             Instruction(Opcode.REPEAT, addr=len(body) + 1)]
+    prog = insert_prefetch_hints(image(body))
+    assert sorted(t // 128 for _, t in prog.prefetch_manifest) == [9, 10]
+    ends = []                           # decode tick at each taken REPEAT
+    skip_laps = Sequencer._skip_laps
+
+    def spy(self, at):
+        ends.append(self.decode_tick)
+        skip_laps(self, at)
+
+    monkeypatch.setattr(Sequencer, "_skip_laps", spy)
+    trace = Sequencer(prog).run_simple()
+    late = [e for e in trace.events
+            if e.kind in ("miss", "window_wait") and e.tick >= ends[0]]
+    assert late == []
+    assert len(trace.analog) == 10 * 3
+
+
+def streamed_calls_program(repeats):
+    """farcall at a small scale: after a WAIT, a loop calling six
+    subroutines 3 lines apart whose entries each cross a line end, so a
+    lap spans 12 lines, more than the associative half holds."""
+    body = [Instruction(Opcode.WAIT), None]
+    subs = []
+    for s in range(6):
+        body += [FILLER] * (128 * (3 * s + 2) - 2 - len(body))
+        subs.append(len(body))
+        body += [marker_pulse(2), play(0, 8), play(8, 8),
+                 Instruction(Opcode.RETURN)]
+    body += [FILLER] * (128 * 20 - len(body))
+    body[1] = Instruction(Opcode.GOTO, addr=len(body))
+    body.append(Instruction(Opcode.LOAD_REPEAT, value=repeats))
+    body += [Instruction(Opcode.CALL, addr=subs[k * 5 % 6]) for k in range(6)]
+    body.append(Instruction(Opcode.REPEAT, addr=len(body) - 6))
+    return image(body)
+
+
+def run_streamed_calls(prog):
+    # a queue of 4 stops the decoder a few runs past the WAIT: the laps it
+    # runs ahead of the trigger, behind a queued WAIT, are never copied
+    return Sequencer(prog, EngineConfig(queue_depth=4))
+
+
+@pytest.mark.parametrize("repeats", range(40, 45))
+def test_a_bus_bound_loop_copies_blocks_of_laps(monkeypatch, repeats):
+    prog = insert_prefetch_hints(streamed_calls_program(repeats))
+    copies = []                         # (block length, laps copied)
+    repeat_laps = Sequencer._repeat_laps
+
+    def spy(self, period, marks, k):
+        before = self.repeat_register
+        done = repeat_laps(self, period, marks, k)
+        if done:
+            copies.append((k, before - self.repeat_register))
+        return done
+
+    monkeypatch.setattr(Sequencer, "_repeat_laps", spy)
+
+    def run():
+        return run_digest(run_streamed_calls(prog), [1000])
+
+    fast = run()
+    assert fast == decoding_every_lap(monkeypatch, run)
+    (k,) = {k for k, _ in copies}
+    # a lap takes 12 fills of 4,238 bus ticks, 16 ticks off the clock
+    # grid, so the state repeats after 20 / gcd(16, 20) laps
+    assert k == 5
+    decoded = repeats + 1 - sum(laps for _, laps in copies)
+    assert decoded < 2 * k + 5
+
+
+def test_a_bus_bound_loop_runs_at_the_bus_rate():
+    laps, lines = 41, 12
+    trace = run_streamed_calls(insert_prefetch_hints(
+        streamed_calls_program(laps - 1))).run_simple(triggers=[1000])
+    fill = Sdram().request(LINE_FILL_BYTES, 0) - SDRAM_LATENCY_TICKS
+    duration = trace.analog_ticks()[-1] + ANALOG_SAMPLE_TICKS - 1000
+    assert abs(duration / (laps * lines * fill) - 1) < 0.02

@@ -29,8 +29,9 @@ ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
 # modulator command chunk, NCO or output block; and set-up's per-line and
 # per-word loops (asm._build runs once per distinct line, so it is not here)
 HOT = {
-    asm: ["_scan", "assemble", "_sites", "_far_calls", "_block_start",
-          "_mover", "_moved_words", "insert_prefetch_hints",
+    asm: ["_scan", "assemble", "_sites", "_is_far", "_block_start",
+          "_entry_end", "_mover", "_relocation", "_moved_words",
+          "_hint_sites", "_plan", "insert_prefetch_hints",
           "strip_prefetch_hints"],
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
              "_compare", "_Rotation", "_ramps"],
