@@ -63,6 +63,7 @@ from .isa import (
     OP_RETURN,
     OP_SYNC,
     OP_WAIT,
+    TARGET_OPS,
     Instruction,
     Marker,
     MarkerAction,
@@ -414,7 +415,7 @@ def _build_mod(bare, kv, no) -> Instruction:
 def disassemble(image: ProgramImage) -> str:
     """Image back to source text; reassembles to the identical word list."""
     instrs = image.decode_all()
-    targets = {i.addr for i in instrs if i.op in _TARGETED}
+    targets = {i.addr for i in instrs if i.op in TARGET_OPS}
     names = {addr: name for name, addr in image.symbols.items()}
     for addr in targets - names.keys():
         name = f"L{addr}"
@@ -478,7 +479,6 @@ def _format(instr: Instruction, label, wave_names) -> str:
 # PREFETCH hints ahead of distant CALL sites.
 
 
-_TARGETED = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
 _BLOCK_ENDS = frozenset({OP_GOTO, OP_CALL, OP_RETURN, OP_REPEAT, OP_WAIT,
                          OP_SYNC})
 _LINE = isa.CACHE_LINE_INSTRUCTIONS
@@ -486,7 +486,7 @@ _LINE = isa.CACHE_LINE_INSTRUCTIONS
 
 def _sites(words: list[int], table: dict[int, Instruction]) -> list[int]:
     """Address of every branch and PREFETCH: the words with a target."""
-    hit = {w for w, instr in table.items() if instr.op in _TARGETED}
+    hit = {w for w, instr in table.items() if instr.op in TARGET_OPS}
     return [pc for pc, w in enumerate(words) if w in hit]
 
 
@@ -646,20 +646,20 @@ def insert_prefetch_hints(image: ProgramImage) -> ProgramImage:
     by one hint per line it spans, each for the line ``ASSOC_LINES``
     places further on in the lap (wrapping into the next lap).  So at
     most ``ASSOC_LINES`` lines are in flight or waiting, and the
-    oldest-first victim of each fill is a line the lap has played.  A far call outside
-    every loop gets its hints at the start of its basic block.  A hint at
-    a label stays behind it, so a branch to the label runs the hint.
+    oldest-first victim of each fill is a line the lap has played.  A
+    far call outside every loop gets its hints at the start of its basic
+    block.  A hint at a label stays behind it, so a branch to the label
+    runs the hint.
 
     Lines are counted in the relocated image.  The plan is redone with
     the relocation it implies until it adds nothing (a hint below a
     callee may move its entry across a line end); each pass only adds
-    hints, of which there are finitely many, so it stops.  A PREFETCH of a line already in the block it
-    would go to counts as cover, so a second insertion changes nothing.
-    Program semantics are unchanged; only the cache behaves differently,
-    and a cache configured with fewer associative lines than the plan
-    assumes costs stalls, never values.  Each distinct word is decoded
-    once, and only the targeted sites (GOTO, CALL, REPEAT, PREFETCH) are
-    visited after that.
+    hints, of which there are finitely many, so it stops.  A PREFETCH of
+    a line already in the block it would go to counts as cover, so a
+    second insertion changes nothing.  Program semantics are unchanged;
+    only the cache behaves differently.  Each distinct word is decoded
+    once, and only the targeted sites (``isa.TARGET_OPS``) are visited
+    after that.
     """
     words = image.words
     table = isa.decode_table(words)

@@ -71,7 +71,7 @@ as a global: ``STACK_DEPTH``, ``JUMP_PENALTY_TICKS`` and
 ``MIN_PLAY_GAP_TICKS`` here, ``PIPELINE_TICKS`` in ``clocks`` (the
 modulator reads it too), the hit latency, window and SDRAM constants
 in ``mem``.  The configured values the loop needs (queue
-depth, lookahead, decode budget) are read into locals once per
+depth, decode budget) are read into locals once per
 ``run_until_blocked``, and no hot path reads a config property
 (``tests/test_hot_paths.py`` checks both rules).
 
@@ -105,10 +105,11 @@ every tick on by mP; a stale tick stays stale.  m is the repeat register
 divided by k, rounded down, or fewer if the decode budget runs out
 first; the laps left over are decoded.  There is no skip over a lap
 that wrote the repeat register itself (a LOAD_REPEAT in the loop's
-frame, or a RETURN out of it), when lookahead is off, or while an input
-could change the next lap: a WAIT queued in any engine or the
-modulator, a pending SYNC, queued steering words or a page fill in
-flight.  No lap spans a return from ``run_until_blocked``.
+frame, or a RETURN out of it), or while an input could change the next
+lap: a WAIT queued in any engine or the modulator, or queued steering
+words.  A SYNC fence resolves before the next instruction decodes, and
+a waveform page swap begins and ends in its PREFETCH, so neither is
+pending at a REPEAT.  No lap spans a return from ``run_until_blocked``.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ from .isa import (
     CMP_EQ,
     CMP_LT,
     CMP_NEQ,
-    MK_PLAY,
     MK_SYNC,
     MK_WAIT,
     MOD_SYNC,
@@ -186,7 +186,6 @@ MIN_PLAY_GAP_TICKS = 2 * CLK         # new waveform every 2 clocks
 @dataclass
 class EngineConfig:
     queue_depth: int = 64
-    lookahead: bool = True
     initial_cmp: int = 0                 # comparison register at start
     max_decodes: int = 20_000_000
 
@@ -276,11 +275,6 @@ class _StreamEngine:
 
     # -- command flow -------------------------------------------------------
 
-    def submit(self, cmd, tick: int) -> None:  # pragma: no cover
-        """Resolve a command dispatched at tick, or queue it behind an
-        undelivered WAIT."""
-        raise NotImplementedError
-
     def submit_wait(self, tick: int) -> None:
         if self.wait_dispatch is not None:
             self.pending.append(("wait", tick))
@@ -296,22 +290,20 @@ class _StreamEngine:
         return self.wait_dispatch is not None
 
     def deliver_trigger(self, edge: int) -> bool:
-        """Release the engine if it has an undelivered WAIT; edge aligned."""
+        """Release the engine if it has an undelivered WAIT; edge aligned.
+        The commands queued behind it resolve through ``submit`` up to
+        the next WAIT, which holds the rest."""
         if self.wait_dispatch is None:
             return False
         self.wait_dispatch = None
         self.floor = max(self.floor, edge)
         pending, self.pending = self.pending, []
-        for cmd, tick in pending:
+        for i, (cmd, tick) in enumerate(pending):
             if cmd == "wait":
-                if self.wait_dispatch is None:
-                    self._begin_wait(max(tick, edge))
-                else:
-                    self.pending.append((cmd, tick))
-            elif self.wait_dispatch is None:
-                self.submit(cmd, max(tick, edge))
-            else:
-                self.pending.append((cmd, tick))
+                self._begin_wait(max(tick, edge))
+                self.pending = pending[i + 1:]
+                break
+            self.submit(cmd, max(tick, edge))
         return True
 
     def _start_for(self, dispatch: int, duration: int) -> int:
@@ -348,9 +340,6 @@ class _StreamEngine:
         self.floor = max(self.floor, floor)
         self.frontier = None
         self.last_start = None
-
-    def idle(self) -> bool:
-        return self.wait_dispatch is None and not self.pending
 
     # -- lap fast-forward (see Sequencer._skip_laps) -----------------------
 
@@ -408,19 +397,18 @@ class WaveformEngine(_StreamEngine):
         self.ta.append(wf.ta)
 
     def submit(self, wf, tick: int) -> None:
-        if self.wait_dispatch is not None:
-            self.pending.append((wf, tick))
-        elif wf.action is WF_PLAY:
+        """Resolve a PLAY or PREFETCH dispatched at tick; no WAIT holds
+        the engine (WAIT and SYNC never get here)."""
+        if wf.action is WF_PLAY:
             self.play(wf, tick)
-        elif wf.action is WF_PREFETCH:
-            # the fill starts as the command resolves: at dispatch, so
-            # playback hides it, or at the edge that releases a WAIT
-            self.cache.begin_prefetch(wf.addr, tick)
-            at = self.frontier if self.frontier is not None \
-                else max(tick, self.floor)
-            swapped = self.cache.complete_swap(max(at, tick))
-            self.restart(align_up(swapped, CLK))
-        # engine-level SYNC is handled as a dispatcher fence
+            return
+        # the fill starts as the command resolves: at dispatch, so
+        # playback hides it, or at the edge that releases a WAIT
+        self.cache.begin_prefetch(wf.addr, tick)
+        at = self.frontier if self.frontier is not None \
+            else max(tick, self.floor)
+        swapped = self.cache.complete_swap(max(at, tick))
+        self.restart(align_up(swapped, CLK))
 
 
 class MarkerEngine(_StreamEngine):
@@ -440,11 +428,7 @@ class MarkerEngine(_StreamEngine):
         self.states.append(mk.state)
         self.lasts.append(mk.last_word)
 
-    def submit(self, mk, tick: int) -> None:
-        if self.wait_dispatch is not None:
-            self.pending.append((mk, tick))
-        elif mk.action is MK_PLAY:
-            self.play(mk, tick)
+    submit = play     # a PLAY is the one marker command queued behind a WAIT
 
     def runs(self) -> MarkerRuns:
         return MarkerRuns(np.array(self.starts, np.int64),
@@ -547,7 +531,7 @@ class Sequencer:
         self.wf = WaveformEngine(self.events, self.wavecache)
         self.markers = [MarkerEngine(ch, self.events) for ch in range(4)]
         self.engines = (self.wf, *self.markers)
-        self.modeng = ModEngine(self.mod_cfg)
+        self.modeng = ModEngine()
         self.mod_waits = 0
         self.stream_pos = 0      # waveform samples dispatched so far
         self.trigger_edges: list[int] = []
@@ -596,7 +580,6 @@ class Sequencer:
     def run_until_blocked(self) -> str:
         """Advance until halted or blocked on an external input."""
         max_decodes = self.cfg.max_decodes
-        lookahead = self.cfg.lookahead
         queue_depth = self.cfg.queue_depth
         n_instrs = self.n_instrs
         program = self._program
@@ -621,10 +604,6 @@ class Sequencer:
                     return "need_trigger"   # queues still hold a WAIT
                 self.halted = True
                 break
-            if not lookahead:
-                blocked = self._no_lookahead_fence()
-                if blocked:
-                    return blocked
             tick = self.decode_tick
             if self._carried_fetch is None and pc in icache.resident:
                 icache.hits += 1       # a plain hit, counted for the cache
@@ -716,16 +695,9 @@ class Sequencer:
         self.events.append(Event(since, EV_FETCH_STALL,
                                  self.decode_tick - since, {"pc": pc}))
 
-    def _no_lookahead_fence(self) -> str | None:
-        if any(e.waiting() for e in self.engines):
-            return "need_trigger"
-        drain = max(e.drain_tick() for e in self.engines)
-        self.decode_tick = max(self.decode_tick, align_up(drain, CLK))
-        return None
-
     def _try_sync(self) -> str | None:
         engines = self.engines
-        if any(not e.idle() for e in engines) or self.mod_waits > 0:
+        if self.mod_waits or any(e.waiting() for e in engines):
             return "need_trigger"      # queues hold a WAIT; fence must wait
         drain = align_up(max(e.drain_tick() for e in engines), CLK)
         self.decode_tick = max(self.decode_tick, drain + CLK)
@@ -832,10 +804,8 @@ class Sequencer:
         # cheap pre-check: a lap whose waveform lead against the decode
         # tick no recorded lap shares repeats none, so no key is built
         if lead in self._lap_leads:
-            if (not self.cfg.lookahead or self.mod_waits
-                    or self._sync_pending or self.steering
-                    or self.wavecache.pending_fill is not None
-                    or not all(e.idle() for e in self.engines)):
+            if (self.mod_waits or self.steering
+                    or any(e.waiting() for e in self.engines)):
                 self._forget_laps()
                 return
             key = self._lap_key(t0)

@@ -164,7 +164,8 @@ CMP_GT = CmpOp.GT
 _ENGINE_OPS = frozenset({OP_WAVEFORM, OP_MARKER, OP_MODULATOR})
 _BARE_OPS = frozenset({OP_WAIT, OP_SYNC, OP_LOAD_CMP, OP_RETURN})
 _BRANCH_OPS = frozenset({OP_GOTO, OP_CALL})
-_TARGET_OPS = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
+# the opcodes whose addr field is a target (asm reads this set too)
+TARGET_OPS = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
 _MOD_BARE = frozenset({MOD_WAIT, MOD_SYNC})
 
 
@@ -314,7 +315,7 @@ def _check_stray(instr: Instruction, op: Opcode) -> None:
     """Reject payload fields that do not belong to the opcode."""
     if op not in _ENGINE_OPS and instr.engine is not None:
         raise EncodeError(f"{op.name} takes no engine payload")
-    if op not in _TARGET_OPS and instr.addr:
+    if op not in TARGET_OPS and instr.addr:
         raise EncodeError(f"{op.name} takes no address")
     if op is not OP_LOAD_REPEAT and instr.value:
         raise EncodeError(f"{op.name} takes no value")
@@ -459,7 +460,7 @@ def validate_program(image: ProgramImage,
             findings.append(Finding("error", pc, instr))
             continue
         op = instr.op
-        if op in _TARGET_OPS:
+        if op in TARGET_OPS:
             # a branch to one past the last instruction halts cleanly
             if instr.addr > n or (op is OP_PREFETCH and instr.addr >= n):
                 findings.append(Finding(

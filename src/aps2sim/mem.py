@@ -16,15 +16,14 @@ The instruction cache has two halves, both built from 1 kB lines of
   * a small fully associative cache filled only by explicit PREFETCH
     instructions, for subroutines and branch targets, and replaced
     oldest-first: a PREFETCH of a new line into a full half evicts the
-    line filled longest ago.  It holds ``ASSOC_LINES`` (8) lines unless
-    ``MemConfig.assoc_lines`` says otherwise; the prefetch planner in
-    ``asm`` plans for ``ASSOC_LINES``, so a smaller cache costs stalls,
-    never values.
+    line filled longest ago.  It holds ``ASSOC_LINES`` (8) lines, the
+    capacity the prefetch planner in ``asm`` plans for.
 
 The window re-centres on the line the program counter enters; it keeps
 ``WINDOW_BEHIND`` lines behind that base and fills ``WINDOW_AHEAD``
-lines ahead of it.  This geometry and the latencies are fixed in the
-gateware, so they are module constants, not configuration.
+lines ahead of it.  This geometry, the associative capacity and the
+latencies are fixed in the gateware, so they are module constants, not
+configuration.
 
 The waveform cache is either one linear 128 ksample memory (everything
 resident at start) or two 64 ksample pages in ping-pong mode where the
@@ -85,7 +84,7 @@ __all__ = [
 LINE_FILL_BYTES = 8 * CACHE_LINE_INSTRUCTIONS   # 8-byte instruction words
 WINDOW_AHEAD = 4                  # lines the window fills past its base
 WINDOW_BEHIND = 2                 # played lines it keeps behind its base
-ASSOC_LINES = 8                   # associative lines, the default capacity
+ASSOC_LINES = 8                   # associative lines
 HIT_LATENCY_TICKS = 2 * SEQ_CLOCK_TICKS
 SDRAM_LATENCY_TICKS = ns_to_ticks(200.0)
 SDRAM_TICKS_PER_BYTE = TICKS_PER_NS * 1e9 / 1.45e9   # at 1.45 GB/s
@@ -93,17 +92,14 @@ SDRAM_TICKS_PER_BYTE = TICKS_PER_NS * 1e9 / 1.45e9   # at 1.45 GB/s
 
 @dataclass
 class MemConfig:
-    assoc_lines: int = ASSOC_LINES
     wave_mode: str = "single"          # "single" or "pingpong"
     wave_page_samples: int = 65536
     ideal: bool = False                # every fetch hits, for comparison runs
 
     def __post_init__(self):
-        for name in ("assoc_lines", "wave_page_samples"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"MemConfig.{name} must be at least 1, "
-                                 f"got {value}")
+        if self.wave_page_samples < 1:
+            raise ValueError("MemConfig.wave_page_samples must be at least "
+                             f"1, got {self.wave_page_samples}")
         if self.wave_mode not in ("single", "pingpong"):
             raise ValueError("MemConfig.wave_mode must be 'single' or "
                              f"'pingpong', got {self.wave_mode!r}")
@@ -216,7 +212,7 @@ class InstructionCache:
         if line in self.assoc:
             self.events.append(Event(tick, EV_PREFETCH_DUP, 0, detail))
             return
-        if len(self.assoc) >= self.cfg.assoc_lines:
+        if len(self.assoc) >= ASSOC_LINES:
             victim = next(iter(self.assoc))
             del self.assoc[victim]
             if victim * CACHE_LINE_INSTRUCTIONS in self.resident:

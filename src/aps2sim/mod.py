@@ -80,7 +80,6 @@ RADIANS_PER_WORD = 2.0 * np.pi / (1 << PHASE_BITS)   # 2π scaled by 2^-48
 
 @dataclass
 class ModConfig:
-    num_ncos: int = NUM_NCOS
     mixer_matrix: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 1.0)
     dc_offset_i: float = 0.0
     dc_offset_q: float = 0.0
@@ -144,8 +143,7 @@ class ModEngine:
     array chunk and appends the copied laps as one more chunk.
     """
 
-    def __init__(self, cfg: ModConfig):
-        self.cfg = cfg
+    def __init__(self):
         # decoded commands not yet sealed into a chunk, as columns
         self.commands: list[Modulator] = []
         self.ticks: list[int] = []
@@ -304,13 +302,13 @@ class ModEngine:
 
         opened = np.flatnonzero(window)
         on = nco[opened]
-        if (on >= self.cfg.num_ncos).any():
+        if (on >= NUM_NCOS).any():
             raise IndexError(f"MODULATE selects NCO {int(on.max())}, "
-                             f"the bank has {self.cfg.num_ncos}")
+                             f"the bank has {NUM_NCOS}")
         state = [np.zeros(len(opened), np.int64) for _ in range(3)]
         phase_cmds = latch | (act == MOD_SET_PHASE_OFFSET) \
             | (act == MOD_UPDATE_FRAME)
-        for k in range(self.cfg.num_ncos):
+        for k in range(NUM_NCOS):
             mine = on == k
             if not mine.any():
                 continue        # no window reads this NCO's state

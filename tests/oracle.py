@@ -48,7 +48,7 @@ from aps2sim.isa import (
     Waveform,
     WfAction,
 )
-from aps2sim.mod import ModConfig, ModEngine, Windows
+from aps2sim.mod import ModEngine, Windows
 
 TWO_PI = 2.0 * np.pi
 _TOP = 32767.0 / 32768.0
@@ -372,8 +372,8 @@ class _Nco:
 
 
 class NcoBank:
-    def __init__(self, cfg: ModConfig):
-        self.ncos = [_Nco() for _ in range(cfg.num_ncos)]
+    def __init__(self):
+        self.ncos = [_Nco() for _ in range(isa.NUM_NCOS)]
         # the NCOs each value of the 4-bit mask field selects
         self.selected = [[nco for k, nco in enumerate(self.ncos)
                           if mask & (1 << k)]
@@ -393,7 +393,7 @@ def reference_resolve(eng: ModEngine, starts, counts,
     code, dispatch_ticks, dispatch_positions = eng.columns()
     stream = zip([eng.table[c] for c in code.tolist()],
                  dispatch_ticks.tolist(), dispatch_positions.tolist())
-    bank = NcoBank(eng.cfg)
+    bank = NcoBank()
     ncos, selected = bank.ncos, bank.selected
     events: list[Event] = []
     first = list(accumulate(counts, initial=0))  # stream position of runs

@@ -121,20 +121,6 @@ def test_lookahead_hides_the_flush_behind_long_pulses():
     assert [e for e in trace.events if e.kind == "underrun"] == []
 
 
-def test_no_lookahead_mode_same_values_worse_timing():
-    instrs = [
-        Instruction(Opcode.LOAD_REPEAT, value=2),
-        play(0, 96, ta=True),
-        Instruction(Opcode.REPEAT, addr=1),
-    ]
-    ahead = Sequencer(image(instrs)).run_simple()
-    serial = Sequencer(image(instrs),
-                       EngineConfig(lookahead=False)).run_simple()
-    assert np.array_equal(ahead.analog_values(), serial.analog_values())
-    assert [e for e in ahead.events if e.kind == "underrun"] == []
-    assert len([e for e in serial.events if e.kind == "underrun"]) == 2
-
-
 def test_call_restores_the_repeat_register():
     # outer 3 runs x inner 4 runs = 12 bodies
     prog = image([
@@ -193,16 +179,61 @@ def test_load_cmp_blocks_then_latches_on_a_clock_edge():
         np.concatenate([wave_values(0, 8), wave_values(8, 8)]))
 
 
-def test_sync_fence_waits_for_drain():
-    prog = image([
-        play(0, 96, ta=True),
-        Instruction(Opcode.SYNC),
-        play(0, 8),
-    ])
+@pytest.mark.parametrize("sync", [
+    Instruction(Opcode.SYNC),
+    Instruction(Opcode.WAVEFORM, Waveform(WfAction.SYNC)),
+    Instruction(Opcode.MARKER, Marker(MarkerAction.SYNC)),
+    Instruction(Opcode.MODULATOR, Modulator(ModAction.SYNC)),
+], ids=["sync", "waveform", "marker", "mod"])
+def test_sync_fence_waits_for_drain(sync):
+    prog = image([play(0, 96, ta=True), sync, play(0, 8)])
     trace = Sequencer(prog).run_simple()
     # drain at 660, decode resumes at 680, second stream starts fresh
     assert trace.analog.start.tolist() == [180, 860]
     assert [e for e in trace.events if e.kind == "underrun"] == []
+
+
+@pytest.mark.parametrize("wait, wf_starts, mk_starts", [
+    # the waveform engine holds its second PLAY for the edge at 1000;
+    # the marker PLAY, decoded at 60, starts at 60 + 180
+    (Instruction(Opcode.WAVEFORM, Waveform(WfAction.WAIT)),
+     [180, 1180], [240]),
+    # marker 0 holds its PLAY; the second waveform PLAY, decoded at 40,
+    # continues the stream at 180 + 40
+    (Instruction(Opcode.MARKER, Marker(MarkerAction.WAIT, channel=0)),
+     [180, 220], [1180]),
+], ids=["waveform", "marker"])
+def test_an_engine_wait_holds_only_its_own_engine(wait, wf_starts,
+                                                  mk_starts):
+    pulse = Instruction(Opcode.MARKER, Marker(
+        MarkerAction.PLAY, channel=0, state=1, count=2, last_word=0b0011))
+    seq = Sequencer(image([play(0, 8), wait, play(8, 8), pulse]))
+    trace = seq.run_simple(triggers=[1000])
+    assert trace.analog.start.tolist() == wf_starts
+    assert trace.markers[0].start.tolist() == mk_starts
+    assert trace.markers.keys() == {0}
+    assert seq.trigger_edges == [1000]
+
+
+def test_run_simple_delivers_the_scheduled_steering():
+    # LOAD_CMP; CMP = 1; GOTO L if; PLAY a; GOTO end; L: PLAY b
+    prog = image([
+        Instruction(Opcode.LOAD_CMP),
+        Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=1),
+        Instruction(Opcode.GOTO, addr=5, conditional=True),
+        play(0, 8),
+        Instruction(Opcode.GOTO, addr=6),
+        play(8, 8),
+    ])
+    taken = Sequencer(prog).run_simple(steering=[(1, 95)])
+    assert taken.analog.start.tolist() == [660]
+    assert np.array_equal(taken.analog_values(), wave_values(8, 8))
+    fell = Sequencer(prog).run_simple(steering=[(0, 95)])
+    assert fell.analog.start.tolist() == [340]
+    assert np.array_equal(fell.analog_values(), wave_values(0, 8))
+    with pytest.raises(DeadlockError,
+                       match="blocked on steering, none scheduled"):
+        Sequencer(prog).run_simple()
 
 
 def test_queue_starvation_versus_adequate_depth():
@@ -668,9 +699,6 @@ def pinned_runs():
         prog, initial_cmp = random_program(np.random.default_rng(1000 + seed))
         runs[f"oracle{seed}"] = (
             Sequencer(prog, EngineConfig(initial_cmp=initial_cmp)), ())
-    prog, initial_cmp = random_program(np.random.default_rng(2003))
-    runs["oracle_serial"] = (Sequencer(prog, EngineConfig(
-        initial_cmp=initial_cmp, lookahead=False)), ())
     runs["far_calls"] = (Sequencer(far_calls_program()), ())
     for depth in (4, 8):
         runs[f"queue_depth{depth}"] = (Sequencer(
@@ -720,7 +748,6 @@ PINNED = {
     "oracle22": "32efe31e20b7bdeb",
     "oracle23": "4955fe5f0def75da",
     "oracle24": "adb4daaa42c2bf92",
-    "oracle_serial": "f33ecf32d9d6f7af",
     "far_calls": "a8b3f72b85cf6f2e",
     "queue_depth4": "c988781470701a14",
     "queue_depth8": "8a19f2c81c0104f7",
@@ -878,7 +905,6 @@ PINNED_VALUES = {
     "oracle7": "1d9ecc3db5557a32",
     "oracle8": "f8ee778f9c8dafc8",
     "oracle9": "f4ea9d51159436ab",
-    "oracle_serial": "1ae13019ec63832b",
     "page_swap": "630d12dccff2077f",
     "queue_depth4": "99d0c1452b739582",
     "queue_depth8": "bc22c599803885a3",
@@ -1193,8 +1219,7 @@ def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
         for hinted in (prog, insert_prefetch_hints(prog)):
             def make():
                 return Sequencer(hinted, EngineConfig(initial_cmp=initial_cmp,
-                                                      queue_depth=4),
-                                 mem_cfg=MemConfig(assoc_lines=2))
+                                                      queue_depth=4))
 
             skips.clear()
             replayed.clear()
@@ -1273,40 +1298,54 @@ def marker_pulse(count):
 LOAD_3 = Instruction(Opcode.LOAD_REPEAT, value=3)
 PREFETCHES = [Instruction(Opcode.PREFETCH, addr=line * 128)
               for line in (2, 3, 4)]
+PAGES = np.stack([np.arange(32, dtype=np.int16),    # two 16-sample pages
+                  np.zeros(32, dtype=np.int16)], axis=1)
+PINGPONG = MemConfig(wave_mode="pingpong", wave_page_samples=16)
 
 
-@pytest.mark.parametrize("prog, inputs", [
+def swap_to(page):
+    return Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, addr=page))
+
+
+@pytest.mark.parametrize("prog, inputs, mem_cfg", [
     # a WAIT or LOAD_CMP in the body needs an input every lap
     (loop([Instruction(Opcode.WAIT), play(0, 8)]),
-     {"triggers": [1000 + 5000 * k for k in range(31)]}),
+     {"triggers": [1000 + 5000 * k for k in range(31)]}, None),
     (loop([Instruction(Opcode.LOAD_CMP), play(0, 8)]),
-     {"steering": [(1, 100 * k) for k in range(31)]}),
+     {"steering": [(1, 100 * k) for k in range(31)]}, None),
     # the body reloads the repeat register: the loop never ends
-    (loop([play(0, 8), LOAD_3]), {}),
+    (loop([play(0, 8), LOAD_3]), {}, None),
     # each lap returns out of the loop's frame and calls back into it
     (image([LOAD_3, Instruction(Opcode.CALL, addr=3),
             Instruction(Opcode.GOTO, addr=1), play(0, 8),
             Instruction(Opcode.REPEAT, addr=5), Instruction(Opcode.RETURN)]),
-     {}),
+     {}, None),
     # a marker-only body while the waveform stream sits finished
-    (loop([marker_pulse(2)], repeats=300, before=[play(0, 8)]), {}),
+    (loop([marker_pulse(2)], repeats=300, before=[play(0, 8)]), {}, None),
     # the marker stream falls further behind each lap until its queue
     # fills, while the waveform lead repeats from the first lap
-    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}),
+    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}, None),
     # each lap's fills move the window, the bus and the associative half
     (ProgramImage(loop([play(0, 8), *PREFETCHES], repeats=60).words
-                  + [encode(FILLER)] * (5 * 128), RAMP), {}),
+                  + [encode(FILLER)] * (5 * 128), RAMP), {}, None),
+    # each lap swaps pages twice over the bus: the lap state, the active
+    # page among it, repeats every second lap
+    (ProgramImage(loop([play(0, 8), swap_to(1), play(0, 8), swap_to(0)],
+                       repeats=40).words, PAGES), {}, PINGPONG),
 ], ids=["wait", "load_cmp", "reload", "return_and_call", "marker_only",
-        "marker_bound", "prefetching"])
-def test_edge_loops_run_as_decoded(monkeypatch, prog, inputs):
+        "marker_bound", "prefetching", "pingpong"])
+def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg):
     def run():
-        seq = Sequencer(prog, EngineConfig(queue_depth=4, max_decodes=3000))
+        seq = Sequencer(prog, EngineConfig(queue_depth=4, max_decodes=3000),
+                        mem_cfg=mem_cfg)
         try:
             return run_digest(seq, **inputs)
         except SimTrap:
             return seq.decodes, seq.pc, seq.decode_tick
 
     assert run() == decoding_every_lap(monkeypatch, run)
+    if mem_cfg is PINGPONG:
+        assert skips        # the fast path copied blocks of two laps
 
 
 # -- planned prefetch hints ----------------------------------------------

@@ -118,6 +118,8 @@ def test_the_guard_sees_both_kinds_of_read():
 def test_every_hot_name_exists():
     assert len(CASES) > 40
     assert {"aps2sim.engine.Sequencer._execute",
+            "aps2sim.engine.Sequencer.run_until_blocked",
+            "aps2sim.engine._StreamEngine.deliver_trigger",
             "aps2sim.mem.InstructionCache.read_instruction",
             "aps2sim.mod.ModEngine.resolve",
             "aps2sim.mod._nco_states",

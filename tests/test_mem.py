@@ -18,7 +18,7 @@ def make_icache(n_lines=64, cfg=None):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("assoc_lines", 0), ("wave_page_samples", 0), ("wave_mode", "linear")])
+    ("wave_page_samples", 0), ("wave_mode", "linear")])
 def test_mem_config_rejects_a_bad_value(field, value):
     with pytest.raises(ValueError, match=f"MemConfig.{field}"):
         MemConfig(**{field: value})

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from aps2sim.clocks import PIPELINE_TICKS
-from aps2sim.isa import PHASE_MASK, ModAction, Modulator, phase_word_from_turns
+from aps2sim.isa import (NUM_NCOS, PHASE_MASK, ModAction, Modulator,
+                         phase_word_from_turns)
 from aps2sim.mod import MixerCorrector, ModConfig, ModEngine, Windows
 
 from oracle import NcoBank, reference_resolve, resolved
@@ -38,7 +39,7 @@ def rotations(eng, runs, edges=()):
 
 def test_two_nco_phase_continuity():
     """Alternating windows track each oscillator's own continuous phase."""
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     f0, f1 = 0.01, 0.037          # turns per sample
     eng.submit(mk(ModAction.RESET_PHASE, nco=0b11), 0)
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=f0), 0)
@@ -62,7 +63,7 @@ def test_two_nco_phase_continuity():
 
 
 def test_update_frame_pi_negates():
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.RESET_PHASE, nco=0b01), 0)
     inc = 0.013
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=inc), 0)
@@ -78,7 +79,7 @@ def test_update_frame_pi_negates():
 
 def test_phase_command_held_until_window_end():
     """An offset dispatched mid-window latches only at the boundary."""
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.MODULATE, nco=0, count=16), 0)
     # dispatched while the first window is open
     eng.submit(mk(ModAction.SET_PHASE_OFFSET, nco=0b01, turns=0.25), 10)
@@ -91,7 +92,7 @@ def test_phase_command_held_until_window_end():
 
 def test_reset_on_trigger_gives_zero_phase_at_first_sample():
     # rotation stage sits one engine pipeline ahead of the output plane
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     inc = 0.021
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=inc), 0)
     eng.submit(mk(ModAction.WAIT), 0)
@@ -107,7 +108,7 @@ def test_reset_on_trigger_gives_zero_phase_at_first_sample():
 
 
 def test_increment_change_keeps_accumulated_phase():
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     f1, f2 = 0.02, 0.005
     eng.submit(mk(ModAction.RESET_PHASE, nco=0b01), 0)
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=f1), 0)
@@ -125,7 +126,7 @@ def test_increment_change_keeps_accumulated_phase():
 
 
 def test_unmodulated_samples_pass_through():
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=0.1), 0)
     eng.submit(mk(ModAction.MODULATE, nco=0, count=4), 0)
     ticks = sample_ticks(0, 12)
@@ -134,7 +135,7 @@ def test_unmodulated_samples_pass_through():
 
 
 def test_underfilled_window_is_diagnosed():
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.MODULATE, nco=0, count=100), 0)
     eng.resolve([0], [10], [])
     assert any(e.kind == "modulate_underfilled" for e in eng.events)
@@ -142,7 +143,7 @@ def test_underfilled_window_is_diagnosed():
 
 def test_ncos_free_run_across_gaps():
     """A scheduling gap advances phase: the oscillators never pause."""
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     inc = 0.01
     eng.submit(mk(ModAction.RESET_PHASE, nco=0b01), 0)
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=inc), 0)
@@ -231,10 +232,10 @@ def test_dac_quantization_grid():
 
 
 def test_bank_masks_address_multiple_ncos():
-    bank = NcoBank(ModConfig())
+    bank = NcoBank()
     assert bank.selected[0b0101] == [bank.ncos[0], bank.ncos[2]]
     # one window on each NCO, after an increment set through the mask
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b0101, turns=0.25), 0)
     for nco in range(3):
         eng.submit(mk(ModAction.MODULATE, nco=nco, count=1), 0)
@@ -268,7 +269,7 @@ def random_stream(seed):
         tick += TICKS * int(n)
     total = int(counts.sum())
 
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     dispatch = pos = waits = 0
     for _ in range(120):
         dispatch += 20 * int(rng.integers(0, 3))
@@ -427,21 +428,17 @@ def test_resolve_of_lap_chunks_matches_the_reference_loop(block):
         check_against_reference(*lapped_stream(seed))
 
 
-def test_mask_bits_beyond_the_bank_select_nothing():
-    eng = ModEngine(ModConfig(num_ncos=2))
-    eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b1111, turns=0.25), 0)
-    eng.submit(mk(ModAction.UPDATE_FRAME, nco=0b1110, turns=0.5), 0)
-    for nco in (0, 1):
-        eng.submit(mk(ModAction.MODULATE, nco=nco, count=4), 0)
-    check_against_reference(eng, [0], [8], [])
-    assert eng.resolve([0], [8], []).phase.tolist() == [0, 1 << 47]
-    eng.submit(mk(ModAction.MODULATE, nco=3, count=4), 0)
-    with pytest.raises(IndexError):
-        eng.resolve([0], [12], [])
+def test_a_modulate_beyond_the_bank_raises():
+    # encode rejects such an index; a command submitted directly raises
+    # when its window opens
+    eng = ModEngine()
+    eng.submit(mk(ModAction.MODULATE, nco=NUM_NCOS, count=4), 0)
+    with pytest.raises(IndexError, match=f"NCO {NUM_NCOS}, the bank has"):
+        eng.resolve([0], [4], [])
 
 
 def test_an_empty_stream_resolves_to_no_window():
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     check_against_reference(eng, [0, 40], [8, 0], [])
     assert eng.events == [] and not len(eng.resolve([], [], []))
 
@@ -449,7 +446,7 @@ def test_an_empty_stream_resolves_to_no_window():
 def test_a_run_off_the_sample_grid_is_a_value_error():
     # windows read phase per 5-tick sample from the run start, so a run
     # at 1003 would silently take the phase word of tick 1000
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.SET_PHASE_INCREMENT, nco=0b01, turns=0.125), 0)
     eng.submit(mk(ModAction.MODULATE, nco=0, count=16), 0)
     with pytest.raises(ValueError, match="run 1 starts at output tick 1003"):
@@ -461,7 +458,7 @@ def test_a_run_off_the_sample_grid_is_a_value_error():
 def test_a_latch_off_the_sample_grid_is_a_value_error(edge):
     # a RESET_PHASE after a WAIT latches on the trigger edge: an edge off
     # the 5-tick grid gives a latch off it
-    eng = ModEngine(ModConfig())
+    eng = ModEngine()
     eng.submit(mk(ModAction.WAIT), 0)
     eng.submit(mk(ModAction.RESET_PHASE, nco=0b01), 0)
     if edge % TICKS:

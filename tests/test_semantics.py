@@ -2,9 +2,10 @@
 
 Random structured programs (loops, calls, conditionals, modulation
 windows) must produce identical ordered sample values under the pipelined
-engine with lookahead, without lookahead, with an ideal instruction
-cache, and under the naive program-order interpreter.  Timing is allowed
-to differ; values and their order are not.
+engine, which decodes ahead into the engine queues, with the modelled
+instruction cache or an ideal one, and under the naive program-order
+interpreter.  Timing is allowed to differ; values and their order are
+not.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from aps2sim.mem import MemConfig
 from oracle import interpret, random_program
 
 
-def engine_streams(image, initial_cmp, **kwargs):
-    seq = Sequencer(image, EngineConfig(initial_cmp=initial_cmp, **kwargs))
+def engine_streams(image, initial_cmp):
+    seq = Sequencer(image, EngineConfig(initial_cmp=initial_cmp))
     trace = seq.run_simple()
     markers = {ch: trace.marker_levels(ch)[1] for ch in range(4)}
     return trace.analog_values(), markers
@@ -30,7 +31,7 @@ def test_random_programs_agree_with_the_reference(seed):
     ref = interpret(image, initial_cmp)
 
     analog, markers = engine_streams(image, initial_cmp)
-    assert np.array_equal(analog, ref["analog"]), "lookahead run diverges"
+    assert np.array_equal(analog, ref["analog"]), "engine run diverges"
     for ch in range(4):
         assert np.array_equal(markers[ch], ref["markers"][ch])
 
@@ -41,9 +42,6 @@ def test_decoder_modes_do_not_change_values(seed):
     image, initial_cmp = random_program(rng)
 
     base, _ = engine_streams(image, initial_cmp)
-    serial, _ = engine_streams(image, initial_cmp, lookahead=False)
-    assert np.array_equal(base, serial)
-
     seq = Sequencer(image, EngineConfig(initial_cmp=initial_cmp),
                     mem_cfg=MemConfig(ideal=True))
     ideal = seq.run_simple().analog_values()
