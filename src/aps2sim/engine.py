@@ -96,12 +96,16 @@ something off the clock grid: a lap bound by the SDRAM bus takes B
 ticks, decode runs on the 20-tick clock, so fill ticks drift B mod 20
 against t0 each lap and the state repeats only after 20 / gcd(B, 20)
 laps, at most ``CLK``.  The sequencer then appends m copies of the last
-k laps' run columns and events, and ``ModEngine.repeat_lap`` appends
-their modulator commands m times as one array chunk (dispatch ticks
-moved on by P and stream positions by the samples per block, no Python
-object per copy).  It adds m blocks to the decode, hit and miss counts
-and the stream position, takes mk from the repeat register and moves
-every tick on by mP; a stale tick stays stale.  m is the repeat register
+k laps' run columns, the start ticks as one outer add of the m shifts.
+Each event log records the k laps' events once more as one chunk, the
+m shifts beside them (``events.EventLog.repeat``), and
+``ModEngine.repeat_lap`` appends their modulator commands m times as one
+array chunk (dispatch ticks moved on by P and stream positions by the
+samples per block).  So no Python object is made per copied event or
+command; a copied event becomes an ``Event`` only when a log is read.
+It adds m blocks to the decode, hit and miss counts and the stream
+position, takes mk from the repeat register and moves every tick on by
+mP; a stale tick stays stale.  m is the repeat register
 divided by k, rounded down, or fewer if the decode budget runs out
 first; the laps left over are decoded.  There is no skip over a lap
 that wrote the repeat register itself (a LOAD_REPEAT in the loop's
@@ -117,6 +121,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -124,7 +129,7 @@ import numpy as np
 from .clocks import (ANALOG_SAMPLE_TICKS, PIPELINE_TICKS, SEQ_CLOCK_TICKS,
                      align_up)
 from .events import (EV_FETCH_STALL, EV_QUEUE_FULL, EV_TRAP,
-                     EV_TRIGGER_DROPPED, EV_UNDERRUN, Event, stalls)
+                     EV_TRIGGER_DROPPED, EV_UNDERRUN, Event, EventLog, stalls)
 from .isa import (
     CMP_EQ,
     CMP_LT,
@@ -260,7 +265,7 @@ class _StreamEngine:
 
     gaps_are_underruns = True     # a gap in the stream is lost output
 
-    def __init__(self, name: str, events: list[Event], min_gap_ticks: int):
+    def __init__(self, name: str, events: EventLog, min_gap_ticks: int):
         self.name = name
         self.events = events
         self.min_gap = min_gap_ticks
@@ -363,15 +368,16 @@ class _StreamEngine:
         return (frontier, last, max(self.floor - t0, 0),
                 [start - t0 for start in starts[head:]])
 
-    def repeat_lap(self, first: int, shifts: range) -> None:
-        """Append runs first.. again once per shift, start ticks moved by
-        it, then move every scheduling tick on by the last shift."""
-        lap = self.starts[first:]
-        self.starts += [start + d for d in shifts for start in lap]
+    def repeat_lap(self, first: int, shifts: np.ndarray) -> None:
+        """Append runs first.. again once per shift (an int64 array),
+        start ticks moved by it, then move every scheduling tick on by
+        the last shift."""
+        lap = np.array(self.starts[first:], np.int64)
+        self.starts += (shifts[:, None] + lap).ravel().tolist()
         for column in self.columns:
             column += column[first:] * len(shifts)
         self.head += len(lap) * len(shifts)
-        moved = shifts[-1]
+        moved = int(shifts[-1])
         if self.frontier is not None:
             self.frontier += moved
         if self.last_start is not None:
@@ -445,14 +451,28 @@ class OutputTrace:
     their corrected samples in stream order, except that a lazy run (a
     TA run outside every MODULATE window, flagged in lazy) holds one
     entry for all its samples.  analog_values() expands those entries.
+    logs holds the event logs as ``finalize`` saw them (the sequencer's,
+    the instruction cache's, the waveform cache's, the modulator's);
+    events is built from them on its first read, copied laps expanded,
+    and kept, so decoding after ``finalize`` leaves it unchanged.
     """
 
     analog: Runs
     markers: dict[int, MarkerRuns]
-    events: list[Event]
+    logs: tuple
     mixed: np.ndarray
     lazy: np.ndarray
     saturations: int = 0
+
+    @cached_property
+    def events(self) -> list[Event]:
+        """Every event sorted by tick, ties in log order; built from the
+        logs, copied laps expanded, on the first read and kept."""
+        events = []
+        for log in self.logs:
+            events += log
+        events.sort(key=itemgetter(0))      # an Event is a tuple
+        return events
 
     def analog_values(self) -> np.ndarray:
         if not self.lazy.any():
@@ -527,7 +547,7 @@ class Sequencer:
                                        self.sdram)
         self.wavecache = WaveformCache(self.mem_cfg, self.image.waveforms,
                                        self.sdram)
-        self.events: list[Event] = []
+        self.events = EventLog()
         self.wf = WaveformEngine(self.events, self.wavecache)
         self.markers = [MarkerEngine(ch, self.events) for ch in range(4)]
         self.engines = (self.wf, *self.markers)
@@ -860,14 +880,14 @@ class Sequencer:
                      (self.cfg.max_decodes - self.decodes) // per_block)
         if period % CLK or blocks <= 0:
             return False
-        shifts = range(period, (blocks + 1) * period, period)
+        shifts = np.arange(period, (blocks + 1) * period, period)
         moved = blocks * period
         for e, first in zip(self.engines, n_runs):
             e.repeat_lap(first, shifts)
         icache, wavecache = self.icache, self.wavecache
-        self.events += _shifted(self.events[n_ev:], shifts)
-        icache.events += _shifted(icache.events[n_icache_ev:], shifts)
-        wavecache.events += _shifted(wavecache.events[n_wave_ev:], shifts)
+        self.events.repeat(n_ev, shifts)
+        icache.events.repeat(n_icache_ev, shifts)
+        wavecache.events.repeat(n_wave_ev, shifts)
         samples = self.stream_pos - pos
         self.modeng.repeat_lap(n_mod, shifts, samples)
         self.decodes += blocks * per_block
@@ -910,7 +930,8 @@ class Sequencer:
     # -- trace assembly ------------------------------------------------------
 
     def cache_stall_events(self) -> list[Event]:
-        """Stalls so far, for bench/run.py; use OutputTrace.stall_events."""
+        """Fetch and page-swap stalls so far, copied laps' expanded from
+        the logs, for bench/run.py; use OutputTrace.stall_events."""
         return stalls(self.events) + self.wavecache.stall_events()
 
     def finalize(self) -> OutputTrace:
@@ -924,12 +945,12 @@ class Sequencer:
         mixed, lazy = _mix(self.image.waveforms, analog,
                            np.array(wf.addrs, np.int64),
                            np.array(wf.ta, dtype=bool), windows, corrector)
-        events = (self.events + self.icache.events + self.wavecache.events
-                  + self.modeng.events)
-        events.sort(key=itemgetter(0))      # by tick; an Event is a tuple
+        # resolve replaces the modulator's list, so it is a snapshot too
+        logs = (self.events.copy(), self.icache.events.copy(),
+                self.wavecache.events.copy(), self.modeng.events)
         markers = {m.channel: m.runs() for m in self.markers if m.starts}
         return OutputTrace(analog=analog, markers=markers,
-                           events=events, mixed=mixed, lazy=lazy,
+                           logs=logs, mixed=mixed, lazy=lazy,
                            saturations=corrector.saturations)
 
 
@@ -1064,16 +1085,6 @@ def _ramps(inc: np.ndarray, span: np.ndarray
     # past BLOCK_SAMPLES increments a ramp is empty: r is 0, read as 1
     return (phasors(words), np.where(length > 0, at, n)[owner],
             np.maximum(length, 1)[owner])
-
-
-def _shifted(events: list[Event], shifts: range) -> list[Event]:
-    """events again once per shift, their ticks moved on by it (and the
-    until tick of a queue_full); details without a tick are shared."""
-    new = tuple.__new__          # Event(...) less its Python-level __new__
-    return [new(Event, (tick + d, kind, ticks,
-                        {**detail, "until": detail["until"] + d}
-                        if kind is EV_QUEUE_FULL else detail))
-            for d in shifts for tick, kind, ticks, detail in events]
 
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

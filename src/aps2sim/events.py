@@ -9,15 +9,26 @@ gap a late command left in one engine's stream; a gap is the output-side
 view of a stall or of decode pacing, so ``stalls()`` leaves it out.
 Caches record misses and late fills as causes, with no ticks, and count
 their hits instead of logging them.
+
+Storage: the sequencer and each cache keep their events in an
+``EventLog``.  A decoded event is one ``Event`` row.  A fast-forwarded
+block of laps is one chunk: the rows its template laps recorded and the
+tick shift of each copy as one int64 array, so copying m laps of n events
+builds no Event.  The copies' Events are built only when the log is
+read, by iteration or indexing, and again on every such read;
+``OutputTrace.events`` reads its logs once and keeps the sorted list.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-__all__ = ["EventKind", "Event", "stalls"]
+import numpy as np
+
+__all__ = ["EventKind", "Event", "EventLog", "stalls"]
 
 
 class EventKind(str, Enum):
@@ -85,3 +96,80 @@ class Event(NamedTuple):
 def stalls(events) -> list[Event]:
     """The stall events among events, in their order."""
     return [e for e in events if e.kind in _STALLS]
+
+
+class EventLog:
+    """One layer's events in record order: decoded rows and copied chunks.
+
+    ``append`` is the row list's own bound method, so recording a
+    decoded event costs what appending to a list does.  ``len()`` counts
+    every copy; iteration and indexing expand the chunks (module
+    docstring).
+    """
+
+    __slots__ = ("rows", "append", "chunks", "copies")
+
+    def __init__(self):
+        self.rows: list[Event] = []
+        self.append = self.rows.append
+        # (rows before the chunk, its template's first row, shifts): the
+        # chunk is rows[first:at] again once per shift, after rows[:at]
+        self.chunks: list[tuple[int, int, np.ndarray]] = []
+        self.copies = 0                  # events the chunks stand for
+
+    def __len__(self) -> int:
+        return len(self.rows) + self.copies
+
+    def __iter__(self):
+        return iter(self._expand() if self.chunks else self.rows)
+
+    def __getitem__(self, i):
+        return (self._expand() if self.chunks else self.rows)[i]
+
+    def repeat(self, first: int, shifts) -> None:
+        """Record events first.. again once per shift, ticks moved on by
+        it, as one chunk.  They are decoded rows: first is not before the
+        last chunk's end."""
+        at = len(self.rows)
+        lo = first - self.copies
+        if lo < (self.chunks[-1][0] if self.chunks else 0):
+            raise ValueError(f"copy from event {first} starts inside a "
+                             f"chunk (the log holds {len(self)})")
+        shifts = np.asarray(shifts, np.int64)
+        if at > lo and len(shifts):
+            self.chunks.append((at, lo, shifts))
+            self.copies += (at - lo) * len(shifts)
+
+    def copy(self) -> EventLog:
+        """A snapshot: later records to this log do not change it."""
+        log = EventLog()
+        log.rows += self.rows
+        log.chunks += self.chunks
+        log.copies = self.copies
+        return log
+
+    def _expand(self) -> list[Event]:
+        """Every event, each chunk built into Events in its place."""
+        rows, out, done = self.rows, [], 0
+        for at, first, shifts in self.chunks:
+            out += rows[done:at]
+            out += _copies(rows[first:at], shifts)
+            done = at
+        out += rows[done:]
+        return out
+
+
+def _copies(template: list[Event], shifts: np.ndarray) -> list[Event]:
+    """template again once per shift, ticks moved on by it (and the until
+    tick of a queue_full); details without a tick are shared."""
+    n, m = len(template), len(shifts)
+    tick, kind, ticks, detail = zip(*template)
+    tick = (shifts[:, None] + np.array(tick, np.int64)).ravel().tolist()
+    detail = list(detail) * m
+    for j in [j for j, k in enumerate(kind) if k is EV_QUEUE_FULL]:
+        base = detail[j]
+        for c, d in enumerate(shifts.tolist()):
+            detail[c * n + j] = {**base, "until": base["until"] + d}
+    # tuple.__new__ is Event(...) less its Python-level __new__
+    return list(map(tuple.__new__, repeat(Event, n * m),
+                    zip(tick, kind * m, ticks * m, detail)))

@@ -61,7 +61,7 @@ import numpy as np
 from .clocks import SEQ_CLOCK_TICKS, TICKS_PER_NS, ns_to_ticks
 from .events import (EV_ASSOC_WAIT, EV_MISS, EV_PAGE_FILL, EV_PAGE_SWAP,
                      EV_PREFETCH, EV_PREFETCH_DUP, EV_SWAP_STALL,
-                     EV_WINDOW_WAIT, Event, stalls)
+                     EV_WINDOW_WAIT, Event, EventLog, stalls)
 from .isa import CACHE_LINE_INSTRUCTIONS
 
 __all__ = [
@@ -139,7 +139,7 @@ class InstructionCache:
             ln: 0 for ln in range(min(WINDOW_AHEAD + 1, self.n_lines))}
         # line -> fill completion tick, oldest fill first (victim order)
         self.assoc: dict[int, int] = {}
-        self.events: list[Event] = []
+        self.events = EventLog()
         self.hits = 0
         self.misses = 0
         # pcs whose next read is a plain hit (see the module docstring)
@@ -225,12 +225,11 @@ class WaveformCache:
     def __init__(self, cfg: MemConfig, wave_mem: np.ndarray, sdram: Sdram):
         self.mem = wave_mem
         self.sdram = sdram
-        self.events: list[Event] = []
+        self.events = EventLog()
         # constants read once: locate runs for every PLAY
         self.page = page = cfg.wave_page_samples
         self.pingpong = cfg.wave_mode == "pingpong"
         self.size = len(wave_mem)     # at most two pages in single mode
-        self.pending_fill: tuple[int, int] | None = None
         if self.pingpong:
             # both pages warm at start: page 0 active, page 1 staged
             self.slots = [(0, 0), (1, 0)]      # (sdram page, fill done tick)
@@ -274,20 +273,15 @@ class WaveformCache:
         done = self.sdram.request(4 * self.page, tick)
         idle = 1 - self.active_slot
         self.slots[idle] = (page_index, done)
-        self.pending_fill = (idle, done)
         self.events.append(Event(tick, EV_PAGE_FILL, 0,
                                  {"page": page_index, "slot": idle}))
 
     def complete_swap(self, tick: int) -> int:
-        """Swap to the freshly filled page; returns the actual swap tick."""
-        if not self.pingpong:
-            raise CacheError("waveform PREFETCH is invalid in single mode")
-        if self.pending_fill is None:
-            raise CacheError("page swap with no prefetch in flight")
-        idle, done = self.pending_fill
-        self.pending_fill = None
-        self.active_slot = idle
-        detail = {"page": self.slots[idle][0], "slot": idle}
+        """Swap to the idle page, which ``begin_prefetch`` has just
+        staged; returns the actual swap tick."""
+        self.active_slot = idle = 1 - self.active_slot
+        page, done = self.slots[idle]
+        detail = {"page": page, "slot": idle}
         if done > tick:
             self.events.append(Event(tick, EV_SWAP_STALL, done - tick,
                                      detail))
@@ -296,5 +290,6 @@ class WaveformCache:
         return tick
 
     def stall_events(self) -> list[Event]:
-        """Swap stalls so far, for bench/run.py; use OutputTrace.stall_events."""
+        """Swap stalls so far, copied laps' expanded from the log, for
+        bench/run.py; use OutputTrace.stall_events."""
         return stalls(self.events)

@@ -163,11 +163,11 @@ class ModEngine:
     def pending_commands(self) -> int:
         return self._sealed + len(self.commands)
 
-    def repeat_lap(self, first: int, shifts: range, samples: int) -> None:
-        """Append commands first.. again once per shift: dispatch ticks
-        moved on by it, dispatch positions by samples per copy (one lap
-        or a block of laps).  The copied commands are decoded ones:
-        first is not before a chunk's end."""
+    def repeat_lap(self, first: int, shifts, samples: int) -> None:
+        """Append commands first.. again once per shift (a sequence of
+        ints): dispatch ticks moved on by it, dispatch positions by
+        samples per copy (one lap or a block of laps).  The copied
+        commands are decoded ones: first is not before a chunk's end."""
         if first < self._sealed:
             raise ValueError(f"lap from command {first} starts inside a "
                              f"chunk (the chunks hold {self._sealed})")
@@ -183,7 +183,7 @@ class ModEngine:
         self.positions.clear()
         code, tick, pos = (col[-n:] for col in self.chunks[-1])
         laps = len(shifts)
-        shift = np.arange(shifts.start, shifts.stop, shifts.step)
+        shift = np.asarray(shifts, np.int64)
         moved = samples * np.arange(1, laps + 1)
         self.chunks.append((np.tile(code, laps),
                             (shift[:, None] + tick).reshape(-1),

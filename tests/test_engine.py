@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from aps2sim.asm import insert_prefetch_hints
-from aps2sim import engine
+from aps2sim import engine, events
 from aps2sim.clocks import ANALOG_SAMPLE_TICKS
 from aps2sim.engine import (BLOCK_SAMPLES, PIPELINE_TICKS, STACK_DEPTH,
                             DeadlockError, EngineConfig, Sequencer, SimTrap)
-from aps2sim.events import Event, EventKind
+from aps2sim.events import Event, EventKind, EventLog
 from aps2sim.isa import (
     CmpOp,
     DecodeError,
@@ -461,6 +461,29 @@ def test_event_is_an_immutable_record(tmp_path):
     Sequencer(prog, mem_cfg=cfg).run_simple().write_events_jsonl(path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()[:16]
             == "ffe662b7972b3a77")
+
+
+def test_event_log_stores_copies_as_chunks():
+    log = EventLog()
+    full = Event(10, EventKind.QUEUE_FULL, 0,
+                 {"engine": "waveform", "until": 40})
+    gap = Event(30, EventKind.UNDERRUN, 5, {"engine": "waveform"})
+    for e in (Event(0, EventKind.TRAP), full, gap):
+        log.append(e)
+    log.repeat(1, range(100, 300, 100))
+    assert (len(log), len(log.rows)) == (7, 3)
+    snapshot = log.copy()
+    log.append(Event(400, EventKind.TRAP))
+    log.repeat(7, [1000])
+    assert len(log) == 9 and len(snapshot) == 7
+    assert [(e.tick, e.detail.get("until")) for e in log] == [
+        (0, None), (10, 40), (30, None), (110, 140), (130, None),
+        (210, 240), (230, None), (400, None), (1400, None)]
+    assert list(snapshot) == list(log)[:7]
+    assert log[3].detail == {"engine": "waveform", "until": 140}
+    assert log[4].detail is gap.detail        # no tick in it: shared
+    with pytest.raises(ValueError, match="inside a chunk"):
+        log.repeat(6, [2000])
 
 
 def far_calls_program(repeats=3):
@@ -1281,6 +1304,73 @@ def test_lap_copies_count_as_modulator_commands(skips):
     assert seq.modeng.pending_commands() == 5 * 40 + 1
     assert len(seq.modeng.chunks) == 2      # decoded, then the copies
     assert resolve_matches_the_reference(seq)
+
+
+def lapped_program():
+    """Two loops on either side of a WAIT.  Each lap queues more runs
+    than a queue of 4 holds, so it records queue_full events, whose
+    until tick moves with each copy, and prefetches nine lines, one more
+    than the associative half holds, so every PREFETCH fills a line."""
+    body = [play(0, 8), play(0, 4000, ta=True), play(8, 8),
+            play(0, 4000, ta=True),
+            *[Instruction(Opcode.PREFETCH, addr=line * 128)
+              for line in range(2, 11)]]
+    instrs = [Instruction(Opcode.LOAD_REPEAT, value=40), *body,
+              Instruction(Opcode.REPEAT, addr=1), Instruction(Opcode.WAIT)]
+    top = len(instrs) + 1
+    instrs += [Instruction(Opcode.LOAD_REPEAT, value=30), *body,
+               Instruction(Opcode.REPEAT, addr=top)]
+    return image(instrs)
+
+
+def test_copied_laps_read_back_as_the_decoded_events(monkeypatch, skips):
+    def run():
+        seq = Sequencer(lapped_program(), EngineConfig(queue_depth=4))
+        assert seq.run_until_blocked() == "need_trigger"
+        at_block = seq.finalize()
+        seq.deliver_trigger(seq.decode_tick)
+        assert seq.run_until_blocked() == "halted"
+        return seq, at_block, seq.finalize()
+
+    seq, at_block, trace = run()
+    assert len(skips) == 2              # each loop's laps were copied
+    logs = (seq.events, seq.icache.events, seq.wavecache.events)
+    assert [len(log.chunks) for log in logs] == [2, 2, 0]
+    ref, ref_at_block, ref_trace = decoding_every_lap(monkeypatch, run)
+    ref_logs = (ref.events, ref.icache.events, ref.wavecache.events)
+    assert not any(log.chunks for log in ref_logs)
+    assert [len(log) for log in logs] == [len(log) for log in ref_logs]
+    # equal as Events, detail included: a copy's until moved with it
+    assert trace.events == ref_trace.events
+    assert {e.kind for e in trace.events} >= {"queue_full", "prefetch"}
+    assert trace.stall_events() == ref_trace.stall_events()
+    assert seq.cache_stall_events() == ref.cache_stall_events()
+    assert seq.finalize().events == trace.events
+    assert trace.events is trace.events          # built once, then kept
+    # read only now, after the second loop added rows and a chunk to
+    # the logs it was finalized from
+    assert at_block.events == ref_at_block.events
+    assert len(at_block.events) < len(trace.events)
+
+
+def test_copied_laps_store_no_event_until_read(monkeypatch):
+    expanded = []
+    copies = events._copies
+
+    def spy(template, shifts):
+        built = copies(template, shifts)
+        expanded.append(len(built))
+        return built
+
+    monkeypatch.setattr(events, "_copies", spy)
+    seq = Sequencer(far_calls_program(repeats=249))
+    trace = seq.run_simple()
+    logs = (seq.events, seq.icache.events, seq.wavecache.events)
+    stored = sum(len(log.rows) for log in logs)
+    assert expanded == []
+    n_events = len(trace.events)
+    assert expanded and stored < n_events / 10
+    assert sum(len(log) for log in logs) + len(seq.modeng.events) == n_events
 
 
 def loop(body, repeats=30, before=()):

@@ -19,15 +19,16 @@ import textwrap
 
 import pytest
 
-from aps2sim import asm, engine, isa, mem, mod
+from aps2sim import asm, engine, events, isa, mem, mod
 
 ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
          "EventKind"}
 
 # functions, and classes whose every method but a constructor, that run
 # per decoded instruction, engine command or modulator command, or per
-# modulator command chunk, NCO or output block; and set-up's per-line and
-# per-word loops (asm._build runs once per distinct line, so it is not here)
+# modulator command chunk, copied event, NCO or output block; and set-up's
+# per-line and per-word loops (asm._build runs once per distinct line, so
+# it is not here)
 HOT = {
     asm: ["_scan", "assemble", "_sites", "_is_far", "_block_start",
           "_entry_end", "_mover", "_relocation", "_moved_words",
@@ -36,6 +37,7 @@ HOT = {
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
              "_compare", "_Rotation", "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
+    events: ["EventLog", "_copies"],
     mod: ["ModEngine", "_nco_states"],
     isa: ["encode", "_check_stray", "decode", "decode_table",
           "ProgramImage.decode_all", "validate_program"],
@@ -125,6 +127,8 @@ def test_every_hot_name_exists():
             "aps2sim.mod._nco_states",
             "aps2sim.engine._ramps",
             "aps2sim.engine._Rotation.rotate",
+            "aps2sim.events.EventLog.repeat",
+            "aps2sim.events._copies",
             "aps2sim.isa.decode",
             "aps2sim.asm.assemble",
             "aps2sim.asm.insert_prefetch_hints"} <= {c[0] for c in CASES}

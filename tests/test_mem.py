@@ -50,7 +50,7 @@ def test_sequential_walk_zero_stalls_at_play_rate():
         assert avail <= tick + 40, f"stall at addr {addr}"
         tick += 40
     # hits are counted, not logged; no miss or late fill occurred
-    assert cache.events == []
+    assert list(cache.events) == []
     assert cache.hits == 16 * LINE and cache.misses == 0
 
 
