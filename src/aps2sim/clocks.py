@@ -6,8 +6,6 @@ clock domain in the stack has an integer period:
     tick        = 1/6 ns          (6 GHz)
     sequencer   = 20 ticks        (300 MHz instruction dispatch)
     analog      = 5 ticks         (1.2 GS/s DAC sample, also marker sample)
-    rx clock    = 24 ticks        (250 MHz receiver DSP clock)
-    rx sample   = 6 ticks         (1 GS/s ADC sample)
 
 Nanoseconds are ticks/6 exactly; keep ticks everywhere and convert only at
 report boundaries.
@@ -20,10 +18,7 @@ __all__ = [
     "SEQ_CLOCK_TICKS",
     "ANALOG_SAMPLE_TICKS",
     "PIPELINE_TICKS",
-    "RX_CLOCK_TICKS",
-    "RX_SAMPLE_TICKS",
     "ANALOG_SAMPLE_HZ",
-    "RX_SAMPLE_HZ",
     "ns_to_ticks",
     "align_up",
 ]
@@ -31,15 +26,12 @@ __all__ = [
 TICKS_PER_NS = 6
 SEQ_CLOCK_TICKS = 20
 ANALOG_SAMPLE_TICKS = 5
-RX_CLOCK_TICKS = 24
-RX_SAMPLE_TICKS = 6
 
 # engine dispatch to first output sample, fixed in the gateware; the NCO
 # rotation stage sits this far ahead of the output plane
 PIPELINE_TICKS = 9 * SEQ_CLOCK_TICKS
 
 ANALOG_SAMPLE_HZ = 1.2e9
-RX_SAMPLE_HZ = 1.0e9
 
 
 def ns_to_ticks(ns: float) -> int:

@@ -83,46 +83,77 @@ stale, and any two stale values of a field count as equal: the code only
 ever compares such a tick against a later one, with max or <=.  So
 ``last_start`` is compared as ``last_start + min_gap``, the bound it
 puts on a start, and the waveform frontier is never stale, since an
-underrun event records it.  A lap records its waveform lead (frontier
-less t0) first; the full state is built only when the lead equals a
-recorded one, so a loop whose lead drifts pays one lookup a lap.  If
-the state k laps back matches, every tick moved by the same period P, a
-multiple of the sequencer clock, and the rest is equal (pc, call stack,
-comparison register and result, window base and lines, associative
-lines in victim order, resident range, active waveform page), then each
-block of k laps still to run is the last k moved on by P, 2P and so on.
-The nearest such record wins.  k exceeds 1 when the laps are paced by
-something off the clock grid: a lap bound by the SDRAM bus takes B
-ticks, decode runs on the 20-tick clock, so fill ticks drift B mod 20
-against t0 each lap and the state repeats only after 20 / gcd(B, 20)
-laps, at most ``CLK``.  The sequencer then appends m copies of the last
-k laps' run columns, the start ticks as one outer add of the m shifts.
-Each event log records the k laps' events once more as one chunk, the
-m shifts beside them (``events.EventLog.repeat``), and
-``ModEngine.repeat_lap`` appends their modulator commands m times as one
-array chunk (dispatch ticks moved on by P and stream positions by the
-samples per block).  So no Python object is made per copied event or
-command; a copied event becomes an ``Event`` only when a log is read.
-It adds m blocks to the decode, hit and miss counts and the stream
-position, takes mk from the repeat register and moves every tick on by
-mP; a stale tick stays stale.  m is the repeat register
-divided by k, rounded down, or fewer if the decode budget runs out
-first; the laps left over are decoded.  There is no skip over a lap
-that wrote the repeat register itself (a LOAD_REPEAT in the loop's
-frame, or a RETURN out of it), or while an input could change the next
-lap: a WAIT queued in any engine or the modulator, or queued steering
-words.  A SYNC fence resolves before the next instruction decodes, and
-a waveform page swap begins and ends in its PREFETCH, so neither is
-pending at a REPEAT.  No lap spans a return from ``run_until_blocked``.
+underrun event records it.  Each lap records its counters, log lengths
+and the dispatch tick of every run it started; the full state is built
+only when the lap's waveform lead (frontier less t0) equals a recorded
+one.  The laps copied are appended as their run columns again, the
+start ticks as one outer add of the shifts; each event log records the
+laps' events once more as one chunk, the shifts beside them
+(``events.EventLog.repeat``); ``ModEngine.repeat_lap`` appends their
+modulator commands as one array chunk.  So no Python object is made per
+copied event or command; a copied event becomes an ``Event`` only when
+a log is read.  The decode, hit and miss counts, the stream position,
+the repeat register and ``laps_copied`` advance as the copied laps
+would have advanced them, and the state is set to the one the last copy
+ends in, ticks relative to its decode tick (a stale tick stays stale).
+No lap is copied past the decode budget, over a lap that wrote the
+repeat register itself (a LOAD_REPEAT in the loop's frame, or a RETURN
+out of it), or while an input could change the next lap: a WAIT queued
+in any engine or the modulator, or queued steering words.  A SYNC fence
+resolves before the next instruction decodes, and a waveform page swap
+begins and ends in its PREFETCH, so neither is pending at a REPEAT.  No
+lap spans a return from ``run_until_blocked``.
+
+Exact laps: if the state k laps back matches, every tick moved by the
+same period P, a multiple of the sequencer clock, and the rest is equal
+(pc, call stack, comparison register and result, window base and lines,
+associative lines in victim order, resident range, active waveform page,
+the runs queued in each engine), then each block of k laps still to run
+is the last k moved on by P, 2P and so on, and the r < k laps left after
+the last whole block are the block's first r moved on once more, ending
+in the state recorded r laps into it.  The nearest such record wins.  k
+exceeds 1 when the laps are paced by something off the clock grid: a lap
+bound by the SDRAM bus takes B ticks, decode runs on the 20-tick clock,
+so fill ticks drift B mod 20 against t0 each lap and the state repeats
+only after 20 / gcd(B, 20) laps, at most ``CLK``.
+
+Affine laps: a lap whose lead drains or grows repeats no earlier lap,
+but the last two laps repeat each other with every field moved on by a
+period of its own: the decode tick and every cache tick by P, each
+engine's run starts (so its frontier and last start) by its own Q, its
+floor not at all, and a cache tick the laps leave alone ahead of t0 not
+at all.  The two laps must match in everything else: the counts of
+decodes, hits, misses, samples and modulator commands, the commands and
+their dispatch ticks (moved by P) and positions, each engine's runs
+(moved by Q) and their dispatch ticks (moved by P), and their events (an
+underrun moved by the waveform engine's Q, a fetch stall and every
+instruction-cache event by P); no SYNC fence or page event.  Each run of
+the last lap started by ``_start_for``'s rule over three bounds: the
+pipeline after its dispatch (moving P), the floor (0) and the last
+start plus the minimum gap (Q).  Its slack, frontier less each bound,
+changes linearly per copy.  A run that continued the stream keeps doing
+so while every slack stays at or above 0; one that started on its
+latest bound keeps its start while that bound, which must move by Q on
+the clock grid, stays the latest.  The queue room check before it keeps
+its outcome while the run ``queue_depth`` runs before it started by its
+dispatch: checked copy by copy while that run was decoded before the
+two laps, linear per copy once it lies in them or their copies.  A
+linear condition holds for m copies if it holds for the last lap and
+for copy m, so ``_StreamEngine.affine_laps`` takes the
+largest such m and ``_repeat_affine`` appends m copies of the last lap,
+run starts moved by Q and the rest by P.  The next laps decode again,
+and the exact path takes over once their state repeats.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,6 +241,66 @@ class SimTrap(RuntimeError):
     """Fatal program error (stack misuse, bad page mode, runaway loop)."""
 
 
+class _Marks(NamedTuple):
+    """Counters and log lengths at a taken REPEAT: what a lap adds is
+    measured from them."""
+
+    decodes: int
+    hits: int
+    misses: int
+    stream_pos: int
+    commands: int         # modulator commands
+    fences: int           # SYNC fences resolved
+    events: int           # the sequencer's log
+    icache_events: int
+    wave_events: int
+    runs: tuple           # runs each engine has started
+
+
+def _steady(before: _Marks, after: _Marks) -> bool:
+    """Whether the laps between the marks resolved no SYNC fence and
+    logged no waveform page event: no stream restarted."""
+    return (before.fences == after.fences
+            and before.wave_events == after.wave_events)
+
+
+def _lap_events(log: EventLog, first: int, mid: int, rates: dict,
+                rate: int | None = None) -> list[int] | None:
+    """The rate at which each event mid.. moved on from the one
+    mid - first before it, the rate of its kind in rates (by default
+    rate), if it is that event moved on so; None if one is not."""
+    events = log.since(first)
+    n = mid - first
+    moved = []
+    for was, now in zip(events[:n], events[n:]):
+        by = rates.get(was.kind, rate)
+        if by is None or now != (was.tick + by, *was[1:]):
+            return None
+        moved.append(by)
+    return moved
+
+
+@dataclass(slots=True, eq=False)
+class _Lap:
+    """A taken REPEAT that began a lap: the decode tick t0, the waveform
+    lead, its marks, the dispatch ticks of the runs each engine started
+    in the lap it ended, and, once built, the state outside the engines
+    (``Sequencer._state_key``) and each engine's ``lap_key``."""
+
+    t0: int
+    lead: int | None
+    marks: _Marks
+    dispatches: list[list[int]]
+    state: tuple | None = None
+    engine_keys: list | None = None
+
+
+def _kept(slack: int, step: int, laps: int) -> int:
+    """The most laps, at most laps, over which slack (at least 0), moved
+    on by step a lap, stays at least 0."""
+    return laps if step >= 0 else min(laps, slack // -step)
+
+
 BLOCK_SAMPLES = 1 << 16   # samples finalize gathers, rotates, mixes at once
 _MOD_WAIT_CMD = Modulator(MOD_WAIT)   # the modulator's share of a WAIT
 
@@ -264,6 +355,7 @@ class _StreamEngine:
     """Shared scheduling for waveform and marker engines."""
 
     gaps_are_underruns = True     # a gap in the stream is lost output
+    count_ticks = ANALOG_SAMPLE_TICKS     # a run's ticks per count
 
     def __init__(self, name: str, events: EventLog, min_gap_ticks: int):
         self.name = name
@@ -271,6 +363,8 @@ class _StreamEngine:
         self.min_gap = min_gap_ticks
         self.starts: list[int] = []      # start tick of each run
         self.counts: list[int] = []      # count operand of each run
+        self.dispatches: list[int] = []  # dispatch tick of each run since
+                                         # the last taken REPEAT
         self.head = 0        # first run not started by the decode tick
         self.pending: list[tuple[object, int]] = []
         self.wait_dispatch: int | None = None
@@ -332,6 +426,7 @@ class _StreamEngine:
                                          start - frontier,
                                          {"engine": self.name}))
         self.starts.append(start)
+        self.dispatches.append(dispatch)
         self.last_start = start
         self.frontier = start + duration
         return start
@@ -368,21 +463,90 @@ class _StreamEngine:
         return (frontier, last, max(self.floor - t0, 0),
                 [start - t0 for start in starts[head:]])
 
-    def repeat_lap(self, first: int, shifts: np.ndarray) -> None:
-        """Append runs first.. again once per shift (an int64 array),
-        start ticks moved by it, then move every scheduling tick on by
-        the last shift."""
-        lap = np.array(self.starts[first:], np.int64)
+    def restore(self, key: tuple, t0: int) -> None:
+        """Set the scheduling ticks to lap_key's, relative to t0."""
+        frontier, last, floor, _ = key
+        self.frontier = None if frontier is None else t0 + frontier
+        self.last_start = None if last is None else t0 + last - self.min_gap
+        self.floor = t0 + floor
+        self.head = bisect_right(self.starts, t0, self.head)
+
+    def move(self, ticks: int, t0: int) -> None:
+        """Move the stream on by ticks; the floor stays."""
+        if self.frontier is not None:
+            self.frontier += ticks
+            self.last_start += ticks
+        self.head = bisect_right(self.starts, t0, self.head)
+
+    def repeat_lap(self, first: int, shifts: np.ndarray,
+                   end: int | None = None) -> None:
+        """Append runs first..end (by default all) again once per shift
+        (an int64 array), start ticks moved by it."""
+        lap = np.array(self.starts[first:end], np.int64)
         self.starts += (shifts[:, None] + lap).ravel().tolist()
         for column in self.columns:
-            column += column[first:] * len(shifts)
-        self.head += len(lap) * len(shifts)
-        moved = int(shifts[-1])
-        if self.frontier is not None:
-            self.frontier += moved
-        if self.last_start is not None:
-            self.last_start += moved
-        self.floor += moved
+            column += column[first:end] * len(shifts)
+
+    def lap_move(self, first: int, mid: int, end: int) -> int | None:
+        """The ticks runs mid..end start after runs first..mid, which
+        they repeat but for their start ticks; None if they do not."""
+        if end - mid != mid - first:
+            return None
+        if mid == first:
+            return 0
+        for column in self.columns:
+            if column[first:mid] != column[mid:end]:
+                return None
+        starts = self.starts
+        move = starts[mid] - starts[first]
+        return move if [t + move for t in starts[first:mid]] \
+            == starts[mid:end] else None
+
+    def affine_laps(self, first: int, dispatches: list[int], period: int,
+                    move: int, depth: int, laps: int) -> int:
+        """The most copies, at most laps, of runs first.., dispatched at
+        dispatches, that can be appended with dispatch ticks moved on by
+        period and starts by move per copy while each start rule and
+        queue room check decides as it did for them (module docstring);
+        the lap before them repeats them too."""
+        starts, counts = self.starts, self.counts
+        n = len(dispatches)
+        earlier = first - n              # the lap before's first run
+        for j, dispatch in enumerate(dispatches):
+            run = first + j
+            last = starts[run - 1]
+            frontier = last + self.count_ticks * counts[run - 1]
+            # each bound on the start and its move per lap
+            bounds = ((-(-dispatch // CLK) * CLK + PIPELINE_TICKS, period),
+                      (self.floor, 0), (last + self.min_gap, move))
+            latest = max(bounds)
+            if latest[0] <= frontier:
+                # the run continues the stream: the frontier stays at or
+                # past every bound
+                for tick, step in bounds:
+                    laps = _kept(frontier - tick, move - step, laps)
+            elif latest[1] != move or move % CLK:
+                return 0
+            else:
+                # the run starts on its latest bound, which stays latest
+                for tick, step in bounds:
+                    laps = _kept(latest[0] - tick, move - step, laps)
+            # queue room: the run depth runs before this one has started
+            # by its dispatch; from the lap before on, that start moves
+            # by move per copy
+            for i in range(1, laps + 1):
+                back = run - depth + i * n
+                if back < earlier:
+                    if back >= 0 and starts[back] > dispatch + i * period:
+                        laps = i - 1
+                        break
+                    continue
+                lap, k = divmod(back - earlier, n)
+                room = dispatch + i * period - starts[earlier + k] - lap * move
+                laps = i - 1 if room < 0 else \
+                    i + _kept(room, period - move, laps - i)
+                break
+        return laps
 
 
 class WaveformEngine(_StreamEngine):
@@ -397,7 +561,7 @@ class WaveformEngine(_StreamEngine):
         """Start a PLAY dispatched at tick; the cache checks the read."""
         count = wf.count
         addr = self.cache.locate(wf.addr, 1 if wf.ta else count)
-        self._start_for(tick, ANALOG_SAMPLE_TICKS * count)
+        self._start_for(tick, self.count_ticks * count)
         self.addrs.append(addr)
         self.counts.append(count)
         self.ta.append(wf.ta)
@@ -419,6 +583,7 @@ class WaveformEngine(_StreamEngine):
 
 class MarkerEngine(_StreamEngine):
     gaps_are_underruns = False    # a marker idles low between pulses
+    count_ticks = 4 * ANALOG_SAMPLE_TICKS     # a count is one 4-sample word
 
     def __init__(self, channel: int, events):
         super().__init__(f"marker{channel}", events, min_gap_ticks=CLK)
@@ -429,7 +594,7 @@ class MarkerEngine(_StreamEngine):
 
     def play(self, mk, tick: int) -> None:
         """Start a PLAY dispatched at tick."""
-        self._start_for(tick, ANALOG_SAMPLE_TICKS * 4 * mk.count)
+        self._start_for(tick, self.count_ticks * mk.count)
         self.counts.append(mk.count)
         self.states.append(mk.state)
         self.lasts.append(mk.last_word)
@@ -565,13 +730,13 @@ class Sequencer:
         self.halted = False
         self.trap_reason: str | None = None
         self.decodes = 0
+        self.laps_copied = 0     # laps the lap fast-forward appended
         self._carried_fetch: tuple[int, int] | None = None   # (pc, avail)
         self._sync_pending = False
+        self._fences = 0         # SYNC fences resolved
         # the taken REPEATs at pc _lap_at that began the laps since, the
-        # last CLK of them, oldest first: each one's waveform lead, and
-        # (key, decode tick, _lap_marks()) if a key was built, else None
-        self._lap_leads: deque = deque(maxlen=CLK)
-        self._lap_records: deque = deque(maxlen=CLK)
+        # last CLK of them, oldest first
+        self._laps: deque[_Lap] = deque(maxlen=CLK)
         self._lap_at = -1
         self._lap_depth = -1     # their stack depth; -1 once a lap writes
                                  # the repeat register itself
@@ -724,6 +889,7 @@ class Sequencer:
         for e in engines:
             e.restart(drain)    # the fence ends the stream
         self._sync_pending = False
+        self._fences += 1
         return None
 
     def _redirect(self, target: int, tick: int) -> None:
@@ -810,101 +976,231 @@ class Sequencer:
     # -- lap fast-forward ----------------------------------------------------
 
     def _skip_laps(self, at: int) -> None:
-        """At a taken REPEAT at pc at, append the laps still to run as
-        copies of the last k if the state repeats (module docstring)."""
+        """At a taken REPEAT at pc at, append laps still to run as copies
+        of earlier ones if the state repeats (module docstring)."""
         t0 = self.decode_tick
         depth = len(self.stack)
         if self._lap_depth != depth or self._lap_at != at:
             self._forget_laps()  # another loop, or the lap was not pure
             self._lap_at = at
         self._lap_depth = depth
+        engines = self.engines
+        if (self.mod_waits or self.steering
+                or any(e.wait_dispatch is not None for e in engines)):
+            self._forget_laps()  # an input could change the next lap
+            return
         frontier = self.wf.frontier
-        lead = None if frontier is None else frontier - t0
-        record = None
+        lap = _Lap(t0, None if frontier is None else frontier - t0,
+                   self._lap_marks(), [e.dispatches for e in engines])
+        for e in engines:
+            e.dispatches = []
+        laps = self._laps
         # cheap pre-check: a lap whose waveform lead against the decode
         # tick no recorded lap shares repeats none, so no key is built
-        if lead in self._lap_leads:
-            if (self.mod_waits or self.steering
-                    or any(e.waiting() for e in self.engines)):
-                self._forget_laps()
-                return
-            key = self._lap_key(t0)
-            records = self._lap_records
-            for k in range(1, len(records) + 1):
-                old = records[-k]
-                if old is not None and old[0] == key:
-                    if self._repeat_laps(t0 - old[1], old[2], k):
+        if any(old.lead == lap.lead for old in laps):
+            lap.state = self._state_key(t0)
+            lap.engine_keys = [e.lap_key(t0) for e in engines]
+            for k in range(1, len(laps) + 1):
+                old = laps[-k]
+                if (old.engine_keys == lap.engine_keys
+                        and old.state == lap.state):
+                    if self._repeat_laps(old, lap, k):
                         self._forget_laps()
                         return
                     break
-            record = (key, t0, self._lap_marks())
-        self._lap_leads.append(lead)
-        self._lap_records.append(record)
+        if laps and _steady(laps[-1].marks, lap.marks):
+            if lap.state is None:
+                lap.state = self._state_key(t0)
+            if (len(laps) > 1 and laps[-1].state is not None
+                    and laps[-1].state[0] == lap.state[0]
+                    and self._repeat_affine(laps[-2], laps[-1], lap)):
+                self._forget_laps()
+                return
+        laps.append(lap)
 
     def _forget_laps(self) -> None:
-        self._lap_leads.clear()
-        self._lap_records.clear()
+        self._laps.clear()
+        for e in self.engines:
+            e.dispatches = []
 
-    def _lap_key(self, t0: int) -> list:
-        """Everything the laps ahead read, ticks relative to t0."""
+    def _state_key(self, t0: int) -> tuple[tuple, tuple]:
+        """The state outside the engines the laps ahead read: its shape,
+        and its ticks relative to t0, a stale one as 0 (the bus, the
+        window lines in line order, the associative lines in victim
+        order, a carried fetch, the waveform pages)."""
         icache, wavecache = self.icache, self.wavecache
         carried = self._carried_fetch
-        key = [self.pc, tuple(self.stack), self.cmp_register, self.cmp_result,
-               None if carried is None
-               else (carried[0], max(carried[1] - t0, 0)),
-               icache.base_line, icache.resident,
-               {line: max(t - t0, 0) for line, t in icache.window.items()},
-               [(line, max(t - t0, 0)) for line, t in icache.assoc.items()],
-               max(self.sdram.busy_until - t0, 0)]
+        window = sorted(icache.window.items())
+        ticks = [self.sdram.busy_until, *(t for _, t in window),
+                 *icache.assoc.values()]
+        shape = [self.pc, tuple(self.stack), self.cmp_register,
+                 self.cmp_result, icache.base_line, icache.resident,
+                 tuple(line for line, _ in window), tuple(icache.assoc),
+                 None if carried is None else carried[0]]
+        if carried is not None:
+            ticks.append(carried[1])
         if wavecache.pingpong:
-            key += [wavecache.active_slot,
-                    [(page, max(t - t0, 0)) for page, t in wavecache.slots]]
-        key += [e.lap_key(t0) for e in self.engines]
-        return key
+            shape += [wavecache.active_slot,
+                      tuple(page for page, _ in wavecache.slots)]
+            ticks += [t for _, t in wavecache.slots]
+        return tuple(shape), tuple(max(t - t0, 0) for t in ticks)
 
-    def _lap_marks(self) -> tuple:
-        """Counters and list lengths a lap's additions are measured from."""
-        return (self.decodes, self.icache.hits, self.icache.misses,
-                self.stream_pos, len(self.events), len(self.icache.events),
-                len(self.wavecache.events), self.modeng.pending_commands(),
-                [len(e.starts) for e in self.engines])
-
-    def _repeat_laps(self, period: int, marks: tuple, k: int) -> bool:
-        """Append the laps after the last k, which began at marks, as
-        blocks of copies of those k, each moved on by period from the
-        one before; False if not one block can be."""
-        decodes, hits, misses, pos, n_ev, n_icache_ev, n_wave_ev, n_mod, \
-            n_runs = marks
-        per_block = self.decodes - decodes
-        blocks = min(self.repeat_register // k,
-                     (self.cfg.max_decodes - self.decodes) // per_block)
-        if period % CLK or blocks <= 0:
-            return False
-        shifts = np.arange(period, (blocks + 1) * period, period)
-        moved = blocks * period
-        for e, first in zip(self.engines, n_runs):
-            e.repeat_lap(first, shifts)
+    def _restore(self, state: tuple[tuple, tuple], t0: int) -> None:
+        """Set the state _state_key read to state, relative to the decode
+        tick t0."""
         icache, wavecache = self.icache, self.wavecache
-        self.events.repeat(n_ev, shifts)
-        icache.events.repeat(n_icache_ev, shifts)
-        wavecache.events.repeat(n_wave_ev, shifts)
-        samples = self.stream_pos - pos
-        self.modeng.repeat_lap(n_mod, shifts, samples)
-        self.decodes += blocks * per_block
-        icache.hits += blocks * (icache.hits - hits)
-        icache.misses += blocks * (icache.misses - misses)
-        self.stream_pos += blocks * samples
-        self.repeat_register -= blocks * k
-        self.decode_tick += moved
-        if self._carried_fetch is not None:
-            pc, avail = self._carried_fetch
-            self._carried_fetch = (pc, avail + moved)
-        icache.window = {line: t + moved for line, t in icache.window.items()}
-        icache.assoc = {line: t + moved for line, t in icache.assoc.items()}
-        self.sdram.busy_until += moved
+        shape, ticks = state
+        self.pc, stack, self.cmp_register, self.cmp_result = shape[:4]
+        self.stack = list(stack)
+        icache.base_line, icache.resident, window, assoc, carried = \
+            shape[4:9]
+        # the ticks in _state_key's order; each zip takes as many as its
+        # lines
+        at = iter([t0 + t for t in ticks])
+        self.sdram.busy_until = next(at)
+        icache.window = dict(zip(window, at))
+        icache.assoc = dict(zip(assoc, at))
+        self._carried_fetch = None if carried is None else (carried, next(at))
         if wavecache.pingpong:
-            wavecache.slots = [(page, t + moved) for page, t in wavecache.slots]
+            wavecache.active_slot = shape[9]
+            wavecache.slots = list(zip(shape[10], at))
+        self.decode_tick = t0
+
+    def _lap_marks(self) -> _Marks:
+        return _Marks(self.decodes, self.icache.hits, self.icache.misses,
+                      self.stream_pos, self.modeng.pending_commands(),
+                      self._fences, len(self.events), len(self.icache.events),
+                      len(self.wavecache.events),
+                      tuple(len(e.starts) for e in self.engines))
+
+    def _repeat_laps(self, old: _Lap, now: _Lap, k: int) -> bool:
+        """Append the laps still to run as blocks of copies of the last
+        k, from old to now, each moved on by the period from old to now
+        from the one before; then the r < k laps left as the first r of
+        them moved on once more.  False if not one lap can be."""
+        period = now.t0 - old.t0
+        if period % CLK:
+            return False
+        marks, laps = old.marks, self._laps
+        per_block = now.marks.decodes - marks.decodes
+        budget = self.cfg.max_decodes - self.decodes
+        blocks = min(self.repeat_register // k, budget // per_block)
+        budget -= blocks * per_block
+        # the laps left, as many of the block's first laps as end at a
+        # recorded state and fit the budget
+        left = min(self.repeat_register - blocks * k, k - 1)
+        r = next((r for r in range(left, 0, -1)
+                  if laps[r - k].engine_keys is not None
+                  and laps[r - k].marks.decodes - marks.decodes <= budget), 0)
+        if not blocks and not r:
+            return False
+        n = len(self.engines)
+        if blocks:
+            shifts = np.arange(period, (blocks + 1) * period, period)
+            self._copy_laps(marks, now.marks, k, shifts, [shifts] * n, shifts)
+        end, copies = now, blocks
+        if r:
+            # a lap inside the block may differ from now in more than its
+            # ticks (a comparison result that alternates lap by lap), so
+            # the whole state is set to end's
+            end, copies = laps[r - k], blocks + 1
+            shift = np.array([copies * period])
+            self._copy_laps(marks, end.marks, r, shift, [shift] * n, shift,
+                            copies * (now.marks.stream_pos - marks.stream_pos))
+        self._restore(end.state, end.t0 + copies * period)
+        for e, key in zip(self.engines, end.engine_keys):
+            e.restore(key, self.decode_tick)
         return True
+
+    def _repeat_affine(self, a: _Lap, b: _Lap, now: _Lap) -> bool:
+        """Append copies of the lap from b to now, which moved every field
+        of the lap from a to b on by its own period, until one of its
+        start rules or queue room checks would decide otherwise (module
+        docstring).  False if the laps differ in more, or not one lap
+        can be copied."""
+        period = now.t0 - b.t0
+        ma, mb, mc = a.marks, b.marks, now.marks
+        # every count but the runs (compared per engine below) grew alike
+        if (b.t0 - a.t0 != period or not _steady(ma, mb)
+                or any(z - y != y - x for x, y, z in zip(ma[:-1], mb[:-1],
+                                                         mc[:-1]))):
+            return False
+        samples = mc.stream_pos - mb.stream_pos
+        if not self.modeng.repeats(ma.commands, mb.commands, mc.commands,
+                                   period, samples):
+            return False
+        engines = self.engines
+        moves = [e.lap_move(x, y, z)
+                 for e, x, y, z in zip(engines, ma.runs, mb.runs, mc.runs)]
+        if None in moves or any(
+                [d + period for d in before] != dispatches
+                for before, dispatches in zip(b.dispatches, now.dispatches)):
+            return False
+        # an underrun moves with the waveform stream, a fetch stall and
+        # every cache event with the decode tick
+        events = _lap_events(self.events, ma.events, mb.events,
+                             {EV_UNDERRUN: moves[0], EV_FETCH_STALL: period})
+        if events is None or _lap_events(self.icache.events, ma.icache_events,
+                                         mb.icache_events, {},
+                                         period) is None:
+            return False
+        laps = min(self.repeat_register, (self.cfg.max_decodes
+                                          - self.decodes) // (mc.decodes
+                                                              - mb.decodes))
+        # a tick outside the engines moved on with the decode tick, or it
+        # stayed put ahead of it: no lap reads such a tick, since a fetch
+        # that did would stall by a different amount each lap
+        ticks = now.state[1]
+        if any(t != was and t != was - period
+               for was, t in zip(b.state[1], ticks)):
+            return False
+        depth = self.cfg.queue_depth
+        for e, first, dispatches, move in zip(engines, mb.runs,
+                                              now.dispatches, moves):
+            laps = e.affine_laps(first, dispatches, period, move, depth, laps)
+        if laps <= 0:
+            return False
+        steps = np.arange(1, laps + 1)
+        self._copy_laps(mb, mc, 1, period * steps,
+                        [move * steps for move in moves],
+                        steps[:, None] * np.array(events, np.int64))
+        moved = laps * period
+        self._restore((now.state[0], tuple(
+            t if t == was else t - moved
+            for was, t in zip(b.state[1], ticks))), now.t0 + moved)
+        for e, move in zip(engines, moves):
+            e.move(laps * move, self.decode_tick)
+        return True
+
+    def _copy_laps(self, old: _Marks, end: _Marks, laps: int,
+                   shifts: np.ndarray, runs: list[np.ndarray],
+                   events: np.ndarray, samples: int | None = None) -> None:
+        """Append what the laps between marks old and end (laps of them)
+        added, once per shift: cache events and modulator commands moved
+        on by the shift, each engine's runs by its array in runs, the
+        sequencer's events by events (a shift a copy, or a row of one
+        per event), and modulator positions by samples a copy (by
+        default the laps' own).  Count the copies' decodes, hits, misses,
+        samples and laps."""
+        n = len(shifts)
+        for e, first, stop, moved in zip(self.engines, old.runs, end.runs,
+                                         runs):
+            e.repeat_lap(first, moved, stop)
+        icache = self.icache
+        self.events.repeat(old.events, events, end.events)
+        icache.events.repeat(old.icache_events, shifts, end.icache_events)
+        self.wavecache.events.repeat(old.wave_events, shifts,
+                                     end.wave_events)
+        played = end.stream_pos - old.stream_pos
+        self.modeng.repeat_lap(old.commands, shifts,
+                               played if samples is None else samples,
+                               end.commands)
+        self.decodes += n * (end.decodes - old.decodes)
+        icache.hits += n * (end.hits - old.hits)
+        icache.misses += n * (end.misses - old.misses)
+        self.stream_pos += n * played
+        self.repeat_register -= n * laps
+        self.laps_copied += n * laps
 
     # -- convenience open-loop driver ---------------------------------------
 

@@ -13,8 +13,9 @@ their hits instead of logging them.
 Storage: the sequencer and each cache keep their events in an
 ``EventLog``.  A decoded event is one ``Event`` row.  A fast-forwarded
 block of laps is one chunk: the rows its template laps recorded and the
-tick shift of each copy as one int64 array, so copying m laps of n events
-builds no Event.  The copies' Events are built only when the log is
+tick shift of each copy as one int64 array (or one shift per row, when
+the rows move at different rates), so copying m laps of n events builds
+no Event.  The copies' Events are built only when the log is
 read, by iteration or indexing, and again on every such read;
 ``OutputTrace.events`` reads its logs once and keeps the sorted list.
 """
@@ -112,9 +113,9 @@ class EventLog:
     def __init__(self):
         self.rows: list[Event] = []
         self.append = self.rows.append
-        # (rows before the chunk, its template's first row, shifts): the
-        # chunk is rows[first:at] again once per shift, after rows[:at]
-        self.chunks: list[tuple[int, int, np.ndarray]] = []
+        # (at, lo, hi, shifts): the chunk is rows[lo:hi] again once per
+        # shift, after rows[:at]
+        self.chunks: list[tuple[int, int, int, np.ndarray]] = []
         self.copies = 0                  # events the chunks stand for
 
     def __len__(self) -> int:
@@ -126,19 +127,37 @@ class EventLog:
     def __getitem__(self, i):
         return (self._expand() if self.chunks else self.rows)[i]
 
-    def repeat(self, first: int, shifts) -> None:
-        """Record events first.. again once per shift, ticks moved on by
-        it, as one chunk.  They are decoded rows: first is not before the
-        last chunk's end."""
-        at = len(self.rows)
-        lo = first - self.copies
-        if lo < (self.chunks[-1][0] if self.chunks else 0):
-            raise ValueError(f"copy from event {first} starts inside a "
-                             f"chunk (the log holds {len(self)})")
+    def repeat(self, first: int, shifts, end: int | None = None) -> None:
+        """Record events first..end (by default all) again once per
+        shift, ticks moved on by it, as one chunk; a shift is an int, or
+        a row of one int per event.  They are decoded rows: no chunk's
+        copies lie among them."""
+        end = len(self) if end is None else end
+        lo, hi = self._row(first), self._row(end, stop=True)
+        if end - first != hi - lo:
+            raise ValueError(f"copy of events {first}..{end} spans a chunk")
         shifts = np.asarray(shifts, np.int64)
-        if at > lo and len(shifts):
-            self.chunks.append((at, lo, shifts))
-            self.copies += (at - lo) * len(shifts)
+        if hi > lo and len(shifts):
+            self.chunks.append((len(self.rows), lo, hi, shifts))
+            self.copies += (hi - lo) * len(shifts)
+
+    def _row(self, i: int, stop: bool = False) -> int:
+        """The row of event i, which no chunk copied; if stop, the row a
+        range that stops before event i stops before."""
+        copies = 0
+        for at, lo, hi, shifts in self.chunks:
+            if i < at + copies + stop:
+                break
+            n = (hi - lo) * len(shifts)
+            if i < at + copies + n:
+                raise ValueError(f"copy from event {i} starts inside a "
+                                 f"chunk (the log holds {len(self)})")
+            copies += n
+        return i - copies
+
+    def since(self, first: int) -> list[Event]:
+        """The events from first on, all decoded rows."""
+        return self.rows[self._row(first):]
 
     def copy(self) -> EventLog:
         """A snapshot: later records to this log do not change it."""
@@ -151,9 +170,9 @@ class EventLog:
     def _expand(self) -> list[Event]:
         """Every event, each chunk built into Events in its place."""
         rows, out, done = self.rows, [], 0
-        for at, first, shifts in self.chunks:
+        for at, lo, hi, shifts in self.chunks:
             out += rows[done:at]
-            out += _copies(rows[first:at], shifts)
+            out += _copies(rows[lo:hi], shifts)
             done = at
         out += rows[done:]
         return out
@@ -161,14 +180,16 @@ class EventLog:
 
 def _copies(template: list[Event], shifts: np.ndarray) -> list[Event]:
     """template again once per shift, ticks moved on by it (and the until
-    tick of a queue_full); details without a tick are shared."""
+    tick of a queue_full); details without a tick are shared.  A shift
+    is one int, or one per template event."""
     n, m = len(template), len(shifts)
     tick, kind, ticks, detail = zip(*template)
-    tick = (shifts[:, None] + np.array(tick, np.int64)).ravel().tolist()
+    shifts = shifts.reshape(m, -1)
+    tick = (shifts + np.array(tick, np.int64)).ravel().tolist()
     detail = list(detail) * m
     for j in [j for j, k in enumerate(kind) if k is EV_QUEUE_FULL]:
         base = detail[j]
-        for c, d in enumerate(shifts.tolist()):
+        for c, d in enumerate(shifts[:, j % shifts.shape[1]].tolist()):
             detail[c * n + j] = {**base, "until": base["until"] + d}
     # tuple.__new__ is Event(...) less its Python-level __new__
     return list(map(tuple.__new__, repeat(Event, n * m),

@@ -140,7 +140,8 @@ class ModEngine:
     The stream is kept as columns: each command's code (its index in
     ``table``), dispatch tick and dispatch position.  Decoded commands
     are appended to the list columns; ``repeat_lap`` seals those into an
-    array chunk and appends the copied laps as one more chunk.
+    array chunk and appends the copied laps as one more chunk, their
+    template taken from the chunks.
     """
 
     def __init__(self):
@@ -163,32 +164,55 @@ class ModEngine:
     def pending_commands(self) -> int:
         return self._sealed + len(self.commands)
 
-    def repeat_lap(self, first: int, shifts, samples: int) -> None:
-        """Append commands first.. again once per shift (a sequence of
-        ints): dispatch ticks moved on by it, dispatch positions by
-        samples per copy (one lap or a block of laps).  The copied
-        commands are decoded ones: first is not before a chunk's end."""
-        if first < self._sealed:
-            raise ValueError(f"lap from command {first} starts inside a "
-                             f"chunk (the chunks hold {self._sealed})")
-        n = self.pending_commands() - first
-        if not n:
-            return
-        # seal the decoded commands into a chunk, which the lap ends; the
-        # lists stay the same objects, so the decode loop keeps appending
-        self.chunks.append(self._tail())
-        self._sealed += len(self.commands)
-        self.commands.clear()
-        self.ticks.clear()
-        self.positions.clear()
-        code, tick, pos = (col[-n:] for col in self.chunks[-1])
+    def repeat_lap(self, first: int, shifts, samples: int,
+                   end: int | None = None) -> None:
+        """Append commands first..end (by default all) again once per
+        shift (a sequence of ints): dispatch ticks moved on by it,
+        dispatch positions by samples per copy (one lap or a block of
+        laps)."""
+        end = self.pending_commands() if end is None else end
         laps = len(shifts)
+        if end <= first or not laps:
+            return
+        if self.commands:
+            # seal the decoded commands into a chunk; the lists stay the
+            # same objects, so the decode loop keeps appending
+            self.chunks.append(self._tail())
+            self._sealed += len(self.commands)
+            self.commands.clear()
+            self.ticks.clear()
+            self.positions.clear()
+        code, tick, pos = self._sealed_slice(first, end)
         shift = np.asarray(shifts, np.int64)
         moved = samples * np.arange(1, laps + 1)
         self.chunks.append((np.tile(code, laps),
                             (shift[:, None] + tick).reshape(-1),
                             (moved[:, None] + pos).reshape(-1)))
-        self._sealed += laps * n
+        self._sealed += laps * (end - first)
+
+    def _sealed_slice(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The columns of commands lo..hi, all in chunks."""
+        parts, at = [], self._sealed
+        for chunk in reversed(self.chunks):
+            at -= len(chunk[0])
+            if at < hi:
+                parts.append([col[max(lo - at, 0):hi - at] for col in chunk])
+            if at <= lo:
+                break
+        return tuple(np.concatenate(col) for col in zip(*reversed(parts)))
+
+    def repeats(self, first: int, mid: int, end: int, ticks: int,
+                samples: int) -> bool:
+        """Whether decoded commands mid..end are commands first..mid
+        again, dispatch ticks moved on by ticks and positions by
+        samples."""
+        a, b, c = (i - self._sealed for i in (first, mid, end))
+        if a < 0:
+            return False
+        return (self.commands[a:b] == self.commands[b:c]
+                and [t + ticks for t in self.ticks[a:b]] == self.ticks[b:c]
+                and [p + samples for p in self.positions[a:b]]
+                == self.positions[b:c])
 
     def _tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The decoded commands as a chunk: a command's code is looked up

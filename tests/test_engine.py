@@ -486,6 +486,25 @@ def test_event_log_stores_copies_as_chunks():
         log.repeat(6, [2000])
 
 
+def test_event_log_copies_a_range_with_a_shift_per_row():
+    # the laps left after whole blocks copy the block's first rows once
+    # more; an affine copy moves each row at the rate of its kind
+    log = EventLog()
+    for e in (Event(0, EventKind.TRAP), Event(10, EventKind.UNDERRUN, 5),
+              Event(20, EventKind.FETCH_STALL, 40, {"pc": 3})):
+        log.append(e)
+    log.repeat(1, [100, 200])
+    log.repeat(1, [300], 2)
+    log.repeat(1, np.array([[480, 500], [960, 1000]]), 3)
+    assert (len(log), len(log.rows)) == (12, 3)
+    assert [e.tick for e in log] == [0, 10, 20, 110, 120, 210, 220, 310,
+                                     490, 520, 970, 1020]
+    assert log[-1].detail == {"pc": 3}
+    log.append(Event(2000, EventKind.TRAP))
+    with pytest.raises(ValueError, match="spans a chunk"):
+        log.repeat(2, [5])              # rows 2 and 3, the chunks between
+
+
 def far_calls_program(repeats=3):
     # as the farcall benchmark: a loop calling subroutines 8 cache lines
     # apart, each also playing one marker channel that idles in between
@@ -1202,9 +1221,9 @@ def skips(monkeypatch):
     laps = []
     repeat_laps = Sequencer._repeat_laps
 
-    def counted(self, period, marks, k):
+    def counted(self, *lap_records):
         before = self.repeat_register
-        done = repeat_laps(self, period, marks, k)
+        done = repeat_laps(self, *lap_records)
         if done:
             laps.append(before - self.repeat_register)
         return done
@@ -1220,38 +1239,45 @@ def decoding_every_lap(monkeypatch, run):
         return run()
 
 
-def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
-    # padded over about a dozen cache lines, so loops and calls cross
-    # lines the window has yet to fill: some fast-forwards replay
-    # instruction-cache misses and window waits along with the laps
+def long_loops_run_as_decoded(monkeypatch, skips, depth):
+    """Seeded random programs padded over about a dozen cache lines, so
+    loops and calls cross lines the window has yet to fill: some
+    fast-forwards replay instruction-cache misses and window waits along
+    with the laps.  Every run equals the one decoding each lap, and its
+    values the oracle's.  Returns the runs with exact copies, those with
+    cache events among them, and the seeds with affine copies
+    (laps_copied counts more laps than the exact copies)."""
     replayed = []           # instruction-cache events each one appended
     counted = Sequencer._repeat_laps
 
-    def replaying(self, period, marks, k):
+    def replaying(self, *lap_records):
         before = len(self.icache.events)
-        done = counted(self, period, marks, k)
+        done = counted(self, *lap_records)
         if done:
             replayed.append(len(self.icache.events) - before)
         return done
 
     monkeypatch.setattr(Sequencer, "_repeat_laps", replaying)
-    skipped = cached = 0
+    skipped = cached = affine = 0
     for seed in range(100):
         prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
                                            max_repeat=40, pad=300)
+        affine_seed = False
         for hinted in (prog, insert_prefetch_hints(prog)):
             def make():
                 return Sequencer(hinted, EngineConfig(initial_cmp=initial_cmp,
-                                                      queue_depth=4))
+                                                      queue_depth=depth))
 
             skips.clear()
             replayed.clear()
-            fast = run_digest(make())
+            seq = make()
+            fast = run_digest(seq)
             assert fast == decoding_every_lap(
                 monkeypatch, lambda: run_digest(make())), seed
-            if not skips:
+            affine_seed |= seq.laps_copied > sum(skips)
+            if not seq.laps_copied:
                 continue
-            skipped += 1
+            skipped += bool(skips)
             cached += any(replayed)
             trace = make().run_simple()
             ref = interpret(hinted, initial_cmp)
@@ -1259,8 +1285,21 @@ def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
             for ch in range(4):
                 assert np.array_equal(trace.marker_levels(ch)[1],
                                       ref["markers"][ch]), seed
+        affine += affine_seed
+    return skipped, cached, affine
+
+
+def test_long_loops_skip_laps_without_changing_the_run(monkeypatch, skips):
+    skipped, cached, _ = long_loops_run_as_decoded(monkeypatch, skips, 4)
     assert skipped >= 50       # the fast path ran, not only its bail-outs
     assert cached >= 10        # and carried the instruction cache along
+
+
+def test_long_loops_with_deep_queues_copy_affine_laps(monkeypatch, skips):
+    skipped, cached, affine = long_loops_run_as_decoded(monkeypatch, skips,
+                                                        64)
+    assert skipped >= 50 and cached >= 10
+    assert affine >= 20        # runs with laps copied by the affine path
 
 
 def test_decode_budget_runs_out_at_the_same_point(monkeypatch, skips):
@@ -1286,6 +1325,31 @@ def test_far_calls_skip_laps_without_changing_the_run(monkeypatch, skips):
         monkeypatch, lambda: run_digest(Sequencer(prog)))
 
 
+@pytest.mark.parametrize("repeats", [20, 21])
+def test_a_comparison_alternating_by_lap_copies_as_decoded(monkeypatch, skips,
+                                                          repeats):
+    # each lap branches on the comparison the lap before set and sets the
+    # other one, so the state repeats every 2 laps; with an odd number
+    # of laps left after the last whole block, the copies end one lap
+    # into the block, on the other branch than the last decoded lap's
+    prog = image([Instruction(Opcode.LOAD_REPEAT, value=repeats),
+                  Instruction(Opcode.GOTO, addr=5, conditional=True),
+                  Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=0),
+                  play(0, 8),
+                  Instruction(Opcode.GOTO, addr=7),
+                  Instruction(Opcode.CMP, cmp_op=CmpOp.NEQ, mask=0),
+                  play(8, 8),
+                  Instruction(Opcode.REPEAT, addr=1)])
+    seq = Sequencer(prog)
+    fast = run_digest(seq)
+    assert fast == decoding_every_lap(monkeypatch,
+                                      lambda: run_digest(Sequencer(prog)))
+    assert sum(skips) == seq.laps_copied
+    assert repeats + 1 - seq.laps_copied == 6    # whatever the parity
+    trace = Sequencer(prog).run_simple()
+    assert np.array_equal(trace.analog_values(), interpret(prog)["analog"])
+
+
 def test_lap_copies_count_as_modulator_commands(skips):
     # modloop's shape: per lap an increment, three frame updates on
     # three NCOs, one window over two plays and a marker pulse
@@ -1304,6 +1368,98 @@ def test_lap_copies_count_as_modulator_commands(skips):
     assert seq.modeng.pending_commands() == 5 * 40 + 1
     assert len(seq.modeng.chunks) == 2      # decoded, then the copies
     assert resolve_matches_the_reference(seq)
+
+
+# -- affine lap fast-forward ------------------------------------------------
+#
+# A loop whose laps drain or fill the queues repeats no lap exactly: each
+# tick moves by its own period.  The affine path copies such laps up to
+# the last one whose start rules and queue room checks decide as the
+# decoded lap's did.  ModEngine numbers its command codes in object id
+# order, so the commands are compared through its table.
+
+
+def lap_run(make, triggers=()):
+    """(run_digest, modulator commands, their dispatch ticks and
+    positions as bytes, value_digest) of a run of make(), and the laps
+    it copied."""
+    seq = make()
+    digest = run_digest(seq, triggers)
+    code, tick, pos = seq.modeng.columns()
+    return (digest, [seq.modeng.table[c] for c in code.tolist()],
+            tick.tobytes(), pos.tobytes(),
+            value_digest(seq.finalize())), seq.laps_copied
+
+
+def modloop_program(half, laps, triggered):
+    """modloop's loop: per lap an increment, three frame updates on
+    three NCOs, one window over two plays of half samples each and a
+    marker pulse; 9 instructions decode in 500 ticks, and the plays take
+    10 * half.  triggered puts a WAIT before the loop."""
+    lap = [mod(ModAction.SET_PHASE_INCREMENT, phase_word=0x0321_0000_0000),
+           mod(ModAction.UPDATE_FRAME, phase_word=0x5A00_0000_0000),
+           mod(ModAction.UPDATE_FRAME, nco=0b0010, phase_word=0x1234),
+           mod(ModAction.UPDATE_FRAME, nco=0b0100, phase_word=0x5678),
+           mod(ModAction.MODULATE, nco=0, count=2 * half), play(0, half),
+           play(half, half), marker_pulse(3)]
+    before = [Instruction(Opcode.WAIT)] if triggered else []
+    return ProgramImage(loop(lap, laps - 1, before).words, BIG_WAVE)
+
+
+def affine_runs_as_decoded(monkeypatch, skips, prog, depth, triggers):
+    """The laps the affine path copied in a run of prog, after checking
+    that the run equals decoding each lap."""
+    def make():
+        return Sequencer(prog, EngineConfig(queue_depth=depth), mod_cfg=SKEW)
+
+    skips.clear()
+    fast, copied = lap_run(make, triggers)
+    exact = sum(skips)
+    assert fast == decoding_every_lap(monkeypatch,
+                                      lambda: lap_run(make, triggers))[0]
+    return copied - exact
+
+
+@pytest.mark.parametrize("depth", [4, 8, 16, 64])
+@pytest.mark.parametrize("triggered", [True, False])
+def test_draining_laps_copy_as_decoded(monkeypatch, skips, depth, triggered):
+    # 480 ticks of output a lap: a lead built up behind the WAIT drains
+    # by 20 ticks a lap; once it is gone, every lap underruns
+    prog = modloop_program(48, 400, triggered)
+    affine = affine_runs_as_decoded(monkeypatch, skips, prog, depth,
+                                    [50_000] if triggered else [])
+    if triggered:
+        assert affine > 0
+        if depth == 64:     # modloop's queue: most of the drain is copied
+            assert affine > 300
+
+
+@pytest.mark.parametrize("depth", [4, 8, 16, 64])
+def test_filling_laps_copy_until_the_queue_fills(monkeypatch, skips, depth):
+    # 640 ticks of output a lap: the lead grows by 140 ticks a lap until
+    # the waveform queue is full, then every lap waits for room
+    prog = modloop_program(64, 300, triggered=False)
+    affine = affine_runs_as_decoded(monkeypatch, skips, prog, depth, [])
+    trace = Sequencer(prog, EngineConfig(queue_depth=depth)).run_simple()
+    assert any(e.kind == "queue_full" for e in trace.events)
+    assert affine > 0
+
+
+def test_a_drain_stops_copying_where_its_slack_crosses_zero(monkeypatch,
+                                                            skips):
+    # the lead a queue of 16 holds after the WAIT lasts about 180 laps
+    # of the drain, and the loop runs 400: copying every lap left would
+    # carry the contiguous start rule past the lap where the stream
+    # falls behind
+    prog = modloop_program(48, 400, triggered=True)
+    affine = affine_runs_as_decoded(monkeypatch, skips, prog, 16, [50_000])
+    seq = Sequencer(prog, EngineConfig(queue_depth=16), mod_cfg=SKEW)
+    trace = seq.run_simple(triggers=[50_000])
+    underruns = [e.tick for e in trace.events if e.kind == "underrun"]
+    first = int(np.searchsorted(trace.analog.start, underruns[0]))
+    assert 100 < first // 2 < 300        # the lap the stream falls behind
+    assert affine > 100 and skips        # copied both sides of it
+    assert 400 - seq.laps_copied < 20
 
 
 def lapped_program():
@@ -1549,9 +1705,9 @@ def test_a_bus_bound_loop_copies_blocks_of_laps(monkeypatch, repeats):
     copies = []                         # (block length, laps copied)
     repeat_laps = Sequencer._repeat_laps
 
-    def spy(self, period, marks, k):
+    def spy(self, old, now, k):
         before = self.repeat_register
-        done = repeat_laps(self, period, marks, k)
+        done = repeat_laps(self, old, now, k)
         if done:
             copies.append((k, before - self.repeat_register))
         return done
@@ -1561,14 +1717,17 @@ def test_a_bus_bound_loop_copies_blocks_of_laps(monkeypatch, repeats):
     def run():
         return run_digest(run_streamed_calls(prog), [1000])
 
-    fast = run()
+    seq = run_streamed_calls(prog)
+    fast = run_digest(seq, [1000])
     assert fast == decoding_every_lap(monkeypatch, run)
     (k,) = {k for k, _ in copies}
     # a lap takes 12 fills of 4,238 bus ticks, 16 ticks off the clock
     # grid, so the state repeats after 20 / gcd(16, 20) laps
     assert k == 5
-    decoded = repeats + 1 - sum(laps for _, laps in copies)
-    assert decoded < 2 * k + 5
+    # the laps left after the last whole block are copied too, as the
+    # block's first laps: the laps decoded do not depend on repeats
+    assert seq.laps_copied == sum(laps for _, laps in copies)
+    assert repeats + 1 - seq.laps_copied == 8
 
 
 def test_a_bus_bound_loop_runs_at_the_bus_rate():

@@ -422,6 +422,29 @@ def test_lap_chunks_are_the_commands_submitted_one_by_one():
         assert np.array_equal(tick, tick1) and np.array_equal(pos, pos1)
 
 
+def test_a_partial_copy_takes_its_template_from_the_chunks():
+    # blocks of laps, then the first commands of the block once more, as
+    # Sequencer._repeat_laps appends the laps left after whole blocks
+    for seed in range(20):
+        eng = random_stream(seed)[0]
+        single = random_stream(seed)[0]
+        code, tick, pos = (col.tolist() for col in eng.columns())
+        first, part = 80, 80 + seed % 37
+        eng.repeat_lap(first, [100, 200], 7)
+        eng.repeat_lap(first, [300], 21, part)
+        for d, step, end in [(100, 7, None), (200, 14, None),
+                             (300, 21, part)]:
+            for c, t, p in zip(code[first:end], tick[first:end],
+                               pos[first:end]):
+                single.submit(eng.table[c], t + d, p + step)
+        assert eng.pending_commands() == single.pending_commands()
+        (code, tick, pos), (code1, tick1, pos1) = (eng.columns(),
+                                                   single.columns())
+        assert ([eng.table[c] for c in code.tolist()]
+                == [single.table[c] for c in code1.tolist()]), seed
+        assert np.array_equal(tick, tick1) and np.array_equal(pos, pos1)
+
+
 @pytest.mark.parametrize("block", range(5))
 def test_resolve_of_lap_chunks_matches_the_reference_loop(block):
     for seed in range(20 * block, 20 * block + 20):
