@@ -28,14 +28,21 @@ waveform address (the active ping-pong page base included), sample
 count and TA flag; a marker engine the start tick, count, state and
 last word.  ``finalize`` resolves the modulator's windows over those
 columns, then walks the stream in blocks of ``BLOCK_SAMPLES``, so its
-working memory is bounded by the block size.  Per block it gathers
-one 32-bit word per sample from a word view of the image's waveform
-memory (each word an int16 I/Q pair), converts the pairs to float and
-scales them in place, and views them as complex samples.  It rotates
-the samples inside windows in place and makes one mixer call, which
-reads the complex samples as (I, Q) rows, adds the DC offset as one
-complex number and returns a complex view of its product.  A TA run
-outside every window stays lazy: one mixed value, expanded only by
+working memory is bounded by the block size.  Per block it builds the
+index of one 32-bit word per sample in two passes, each run's base word
+repeated over its entries plus the entry numbers (a block holding a TA
+run inside a window first multiplies the entry numbers by each run's
+step, 0 for that run), gathers the words from a word view of the
+image's waveform memory (each word an int16 I/Q pair), converts and
+scales the pairs to float in one pass and views them as complex
+samples.  It rotates the samples inside windows in place and makes one
+mixer call, which writes into the block's slice of the result.  The
+mixer multiplies the (I, Q) rows by the transposed matrix, kept
+C-contiguous from its constructor, adds the DC offset as one complex
+number, and takes one min and one max of the product: only a block
+with a value out of range is counted and clipped, and only a block
+holding an exact zero takes the signed-zero pass.  A TA run outside
+every window stays lazy: one mixed value, expanded only by
 ``OutputTrace.analog_values``; the mixer counts its saturations once
 per sample it stands for, at the cost of the lazy entries alone.
 
@@ -46,7 +53,8 @@ phasor(start_j + inc_j·m·L) times ramp(inc_j)[r].  ``_ramps`` builds one
 ramp per distinct increment once, each as long as its longest window but
 all in ``BLOCK_SAMPLES`` entries (1 MiB).  Per block ``_Rotation.rotate``
 cuts the entries where the phasor changes (run starts, window edges,
-multiples of L), so its pieces never outgrow a block, and takes one
+multiples of L; repeats dropped by a sort and a neighbour mask, not
+``np.unique``), so its pieces never outgrow a block, and takes one
 direct exp per piece; an entry then costs a ramp gather and two complex
 multiplies, and one outside windows is multiplied by exactly 1.  A factor
 is within a few ulp of ``mod.Windows.rotation`` and equal to it at
@@ -1269,10 +1277,11 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
     width = np.where(lazy, 1, count)            # entries per run
     entry = np.cumsum(width) - width            # first entry of each run
     entry_end = entry + width
-    step = np.where(ta, 0, 1)
     # entry p of run k reads word base[k] + step[k]*p and, expanded,
     # plays origin[k] + p sample periods after tick 0 (run starts lie on
-    # the sample grid)
+    # the sample grid).  A lazy run has one entry, so only an expanded TA
+    # run needs step 0
+    step = np.where(ta & ~lazy, 0, 1)
     base = addr - step * entry
     origin = runs.start // ANALOG_SAMPLE_TICKS - entry
     held_at, held_count = entry[lazy], count[lazy]
@@ -1291,18 +1300,21 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
         b1 = min(b0 + BLOCK_SAMPLES, total)
         k0, k1 = (np.searchsorted(entry_end, b0, side="right"),
                   np.searchsorted(entry, b1))
-        pos, run = _spans(np.maximum(entry[k0:k1], b0),
-                          np.minimum(entry_end[k0:k1], b1))
-        run += k0
+        size = (np.minimum(entry_end[k0:k1], b1)
+                - np.maximum(entry[k0:k1], b0))     # the runs' entries here
+        index = np.arange(b0, b1)
+        if not step[k0:k1].all():
+            index *= np.repeat(step[k0:k1], size)
+        index += np.repeat(base[k0:k1], size)
         # I/Q to [-1, 1): scaling by a power of two is exact
-        z = words[base[run] + step[run] * pos].view(np.int16) \
-            .astype(np.float64)
-        z *= 1.0 / 32768.0
+        z = np.multiply(words[index].view(np.int16), 1.0 / 32768.0)
+        del index
         z = z.view(np.complex128)
         rotation.rotate(z, b0, b1)
         h0, h1 = np.searchsorted(held_at, (b0, b1))
-        mixed[b0:b1] = corrector.apply(
-            z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None)
+        corrector.apply(
+            z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None,
+            out=mixed[b0:b1])
     return mixed, lazy
 
 
@@ -1331,9 +1343,11 @@ class _Rotation:
         if j1 == j0:
             return
         k0, k1 = np.searchsorted(self.entry, (b0, b1))
-        cut = np.unique(np.concatenate([[b0], self.entry[k0:k1],
-                                        self.lo[j0:j1], self.hi[j0:j1]]))
+        cut = np.concatenate([[b0], self.entry[k0:k1], self.lo[j0:j1],
+                              self.hi[j0:j1]])
         cut = cut[(cut >= b0) & (cut < b1)]
+        cut.sort()          # then drop repeats: a sort beats np.unique's hash
+        cut = cut[np.concatenate([[True], cut[1:] != cut[:-1]])]
         size = np.diff(cut, append=b1)
         j = np.searchsorted(self.lo, cut, side="right") - 1
         inside = (j >= 0) & (cut < self.hi[j])

@@ -216,7 +216,9 @@ class ModEngine:
 
     def _tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The decoded commands as a chunk: a command's code is looked up
-        once per distinct object, not per command."""
+        once per distinct object, not per command, and a new command
+        takes the next code in order of first appearance (not of id), so
+        equal runs give equal columns."""
         commands = self.commands
         ids = np.fromiter(map(id, commands), np.uint64, len(commands))
         distinct, at, inverse = np.unique(ids, return_index=True,
@@ -224,7 +226,8 @@ class ModEngine:
         codes = self._code
         table = self.table
         code = np.empty(len(distinct), np.int64)
-        for k, i in enumerate(at.tolist()):
+        order = np.argsort(at)
+        for k, i in zip(order.tolist(), at[order].tolist()):
             md = commands[i]
             c = codes.get(md)
             if c is None:
@@ -384,43 +387,61 @@ class MixerCorrector:
     def __init__(self, cfg: ModConfig):
         a, b, c, d = cfg.mixer_matrix
         self.matrix = np.array([[a, b], [c, d]])
+        # the product's right factor, C-contiguous: numpy hands a
+        # transposed view to BLAS on a slower path, with the same bits
+        self._right = np.ascontiguousarray(self.matrix.T)
         self.offset = complex(cfg.dc_offset_i, cfg.dc_offset_q)
         self.dac_bits = cfg.dac_bits
         self.saturations = 0
 
     def apply(self, iq: np.ndarray,
-              held: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> np.ndarray:
+              held: tuple[np.ndarray, np.ndarray] | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
         """Correct a complex sample array; saturates into [-1, 1).
 
+        The product is numpy's matrix path, rows @ matrix.T, with the
+        transpose kept C-contiguous from the constructor; the value pins
+        in tests/test_engine.py hold its rounding: an elementwise I/Q
+        formula, einsum or a one-row call may round the same sample
+        differently.  The DC offset is then added as one complex number.
         Each I or Q outside the range counts one saturation, counted
         before the clip, which works in place on the product.  held is
         (index, count): iq[index[m]] stands for count[m] output samples
-        (a lazy TA run), so its saturations count count[m] times; only
-        those entries pay for that.  The product stays numpy's matrix
-        path (rows @ matrix.T), whose rounding the value pins in
-        tests/test_engine.py hold: an elementwise I/Q formula, or a
-        one-row call, may round the same sample differently.
+        (a lazy TA run), so its saturations count count[m] times.  One
+        min and one max of the product decide whether any of that runs:
+        a product wholly in range is neither counted nor clipped.  The
+        signed-zero pass runs only on a result holding a zero.  The
+        result is written to out (a complex array of iq's length) when
+        given, and returned.
         """
         iq = np.ascontiguousarray(iq, dtype=np.complex128)
         # (n, 2) I/Q pairs as a view, the layout np.stack would copy
         pair = iq.view(np.float64).reshape(-1, 2)
-        # numpy multiplies a one-row matrix on its vector path, which
-        # rounds differently: a second row keeps every sample on one path
-        rows = np.repeat(pair, 2, axis=0) if len(pair) == 1 else pair
-        out = (rows @ self.matrix.T)[:len(pair)]
-        z = out.view(np.complex128).reshape(-1)
+        n = len(pair)
+        if out is None:
+            out = np.empty(n, np.complex128)
+        z = out.reshape(-1)
+        flat = z.view(np.float64)
+        if n == 1:
+            # numpy multiplies a one-row matrix on its vector path, which
+            # rounds differently: a second row keeps every sample on one
+            # path
+            flat[:] = (np.repeat(pair, 2, axis=0) @ self._right)[0]
+        else:
+            np.matmul(pair, self._right, out=flat.reshape(-1, 2))
         z += self.offset
         top = 32767.0 / 32768.0
-        flat = out.reshape(-1)
-        self.saturations += (int(np.count_nonzero(flat < -1.0))
-                             + int(np.count_nonzero(flat > top)))
-        if held is not None:
-            index, count = held
-            part = out[index]
-            hit = (part < -1.0) | (part > top)
-            self.saturations += int(hit.sum(axis=1) @ (count - 1))
-        np.clip(flat, -1.0, top, out=flat)
+        # NaN if any entry is NaN, and in range if there is none
+        lo, hi = flat.min(initial=np.inf), flat.max(initial=-np.inf)
+        if not (lo >= -1.0 and hi <= top):
+            self.saturations += (int(np.count_nonzero(flat < -1.0))
+                                 + int(np.count_nonzero(flat > top)))
+            if held is not None:
+                index, count = held
+                part = flat.reshape(-1, 2)[index]
+                hit = (part < -1.0) | (part > top)
+                self.saturations += int(hit.sum(axis=1) @ (count - 1))
+            np.clip(flat, -1.0, top, out=flat)
         if self.dac_bits is not None:
             scale = float(1 << (self.dac_bits - 1))
             flat *= scale
@@ -428,6 +449,8 @@ class MixerCorrector:
             flat /= scale
             np.clip(flat, -1.0, top, out=flat)
         # signed zeros as I + 1j*Q gives them: a zero Q is +0, a zero I
-        # keeps its sign only where Q's sign bit is set
-        z += z.imag * 0.0
-        return z.reshape(iq.shape)
+        # keeps its sign only where Q's sign bit is set.  Elsewhere the
+        # pass is the identity, but for a NaN Q, which makes I NaN too
+        if lo != lo or not flat.all():
+            z += z.imag * 0.0
+        return out.reshape(iq.shape)

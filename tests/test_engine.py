@@ -964,6 +964,25 @@ def test_values_are_pinned(name):
         == PINNED_VALUES[name]
 
 
+def test_skewed_mixer_gives_the_same_bytes_at_every_call_size():
+    # the product's gemm takes rows in groups and a remainder, and numpy
+    # sends one row down its vector path: no call size or split may move
+    # a bit, written to a new array or into out
+    rng = np.random.default_rng(11)
+    n = 65_537
+    iq = rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n)
+    whole = MixerCorrector(SKEW).apply(iq)
+    for size in (1, 2, 3, 5, 17, n):
+        for cut in sorted({0, 1, size // 2, size - 1}):
+            corr = MixerCorrector(SKEW)
+            out = np.empty(size, np.complex128)
+            corr.apply(iq[:cut], out=out[:cut])
+            corr.apply(iq[cut:size], out=out[cut:])
+            assert out.tobytes() == whole[:size].tobytes(), (size, cut)
+            assert MixerCorrector(SKEW).apply(iq[cut:size]).tobytes() \
+                == whole[cut:size].tobytes(), (size, cut)
+
+
 def resolve_matches_the_reference(seq):
     """seq's modulator windows and events, resolved over the run
     columns finalize passes, equal tests/oracle.py's command loop."""
@@ -1375,19 +1394,38 @@ def test_lap_copies_count_as_modulator_commands(skips):
 # A loop whose laps drain or fill the queues repeats no lap exactly: each
 # tick moves by its own period.  The affine path copies such laps up to
 # the last one whose start rules and queue room checks decide as the
-# decoded lap's did.  ModEngine numbers its command codes in object id
-# order, so the commands are compared through its table.
+# decoded lap's did.
+
+
+def modulator_columns(seq):
+    """seq's modulator table and its command columns as bytes."""
+    columns = [col.tobytes() for col in seq.modeng.columns()]
+    return (list(seq.modeng.table), *columns)
+
+
+def test_equal_runs_give_equal_modulator_columns():
+    # codes follow the commands' first appearance, not their object ids,
+    # which differ between two sequencers
+    for seed in range(10):
+        prog, initial_cmp = random_program(
+            np.random.default_rng(5000 + seed), max_repeat=20,
+            increments=True)
+        runs = []
+        for _ in range(2):
+            seq = Sequencer(prog, EngineConfig(initial_cmp=initial_cmp))
+            seq.run_simple()
+            runs.append(modulator_columns(seq))
+        assert runs[0] == runs[1], seed
+        first = np.unique(seq.modeng.columns()[0], return_index=True)[1]
+        assert np.all(np.diff(first) > 0), seed
 
 
 def lap_run(make, triggers=()):
-    """(run_digest, modulator commands, their dispatch ticks and
-    positions as bytes, value_digest) of a run of make(), and the laps
-    it copied."""
+    """(run_digest, modulator table and columns, value_digest) of a run
+    of make(), and the laps it copied."""
     seq = make()
     digest = run_digest(seq, triggers)
-    code, tick, pos = seq.modeng.columns()
-    return (digest, [seq.modeng.table[c] for c in code.tolist()],
-            tick.tobytes(), pos.tobytes(),
+    return (digest, *modulator_columns(seq),
             value_digest(seq.finalize())), seq.laps_copied
 
 

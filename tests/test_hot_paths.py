@@ -10,7 +10,9 @@ globals (``isa.OP_*``, ``WF_*``, ``MK_*``, ``MOD_*``, ``CMP_*`` and
 as globals, and no config class derives a value in a property any more.
 This check fails on any function of the hot paths that reads a member
 through its enum class or a config property, so a property added back
-is caught where a hot path reads it.
+is caught where a hot path reads it.  A second check keeps ``np.unique``
+out of the per-block sample paths (``_Rotation.rotate`` and
+``MixerCorrector.apply``).
 """
 
 import ast
@@ -35,10 +37,10 @@ HOT = {
           "_hint_sites", "_plan", "insert_prefetch_hints",
           "strip_prefetch_hints"],
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
-             "_compare", "_Rotation", "_ramps"],
+             "_compare", "_mix", "_Rotation", "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
     events: ["EventLog", "_copies"],
-    mod: ["ModEngine", "_nco_states"],
+    mod: ["ModEngine", "_nco_states", "MixerCorrector"],
     isa: ["encode", "_check_stray", "decode", "decode_table",
           "ProgramImage.decode_all", "validate_program"],
 }
@@ -93,6 +95,33 @@ def test_hot_path_reads_no_enum_member_or_config_property(fn, properties):
     assert slow_reads(inspect.getsource(fn), properties) == []
 
 
+# per output block, numpy 2's hash-based np.unique costs about eight times
+# a sort and a neighbour mask on a block's few thousand cut points
+BLOCK_PATHS = [engine._Rotation.rotate, mod.MixerCorrector.apply]
+
+
+def unique_calls(source: str) -> list[str]:
+    """Every call of a function named unique."""
+    return [f"line {node.lineno}" for node in ast.walk(
+        ast.parse(textwrap.dedent(source)))
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "unique"
+            or getattr(node.func, "id", None) == "unique")]
+
+
+@pytest.mark.parametrize("fn", BLOCK_PATHS, ids=lambda fn: fn.__qualname__)
+def test_block_path_calls_no_unique(fn):
+    assert unique_calls(inspect.getsource(fn)) == []
+
+
+def test_the_unique_guard_sees_a_call():
+    source = '''
+    def f(cut):
+        return np.unique(cut)
+    '''
+    assert unique_calls(source) == ["line 3"]
+
+
 class FixtureConfig:
     """A config class with a derived value, as the guard would see one;
     the package's configs have none left."""
@@ -127,6 +156,8 @@ def test_every_hot_name_exists():
             "aps2sim.mod._nco_states",
             "aps2sim.engine._ramps",
             "aps2sim.engine._Rotation.rotate",
+            "aps2sim.engine._mix",
+            "aps2sim.mod.MixerCorrector.apply",
             "aps2sim.events.EventLog.repeat",
             "aps2sim.events._copies",
             "aps2sim.isa.decode",

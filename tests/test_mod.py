@@ -223,6 +223,43 @@ def test_mixer_result_does_not_depend_on_the_call_size():
     assert together.tobytes() == alone.tobytes()
 
 
+def test_mixer_counts_saturations_exactly():
+    matrix = (1.07, -0.13, 0.09, 0.94)
+    rng = np.random.default_rng(3)
+    # wholly in range: nothing counted, the plain product comes back
+    iq = rng.uniform(-0.5, 0.5, 1000) + 1j * rng.uniform(-0.5, 0.5, 1000)
+    corr = MixerCorrector(ModConfig(mixer_matrix=matrix, dc_offset_i=0.01))
+    product = iq.view(np.float64).reshape(-1, 2) \
+        @ np.ascontiguousarray(np.reshape(matrix, (2, 2)).T)
+    product[:, 0] += 0.01
+    assert corr.apply(iq).tobytes() == product.tobytes()
+    assert corr.saturations == 0
+    # I and Q well outside the range: one count each, clipped to the edges
+    top = 32767.0 / 32768.0
+    iq = np.full(100, 0.25 + 0.25j)
+    iq[[3, 40, 41]] += 1.5           # I over the top
+    iq[[5, 6, 7, 8]] -= 2.5j         # Q under -1
+    iq[[50, 60]] = -3 + 4j           # both out
+    corr = MixerCorrector(ModConfig())
+    out = corr.apply(iq)
+    assert corr.saturations == 3 + 4 + 2 * 2
+    assert out[3] == top + 0.25j and out[5] == 0.25 - 1j
+    assert out[50] == -1 + top * 1j and out[0] == 0.25 + 0.25j
+    # a held entry stands for count samples, each saturating alike
+    corr = MixerCorrector(ModConfig())
+    corr.apply(iq, (np.array([0, 3, 50]), np.array([7, 10, 1000])))
+    assert corr.saturations == 11 + 1 * 9 + 2 * 999
+    # a zero from the DAC rounding takes I + 1j*Q's signed zeros: Q's
+    # zero is +0, I's keeps its sign where Q's sign bit is set
+    corr = MixerCorrector(ModConfig(dac_bits=14))
+    out = corr.apply(np.array([-1e-6 - 0.5j, -1e-6 + 0.5j, 0.5 - 1e-6j,
+                               0.5 + 0.5j]))
+    assert np.signbit(out.real).tolist() == [True, False, False, False]
+    assert np.signbit(out.imag).tolist() == [True, False, False, False]
+    assert (out.real[:2] == 0).all() and out.imag[2] == 0
+    assert corr.saturations == 0
+
+
 def test_dac_quantization_grid():
     cfg = ModConfig(dac_bits=14)
     corr = MixerCorrector(cfg)
@@ -406,6 +443,23 @@ def lapped_stream(seed, submit_each=False):
     waits = sum(eng.table[c].action is ModAction.WAIT for c in code.tolist())
     return eng, starts, counts, clock_edges(rng, starts[-1] + 1000,
                                             waits - seed % 2)
+
+
+def test_codes_follow_first_appearance_not_object_ids():
+    # submitted in falling id order, the commands still take codes
+    # 0, 1, 2, ... as they first appear, in every chunk
+    commands = sorted((mk(ModAction.UPDATE_FRAME, nco=1, turns=k / 64)
+                       for k in range(12)), key=id, reverse=True)
+    eng = ModEngine()
+    for tick, md in enumerate(commands[:8] + commands[:3]):
+        eng.submit(md, 20 * tick)
+    eng.repeat_lap(0, [500], 0)
+    for tick, md in enumerate(commands[8:] + commands[::-1]):
+        eng.submit(md, 1000 + 20 * tick)
+    code = eng.columns()[0].tolist()
+    assert eng.table == commands
+    assert code == [*range(8), 0, 1, 2] * 2 + [*range(8, 12),
+                                               *range(11, -1, -1)]
 
 
 def test_lap_chunks_are_the_commands_submitted_one_by_one():
