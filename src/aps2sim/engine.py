@@ -23,11 +23,13 @@ harness can feed fabric messages in and resume, which is how the closed
 loop is driven.
 
 Output path: the decode loop builds no sample.  Each engine appends
-plain integers per run: the waveform engine the start tick, absolute
-waveform address (the active ping-pong page base included), sample
-count and TA flag; a marker engine the start tick, count, state and
-last word.  ``finalize`` resolves the modulator's windows over those
-columns, then walks the stream in blocks of ``BLOCK_SAMPLES``, so its
+plain integers per run to the rows of its columns (``column.Column``):
+the waveform engine the start tick, absolute waveform address (the
+active ping-pong page base included), sample count and TA flag; a
+marker engine the start tick, count, state and last word.  ``finalize``
+builds each column into one array, a chunk of copied laps by one outer
+add, resolves the modulator's windows over those columns, then walks
+the stream in blocks of ``BLOCK_SAMPLES``, so its
 working memory is bounded by the block size.  Per block it builds the
 index of one 32-bit word per sample in two passes, each run's base word
 repeated over its entries plus the entry numbers (a block holding a TA
@@ -94,16 +96,22 @@ puts on a start, and the waveform frontier is never stale, since an
 underrun event records it.  Each lap records its counters, log lengths
 and the dispatch tick of every run it started; the full state is built
 only when the lap's waveform lead (frontier less t0) equals a recorded
-one.  The laps copied are appended as their run columns again, the
-start ticks as one outer add of the shifts; each event log records the
-laps' events once more as one chunk, the shifts beside them
-(``events.EventLog.repeat``); ``ModEngine.repeat_lap`` appends their
-modulator commands as one array chunk.  So no Python object is made per
-copied event or command; a copied event becomes an ``Event`` only when
-a log is read.  The decode, hit and miss counts, the stream position,
-the repeat register and ``laps_copied`` advance as the copied laps
-would have advanced them, and the state is set to the one the last copy
-ends in, ticks relative to its decode tick (a stale tick stays stale).
+one.  The laps copied are one chunk in every column a lap writes
+(``column.Column.repeat``): each engine's runs, the modulator's
+commands and each event log keep the laps' rows once, the number of
+copies and the step of one copy (the period; an engine's own move for
+its run starts; one step per event for an affine lap's events).  So
+copying m laps costs the laps' rows, not m times them, and no Python
+object is made per copied run, command or event; a copied event becomes
+an ``Event`` only when a log is read.  The engines also keep their last
+``queue_depth`` copied runs as rows: no more runs than that are ever
+queued, so the queue room check, ``lap_key`` and ``affine_laps`` read
+plain lists, and every index the lap code keeps (``head``, the marks,
+template ranges) is a row index.  The decode, hit and miss counts, the
+stream position, the repeat register and ``laps_copied`` advance as the
+copied laps would have advanced them, and the state is set to the one
+the last copy ends in, ticks relative to its decode tick (a stale tick
+stays stale).
 No lap is copied past the decode budget, over a lap that wrote the
 repeat register itself (a LOAD_REPEAT in the loop's frame, or a RETURN
 out of it), or while an input could change the next lap: a WAIT queued
@@ -167,6 +175,7 @@ import numpy as np
 
 from .clocks import (ANALOG_SAMPLE_TICKS, PIPELINE_TICKS, SEQ_CLOCK_TICKS,
                      align_up)
+from .column import Column
 from .events import (EV_FETCH_STALL, EV_QUEUE_FULL, EV_TRAP,
                      EV_TRIGGER_DROPPED, EV_UNDERRUN, Event, EventLog, stalls)
 from .isa import (
@@ -277,7 +286,7 @@ def _lap_events(log: EventLog, first: int, mid: int, rates: dict,
     """The rate at which each event mid.. moved on from the one
     mid - first before it, the rate of its kind in rates (by default
     rate), if it is that event moved on so; None if one is not."""
-    events = log.since(first)
+    events = log.rows[first:]
     n = mid - first
     moved = []
     for was, now in zip(events[:n], events[n:]):
@@ -369,11 +378,11 @@ class _StreamEngine:
         self.name = name
         self.events = events
         self.min_gap = min_gap_ticks
-        self.starts: list[int] = []      # start tick of each run
-        self.counts: list[int] = []      # count operand of each run
+        self.starts = Column()           # start tick of each run
+        self.counts = Column()           # count operand of each run
         self.dispatches: list[int] = []  # dispatch tick of each run since
                                          # the last taken REPEAT
-        self.head = 0        # first run not started by the decode tick
+        self.head = 0        # first row not started by the decode tick
         self.pending: list[tuple[object, int]] = []
         self.wait_dispatch: int | None = None
         self.frontier: int | None = None
@@ -454,7 +463,7 @@ class _StreamEngine:
     def lap_key(self, t0: int) -> tuple:
         """Scheduling state at decode tick t0, ticks relative to it and a
         stale one as 0; moves head to the first run not started by t0."""
-        starts = self.starts
+        starts = self.starts.rows
         head, n_runs = self.head, len(starts)
         while head < n_runs and starts[head] <= t0:
             head += 1
@@ -477,23 +486,23 @@ class _StreamEngine:
         self.frontier = None if frontier is None else t0 + frontier
         self.last_start = None if last is None else t0 + last - self.min_gap
         self.floor = t0 + floor
-        self.head = bisect_right(self.starts, t0, self.head)
+        self.head = bisect_right(self.starts.rows, t0, self.head)
 
     def move(self, ticks: int, t0: int) -> None:
         """Move the stream on by ticks; the floor stays."""
         if self.frontier is not None:
             self.frontier += ticks
             self.last_start += ticks
-        self.head = bisect_right(self.starts, t0, self.head)
+        self.head = bisect_right(self.starts.rows, t0, self.head)
 
-    def repeat_lap(self, first: int, shifts: np.ndarray,
-                   end: int | None = None) -> None:
-        """Append runs first..end (by default all) again once per shift
-        (an int64 array), start ticks moved by it."""
-        lap = np.array(self.starts[first:end], np.int64)
-        self.starts += (shifts[:, None] + lap).ravel().tolist()
+    def repeat_lap(self, first: int, end: int, move: int, count: int,
+                   keep: int) -> None:
+        """Append run rows first..end again count times, copy c's start
+        ticks moved on by c * move; the last copies holding at least keep
+        runs stay rows (``column.Column.repeat``)."""
+        self.starts.repeat(first, end, move, count, keep)
         for column in self.columns:
-            column += column[first:end] * len(shifts)
+            column.repeat(first, end, 0, count, keep)
 
     def lap_move(self, first: int, mid: int, end: int) -> int | None:
         """The ticks runs mid..end start after runs first..mid, which
@@ -503,9 +512,10 @@ class _StreamEngine:
         if mid == first:
             return 0
         for column in self.columns:
-            if column[first:mid] != column[mid:end]:
+            rows = column.rows
+            if rows[first:mid] != rows[mid:end]:
                 return None
-        starts = self.starts
+        starts = self.starts.rows
         move = starts[mid] - starts[first]
         return move if [t + move for t in starts[first:mid]] \
             == starts[mid:end] else None
@@ -517,7 +527,7 @@ class _StreamEngine:
         period and starts by move per copy while each start rule and
         queue room check decides as it did for them (module docstring);
         the lap before them repeats them too."""
-        starts, counts = self.starts, self.counts
+        starts, counts = self.starts.rows, self.counts.rows
         n = len(dispatches)
         earlier = first - n              # the lap before's first run
         for j, dispatch in enumerate(dispatches):
@@ -561,8 +571,8 @@ class WaveformEngine(_StreamEngine):
     def __init__(self, events, cache: WaveformCache):
         super().__init__("waveform", events, min_gap_ticks=MIN_PLAY_GAP_TICKS)
         self.cache = cache
-        self.addrs: list[int] = []       # absolute waveform address per run
-        self.ta: list[bool] = []         # run repeats one TA sample
+        self.addrs = Column()            # absolute waveform address per run
+        self.ta = Column()               # run repeats one TA sample
         self.columns = (self.counts, self.addrs, self.ta)   # besides starts
 
     def play(self, wf, tick: int) -> None:
@@ -596,8 +606,8 @@ class MarkerEngine(_StreamEngine):
     def __init__(self, channel: int, events):
         super().__init__(f"marker{channel}", events, min_gap_ticks=CLK)
         self.channel = channel
-        self.states: list[int] = []
-        self.lasts: list[int] = []
+        self.states = Column()
+        self.lasts = Column()
         self.columns = (self.counts, self.states, self.lasts)
 
     def play(self, mk, tick: int) -> None:
@@ -610,10 +620,8 @@ class MarkerEngine(_StreamEngine):
     submit = play     # a PLAY is the one marker command queued behind a WAIT
 
     def runs(self) -> MarkerRuns:
-        return MarkerRuns(np.array(self.starts, np.int64),
-                          4 * np.array(self.counts, np.int64),
-                          np.array(self.states, np.int64),
-                          np.array(self.lasts, np.int64))
+        return MarkerRuns(self.starts.array(), 4 * self.counts.array(),
+                          self.states.array(), self.lasts.array())
 
 
 @dataclass(eq=False)
@@ -829,7 +837,7 @@ class Sequencer:
                     # PLAY, or waveform PREFETCH: wait for queue room.
                     # The queue holds the runs not started by tick, the
                     # commands queued behind a WAIT and the WAIT itself.
-                    starts = eng.starts
+                    starts = eng.starts.rows
                     n_runs = len(starts)
                     head = eng.head
                     while head < n_runs and starts[head] <= tick:
@@ -1075,11 +1083,13 @@ class Sequencer:
         self.decode_tick = t0
 
     def _lap_marks(self) -> _Marks:
+        # row counts: no lap spans a copy, so rows index what laps add
         return _Marks(self.decodes, self.icache.hits, self.icache.misses,
-                      self.stream_pos, self.modeng.pending_commands(),
-                      self._fences, len(self.events), len(self.icache.events),
-                      len(self.wavecache.events),
-                      tuple(len(e.starts) for e in self.engines))
+                      self.stream_pos, len(self.modeng.commands.rows),
+                      self._fences, len(self.events.rows),
+                      len(self.icache.events.rows),
+                      len(self.wavecache.events.rows),
+                      tuple(len(e.starts.rows) for e in self.engines))
 
     def _repeat_laps(self, old: _Lap, now: _Lap, k: int) -> bool:
         """Append the laps still to run as blocks of copies of the last
@@ -1104,16 +1114,16 @@ class Sequencer:
             return False
         n = len(self.engines)
         if blocks:
-            shifts = np.arange(period, (blocks + 1) * period, period)
-            self._copy_laps(marks, now.marks, k, shifts, [shifts] * n, shifts)
+            self._copy_laps(marks, now.marks, k, blocks, period,
+                            [period] * n, period)
         end, copies = now, blocks
         if r:
             # a lap inside the block may differ from now in more than its
             # ticks (a comparison result that alternates lap by lap), so
             # the whole state is set to end's
             end, copies = laps[r - k], blocks + 1
-            shift = np.array([copies * period])
-            self._copy_laps(marks, end.marks, r, shift, [shift] * n, shift,
+            shift = copies * period
+            self._copy_laps(marks, end.marks, r, 1, shift, [shift] * n, shift,
                             copies * (now.marks.stream_pos - marks.stream_pos))
         self._restore(end.state, end.t0 + copies * period)
         for e, key in zip(self.engines, end.engine_keys):
@@ -1168,10 +1178,7 @@ class Sequencer:
             laps = e.affine_laps(first, dispatches, period, move, depth, laps)
         if laps <= 0:
             return False
-        steps = np.arange(1, laps + 1)
-        self._copy_laps(mb, mc, 1, period * steps,
-                        [move * steps for move in moves],
-                        steps[:, None] * np.array(events, np.int64))
+        self._copy_laps(mb, mc, 1, laps, period, moves, events)
         moved = laps * period
         self._restore((now.state[0], tuple(
             t if t == was else t - moved
@@ -1180,35 +1187,35 @@ class Sequencer:
             e.move(laps * move, self.decode_tick)
         return True
 
-    def _copy_laps(self, old: _Marks, end: _Marks, laps: int,
-                   shifts: np.ndarray, runs: list[np.ndarray],
-                   events: np.ndarray, samples: int | None = None) -> None:
+    def _copy_laps(self, old: _Marks, end: _Marks, laps: int, count: int,
+                   period: int, moves: list[int], events,
+                   samples: int | None = None) -> None:
         """Append what the laps between marks old and end (laps of them)
-        added, once per shift: cache events and modulator commands moved
-        on by the shift, each engine's runs by its array in runs, the
-        sequencer's events by events (a shift a copy, or a row of one
-        per event), and modulator positions by samples a copy (by
-        default the laps' own).  Count the copies' decodes, hits, misses,
-        samples and laps."""
-        n = len(shifts)
-        for e, first, stop, moved in zip(self.engines, old.runs, end.runs,
-                                         runs):
-            e.repeat_lap(first, moved, stop)
+        added, count times, copy c moved on c times: cache events and
+        modulator dispatch ticks by period, each engine's run starts by
+        its move in moves, the sequencer's events by events (an int, or
+        one int per event) and modulator positions by samples (by
+        default the laps' own).  Count the copies' decodes, hits,
+        misses, samples and laps."""
+        depth = self.cfg.queue_depth
+        for e, first, stop, move in zip(self.engines, old.runs, end.runs,
+                                        moves):
+            e.repeat_lap(first, stop, move, count, depth)
         icache = self.icache
-        self.events.repeat(old.events, events, end.events)
-        icache.events.repeat(old.icache_events, shifts, end.icache_events)
-        self.wavecache.events.repeat(old.wave_events, shifts,
-                                     end.wave_events)
+        self.events.repeat(old.events, end.events, events, count)
+        icache.events.repeat(old.icache_events, end.icache_events, period,
+                             count)
+        self.wavecache.events.repeat(old.wave_events, end.wave_events,
+                                     period, count)
         played = end.stream_pos - old.stream_pos
-        self.modeng.repeat_lap(old.commands, shifts,
-                               played if samples is None else samples,
-                               end.commands)
-        self.decodes += n * (end.decodes - old.decodes)
-        icache.hits += n * (end.hits - old.hits)
-        icache.misses += n * (end.misses - old.misses)
-        self.stream_pos += n * played
-        self.repeat_register -= n * laps
-        self.laps_copied += n * laps
+        self.modeng.repeat_lap(old.commands, end.commands, period,
+                               played if samples is None else samples, count)
+        self.decodes += count * (end.decodes - old.decodes)
+        icache.hits += count * (end.hits - old.hits)
+        icache.misses += count * (end.misses - old.misses)
+        self.stream_pos += count * played
+        self.repeat_register -= count * laps
+        self.laps_copied += count * laps
 
     # -- convenience open-loop driver ---------------------------------------
 
@@ -1241,14 +1248,12 @@ class Sequencer:
     def finalize(self) -> OutputTrace:
         """Assemble the trace; a repeat call returns an equal trace."""
         wf = self.wf
-        analog = Runs(np.array(wf.starts, np.int64),
-                      np.array(wf.counts, np.int64))
+        analog = Runs(wf.starts.array(), wf.counts.array())
         windows = self.modeng.resolve(analog.start, analog.n,
                                       self.trigger_edges)
         corrector = MixerCorrector(self.mod_cfg)
-        mixed, lazy = _mix(self.image.waveforms, analog,
-                           np.array(wf.addrs, np.int64),
-                           np.array(wf.ta, dtype=bool), windows, corrector)
+        mixed, lazy = _mix(self.image.waveforms, analog, wf.addrs.array(),
+                           wf.ta.array().astype(bool), windows, corrector)
         # resolve replaces the modulator's list, so it is a snapshot too
         logs = (self.events.copy(), self.icache.events.copy(),
                 self.wavecache.events.copy(), self.modeng.events)

@@ -11,13 +11,14 @@ Caches record misses and late fills as causes, with no ticks, and count
 their hits instead of logging them.
 
 Storage: the sequencer and each cache keep their events in an
-``EventLog``.  A decoded event is one ``Event`` row.  A fast-forwarded
-block of laps is one chunk: the rows its template laps recorded and the
-tick shift of each copy as one int64 array (or one shift per row, when
-the rows move at different rates), so copying m laps of n events builds
-no Event.  The copies' Events are built only when the log is
-read, by iteration or indexing, and again on every such read;
-``OutputTrace.events`` reads its logs once and keeps the sorted list.
+``EventLog``, a ``column.Column`` of ``Event`` rows.  A decoded event is
+one row.  A fast-forwarded block of m laps is one chunk: the rows its
+template laps recorded, m, and the tick step of one copy (an int, or one
+per row when the rows move at different rates), so copying m laps of n
+events builds no Event.  The copies' Events are built only when the log
+is read, all of them on iteration, again on every such read, and only
+the one returned on indexing; ``OutputTrace.events`` reads its logs once
+and keeps the sorted list.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
+
+from .column import Column
 
 __all__ = ["EventKind", "Event", "EventLog", "stalls"]
 
@@ -99,92 +102,26 @@ def stalls(events) -> list[Event]:
     return [e for e in events if e.kind in _STALLS]
 
 
-class EventLog:
-    """One layer's events in record order: decoded rows and copied chunks.
+class EventLog(Column):
+    """One layer's events in record order, a ``Column`` of ``Event``
+    rows: copy c moves each event's tick on by c times its step (module
+    docstring)."""
 
-    ``append`` is the row list's own bound method, so recording a
-    decoded event costs what appending to a list does.  ``len()`` counts
-    every copy; iteration and indexing expand the chunks (module
-    docstring).
-    """
+    __slots__ = ()
 
-    __slots__ = ("rows", "append", "chunks", "copies")
-
-    def __init__(self):
-        self.rows: list[Event] = []
-        self.append = self.rows.append
-        # (at, lo, hi, shifts): the chunk is rows[lo:hi] again once per
-        # shift, after rows[:at]
-        self.chunks: list[tuple[int, int, int, np.ndarray]] = []
-        self.copies = 0                  # events the chunks stand for
-
-    def __len__(self) -> int:
-        return len(self.rows) + self.copies
-
-    def __iter__(self):
-        return iter(self._expand() if self.chunks else self.rows)
-
-    def __getitem__(self, i):
-        return (self._expand() if self.chunks else self.rows)[i]
-
-    def repeat(self, first: int, shifts, end: int | None = None) -> None:
-        """Record events first..end (by default all) again once per
-        shift, ticks moved on by it, as one chunk; a shift is an int, or
-        a row of one int per event.  They are decoded rows: no chunk's
-        copies lie among them."""
-        end = len(self) if end is None else end
-        lo, hi = self._row(first), self._row(end, stop=True)
-        if end - first != hi - lo:
-            raise ValueError(f"copy of events {first}..{end} spans a chunk")
-        shifts = np.asarray(shifts, np.int64)
-        if hi > lo and len(shifts):
-            self.chunks.append((len(self.rows), lo, hi, shifts))
-            self.copies += (hi - lo) * len(shifts)
-
-    def _row(self, i: int, stop: bool = False) -> int:
-        """The row of event i, which no chunk copied; if stop, the row a
-        range that stops before event i stops before."""
-        copies = 0
-        for at, lo, hi, shifts in self.chunks:
-            if i < at + copies + stop:
-                break
-            n = (hi - lo) * len(shifts)
-            if i < at + copies + n:
-                raise ValueError(f"copy from event {i} starts inside a "
-                                 f"chunk (the log holds {len(self)})")
-            copies += n
-        return i - copies
-
-    def since(self, first: int) -> list[Event]:
-        """The events from first on, all decoded rows."""
-        return self.rows[self._row(first):]
-
-    def copy(self) -> EventLog:
-        """A snapshot: later records to this log do not change it."""
-        log = EventLog()
-        log.rows += self.rows
-        log.chunks += self.chunks
-        log.copies = self.copies
-        return log
-
-    def _expand(self) -> list[Event]:
-        """Every event, each chunk built into Events in its place."""
-        rows, out, done = self.rows, [], 0
-        for at, lo, hi, shifts in self.chunks:
-            out += rows[done:at]
-            out += _copies(rows[lo:hi], shifts)
-            done = at
-        out += rows[done:]
-        return out
+    def _moved(self, template: list[Event], step, first: int,
+               stop: int) -> list[Event]:
+        return _copies(template, step, first, stop)
 
 
-def _copies(template: list[Event], shifts: np.ndarray) -> list[Event]:
-    """template again once per shift, ticks moved on by it (and the until
-    tick of a queue_full); details without a tick are shared.  A shift
-    is one int, or one per template event."""
-    n, m = len(template), len(shifts)
+def _copies(template: list[Event], step, first: int,
+            stop: int) -> list[Event]:
+    """Copies first..stop - 1 of template, copy c's ticks (and the until
+    tick of a queue_full) moved on by c * step, step one int or one per
+    template event; details without a tick are shared."""
+    n, m = len(template), stop - first
     tick, kind, ticks, detail = zip(*template)
-    shifts = shifts.reshape(m, -1)
+    shifts = np.arange(first, stop)[:, None] * np.reshape(step, (1, -1))
     tick = (shifts + np.array(tick, np.int64)).ravel().tolist()
     detail = list(detail) * m
     for j in [j for j, k in enumerate(kind) if k is EV_QUEUE_FULL]:

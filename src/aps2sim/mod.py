@@ -35,10 +35,10 @@ and the NCO state frozen when it opened, as its reference tick, its
 phase word there and its increment word.  It touches no sample; the
 caller rotates the samples inside windows in one pass.
 
-Array resolve: the engine keeps the stream as columns (command code,
-dispatch tick, dispatch position), and a copied loop lap arrives as one
-array chunk.  ``resolve`` works in array passes over the columns, with
-no Python step per command:
+Array resolve: the engine keeps the stream as columns (command,
+dispatch tick, dispatch position), in which a copied block of loop laps
+is one chunk, built into the arrays by one outer add.  ``resolve`` works
+in array passes over the columns, with no Python step per command:
 
 * the position command i binds is a running maximum.  With p the
   dispatch positions and E_i the samples the MODULATEs before i claim,
@@ -68,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import ANALOG_SAMPLE_TICKS, PIPELINE_TICKS
+from .column import Column
 from .events import EV_MODULATE_UNDERFILLED, EV_RESET_PHASE, Event
 from .isa import (MOD_MODULATE, MOD_RESET_PHASE, MOD_SET_PHASE_INCREMENT,
                   MOD_SET_PHASE_OFFSET, MOD_UPDATE_FRAME, MOD_WAIT, NUM_NCOS,
@@ -137,20 +138,18 @@ class Windows:
 class ModEngine:
     """Resolves the modulator command stream against the sample schedule.
 
-    The stream is kept as columns: each command's code (its index in
-    ``table``), dispatch tick and dispatch position.  Decoded commands
-    are appended to the list columns; ``repeat_lap`` seals those into an
-    array chunk and appends the copied laps as one more chunk, their
-    template taken from the chunks.
+    The stream is kept as three ``column.Column``s: each command, its
+    dispatch tick and its dispatch position.  The decode loop appends a
+    decoded command to each column's rows; ``repeat_lap`` records copied
+    laps as one chunk per column, the command repeated unchanged and the
+    tick and position moved on per copy.  ``columns`` builds the arrays,
+    a command as its code, its index in ``table``.
     """
 
     def __init__(self):
-        # decoded commands not yet sealed into a chunk, as columns
-        self.commands: list[Modulator] = []
-        self.ticks: list[int] = []
-        self.positions: list[int] = []
-        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._sealed = 0                   # commands in chunks
+        self.commands = Column()           # the Modulator of each command
+        self.ticks = Column()
+        self.positions = Column()
         self.table: list[Modulator] = []  # code -> command
         self._code: dict[Modulator, int] = {}
         self.events: list[Event] = []     # of the latest resolve()
@@ -162,64 +161,33 @@ class ModEngine:
         self.positions.append(pos)
 
     def pending_commands(self) -> int:
-        return self._sealed + len(self.commands)
+        return len(self.commands)
 
-    def repeat_lap(self, first: int, shifts, samples: int,
-                   end: int | None = None) -> None:
-        """Append commands first..end (by default all) again once per
-        shift (a sequence of ints): dispatch ticks moved on by it,
-        dispatch positions by samples per copy (one lap or a block of
-        laps)."""
-        end = self.pending_commands() if end is None else end
-        laps = len(shifts)
-        if end <= first or not laps:
-            return
-        if self.commands:
-            # seal the decoded commands into a chunk; the lists stay the
-            # same objects, so the decode loop keeps appending
-            self.chunks.append(self._tail())
-            self._sealed += len(self.commands)
-            self.commands.clear()
-            self.ticks.clear()
-            self.positions.clear()
-        code, tick, pos = self._sealed_slice(first, end)
-        shift = np.asarray(shifts, np.int64)
-        moved = samples * np.arange(1, laps + 1)
-        self.chunks.append((np.tile(code, laps),
-                            (shift[:, None] + tick).reshape(-1),
-                            (moved[:, None] + pos).reshape(-1)))
-        self._sealed += laps * (end - first)
-
-    def _sealed_slice(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        """The columns of commands lo..hi, all in chunks."""
-        parts, at = [], self._sealed
-        for chunk in reversed(self.chunks):
-            at -= len(chunk[0])
-            if at < hi:
-                parts.append([col[max(lo - at, 0):hi - at] for col in chunk])
-            if at <= lo:
-                break
-        return tuple(np.concatenate(col) for col in zip(*reversed(parts)))
+    def repeat_lap(self, first: int, end: int, ticks: int, samples: int,
+                   count: int) -> None:
+        """Append command rows first..end again count times, copy c's
+        dispatch ticks moved on by c * ticks and its dispatch positions
+        by c * samples (a lap's or a block of laps')."""
+        self.commands.repeat(first, end, 0, count)
+        self.ticks.repeat(first, end, ticks, count)
+        self.positions.repeat(first, end, samples, count)
 
     def repeats(self, first: int, mid: int, end: int, ticks: int,
                 samples: int) -> bool:
-        """Whether decoded commands mid..end are commands first..mid
-        again, dispatch ticks moved on by ticks and positions by
-        samples."""
-        a, b, c = (i - self._sealed for i in (first, mid, end))
-        if a < 0:
-            return False
-        return (self.commands[a:b] == self.commands[b:c]
-                and [t + ticks for t in self.ticks[a:b]] == self.ticks[b:c]
-                and [p + samples for p in self.positions[a:b]]
-                == self.positions[b:c])
+        """Whether command rows mid..end are rows first..mid again,
+        dispatch ticks moved on by ticks and positions by samples."""
+        commands = self.commands.rows
+        tick, pos = self.ticks.rows, self.positions.rows
+        return (commands[first:mid] == commands[mid:end]
+                and [t + ticks for t in tick[first:mid]] == tick[mid:end]
+                and [p + samples for p in pos[first:mid]] == pos[mid:end])
 
-    def _tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The decoded commands as a chunk: a command's code is looked up
-        once per distinct object, not per command, and a new command
-        takes the next code in order of first appearance (not of id), so
-        equal runs give equal columns."""
-        commands = self.commands
+    def _codes(self) -> np.ndarray:
+        """The code of each command row: looked up once per distinct
+        object, not per command, and a new command takes the next code
+        in order of first appearance (not of id), so equal runs give
+        equal columns."""
+        commands = self.commands.rows
         ids = np.fromiter(map(id, commands), np.uint64, len(commands))
         distinct, at, inverse = np.unique(ids, return_index=True,
                                           return_inverse=True)
@@ -234,16 +202,15 @@ class ModEngine:
                 c = codes[md] = len(table)
                 table.append(md)
             code[k] = c
-        return (code[inverse], np.array(self.ticks, np.int64),
-                np.array(self.positions, np.int64))
+        return code[inverse]
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The whole stream: code, dispatch tick and dispatch position of
         every command, in order."""
-        parts = self.chunks + [self._tail()] if self.commands else self.chunks
-        if not parts:
+        if not self.commands.rows:
             return (np.zeros(0, np.int64),) * 3
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        return (self.commands.array(self._codes()), self.ticks.array(),
+                self.positions.array())
 
     def resolve(self, starts, counts, trigger_edges: list[int]) -> Windows:
         """MODULATE windows over waveform runs given as columns (arrays or

@@ -1,0 +1,115 @@
+"""The chunked column every copied lap is stored in (aps2sim.column)."""
+
+import numpy as np
+import pytest
+
+from aps2sim.column import Column
+
+
+def column(*rows):
+    col = Column()
+    for row in rows:
+        col.append(row)
+    return col
+
+
+def check_reads(col):
+    """Every read of col agrees with its expansion into values."""
+    values = list(col)
+    assert len(values) == len(col)
+    assert [col[i] for i in range(-len(col), len(col))] == values * 2
+    assert col.array().tolist() == values
+    for i in (len(col), -len(col) - 1):
+        with pytest.raises(IndexError):
+            col[i]
+
+
+def test_copies_expand_in_order_each_moved_on_by_its_step():
+    col = column(0, 10, 20)
+    col.repeat(1, 3, 100, 3)           # rows 1..3, three more times
+    col.append(400)
+    assert (len(col), len(col.rows), col.copies) == (10, 4, 6)
+    assert list(col) == [0, 10, 20, 110, 120, 210, 220, 310, 320, 400]
+    check_reads(col)
+
+
+def test_a_step_per_row_moves_each_row_at_its_own_rate():
+    col = column(0, 10, 20)
+    col.repeat(1, 3, [480, 500], 2)
+    assert list(col) == [0, 10, 20, 490, 520, 970, 1020]
+    check_reads(col)
+
+
+def test_a_count_one_chunk_copies_part_of_a_block_once():
+    # the laps left after whole blocks: the block's first rows copied
+    # once more, as far on as the copy after the last block
+    col = column(5, 10, 15)
+    col.repeat(0, 3, 20, 2)
+    col.repeat(0, 1, 60, 1)
+    assert [len(col.chunks), len(col)] == [2, 10]
+    assert list(col) == [5, 10, 15, 25, 30, 35, 45, 50, 55, 65]
+    check_reads(col)
+
+
+def test_a_step_of_zero_repeats_the_rows_themselves():
+    marks = [object(), object()]
+    col = column(*marks)
+    col.repeat(0, 2, 0, 3)
+    assert list(col) == marks * 4 and col[5] is marks[1]
+    # objects are built into an array through their codes
+    assert col.array(np.array([7, 8])).tolist() == [7, 8] * 4
+
+
+def test_kept_copies_are_rows_and_the_rest_one_chunk():
+    col = column(0, 1, 2)
+    col.repeat(1, 3, 10, 5, keep=3)    # two copies hold three values
+    assert col.chunks == [(3, 1, 3, 10, 3)]
+    assert col.rows == [0, 1, 2, 41, 42, 51, 52]
+    assert list(col) == [0, 1, 2, 11, 12, 21, 22, 31, 32, 41, 42, 51, 52]
+    check_reads(col)
+    col.repeat(5, 7, 10, 2, keep=100)  # fewer values than keep: all rows
+    assert len(col.chunks) == 1 and col.rows[-4:] == [61, 62, 71, 72]
+    check_reads(col)
+
+
+def test_a_copy_stays_independent_of_later_records():
+    col = column(0, 10)
+    col.repeat(0, 2, 100, 2)
+    snapshot = col.copy()
+    col.append(500)
+    col.repeat(2, 3, 1, 3)
+    assert list(snapshot) == [0, 10, 100, 110, 200, 210]
+    assert list(col)[:6] == list(snapshot) and len(col) == 10
+    check_reads(snapshot)
+    check_reads(col)
+
+
+def test_a_copy_over_a_chunk_is_a_value_error():
+    col = column(0, 10, 20)
+    col.repeat(1, 3, 100, 2)
+    col.append(30)
+    with pytest.raises(ValueError, match="spans the chunk after row 3"):
+        col.repeat(2, 4, 5, 1)         # rows 2 and 3, the copies between
+    with pytest.raises(ValueError, match="beyond the 4 rows"):
+        col.repeat(3, 5, 5, 1)
+    col.repeat(3, 4, 5, 1)             # the row after the chunk
+    col.repeat(0, 3, 5, 1)             # the rows before it
+    assert len(col.chunks) == 3
+    check_reads(col)
+
+
+def test_an_empty_copy_records_nothing():
+    col = column(0, 10)
+    col.repeat(1, 1, 100, 4)
+    col.repeat(0, 2, 100, 0)
+    assert not col.chunks and len(col) == 2
+    assert col.array().dtype == np.int64 and Column().array().shape == (0,)
+
+
+def test_a_numpy_step_reads_as_an_int_or_a_row_of_ints():
+    col = column(0, 10)
+    col.repeat(0, 2, np.int64(100), 2)
+    col.repeat(0, 2, np.array([1, 2]), 1)
+    assert col.chunks[0][3] == 100 and isinstance(col.chunks[0][3], int)
+    assert list(col) == [0, 10, 100, 110, 200, 210, 1, 12]
+    check_reads(col)

@@ -470,11 +470,11 @@ def test_event_log_stores_copies_as_chunks():
     gap = Event(30, EventKind.UNDERRUN, 5, {"engine": "waveform"})
     for e in (Event(0, EventKind.TRAP), full, gap):
         log.append(e)
-    log.repeat(1, range(100, 300, 100))
+    log.repeat(1, 3, 100, 2)          # rows 1..3 twice, 100 ticks apart
     assert (len(log), len(log.rows)) == (7, 3)
     snapshot = log.copy()
     log.append(Event(400, EventKind.TRAP))
-    log.repeat(7, [1000])
+    log.repeat(3, 4, 1000, 1)
     assert len(log) == 9 and len(snapshot) == 7
     assert [(e.tick, e.detail.get("until")) for e in log] == [
         (0, None), (10, 40), (30, None), (110, 140), (130, None),
@@ -482,8 +482,9 @@ def test_event_log_stores_copies_as_chunks():
     assert list(snapshot) == list(log)[:7]
     assert log[3].detail == {"engine": "waveform", "until": 140}
     assert log[4].detail is gap.detail        # no tick in it: shared
-    with pytest.raises(ValueError, match="inside a chunk"):
-        log.repeat(6, [2000])
+    assert [log[i] for i in range(-9, 9)] == list(log) * 2
+    with pytest.raises(ValueError, match="spans the chunk"):
+        log.repeat(2, 4, 2000, 1)     # rows 2 and 3, the copies between
 
 
 def test_event_log_copies_a_range_with_a_shift_per_row():
@@ -493,16 +494,17 @@ def test_event_log_copies_a_range_with_a_shift_per_row():
     for e in (Event(0, EventKind.TRAP), Event(10, EventKind.UNDERRUN, 5),
               Event(20, EventKind.FETCH_STALL, 40, {"pc": 3})):
         log.append(e)
-    log.repeat(1, [100, 200])
-    log.repeat(1, [300], 2)
-    log.repeat(1, np.array([[480, 500], [960, 1000]]), 3)
+    log.repeat(1, 3, 100, 2)
+    log.repeat(1, 2, 300, 1)
+    log.repeat(1, 3, [480, 500], 2)
     assert (len(log), len(log.rows)) == (12, 3)
     assert [e.tick for e in log] == [0, 10, 20, 110, 120, 210, 220, 310,
                                      490, 520, 970, 1020]
     assert log[-1].detail == {"pc": 3}
+    assert [log[i] for i in range(-12, 12)] == list(log) * 2
     log.append(Event(2000, EventKind.TRAP))
-    with pytest.raises(ValueError, match="spans a chunk"):
-        log.repeat(2, [5])              # rows 2 and 3, the chunks between
+    with pytest.raises(ValueError, match="spans the chunk"):
+        log.repeat(2, 4, 5, 1)          # rows 2 and 3, the chunks between
 
 
 def far_calls_program(repeats=3):
@@ -728,7 +730,8 @@ def run_digest(seq, triggers=(), steering=()):
     events = [(int(e.tick), e.kind.value, int(e.ticks),
                sorted(e.detail.items())) for e in trace.events]
     record = (blocks, trace.analog.start.tolist(), trace.analog.n.tolist(),
-              [int(a) for a in seq.wf.addrs], [bool(t) for t in seq.wf.ta],
+              seq.wf.addrs.array().tolist(),
+              seq.wf.ta.array().astype(bool).tolist(),
               trace.lazy.tolist(), markers, events,
               seq.icache.hits, seq.icache.misses, seq.decodes)
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
@@ -1022,7 +1025,8 @@ def rebuilt_values(seq, trace):
                                    seq.trigger_edges)
     index = np.concatenate([np.zeros(0, np.int64)] + [
         np.full(n, a) if ta else a + np.arange(n)
-        for a, n, ta in zip(wf.addrs, wf.counts, wf.ta)])
+        for a, n, ta in zip(*(col.array().tolist()
+                              for col in (wf.addrs, wf.counts, wf.ta)))])
     raw = seq.image.waveforms[index].astype(np.float64)
     z = (raw[:, 0] + 1j * raw[:, 1]) / 32768.0
     for lo, hi, ref, phase, inc in zip(*(col.tolist() for col in (
@@ -1385,7 +1389,11 @@ def test_lap_copies_count_as_modulator_commands(skips):
     seq.run_simple(triggers=[1000])
     assert sum(skips) > 30                  # most laps were copies
     assert seq.modeng.pending_commands() == 5 * 40 + 1
-    assert len(seq.modeng.chunks) == 2      # decoded, then the copies
+    # the decoded laps are rows, the copies one chunk in each column
+    for column in (seq.modeng.commands, seq.modeng.ticks,
+                   seq.modeng.positions):
+        assert len(column.chunks) == 1
+        assert len(column.rows) == 5 * (40 - sum(skips)) + 1
     assert resolve_matches_the_reference(seq)
 
 
@@ -1551,8 +1559,8 @@ def test_copied_laps_store_no_event_until_read(monkeypatch):
     expanded = []
     copies = events._copies
 
-    def spy(template, shifts):
-        built = copies(template, shifts)
+    def spy(*args):
+        built = copies(*args)
         expanded.append(len(built))
         return built
 
@@ -1565,6 +1573,85 @@ def test_copied_laps_store_no_event_until_read(monkeypatch):
     n_events = len(trace.events)
     assert expanded and stored < n_events / 10
     assert sum(len(log) for log in logs) + len(seq.modeng.events) == n_events
+
+
+def column_bytes(seq):
+    """The bytes of seq's finished run columns: the waveform and marker
+    runs and the modulator columns.  Each column built from its chunks
+    equals the one built from its values one by one."""
+    trace, eng = seq.finalize(), seq.modeng
+    for e in seq.engines:
+        for column in (e.starts, *e.columns):
+            assert np.array_equal(column.array(), np.array(list(column),
+                                                           np.int64))
+    code, *columns = eng.columns()
+    assert [eng.table[c] for c in code.tolist()] == list(eng.commands)
+    for built, column in zip(columns, (eng.ticks, eng.positions)):
+        assert np.array_equal(built, np.array(list(column), np.int64))
+    arrays = [trace.analog.start, trace.analog.n, seq.wf.addrs.array(),
+              seq.wf.ta.array(), *eng.columns()]
+    for ch, runs in sorted(trace.markers.items()):
+        arrays += [np.array([ch]), runs.start, runs.n, runs.state, runs.last]
+    return [a.tobytes() for a in arrays], list(eng.table)
+
+
+@pytest.mark.parametrize("depth", [4, 64])
+def test_chunked_columns_build_the_decoded_bytes(monkeypatch, depth):
+    copied = 0
+    for seed in range(40):
+        prog, initial_cmp = random_program(np.random.default_rng(7000 + seed),
+                                           max_repeat=300, increments=True)
+
+        def run():
+            seq = Sequencer(prog, EngineConfig(initial_cmp=initial_cmp,
+                                               queue_depth=depth))
+            seq.run_simple()
+            return seq
+
+        seq = run()
+        assert column_bytes(seq) == decoding_every_lap(
+            monkeypatch, lambda: column_bytes(run())), seed
+        copied += any(e.starts.chunks for e in seq.engines)
+    assert copied >= 10          # runs with copies kept as chunks
+
+
+def probe_loop(laps):
+    """laps laps of one 8-sample play and one marker pulse."""
+    return loop([play(0, 8), marker_pulse(2)], laps - 1)
+
+
+def test_copied_laps_take_memory_whatever_their_number(monkeypatch):
+    # a 24-bit count runs in bounded memory: after the run the columns
+    # hold the decoded laps and one chunk for the copies
+    prog = probe_loop(300)
+    assert run_digest(Sequencer(prog)) == decoding_every_lap(
+        monkeypatch, lambda: run_digest(Sequencer(prog)))
+    taken = []                  # the taken REPEATs decoded
+    skip_laps = Sequencer._skip_laps
+
+    def counted(self, at):
+        taken.append(at)
+        skip_laps(self, at)
+
+    monkeypatch.setattr(Sequencer, "_skip_laps", counted)
+
+    def memory_after_run(laps):
+        taken.clear()
+        prog = probe_loop(laps)
+        tracemalloc.start()
+        try:
+            seq = Sequencer(prog)
+            assert seq.run_until_blocked() == "halted"
+            memory = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # every lap is decoded (up to its taken REPEAT, or the last) or
+        # copied
+        assert seq.laps_copied == laps - len(taken) - 1
+        assert seq.laps_copied > laps - 10
+        return memory
+
+    assert memory_after_run(1 << 20) - memory_after_run(1 << 16) < 1_000_000
 
 
 def loop(body, repeats=30, before=()):

@@ -12,16 +12,23 @@ This check fails on any function of the hot paths that reads a member
 through its enum class or a config property, so a property added back
 is caught where a hot path reads it.  A second check keeps ``np.unique``
 out of the per-block sample paths (``_Rotation.rotate`` and
-``MixerCorrector.apply``).
+``MixerCorrector.apply``).  A third keeps the per-PLAY queue room check
+on a plain list after laps are copied: every run it can read is a row
+of the start column, never a value a chunk stands for.
 """
 
 import ast
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
-from aps2sim import asm, engine, events, isa, mem, mod
+from aps2sim import asm, column, engine, events, isa, mem, mod
+from aps2sim.engine import EngineConfig, Sequencer
+from aps2sim.isa import (Instruction, Marker, MarkerAction, ModAction,
+                         Modulator, Opcode, ProgramImage, Waveform, WfAction,
+                         encode)
 
 ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
          "EventKind"}
@@ -40,6 +47,7 @@ HOT = {
              "_compare", "_mix", "_Rotation", "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
     events: ["EventLog", "_copies"],
+    column: ["Column"],
     mod: ["ModEngine", "_nco_states", "MixerCorrector"],
     isa: ["encode", "_check_stray", "decode", "decode_table",
           "ProgramImage.decode_all", "validate_program"],
@@ -158,8 +166,70 @@ def test_every_hot_name_exists():
             "aps2sim.engine._Rotation.rotate",
             "aps2sim.engine._mix",
             "aps2sim.mod.MixerCorrector.apply",
-            "aps2sim.events.EventLog.repeat",
+            "aps2sim.column.Column.repeat",
+            "aps2sim.column.Column.copy",
+            "aps2sim.column.Column.array",
+            "aps2sim.column.Column._expand",
+            "aps2sim.column.Column._moved",
+            "aps2sim.events.EventLog._moved",
             "aps2sim.events._copies",
             "aps2sim.isa.decode",
             "aps2sim.asm.assemble",
             "aps2sim.asm.insert_prefetch_hints"} <= {c[0] for c in CASES}
+
+
+def test_a_column_appends_through_its_rows_own_method():
+    # the decode loop appends per run and per command: no Python call
+    col = column.Column()
+    assert col.append.__self__ is col.rows
+    assert col.append == col.rows.append
+
+
+def modloop_shaped(depth):
+    """A sequencer of modloop's loop, 400 laps behind a WAIT: per lap an
+    increment, three frame updates, one window over two 48-sample plays
+    and a marker pulse."""
+    mod = [Modulator(ModAction.SET_PHASE_INCREMENT, nco=1, phase_word=3 << 40),
+           *[Modulator(ModAction.UPDATE_FRAME, nco=1 << k, phase_word=k + 1)
+             for k in range(3)],
+           Modulator(ModAction.MODULATE, nco=0, count=96)]
+    lap = [*(Instruction(Opcode.MODULATOR, md) for md in mod),
+           *(Instruction(Opcode.WAVEFORM, Waveform(WfAction.PLAY, addr=a,
+                                                   count=48))
+             for a in (0, 48)),
+           Instruction(Opcode.MARKER, Marker(MarkerAction.PLAY, channel=1,
+                                             state=1, count=3,
+                                             last_word=0b0011))]
+    words = [encode(i) for i in (Instruction(Opcode.WAIT),
+                                 Instruction(Opcode.LOAD_REPEAT, value=399),
+                                 *lap, Instruction(Opcode.REPEAT, addr=2))]
+    return Sequencer(ProgramImage(words, np.zeros((96, 2), np.int16)),
+                     EngineConfig(queue_depth=depth))
+
+
+@pytest.mark.parametrize("depth", [4, 8, 64])
+def test_runs_not_started_by_the_decode_tick_are_rows(monkeypatch, depth):
+    checked = []
+    skip_laps = Sequencer._skip_laps
+
+    def checking(self, at):
+        copied = self.laps_copied
+        skip_laps(self, at)
+        if self.laps_copied == copied:
+            return
+        for e in self.engines:
+            rows = e.starts.rows
+            assert type(rows) is list
+            # the rows after the last chunk end with every run not
+            # started by the decode tick
+            tail = rows[e.starts.chunks[-1][0]:] if e.starts.chunks else rows
+            starts = e.starts.array()
+            waiting = starts[starts > self.decode_tick].tolist()
+            assert tail[len(tail) - len(waiting):] == waiting
+            assert len(waiting) <= depth
+        checked.append(sum(len(e.starts.chunks) for e in self.engines))
+
+    monkeypatch.setattr(Sequencer, "_skip_laps", checking)
+    seq = modloop_shaped(depth)
+    seq.run_simple(triggers=[50_000])
+    assert seq.laps_copied > 300 and checked[-1] > 0   # copies as chunks

@@ -402,14 +402,16 @@ def add_laps(eng, rng, starts, counts, decoded, *, submit_each=False):
     period = 20 * int(rng.integers(1, 40))
     laps = int(rng.integers(1, 8))
     samples = int(rng.integers(0, 80))
-    shifts = range(period, (laps + 1) * period, period)
     if submit_each:
         code, tick, pos = (col[first:].tolist() for col in eng.columns())
-        for k, d in enumerate(shifts, 1):
+        for k in range(1, laps + 1):
             for c, t, p in zip(code, tick, pos):
-                eng.submit(eng.table[c], t + d, p + k * samples)
+                eng.submit(eng.table[c], t + k * period, p + k * samples)
     else:
-        eng.repeat_lap(first, shifts, samples)
+        # decoded commands follow every chunk: row = index - copies
+        rows = eng.commands
+        eng.repeat_lap(first - rows.copies, len(rows.rows), period, samples,
+                       laps)
     decoded = eng.pending_commands()
     dispatch, pos = (int(col[-1]) for col in eng.columns()[1:])
     for _ in range(int(rng.integers(1, 5))):
@@ -453,7 +455,7 @@ def test_codes_follow_first_appearance_not_object_ids():
     eng = ModEngine()
     for tick, md in enumerate(commands[:8] + commands[:3]):
         eng.submit(md, 20 * tick)
-    eng.repeat_lap(0, [500], 0)
+    eng.repeat_lap(0, 11, 500, 0, 1)
     for tick, md in enumerate(commands[8:] + commands[::-1]):
         eng.submit(md, 1000 + 20 * tick)
     code = eng.columns()[0].tolist()
@@ -468,7 +470,12 @@ def test_lap_chunks_are_the_commands_submitted_one_by_one():
         single, *same_runs = lapped_stream(seed, submit_each=True)
         assert runs == same_runs
         assert chunked.pending_commands() == single.pending_commands()
-        assert len(chunked.chunks) == 6 and not single.chunks
+        # one chunk per copy in each column, and no copied row
+        for column, same in zip(
+                (chunked.commands, chunked.ticks, chunked.positions),
+                (single.commands, single.ticks, single.positions)):
+            assert len(column.chunks) == 3 and not same.chunks
+            assert len(column.rows) + column.copies == len(same.rows)
         (code, tick, pos), (code1, tick1, pos1) = (chunked.columns(),
                                                    single.columns())
         assert ([chunked.table[c] for c in code.tolist()]
@@ -476,16 +483,17 @@ def test_lap_chunks_are_the_commands_submitted_one_by_one():
         assert np.array_equal(tick, tick1) and np.array_equal(pos, pos1)
 
 
-def test_a_partial_copy_takes_its_template_from_the_chunks():
+def test_a_partial_copy_takes_its_template_from_before_the_chunk():
     # blocks of laps, then the first commands of the block once more, as
-    # Sequencer._repeat_laps appends the laps left after whole blocks
+    # Sequencer._repeat_laps appends the laps left after whole blocks:
+    # the template rows lie before the blocks' chunk
     for seed in range(20):
         eng = random_stream(seed)[0]
         single = random_stream(seed)[0]
         code, tick, pos = (col.tolist() for col in eng.columns())
         first, part = 80, 80 + seed % 37
-        eng.repeat_lap(first, [100, 200], 7)
-        eng.repeat_lap(first, [300], 21, part)
+        eng.repeat_lap(first, len(code), 100, 7, 2)
+        eng.repeat_lap(first, part, 300, 21, 1)
         for d, step, end in [(100, 7, None), (200, 14, None),
                              (300, 21, part)]:
             for c, t, p in zip(code[first:end], tick[first:end],
