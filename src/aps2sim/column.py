@@ -1,15 +1,17 @@
 """One column of a run's record: decoded rows and copied chunks.
 
 The lap fast-forward (``engine.Sequencer._skip_laps``) appends copies of
-decoded laps to every column a lap writes: the stream engines' runs
-(start tick, count, waveform address, TA flag, marker state and last
-word), the modulator's commands (command, dispatch tick, dispatch
-position) and the event logs (``events.EventLog``).  A ``Column`` keeps
-such a copy as one chunk, (at, lo, hi, step, count): rows lo..hi again
-count times, after the first ``at`` rows, copy c (from 1) moved on by
-c × step.  The step is one int, or one int per template row when the
-rows move at different rates; a step of 0 repeats the rows unchanged.
-So copying m laps costs the template's time and memory, not m times it.
+decoded laps to every column a lap writes, all listed once in
+``Sequencer._columns``: the stream engines' runs (start tick, dispatch
+tick, count, waveform address, TA flag, marker state and last word), the
+modulator's commands (command, dispatch tick, dispatch position) and the
+event logs (``events.EventLog``).  A ``Column`` keeps such a copy as one
+chunk, (at, lo, hi, step, count): rows lo..hi again count times, after
+the first ``at`` rows, copy c (from 1) moved on by c × step.  The step
+is one int, or one int per template row when the rows move at different
+rates; a step of 0 repeats the rows unchanged.  So copying m laps costs
+the template's time and memory, not m times it.  ``moved``, the reading
+twin of ``repeat``, compares a lap's rows with the lap's before.
 
 Decoded values are rows of a plain list, and ``append`` is that list's
 own bound method, so the decode loop pays what appending to a list
@@ -24,6 +26,8 @@ the value it returns.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -77,15 +81,7 @@ class Column:
         hold at least keep values are appended as rows, the others as
         one chunk.  Raises ValueError if lo..hi is not a range of rows,
         or a chunk lies inside it: the rows there are not the values."""
-        if not 0 <= lo <= hi <= len(self.rows):
-            raise ValueError(f"copy of rows {lo}..{hi} beyond the "
-                             f"{len(self.rows)} rows")
-        for at, *_ in reversed(self.chunks):
-            if at <= lo:
-                break
-            if at < hi:
-                raise ValueError(f"copy of rows {lo}..{hi} spans the "
-                                 f"chunk after row {at}")
+        self._check(lo, hi)
         n = hi - lo
         if not n or count <= 0:
             return
@@ -101,6 +97,35 @@ class Column:
         if rows:
             self.rows += self._moved(self.rows[lo:hi], step, chunked + 1,
                                      count + 1)
+
+    def moved(self, lo: int, mid: int, hi: int, step) -> bool:
+        """Whether rows mid..hi are rows lo..mid moved on by step (an
+        int, or one int per row), the rows repeat(lo, mid, step, 1)
+        records; False if the two ranges differ in length.  Raises
+        ValueError as repeat does if lo..hi is not a range of rows."""
+        self._check(lo, hi)
+        rows = self.rows
+        was, now = rows[lo:mid], rows[mid:hi]
+        if len(was) != len(now):
+            return False
+        if isinstance(step, int):
+            if not step:
+                return was == now        # rows of any kind, objects too
+            step = repeat(step)
+        return [value + s for value, s in zip(was, step)] == now
+
+    def _check(self, lo: int, hi: int) -> None:
+        """Raise ValueError unless rows lo..hi are values: a range of
+        rows with no chunk inside it."""
+        if not 0 <= lo <= hi <= len(self.rows):
+            raise ValueError(f"range {lo}..{hi} beyond the "
+                             f"{len(self.rows)} rows")
+        for at, *_ in reversed(self.chunks):
+            if at <= lo:
+                break
+            if at < hi:
+                raise ValueError(f"range {lo}..{hi} spans the chunk "
+                                 f"after row {at}")
 
     def copy(self) -> Column:
         """A snapshot: later records to this column do not change it."""

@@ -20,7 +20,8 @@ engine output plane; the DAC chain delay after it is not modelled.
 
 A blocked run returns a reason ("need_trigger", "need_steering") so a
 harness can feed fabric messages in and resume, which is how the closed
-loop is driven.
+loop is driven.  The instruction that blocked runs again on resume but
+counts one decode, and its fetch is carried over the return.
 
 Output path: the decode loop builds no sample.  Each engine appends
 plain integers per run to the rows of its columns (``column.Column``):
@@ -93,17 +94,18 @@ stale, and any two stale values of a field count as equal: the code only
 ever compares such a tick against a later one, with max or <=.  So
 ``last_start`` is compared as ``last_start + min_gap``, the bound it
 puts on a start, and the waveform frontier is never stale, since an
-underrun event records it.  Each lap records its counters, log lengths
-and the dispatch tick of every run it started; the full state is built
-only when the lap's waveform lead (frontier less t0) equals a recorded
-one.  The laps copied are one chunk in every column a lap writes
-(``column.Column.repeat``): each engine's runs, the modulator's
-commands and each event log keep the laps' rows once, the number of
-copies and the step of one copy (the period; an engine's own move for
-its run starts; one step per event for an affine lap's events).  So
-copying m laps costs the laps' rows, not m times them, and no Python
-object is made per copied run, command or event; a copied event becomes
-an ``Event`` only when a log is read.  The engines also keep their last
+underrun event records it.  Each lap records its counters and the row
+count of every column a lap writes, all listed once in
+``Sequencer._columns``: each engine's runs (start and dispatch tick,
+count and the rest), the modulator's commands, dispatch ticks and
+positions, and the three event logs.  The full state is built only when
+the lap's waveform lead (frontier less t0) equals a recorded one.  The
+laps copied are one chunk in every column (``column.Column.repeat``):
+the laps' rows once, the number of copies and the step of one copy,
+which ``Sequencer._steps`` gives per column.  So copying m laps costs
+the laps' rows, not m times them, and no Python object is made per
+copied run, command or event; a copied event becomes an ``Event`` only
+when a log is read.  The engines also keep their last
 ``queue_depth`` copied runs as rows: no more runs than that are ever
 queued, so the queue room check, ``lap_key`` and ``affine_laps`` read
 plain lists, and every index the lap code keeps (``head``, the marks,
@@ -125,9 +127,10 @@ same period P, a multiple of the sequencer clock, and the rest is equal
 (pc, call stack, comparison register and result, window base and lines,
 associative lines in victim order, resident range, active waveform page,
 the runs queued in each engine), then each block of k laps still to run
-is the last k moved on by P, 2P and so on, and the r < k laps left after
-the last whole block are the block's first r moved on once more, ending
-in the state recorded r laps into it.  The nearest such record wins.  k
+is the last k moved on by P, 2P and so on (modulator positions by the
+block's samples), and the r < k laps left after the last whole block
+are the block's first r moved on once more, ending in the state
+recorded r laps into it.  The nearest such record wins.  k
 exceeds 1 when the laps are paced by something off the clock grid: a lap
 bound by the SDRAM bus takes B ticks, decode runs on the 20-tick clock,
 so fill ticks drift B mod 20 against t0 each lap and the state repeats
@@ -139,12 +142,14 @@ period of its own: the decode tick and every cache tick by P, each
 engine's run starts (so its frontier and last start) by its own Q, its
 floor not at all, and a cache tick the laps leave alone ahead of t0 not
 at all.  The two laps must match in everything else: the counts of
-decodes, hits, misses, samples and modulator commands, the commands and
-their dispatch ticks (moved by P) and positions, each engine's runs
-(moved by Q) and their dispatch ticks (moved by P), and their events (an
-underrun moved by the waveform engine's Q, a fetch stall and every
-instruction-cache event by P); no SYNC fence or page event.  Each run of
-the last lap started by ``_start_for``'s rule over three bounds: the
+decodes, hits, misses and samples, and every column, each compared by
+``Column.moved`` with the step a copy takes: the commands, their
+dispatch ticks (moved by P) and positions, each engine's run starts
+(moved by Q), dispatch ticks (moved by P) and the rest of its runs, and
+the events (an underrun moved by the waveform engine's Q, a fetch stall
+and every instruction-cache event by P, and no event of another kind
+from the sequencer); no SYNC fence or page event.  Each run of the
+last lap started by ``_start_for``'s rule over three bounds: the
 pipeline after its dispatch (moving P), the floor (0) and the last
 start plus the minimum gap (Q).  Its slack, frontier less each bound,
 changes linearly per copy.  A run that continued the stream keeps doing
@@ -155,10 +160,10 @@ its outcome while the run ``queue_depth`` runs before it started by its
 dispatch: checked copy by copy while that run was decoded before the
 two laps, linear per copy once it lies in them or their copies.  A
 linear condition holds for m copies if it holds for the last lap and
-for copy m, so ``_StreamEngine.affine_laps`` takes the
-largest such m and ``_repeat_affine`` appends m copies of the last lap,
-run starts moved by Q and the rest by P.  The next laps decode again,
-and the exact path takes over once their state repeats.
+for copy m, so ``_StreamEngine.affine_laps`` takes the largest such m
+and ``_repeat_affine`` appends m copies of the last lap, each column
+moved by the step it was compared with.  The next laps decode again, and
+the exact path takes over once their state repeats.
 """
 
 from __future__ import annotations
@@ -259,55 +264,37 @@ class SimTrap(RuntimeError):
 
 
 class _Marks(NamedTuple):
-    """Counters and log lengths at a taken REPEAT: what a lap adds is
+    """Counters and row counts at a taken REPEAT: what a lap adds is
     measured from them."""
 
     decodes: int
     hits: int
     misses: int
     stream_pos: int
-    commands: int         # modulator commands
     fences: int           # SYNC fences resolved
-    events: int           # the sequencer's log
-    icache_events: int
-    wave_events: int
-    runs: tuple           # runs each engine has started
+    rows: tuple           # of each column in Sequencer._columns
+
+
+# the sequencer's and the waveform cache's logs in Sequencer._columns
+_SEQ_LOG, _WAVE_LOG = -3, -1
 
 
 def _steady(before: _Marks, after: _Marks) -> bool:
     """Whether the laps between the marks resolved no SYNC fence and
     logged no waveform page event: no stream restarted."""
     return (before.fences == after.fences
-            and before.wave_events == after.wave_events)
-
-
-def _lap_events(log: EventLog, first: int, mid: int, rates: dict,
-                rate: int | None = None) -> list[int] | None:
-    """The rate at which each event mid.. moved on from the one
-    mid - first before it, the rate of its kind in rates (by default
-    rate), if it is that event moved on so; None if one is not."""
-    events = log.rows[first:]
-    n = mid - first
-    moved = []
-    for was, now in zip(events[:n], events[n:]):
-        by = rates.get(was.kind, rate)
-        if by is None or now != (was.tick + by, *was[1:]):
-            return None
-        moved.append(by)
-    return moved
+            and before.rows[_WAVE_LOG] == after.rows[_WAVE_LOG])
 
 
 @dataclass(slots=True, eq=False)
 class _Lap:
     """A taken REPEAT that began a lap: the decode tick t0, the waveform
-    lead, its marks, the dispatch ticks of the runs each engine started
-    in the lap it ended, and, once built, the state outside the engines
+    lead, its marks and, once built, the state outside the engines
     (``Sequencer._state_key``) and each engine's ``lap_key``."""
 
     t0: int
     lead: int | None
     marks: _Marks
-    dispatches: list[list[int]]
     state: tuple | None = None
     engine_keys: list | None = None
 
@@ -380,8 +367,7 @@ class _StreamEngine:
         self.min_gap = min_gap_ticks
         self.starts = Column()           # start tick of each run
         self.counts = Column()           # count operand of each run
-        self.dispatches: list[int] = []  # dispatch tick of each run since
-                                         # the last taken REPEAT
+        self.dispatches = Column()       # dispatch tick of each run
         self.head = 0        # first row not started by the decode tick
         self.pending: list[tuple[object, int]] = []
         self.wait_dispatch: int | None = None
@@ -495,39 +481,15 @@ class _StreamEngine:
             self.last_start += ticks
         self.head = bisect_right(self.starts.rows, t0, self.head)
 
-    def repeat_lap(self, first: int, end: int, move: int, count: int,
-                   keep: int) -> None:
-        """Append run rows first..end again count times, copy c's start
-        ticks moved on by c * move; the last copies holding at least keep
-        runs stay rows (``column.Column.repeat``)."""
-        self.starts.repeat(first, end, move, count, keep)
-        for column in self.columns:
-            column.repeat(first, end, 0, count, keep)
-
-    def lap_move(self, first: int, mid: int, end: int) -> int | None:
-        """The ticks runs mid..end start after runs first..mid, which
-        they repeat but for their start ticks; None if they do not."""
-        if end - mid != mid - first:
-            return None
-        if mid == first:
-            return 0
-        for column in self.columns:
-            rows = column.rows
-            if rows[first:mid] != rows[mid:end]:
-                return None
-        starts = self.starts.rows
-        move = starts[mid] - starts[first]
-        return move if [t + move for t in starts[first:mid]] \
-            == starts[mid:end] else None
-
-    def affine_laps(self, first: int, dispatches: list[int], period: int,
-                    move: int, depth: int, laps: int) -> int:
-        """The most copies, at most laps, of runs first.., dispatched at
-        dispatches, that can be appended with dispatch ticks moved on by
-        period and starts by move per copy while each start rule and
-        queue room check decides as it did for them (module docstring);
-        the lap before them repeats them too."""
+    def affine_laps(self, first: int, period: int, move: int, depth: int,
+                    laps: int) -> int:
+        """The most copies, at most laps, of runs first.. that can be
+        appended with dispatch ticks moved on by period and starts by
+        move per copy while each start rule and queue room check decides
+        as it did for them (module docstring); the lap before them
+        repeats them too."""
         starts, counts = self.starts.rows, self.counts.rows
+        dispatches = self.dispatches.rows[first:]
         n = len(dispatches)
         earlier = first - n              # the lap before's first run
         for j, dispatch in enumerate(dispatches):
@@ -573,7 +535,8 @@ class WaveformEngine(_StreamEngine):
         self.cache = cache
         self.addrs = Column()            # absolute waveform address per run
         self.ta = Column()               # run repeats one TA sample
-        self.columns = (self.counts, self.addrs, self.ta)   # besides starts
+        # besides starts, dispatch ticks first
+        self.columns = (self.dispatches, self.counts, self.addrs, self.ta)
 
     def play(self, wf, tick: int) -> None:
         """Start a PLAY dispatched at tick; the cache checks the read."""
@@ -608,7 +571,7 @@ class MarkerEngine(_StreamEngine):
         self.channel = channel
         self.states = Column()
         self.lasts = Column()
-        self.columns = (self.counts, self.states, self.lasts)
+        self.columns = (self.dispatches, self.counts, self.states, self.lasts)
 
     def play(self, mk, tick: int) -> None:
         """Start a PLAY dispatched at tick."""
@@ -733,6 +696,18 @@ class Sequencer:
         self.markers = [MarkerEngine(ch, self.events) for ch in range(4)]
         self.engines = (self.wf, *self.markers)
         self.modeng = ModEngine()
+        # every column a lap writes: the engines' run starts, the rest of
+        # their runs (these _run_columns keep copied runs as rows), the
+        # modulator's, then the logs (the sequencer's at _SEQ_LOG, the
+        # waveform cache's at _WAVE_LOG)
+        columns = [e.starts for e in self.engines]
+        for e in self.engines:
+            columns += e.columns
+        self._run_columns = len(columns)
+        modeng = self.modeng
+        columns += (modeng.commands, modeng.ticks, modeng.positions,
+                    self.events, self.icache.events, self.wavecache.events)
+        self._columns = tuple(columns)
         self.mod_waits = 0
         self.stream_pos = 0      # waveform samples dispatched so far
         self.trigger_edges: list[int] = []
@@ -791,7 +766,7 @@ class Sequencer:
         modeng = self.modeng
         mod_commands, mod_ticks, mod_positions = (
             modeng.commands, modeng.ticks, modeng.positions)
-        self._forget_laps()      # an input arrived: no lap spans it
+        self._laps.clear()       # an input arrived: no lap spans it
         while not self.halted:
             if self.decodes >= max_decodes:
                 raise SimTrap("decode budget exhausted (runaway program?)")
@@ -846,6 +821,7 @@ class Sequencer:
                     if (n_runs - head + len(eng.pending)
                             + (eng.wait_dispatch is not None)) >= queue_depth:
                         if head == n_runs:
+                            self._unfetch(pc, tick)
                             return "need_trigger"  # only a trigger helps
                         until = align_up(starts[head], CLK)
                         self.events.append(Event(
@@ -884,6 +860,12 @@ class Sequencer:
             self._carried_fetch = (pc, avail)
             return False
         return True
+
+    def _unfetch(self, pc: int, tick: int) -> None:
+        """Undo the decode of pc, fetched at tick, which blocked on an
+        input, and carry its fetch over the return: it counts once."""
+        self.decodes -= 1
+        self._carried_fetch = (pc, tick + HIT_LATENCY_TICKS)
 
     def _decode(self, word: int) -> Instruction:
         instr = self._decoded.get(word)
@@ -971,6 +953,7 @@ class Sequencer:
             self._sync_pending = True
         elif op is OP_LOAD_CMP:
             if not self.steering:
+                self._unfetch(self.pc, tick)
                 return "need_steering"
             word, avail = self.steering.pop(0)
             edge = max(tick, align_up(avail, CLK))
@@ -997,19 +980,17 @@ class Sequencer:
         t0 = self.decode_tick
         depth = len(self.stack)
         if self._lap_depth != depth or self._lap_at != at:
-            self._forget_laps()  # another loop, or the lap was not pure
+            self._laps.clear()   # another loop, or the lap was not pure
             self._lap_at = at
         self._lap_depth = depth
         engines = self.engines
         if (self.mod_waits or self.steering
                 or any(e.wait_dispatch is not None for e in engines)):
-            self._forget_laps()  # an input could change the next lap
+            self._laps.clear()   # an input could change the next lap
             return
         frontier = self.wf.frontier
         lap = _Lap(t0, None if frontier is None else frontier - t0,
-                   self._lap_marks(), [e.dispatches for e in engines])
-        for e in engines:
-            e.dispatches = []
+                   self._lap_marks())
         laps = self._laps
         # cheap pre-check: a lap whose waveform lead against the decode
         # tick no recorded lap shares repeats none, so no key is built
@@ -1021,7 +1002,7 @@ class Sequencer:
                 if (old.engine_keys == lap.engine_keys
                         and old.state == lap.state):
                     if self._repeat_laps(old, lap, k):
-                        self._forget_laps()
+                        laps.clear()
                         return
                     break
         if laps and _steady(laps[-1].marks, lap.marks):
@@ -1030,14 +1011,9 @@ class Sequencer:
             if (len(laps) > 1 and laps[-1].state is not None
                     and laps[-1].state[0] == lap.state[0]
                     and self._repeat_affine(laps[-2], laps[-1], lap)):
-                self._forget_laps()
+                laps.clear()
                 return
         laps.append(lap)
-
-    def _forget_laps(self) -> None:
-        self._laps.clear()
-        for e in self.engines:
-            e.dispatches = []
 
     def _state_key(self, t0: int) -> tuple[tuple, tuple]:
         """The state outside the engines the laps ahead read: its shape,
@@ -1085,11 +1061,8 @@ class Sequencer:
     def _lap_marks(self) -> _Marks:
         # row counts: no lap spans a copy, so rows index what laps add
         return _Marks(self.decodes, self.icache.hits, self.icache.misses,
-                      self.stream_pos, len(self.modeng.commands.rows),
-                      self._fences, len(self.events.rows),
-                      len(self.icache.events.rows),
-                      len(self.wavecache.events.rows),
-                      tuple(len(e.starts.rows) for e in self.engines))
+                      self.stream_pos, self._fences,
+                      tuple([len(column.rows) for column in self._columns]))
 
     def _repeat_laps(self, old: _Lap, now: _Lap, k: int) -> bool:
         """Append the laps still to run as blocks of copies of the last
@@ -1112,19 +1085,18 @@ class Sequencer:
                   and laps[r - k].marks.decodes - marks.decodes <= budget), 0)
         if not blocks and not r:
             return False
-        n = len(self.engines)
+        played = now.marks.stream_pos - marks.stream_pos
         if blocks:
-            self._copy_laps(marks, now.marks, k, blocks, period,
-                            [period] * n, period)
+            self._copy_laps(marks, now.marks, k, blocks,
+                            self._steps(period, played))
         end, copies = now, blocks
         if r:
             # a lap inside the block may differ from now in more than its
             # ticks (a comparison result that alternates lap by lap), so
             # the whole state is set to end's
             end, copies = laps[r - k], blocks + 1
-            shift = copies * period
-            self._copy_laps(marks, end.marks, r, 1, shift, [shift] * n, shift,
-                            copies * (now.marks.stream_pos - marks.stream_pos))
+            self._copy_laps(marks, end.marks, r, 1,
+                            self._steps(copies * period, copies * played))
         self._restore(end.state, end.t0 + copies * period)
         for e, key in zip(self.engines, end.engine_keys):
             e.restore(key, self.decode_tick)
@@ -1138,29 +1110,26 @@ class Sequencer:
         can be copied."""
         period = now.t0 - b.t0
         ma, mb, mc = a.marks, b.marks, now.marks
-        # every count but the runs (compared per engine below) grew alike
+        # every counter grew alike; the columns are compared below
         if (b.t0 - a.t0 != period or not _steady(ma, mb)
                 or any(z - y != y - x for x, y, z in zip(ma[:-1], mb[:-1],
                                                          mc[:-1]))):
             return False
-        samples = mc.stream_pos - mb.stream_pos
-        if not self.modeng.repeats(ma.commands, mb.commands, mc.commands,
-                                   period, samples):
-            return False
         engines = self.engines
-        moves = [e.lap_move(x, y, z)
-                 for e, x, y, z in zip(engines, ma.runs, mb.runs, mc.runs)]
-        if None in moves or any(
-                [d + period for d in before] != dispatches
-                for before, dispatches in zip(b.dispatches, now.dispatches)):
+        moves = [e.starts.rows[y] - e.starts.rows[x] if z > y else 0
+                 for e, x, y, z in zip(engines, ma.rows, mb.rows, mc.rows)]
+        # an underrun moves with the waveform stream, a fetch stall with
+        # the decode tick; a lap with any other event of the sequencer's
+        # is not copied
+        rates = {EV_UNDERRUN: moves[0], EV_FETCH_STALL: period}
+        events = [rates.get(e.kind) for e in self.events.rows[
+            ma.rows[_SEQ_LOG]:mb.rows[_SEQ_LOG]]]
+        if None in events:
             return False
-        # an underrun moves with the waveform stream, a fetch stall and
-        # every cache event with the decode tick
-        events = _lap_events(self.events, ma.events, mb.events,
-                             {EV_UNDERRUN: moves[0], EV_FETCH_STALL: period})
-        if events is None or _lap_events(self.icache.events, ma.icache_events,
-                                         mb.icache_events, {},
-                                         period) is None:
+        steps = self._steps(period, mc.stream_pos - mb.stream_pos, moves,
+                            events)
+        if not all(column.moved(x, y, z, step) for column, x, y, z, step
+                   in zip(self._columns, ma.rows, mb.rows, mc.rows, steps)):
             return False
         laps = min(self.repeat_register, (self.cfg.max_decodes
                                           - self.decodes) // (mc.decodes
@@ -1173,12 +1142,11 @@ class Sequencer:
                for was, t in zip(b.state[1], ticks)):
             return False
         depth = self.cfg.queue_depth
-        for e, first, dispatches, move in zip(engines, mb.runs,
-                                              now.dispatches, moves):
-            laps = e.affine_laps(first, dispatches, period, move, depth, laps)
+        for e, first, move in zip(engines, mb.rows, moves):
+            laps = e.affine_laps(first, period, move, depth, laps)
         if laps <= 0:
             return False
-        self._copy_laps(mb, mc, 1, laps, period, moves, events)
+        self._copy_laps(mb, mc, 1, laps, steps)
         moved = laps * period
         self._restore((now.state[0], tuple(
             t if t == was else t - moved
@@ -1187,29 +1155,33 @@ class Sequencer:
             e.move(laps * move, self.decode_tick)
         return True
 
+    def _steps(self, period: int, samples: int,
+               moves: list[int] | None = None, events=None) -> list:
+        """The step of one copy of each column in _columns: each engine's
+        run starts move by its move in moves, the sequencer's events by
+        events (an int or one per event), both by default the period,
+        modulator positions by samples, dispatch ticks and cache events
+        by the period, and the other columns not at all."""
+        steps = [period] * len(self.engines) if moves is None else moves[:]
+        for e in self.engines:
+            steps += (period,) + (0,) * (len(e.columns) - 1)
+        steps += (0, period, samples, period if events is None else events,
+                  period, period)
+        return steps
+
     def _copy_laps(self, old: _Marks, end: _Marks, laps: int, count: int,
-                   period: int, moves: list[int], events,
-                   samples: int | None = None) -> None:
+                   steps: list) -> None:
         """Append what the laps between marks old and end (laps of them)
-        added, count times, copy c moved on c times: cache events and
-        modulator dispatch ticks by period, each engine's run starts by
-        its move in moves, the sequencer's events by events (an int, or
-        one int per event) and modulator positions by samples (by
-        default the laps' own).  Count the copies' decodes, hits,
-        misses, samples and laps."""
+        added to each column count times, copy c moved on by c times the
+        column's step in steps (``_steps``).  Count the copies' decodes,
+        hits, misses, samples and laps."""
         depth = self.cfg.queue_depth
-        for e, first, stop, move in zip(self.engines, old.runs, end.runs,
-                                        moves):
-            e.repeat_lap(first, stop, move, count, depth)
+        kept = self._run_columns
+        for i, (column, lo, hi, step) in enumerate(zip(
+                self._columns, old.rows, end.rows, steps)):
+            column.repeat(lo, hi, step, count, depth if i < kept else 0)
         icache = self.icache
-        self.events.repeat(old.events, end.events, events, count)
-        icache.events.repeat(old.icache_events, end.icache_events, period,
-                             count)
-        self.wavecache.events.repeat(old.wave_events, end.wave_events,
-                                     period, count)
         played = end.stream_pos - old.stream_pos
-        self.modeng.repeat_lap(old.commands, end.commands, period,
-                               played if samples is None else samples, count)
         self.decodes += count * (end.decodes - old.decodes)
         icache.hits += count * (end.hits - old.hits)
         icache.misses += count * (end.misses - old.misses)

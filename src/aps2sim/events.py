@@ -113,6 +113,19 @@ class EventLog(Column):
                stop: int) -> list[Event]:
         return _copies(template, step, first, stop)
 
+    def moved(self, lo: int, mid: int, hi: int, step) -> bool:
+        """Whether events mid..hi are events lo..mid, each tick moved on
+        by step (an int, or one int per event) and all else equal; False
+        if the two ranges differ in length (``Column.moved``)."""
+        self._check(lo, hi)
+        rows = self.rows
+        was, now = rows[lo:mid], rows[mid:hi]
+        if len(was) != len(now):
+            return False
+        if isinstance(step, int):
+            step = repeat(step)
+        return [(e.tick + s, *e[1:]) for e, s in zip(was, step)] == now
+
 
 def _copies(template: list[Event], step, first: int,
             stop: int) -> list[Event]:

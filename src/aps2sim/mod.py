@@ -140,9 +140,9 @@ class ModEngine:
 
     The stream is kept as three ``column.Column``s: each command, its
     dispatch tick and its dispatch position.  The decode loop appends a
-    decoded command to each column's rows; ``repeat_lap`` records copied
-    laps as one chunk per column, the command repeated unchanged and the
-    tick and position moved on per copy.  ``columns`` builds the arrays,
+    decoded command to each column's rows, and the lap fast-forward
+    copies laps into them as it does into every column a lap writes
+    (``engine.Sequencer._copy_laps``).  ``columns`` builds the arrays,
     a command as its code, its index in ``table``.
     """
 
@@ -162,25 +162,6 @@ class ModEngine:
 
     def pending_commands(self) -> int:
         return len(self.commands)
-
-    def repeat_lap(self, first: int, end: int, ticks: int, samples: int,
-                   count: int) -> None:
-        """Append command rows first..end again count times, copy c's
-        dispatch ticks moved on by c * ticks and its dispatch positions
-        by c * samples (a lap's or a block of laps')."""
-        self.commands.repeat(first, end, 0, count)
-        self.ticks.repeat(first, end, ticks, count)
-        self.positions.repeat(first, end, samples, count)
-
-    def repeats(self, first: int, mid: int, end: int, ticks: int,
-                samples: int) -> bool:
-        """Whether command rows mid..end are rows first..mid again,
-        dispatch ticks moved on by ticks and positions by samples."""
-        commands = self.commands.rows
-        tick, pos = self.ticks.rows, self.positions.rows
-        return (commands[first:mid] == commands[mid:end]
-                and [t + ticks for t in tick[first:mid]] == tick[mid:end]
-                and [p + samples for p in pos[first:mid]] == pos[mid:end])
 
     def _codes(self) -> np.ndarray:
         """The code of each command row: looked up once per distinct

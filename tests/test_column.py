@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aps2sim.column import Column
+from aps2sim.events import Event, EventKind, EventLog
 
 
 def column(*rows):
@@ -113,3 +114,55 @@ def test_a_numpy_step_reads_as_an_int_or_a_row_of_ints():
     assert col.chunks[0][3] == 100 and isinstance(col.chunks[0][3], int)
     assert list(col) == [0, 10, 100, 110, 200, 210, 1, 12]
     check_reads(col)
+
+
+def test_moved_reads_what_repeat_records():
+    # copies kept as rows, where moved can read them
+    col = column(0, 10, 20)
+    col.repeat(0, 3, 100, 1, keep=3)
+    assert col.moved(0, 3, 6, 100)
+    assert not col.moved(0, 3, 6, 99)
+    assert col.moved(3, 3, 3, 7)       # two empty ranges
+    col.repeat(0, 3, [5, 6, 7], 1, keep=3)
+    assert col.moved(3, 6, 9, [-95, -94, -93])
+    assert not col.moved(3, 6, 9, [-95, -94, -92])
+
+
+def test_a_zero_step_compares_rows_of_any_kind():
+    marks = [object(), object()]
+    col = column(*marks, *marks, marks[0], object())
+    assert col.moved(0, 2, 4, 0)
+    assert not col.moved(2, 4, 6, 0)
+
+
+def test_ranges_of_unequal_length_are_not_moved():
+    col = column(0, 10, 20, 30, 40)
+    assert not col.moved(0, 2, 5, 20)
+    assert not col.moved(0, 3, 5, 0)
+    assert not col.moved(1, 1, 2, [10])
+
+
+def test_a_moved_range_beyond_the_rows_is_a_value_error():
+    col = column(0, 10, 20)
+    col.repeat(1, 3, 100, 2)
+    col.append(30)
+    with pytest.raises(ValueError, match="beyond the 4 rows"):
+        col.moved(2, 4, 6, 0)
+    with pytest.raises(ValueError, match="beyond the 4 rows"):
+        col.moved(-1, 0, 1, 0)
+    with pytest.raises(ValueError, match="spans the chunk after row 3"):
+        col.moved(2, 3, 4, 10)         # rows 2 and 3, the copies between
+    assert col.moved(0, 1, 2, 10)      # the rows before the chunk
+
+
+def test_an_event_log_compares_events_by_tick():
+    log = EventLog()
+    for tick in (0, 30, 100, 130):
+        log.append(Event(tick, EventKind.UNDERRUN, 20, {"engine": "w"}))
+    assert log.moved(0, 2, 4, 100)
+    assert log.moved(0, 2, 4, [100, 100])
+    assert not log.moved(0, 2, 4, [100, 90])
+    # a field besides the tick differs: not the events moved on
+    log.append(Event(200, EventKind.UNDERRUN, 20, {"engine": "w"}))
+    log.append(Event(300, EventKind.UNDERRUN, 21, {"engine": "w"}))
+    assert not log.moved(4, 5, 6, 100)

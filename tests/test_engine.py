@@ -11,6 +11,7 @@ import pytest
 from aps2sim.asm import insert_prefetch_hints
 from aps2sim import engine, events
 from aps2sim.clocks import ANALOG_SAMPLE_TICKS
+from aps2sim.column import Column
 from aps2sim.engine import (BLOCK_SAMPLES, PIPELINE_TICKS, STACK_DEPTH,
                             DeadlockError, EngineConfig, Sequencer, SimTrap)
 from aps2sim.events import Event, EventKind, EventLog
@@ -177,6 +178,27 @@ def test_load_cmp_blocks_then_latches_on_a_clock_edge():
     assert np.array_equal(
         trace.analog_values(),
         np.concatenate([wave_values(0, 8), wave_values(8, 8)]))
+
+
+@pytest.mark.parametrize("instrs, block, deliver", [
+    # the second PLAY finds the queue full behind the WAIT
+    ([Instruction(Opcode.WAIT), play(0, 8), play(0, 8)], "need_trigger",
+     lambda seq: seq.deliver_trigger(1000)),
+    ([Instruction(Opcode.LOAD_CMP), play(0, 8)], "need_steering",
+     lambda seq: seq.deliver_steering(1, 95)),
+], ids=["queue_full", "load_cmp"])
+def test_a_blocked_instruction_counts_one_decode_and_one_fetch(
+        instrs, block, deliver):
+    seq = Sequencer(image(instrs), EngineConfig(queue_depth=1))
+    assert seq.run_until_blocked() == block
+    counts = (seq.decodes, seq.icache.hits, seq.icache.misses)
+    for _ in range(3):                # resumed without the input
+        assert seq.run_until_blocked() == block
+        assert (seq.decodes, seq.icache.hits, seq.icache.misses) == counts
+    deliver(seq)
+    assert seq.run_until_blocked() == "halted"
+    assert (seq.decodes, seq.icache.hits, seq.icache.misses) \
+        == (len(instrs), len(instrs), 0)
 
 
 @pytest.mark.parametrize("sync", [
@@ -797,7 +819,7 @@ PINNED = {
     "queue_depth4": "c988781470701a14",
     "queue_depth8": "8a19f2c81c0104f7",
     "page_swap": "dca1e7b0663c6127",
-    "blocked_queue": "d73722558f6579fe",
+    "blocked_queue": "e6fdc28701c8a1ac",
     "assoc_eviction": "0c70c7ebcc34170a",
     "far_calls_ideal": "1d776d92023c2ee2",
     "window_jump": "0a12493d44000668",
@@ -1678,34 +1700,40 @@ def swap_to(page):
     return Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, addr=page))
 
 
-@pytest.mark.parametrize("prog, inputs, mem_cfg", [
+@pytest.mark.parametrize("prog, inputs, mem_cfg, copied", [
     # a WAIT or LOAD_CMP in the body needs an input every lap
     (loop([Instruction(Opcode.WAIT), play(0, 8)]),
-     {"triggers": [1000 + 5000 * k for k in range(31)]}, None),
+     {"triggers": [1000 + 5000 * k for k in range(31)]}, None, False),
     (loop([Instruction(Opcode.LOAD_CMP), play(0, 8)]),
-     {"steering": [(1, 100 * k) for k in range(31)]}, None),
+     {"steering": [(1, 100 * k) for k in range(31)]}, None, False),
     # the body reloads the repeat register: the loop never ends
-    (loop([play(0, 8), LOAD_3]), {}, None),
+    (loop([play(0, 8), LOAD_3]), {}, None, False),
     # each lap returns out of the loop's frame and calls back into it
     (image([LOAD_3, Instruction(Opcode.CALL, addr=3),
             Instruction(Opcode.GOTO, addr=1), play(0, 8),
             Instruction(Opcode.REPEAT, addr=5), Instruction(Opcode.RETURN)]),
-     {}, None),
+     {}, None, False),
     # a marker-only body while the waveform stream sits finished
-    (loop([marker_pulse(2)], repeats=300, before=[play(0, 8)]), {}, None),
+    (loop([marker_pulse(2)], repeats=300, before=[play(0, 8)]), {}, None,
+     False),
     # the marker stream falls further behind each lap until its queue
     # fills, while the waveform lead repeats from the first lap
-    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}, None),
+    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}, None, False),
     # each lap's fills move the window, the bus and the associative half
     (ProgramImage(loop([play(0, 8), *PREFETCHES], repeats=60).words
-                  + [encode(FILLER)] * (5 * 128), RAMP), {}, None),
+                  + [encode(FILLER)] * (5 * 128), RAMP), {}, None, False),
     # each lap swaps pages twice over the bus: the lap state, the active
     # page among it, repeats every second lap
     (ProgramImage(loop([play(0, 8), swap_to(1), play(0, 8), swap_to(0)],
-                       repeats=40).words, PAGES), {}, PINGPONG),
+                       repeats=40).words, PAGES), {}, PINGPONG, True),
+    # a SYNC fence restarts every stream each lap: the exact path copies
+    # the laps, which the affine path refuses
+    (loop([play(0, 8), Instruction(Opcode.SYNC), marker_pulse(2)],
+          repeats=60), {}, None, True),
 ], ids=["wait", "load_cmp", "reload", "return_and_call", "marker_only",
-        "marker_bound", "prefetching", "pingpong"])
-def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg):
+        "marker_bound", "prefetching", "pingpong", "sync_fenced"])
+def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg,
+                                   copied):
     def run():
         seq = Sequencer(prog, EngineConfig(queue_depth=4, max_decodes=3000),
                         mem_cfg=mem_cfg)
@@ -1715,8 +1743,23 @@ def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg):
             return seq.decodes, seq.pc, seq.decode_tick
 
     assert run() == decoding_every_lap(monkeypatch, run)
-    if mem_cfg is PINGPONG:
-        assert skips        # the fast path copied blocks of two laps
+    if copied:
+        assert skips        # the fast path copied blocks of laps
+
+
+def test_every_column_a_lap_writes_is_copied():
+    # a column added to an engine, the modulator or a log but left out
+    # of Sequencer._columns would miss every lap copy
+    seq = Sequencer(image([play(0, 8)]))
+    found = {}
+    for obj in (*seq.engines, seq.modeng, seq.events, seq.icache.events,
+                seq.wavecache.events):
+        for value in [obj] if isinstance(obj, Column) else vars(obj).values():
+            if isinstance(value, Column):
+                found[id(value)] = value
+    listed = [id(column) for column in seq._columns]
+    assert all(listed.count(key) == 1 for key in found)
+    assert sorted(listed) == sorted(found)
 
 
 # -- planned prefetch hints ----------------------------------------------

@@ -14,7 +14,8 @@ is caught where a hot path reads it.  A second check keeps ``np.unique``
 out of the per-block sample paths (``_Rotation.rotate`` and
 ``MixerCorrector.apply``).  A third keeps the per-PLAY queue room check
 on a plain list after laps are copied: every run it can read is a row
-of the start column, never a value a chunk stands for.
+of the start column, never a value a chunk stands for, and the dispatch
+column's rows stay parallel to the starts'.
 """
 
 import ast
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from aps2sim import asm, column, engine, events, isa, mem, mod
+from aps2sim.clocks import PIPELINE_TICKS
 from aps2sim.engine import EngineConfig, Sequencer
 from aps2sim.isa import (Instruction, Marker, MarkerAction, ModAction,
                          Modulator, Opcode, ProgramImage, Waveform, WfAction,
@@ -167,11 +169,13 @@ def test_every_hot_name_exists():
             "aps2sim.engine._mix",
             "aps2sim.mod.MixerCorrector.apply",
             "aps2sim.column.Column.repeat",
+            "aps2sim.column.Column.moved",
             "aps2sim.column.Column.copy",
             "aps2sim.column.Column.array",
             "aps2sim.column.Column._expand",
             "aps2sim.column.Column._moved",
             "aps2sim.events.EventLog._moved",
+            "aps2sim.events.EventLog.moved",
             "aps2sim.events._copies",
             "aps2sim.isa.decode",
             "aps2sim.asm.assemble",
@@ -227,6 +231,15 @@ def test_runs_not_started_by_the_decode_tick_are_rows(monkeypatch, depth):
             waiting = starts[starts > self.decode_tick].tolist()
             assert tail[len(tail) - len(waiting):] == waiting
             assert len(waiting) <= depth
+            # the dispatch ticks are copied alike: row for row, chunk for
+            # chunk, parallel to the starts
+            dispatches = e.dispatches
+            assert len(dispatches.rows) == len(rows)
+            assert [c[:3] + c[4:] for c in dispatches.chunks] \
+                == [c[:3] + c[4:] for c in e.starts.chunks]
+            # and each copy moved on with its run: no run starts before
+            # the pipeline after its dispatch
+            assert (dispatches.array() + PIPELINE_TICKS <= starts).all()
         checked.append(sum(len(e.starts.chunks) for e in self.engines))
 
     monkeypatch.setattr(Sequencer, "_skip_laps", checking)

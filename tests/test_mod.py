@@ -391,6 +391,15 @@ def test_resolve_matches_the_reference_loop(block):
         check_against_reference(*random_stream(seed))
 
 
+def copy_laps(eng, first, end, ticks, samples, count):
+    """Append command rows first..end again count times as
+    Sequencer._copy_laps does: copy c's dispatch ticks moved on by
+    c * ticks and its dispatch positions by c * samples."""
+    eng.commands.repeat(first, end, 0, count)
+    eng.ticks.repeat(first, end, ticks, count)
+    eng.positions.repeat(first, end, samples, count)
+
+
 def add_laps(eng, rng, starts, counts, decoded, *, submit_each=False):
     """Append laps as Sequencer._repeat_laps does: the commands from a
     seeded index at or after decoded on again, a seeded number of times,
@@ -410,8 +419,8 @@ def add_laps(eng, rng, starts, counts, decoded, *, submit_each=False):
     else:
         # decoded commands follow every chunk: row = index - copies
         rows = eng.commands
-        eng.repeat_lap(first - rows.copies, len(rows.rows), period, samples,
-                       laps)
+        copy_laps(eng, first - rows.copies, len(rows.rows), period, samples,
+                  laps)
     decoded = eng.pending_commands()
     dispatch, pos = (int(col[-1]) for col in eng.columns()[1:])
     for _ in range(int(rng.integers(1, 5))):
@@ -455,7 +464,7 @@ def test_codes_follow_first_appearance_not_object_ids():
     eng = ModEngine()
     for tick, md in enumerate(commands[:8] + commands[:3]):
         eng.submit(md, 20 * tick)
-    eng.repeat_lap(0, 11, 500, 0, 1)
+    copy_laps(eng, 0, 11, 500, 0, 1)
     for tick, md in enumerate(commands[8:] + commands[::-1]):
         eng.submit(md, 1000 + 20 * tick)
     code = eng.columns()[0].tolist()
@@ -492,8 +501,8 @@ def test_a_partial_copy_takes_its_template_from_before_the_chunk():
         single = random_stream(seed)[0]
         code, tick, pos = (col.tolist() for col in eng.columns())
         first, part = 80, 80 + seed % 37
-        eng.repeat_lap(first, len(code), 100, 7, 2)
-        eng.repeat_lap(first, part, 300, 21, 1)
+        copy_laps(eng, first, len(code), 100, 7, 2)
+        copy_laps(eng, first, part, 300, 21, 1)
         for d, step, end in [(100, 7, None), (200, 14, None),
                              (300, 21, part)]:
             for c, t, p in zip(code[first:end], tick[first:end],
