@@ -1,8 +1,8 @@
 """One column of a run's record: decoded rows and copied chunks.
 
-The lap fast-forward (``engine.Sequencer._skip_laps``) appends copies of
+The lap fast-forward (``laps.LapRecorder.skip_laps``) appends copies of
 decoded laps to every column a lap writes, all listed once in
-``Sequencer._columns``: the stream engines' runs (start tick, dispatch
+``LapRecorder.columns``: the stream engines' runs (start tick, dispatch
 tick, count, waveform address, TA flag, marker state and last word), the
 modulator's commands (command, dispatch tick, dispatch position) and the
 event logs (``events.EventLog``).  A ``Column`` keeps such a copy as one

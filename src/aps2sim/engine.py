@@ -1,4 +1,4 @@
-"""Cycle-accurate pulse sequencer: control unit, output engines, traces.
+"""Cycle-accurate pulse sequencer: control unit and output engines.
 
 The control unit decodes one instruction per 20-tick sequencer clock and
 dispatches engine commands into per-engine queues.  The decoder runs
@@ -23,46 +23,6 @@ harness can feed fabric messages in and resume, which is how the closed
 loop is driven.  The instruction that blocked runs again on resume but
 counts one decode, and its fetch is carried over the return.
 
-Output path: the decode loop builds no sample.  Each engine appends
-plain integers per run to the rows of its columns (``column.Column``):
-the waveform engine the start tick, absolute waveform address (the
-active ping-pong page base included), sample count and TA flag; a
-marker engine the start tick, count, state and last word.  ``finalize``
-builds each column into one array, a chunk of copied laps by one outer
-add, resolves the modulator's windows over those columns, then walks
-the stream in blocks of ``BLOCK_SAMPLES``, so its
-working memory is bounded by the block size.  Per block it builds the
-index of one 32-bit word per sample in two passes, each run's base word
-repeated over its entries plus the entry numbers (a block holding a TA
-run inside a window first multiplies the entry numbers by each run's
-step, 0 for that run), gathers the words from a word view of the
-image's waveform memory (each word an int16 I/Q pair), converts and
-scales the pairs to float in one pass and views them as complex
-samples.  It rotates the samples inside windows in place and makes one
-mixer call, which writes into the block's slice of the result.  The
-mixer multiplies the (I, Q) rows by the transposed matrix, kept
-C-contiguous from its constructor, adds the DC offset as one complex
-number, and takes one min and one max of the product: only a block
-with a value out of range is counted and clipped, and only a block
-holding an exact zero takes the signed-zero pass.  A TA run outside
-every window stays lazy: one mixed value, expanded only by
-``OutputTrace.analog_values``; the mixer counts its saturations once
-per sample it stands for, at the cost of the lazy entries alone.
-
-Rotation ramps: the entry of window j that plays d sample periods after
-the window's first (gaps count) rotates by the direct exp of its exact
-phase word start_j + inc_j·d, mod 2^48.  With d = m·L + r that is
-phasor(start_j + inc_j·m·L) times ramp(inc_j)[r].  ``_ramps`` builds one
-ramp per distinct increment once, each as long as its longest window but
-all in ``BLOCK_SAMPLES`` entries (1 MiB).  Per block ``_Rotation.rotate``
-cuts the entries where the phasor changes (run starts, window edges,
-multiples of L; repeats dropped by a sort and a neighbour mask, not
-``np.unique``), so its pieces never outgrow a block, and takes one
-direct exp per piece; an entry then costs a ramp gather and two complex
-multiplies, and one outside windows is multiplied by exactly 1.  A factor
-is within a few ulp of ``mod.Windows.rotation`` and equal to it at
-r = 0, so a zero increment rotates by exactly the direct exp.
-
 Hot-path rule: an instruction on a resident cache line costs no call.
 When no fetch is carried over a stall and pc lies in the instruction
 cache's ``resident`` range, the decode loop counts the hit for the cache
@@ -85,98 +45,11 @@ in ``mem``.  The configured values the loop needs (queue
 depth, decode budget) are read into locals once per
 ``run_until_blocked``, and no hot path reads a config property
 (``tests/test_hot_paths.py`` checks both rules).
-
-Lap fast-forward: at each taken REPEAT, ``Sequencer._skip_laps``
-compares the machine state with its state at the taken REPEATs at the
-same pc that began the last few laps, up to ``CLK`` of them.  Ticks are
-compared relative to the decode tick t0.  A tick at or below t0 is
-stale, and any two stale values of a field count as equal: the code only
-ever compares such a tick against a later one, with max or <=.  So
-``last_start`` is compared as ``last_start + min_gap``, the bound it
-puts on a start, and the waveform frontier is never stale, since an
-underrun event records it.  Each lap records its counters and the row
-count of every column a lap writes, all listed once in
-``Sequencer._columns``: each engine's runs (start and dispatch tick,
-count and the rest), the modulator's commands, dispatch ticks and
-positions, and the three event logs.  The full state is built only when
-the lap's waveform lead (frontier less t0) equals a recorded one.  The
-laps copied are one chunk in every column (``column.Column.repeat``):
-the laps' rows once, the number of copies and the step of one copy,
-which ``Sequencer._steps`` gives per column.  So copying m laps costs
-the laps' rows, not m times them, and no Python object is made per
-copied run, command or event; a copied event becomes an ``Event`` only
-when a log is read.  The engines also keep their last
-``queue_depth`` copied runs as rows: no more runs than that are ever
-queued, so the queue room check, ``lap_key`` and ``affine_laps`` read
-plain lists, and every index the lap code keeps (``head``, the marks,
-template ranges) is a row index.  The decode, hit and miss counts, the
-stream position, the repeat register and ``laps_copied`` advance as the
-copied laps would have advanced them, and the state is set to the one
-the last copy ends in, ticks relative to its decode tick (a stale tick
-stays stale).
-No lap is copied past the decode budget, over a lap that wrote the
-repeat register itself (a LOAD_REPEAT in the loop's frame, or a RETURN
-out of it), or while an input could change the next lap: a WAIT queued
-in any engine or the modulator, or queued steering words.  A SYNC fence
-resolves before the next instruction decodes, and a waveform page swap
-begins and ends in its PREFETCH, so neither is pending at a REPEAT.  No
-lap spans a return from ``run_until_blocked``.
-
-Exact laps: if the state k laps back matches, every tick moved by the
-same period P, a multiple of the sequencer clock, and the rest is equal
-(pc, call stack, comparison register and result, window base and lines,
-associative lines in victim order, resident range, active waveform page,
-the runs queued in each engine), then each block of k laps still to run
-is the last k moved on by P, 2P and so on (modulator positions by the
-block's samples), and the r < k laps left after the last whole block
-are the block's first r moved on once more, ending in the state
-recorded r laps into it.  The nearest such record wins.  k
-exceeds 1 when the laps are paced by something off the clock grid: a lap
-bound by the SDRAM bus takes B ticks, decode runs on the 20-tick clock,
-so fill ticks drift B mod 20 against t0 each lap and the state repeats
-only after 20 / gcd(B, 20) laps, at most ``CLK``.
-
-Affine laps: a lap whose lead drains or grows repeats no earlier lap,
-but the last two laps repeat each other with every field moved on by a
-period of its own: the decode tick and every cache tick by P, each
-engine's run starts (so its frontier and last start) by its own Q, its
-floor not at all, and a cache tick the laps leave alone ahead of t0 not
-at all.  The two laps must match in everything else: the counts of
-decodes, hits, misses and samples, and every column, each compared by
-``Column.moved`` with the step a copy takes: the commands, their
-dispatch ticks (moved by P) and positions, each engine's run starts
-(moved by Q), dispatch ticks (moved by P) and the rest of its runs, and
-the events (an underrun moved by the waveform engine's Q, a fetch stall
-and every instruction-cache event by P, and no event of another kind
-from the sequencer); no SYNC fence or page event.  Each run of the
-last lap started by ``_start_for``'s rule over three bounds: the
-pipeline after its dispatch (moving P), the floor (0) and the last
-start plus the minimum gap (Q).  Its slack, frontier less each bound,
-changes linearly per copy.  A run that continued the stream keeps doing
-so while every slack stays at or above 0; one that started on its
-latest bound keeps its start while that bound, which must move by Q on
-the clock grid, stays the latest.  The queue room check before it keeps
-its outcome while the run ``queue_depth`` runs before it started by its
-dispatch: checked copy by copy while that run was decoded before the
-two laps, linear per copy once it lies in them or their copies.  A
-linear condition holds for m copies if it holds for the last lap and
-for copy m, so ``_StreamEngine.affine_laps`` takes the largest such m
-and ``_repeat_affine`` appends m copies of the last lap, each column
-moved by the step it was compared with.  The next laps decode again, and
-the exact path takes over once their state repeats.
 """
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
-from typing import NamedTuple
-
-import numpy as np
 
 from .clocks import (ANALOG_SAMPLE_TICKS, PIPELINE_TICKS, SEQ_CLOCK_TICKS,
                      align_up)
@@ -204,7 +77,6 @@ from .isa import (
     OP_SYNC,
     OP_WAIT,
     OP_WAVEFORM,
-    PHASE_MASK,
     WF_PLAY,
     WF_PREFETCH,
     WF_SYNC,
@@ -215,20 +87,18 @@ from .isa import (
     ProgramImage,
     decode,
 )
+from .laps import LapRecorder
 from .mem import (HIT_LATENCY_TICKS, InstructionCache, MemConfig, Sdram,
                   WaveformCache)
-from .mod import MixerCorrector, ModConfig, ModEngine, Windows, phasors
+from .mod import MixerCorrector, ModConfig, ModEngine
+from .trace import MarkerRuns, OutputTrace, Runs, _mix
 
 __all__ = [
     "STACK_DEPTH",
     "JUMP_PENALTY_TICKS",
-    "PIPELINE_TICKS",
     "MIN_PLAY_GAP_TICKS",
     "EngineConfig",
     "Sequencer",
-    "OutputTrace",
-    "Runs",
-    "MarkerRuns",
     "DeadlockError",
     "SimTrap",
 ]
@@ -263,96 +133,7 @@ class SimTrap(RuntimeError):
     """Fatal program error (stack misuse, bad page mode, runaway loop)."""
 
 
-class _Marks(NamedTuple):
-    """Counters and row counts at a taken REPEAT: what a lap adds is
-    measured from them."""
-
-    decodes: int
-    hits: int
-    misses: int
-    stream_pos: int
-    fences: int           # SYNC fences resolved
-    rows: tuple           # of each column in Sequencer._columns
-
-
-# the sequencer's and the waveform cache's logs in Sequencer._columns
-_SEQ_LOG, _WAVE_LOG = -3, -1
-
-
-def _steady(before: _Marks, after: _Marks) -> bool:
-    """Whether the laps between the marks resolved no SYNC fence and
-    logged no waveform page event: no stream restarted."""
-    return (before.fences == after.fences
-            and before.rows[_WAVE_LOG] == after.rows[_WAVE_LOG])
-
-
-@dataclass(slots=True, eq=False)
-class _Lap:
-    """A taken REPEAT that began a lap: the decode tick t0, the waveform
-    lead, its marks and, once built, the state outside the engines
-    (``Sequencer._state_key``) and each engine's ``lap_key``."""
-
-    t0: int
-    lead: int | None
-    marks: _Marks
-    state: tuple | None = None
-    engine_keys: list | None = None
-
-
-def _kept(slack: int, step: int, laps: int) -> int:
-    """The most laps, at most laps, over which slack (at least 0), moved
-    on by step a lap, stays at least 0."""
-    return laps if step >= 0 else min(laps, slack // -step)
-
-
-BLOCK_SAMPLES = 1 << 16   # samples finalize gathers, rotates, mixes at once
 _MOD_WAIT_CMD = Modulator(MOD_WAIT)   # the modulator's share of a WAIT
-
-
-@dataclass(frozen=True, eq=False)
-class Runs:
-    """One output stream's runs as columns, in stream order: run k plays
-    n[k] samples from tick start[k], one every ANALOG_SAMPLE_TICKS."""
-
-    start: np.ndarray
-    n: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.start)
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.start + ANALOG_SAMPLE_TICKS * self.n
-
-    def ticks(self) -> np.ndarray:
-        """Output tick of every sample, in order."""
-        # each tick as the step from the one before, summed in place: a
-        # run's first sample steps from the last sample of the run before
-        played = self.n > 0
-        start, n = self.start[played], self.n[played]
-        out = np.full(int(n.sum()), ANALOG_SAMPLE_TICKS, dtype=np.int64)
-        if len(n):
-            step = start.copy()
-            step[1:] -= start[:-1] + ANALOG_SAMPLE_TICKS * (n[:-1] - 1)
-            out[np.cumsum(n) - n] = step
-        return np.cumsum(out, out=out)
-
-
-@dataclass(frozen=True, eq=False)
-class MarkerRuns(Runs):
-    """Marker runs: every level of run k is state[k] but the last four,
-    which are the bits of last[k], most significant first."""
-
-    state: np.ndarray
-    last: np.ndarray
-
-    def levels(self) -> np.ndarray:
-        levels = np.repeat(self.state.astype(np.uint8), self.n)
-        played = self.n > 0
-        tail = np.cumsum(self.n)[played] - 4
-        for bit in range(4):
-            levels[tail + bit] = (self.last[played] >> (3 - bit)) & 1
-        return levels
 
 
 class _StreamEngine:
@@ -368,6 +149,7 @@ class _StreamEngine:
         self.starts = Column()           # start tick of each run
         self.counts = Column()           # count operand of each run
         self.dispatches = Column()       # dispatch tick of each run
+        self.columns = (self.starts, self.dispatches, self.counts)
         self.head = 0        # first row not started by the decode tick
         self.pending: list[tuple[object, int]] = []
         self.wait_dispatch: int | None = None
@@ -444,90 +226,6 @@ class _StreamEngine:
         self.frontier = None
         self.last_start = None
 
-    # -- lap fast-forward (see Sequencer._skip_laps) -----------------------
-
-    def lap_key(self, t0: int) -> tuple:
-        """Scheduling state at decode tick t0, ticks relative to it and a
-        stale one as 0; moves head to the first run not started by t0."""
-        starts = self.starts.rows
-        head, n_runs = self.head, len(starts)
-        while head < n_runs and starts[head] <= t0:
-            head += 1
-        self.head = head
-        frontier, last = self.frontier, self.last_start
-        if frontier is not None:
-            # an underrun event records the frontier: never stale there
-            frontier -= t0
-            if frontier < 0 and not self.gaps_are_underruns:
-                frontier = 0
-        if last is not None:
-            # last_start bounds a start only as last_start + min_gap
-            last = max(last + self.min_gap - t0, 0)
-        return (frontier, last, max(self.floor - t0, 0),
-                [start - t0 for start in starts[head:]])
-
-    def restore(self, key: tuple, t0: int) -> None:
-        """Set the scheduling ticks to lap_key's, relative to t0."""
-        frontier, last, floor, _ = key
-        self.frontier = None if frontier is None else t0 + frontier
-        self.last_start = None if last is None else t0 + last - self.min_gap
-        self.floor = t0 + floor
-        self.head = bisect_right(self.starts.rows, t0, self.head)
-
-    def move(self, ticks: int, t0: int) -> None:
-        """Move the stream on by ticks; the floor stays."""
-        if self.frontier is not None:
-            self.frontier += ticks
-            self.last_start += ticks
-        self.head = bisect_right(self.starts.rows, t0, self.head)
-
-    def affine_laps(self, first: int, period: int, move: int, depth: int,
-                    laps: int) -> int:
-        """The most copies, at most laps, of runs first.. that can be
-        appended with dispatch ticks moved on by period and starts by
-        move per copy while each start rule and queue room check decides
-        as it did for them (module docstring); the lap before them
-        repeats them too."""
-        starts, counts = self.starts.rows, self.counts.rows
-        dispatches = self.dispatches.rows[first:]
-        n = len(dispatches)
-        earlier = first - n              # the lap before's first run
-        for j, dispatch in enumerate(dispatches):
-            run = first + j
-            last = starts[run - 1]
-            frontier = last + self.count_ticks * counts[run - 1]
-            # each bound on the start and its move per lap
-            bounds = ((-(-dispatch // CLK) * CLK + PIPELINE_TICKS, period),
-                      (self.floor, 0), (last + self.min_gap, move))
-            latest = max(bounds)
-            if latest[0] <= frontier:
-                # the run continues the stream: the frontier stays at or
-                # past every bound
-                for tick, step in bounds:
-                    laps = _kept(frontier - tick, move - step, laps)
-            elif latest[1] != move or move % CLK:
-                return 0
-            else:
-                # the run starts on its latest bound, which stays latest
-                for tick, step in bounds:
-                    laps = _kept(latest[0] - tick, move - step, laps)
-            # queue room: the run depth runs before this one has started
-            # by its dispatch; from the lap before on, that start moves
-            # by move per copy
-            for i in range(1, laps + 1):
-                back = run - depth + i * n
-                if back < earlier:
-                    if back >= 0 and starts[back] > dispatch + i * period:
-                        laps = i - 1
-                        break
-                    continue
-                lap, k = divmod(back - earlier, n)
-                room = dispatch + i * period - starts[earlier + k] - lap * move
-                laps = i - 1 if room < 0 else \
-                    i + _kept(room, period - move, laps - i)
-                break
-        return laps
-
 
 class WaveformEngine(_StreamEngine):
     def __init__(self, events, cache: WaveformCache):
@@ -535,8 +233,7 @@ class WaveformEngine(_StreamEngine):
         self.cache = cache
         self.addrs = Column()            # absolute waveform address per run
         self.ta = Column()               # run repeats one TA sample
-        # besides starts, dispatch ticks first
-        self.columns = (self.dispatches, self.counts, self.addrs, self.ta)
+        self.columns += (self.addrs, self.ta)    # every column of a run
 
     def play(self, wf, tick: int) -> None:
         """Start a PLAY dispatched at tick; the cache checks the read."""
@@ -571,7 +268,7 @@ class MarkerEngine(_StreamEngine):
         self.channel = channel
         self.states = Column()
         self.lasts = Column()
-        self.columns = (self.dispatches, self.counts, self.states, self.lasts)
+        self.columns += (self.states, self.lasts)
 
     def play(self, mk, tick: int) -> None:
         """Start a PLAY dispatched at tick."""
@@ -585,86 +282,6 @@ class MarkerEngine(_StreamEngine):
     def runs(self) -> MarkerRuns:
         return MarkerRuns(self.starts.array(), 4 * self.counts.array(),
                           self.states.array(), self.lasts.array())
-
-
-@dataclass(eq=False)
-class OutputTrace:
-    """A finished run: integer run columns plus the mixed analog samples.
-
-    analog holds the waveform runs (len(analog) counts them) and mixed
-    their corrected samples in stream order, except that a lazy run (a
-    TA run outside every MODULATE window, flagged in lazy) holds one
-    entry for all its samples.  analog_values() expands those entries.
-    logs holds the event logs as ``finalize`` saw them (the sequencer's,
-    the instruction cache's, the waveform cache's, the modulator's);
-    events is built from them on its first read, copied laps expanded,
-    and kept, so decoding after ``finalize`` leaves it unchanged.
-    """
-
-    analog: Runs
-    markers: dict[int, MarkerRuns]
-    logs: tuple
-    mixed: np.ndarray
-    lazy: np.ndarray
-    saturations: int = 0
-
-    @cached_property
-    def events(self) -> list[Event]:
-        """Every event sorted by tick, ties in log order; built from the
-        logs, copied laps expanded, on the first read and kept."""
-        events = []
-        for log in self.logs:
-            events += log
-        events.sort(key=itemgetter(0))      # an Event is a tuple
-        return events
-
-    def analog_values(self) -> np.ndarray:
-        if not self.lazy.any():
-            return self.mixed.copy()
-        n = self.analog.n
-        per_entry = np.repeat(np.where(self.lazy, n, 1),
-                              np.where(self.lazy, 1, n))
-        return np.repeat(self.mixed, per_entry)
-
-    def analog_ticks(self) -> np.ndarray:
-        return self.analog.ticks()
-
-    def marker_levels(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
-        runs = self.markers.get(channel)
-        if runs is None:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        return runs.ticks(), runs.levels()
-
-    def marker_edges(self, channel: int) -> list[tuple[int, int]]:
-        """Level transitions (tick, new_level), idle level 0; a run
-        followed by a gap or the end closes back to idle."""
-        ticks, levels = self.marker_levels(channel)
-        if not len(ticks):
-            return []
-        levels = levels.astype(np.int64)
-        # sample i starts a contiguous segment, or ends one
-        starts = np.ones(len(ticks), dtype=bool)
-        starts[1:] = ticks[1:] != ticks[:-1] + ANALOG_SAMPLE_TICKS
-        ends = np.append(starts[1:], True)
-        before = np.where(starts, 0, np.roll(levels, 1))
-        rise = np.flatnonzero(levels != before)
-        fall = np.flatnonzero(ends & (levels != 0))
-        # a transition at sample i precedes the close after sample i
-        order = np.argsort(np.concatenate([2 * rise, 2 * fall + 1]))
-        at = np.concatenate([ticks[rise], ticks[fall] + ANALOG_SAMPLE_TICKS])
-        level = np.concatenate([levels[rise], np.zeros(len(fall), np.int64)])
-        return list(zip(at[order].tolist(), level[order].tolist()))
-
-    def stall_events(self) -> list[Event]:
-        """Fetch and page-swap stalls, each recorded once (see events)."""
-        return stalls(self.events)
-
-    def write_events_jsonl(self, path) -> None:
-        """One JSON object per event: tick, kind, ticks, then the detail."""
-        with open(path, "w") as fh:
-            for e in self.events:
-                fh.write(json.dumps({"tick": e.tick, "kind": e.kind,
-                                     "ticks": e.ticks, **e.detail}) + "\n")
 
 
 class Sequencer:
@@ -696,18 +313,7 @@ class Sequencer:
         self.markers = [MarkerEngine(ch, self.events) for ch in range(4)]
         self.engines = (self.wf, *self.markers)
         self.modeng = ModEngine()
-        # every column a lap writes: the engines' run starts, the rest of
-        # their runs (these _run_columns keep copied runs as rows), the
-        # modulator's, then the logs (the sequencer's at _SEQ_LOG, the
-        # waveform cache's at _WAVE_LOG)
-        columns = [e.starts for e in self.engines]
-        for e in self.engines:
-            columns += e.columns
-        self._run_columns = len(columns)
-        modeng = self.modeng
-        columns += (modeng.commands, modeng.ticks, modeng.positions,
-                    self.events, self.icache.events, self.wavecache.events)
-        self._columns = tuple(columns)
+        self.laps = LapRecorder(self)
         self.mod_waits = 0
         self.stream_pos = 0      # waveform samples dispatched so far
         self.trigger_edges: list[int] = []
@@ -725,12 +331,6 @@ class Sequencer:
         self._carried_fetch: tuple[int, int] | None = None   # (pc, avail)
         self._sync_pending = False
         self._fences = 0         # SYNC fences resolved
-        # the taken REPEATs at pc _lap_at that began the laps since, the
-        # last CLK of them, oldest first
-        self._laps: deque[_Lap] = deque(maxlen=CLK)
-        self._lap_at = -1
-        self._lap_depth = -1     # their stack depth; -1 once a lap writes
-                                 # the repeat register itself
 
     # -- external deliveries ------------------------------------------------
 
@@ -766,7 +366,7 @@ class Sequencer:
         modeng = self.modeng
         mod_commands, mod_ticks, mod_positions = (
             modeng.commands, modeng.ticks, modeng.positions)
-        self._laps.clear()       # an input arrived: no lap spans it
+        self.laps.clear()        # an input arrived: no lap spans it
         while not self.halted:
             if self.decodes >= max_decodes:
                 raise SimTrap("decode budget exhausted (runaway program?)")
@@ -923,8 +523,8 @@ class Sequencer:
             if not self.stack:
                 return self._trap(tick, "RETURN with empty call stack")
             target, repeat = self.stack.pop()
-            if len(self.stack) < self._lap_depth:
-                self._lap_depth = -1    # left the lap's frame
+            if len(self.stack) < self.laps.lap_depth:
+                self.laps.lap_depth = -1    # left the lap's frame
             self.repeat_register = repeat
             self._redirect(target, tick)
             return None
@@ -933,13 +533,13 @@ class Sequencer:
                 self.repeat_register -= 1
                 at = self.pc
                 self._redirect(instr.addr, tick)
-                self._skip_laps(at)
+                self.laps.skip_laps(at)
                 return None
         elif op is OP_PREFETCH:
             self.icache.prefetch_line(instr.addr, tick)
         elif op is OP_LOAD_REPEAT:
-            if len(self.stack) <= self._lap_depth:
-                self._lap_depth = -1
+            if len(self.stack) <= self.laps.lap_depth:
+                self.laps.lap_depth = -1
             self.repeat_register = instr.value
         elif op is OP_CMP:
             self.cmp_result = _compare(instr.cmp_op, self.cmp_register,
@@ -971,223 +571,6 @@ class Sequencer:
         self.trap_reason = reason
         self.halted = True
         return None
-
-    # -- lap fast-forward ----------------------------------------------------
-
-    def _skip_laps(self, at: int) -> None:
-        """At a taken REPEAT at pc at, append laps still to run as copies
-        of earlier ones if the state repeats (module docstring)."""
-        t0 = self.decode_tick
-        depth = len(self.stack)
-        if self._lap_depth != depth or self._lap_at != at:
-            self._laps.clear()   # another loop, or the lap was not pure
-            self._lap_at = at
-        self._lap_depth = depth
-        engines = self.engines
-        if (self.mod_waits or self.steering
-                or any(e.wait_dispatch is not None for e in engines)):
-            self._laps.clear()   # an input could change the next lap
-            return
-        frontier = self.wf.frontier
-        lap = _Lap(t0, None if frontier is None else frontier - t0,
-                   self._lap_marks())
-        laps = self._laps
-        # cheap pre-check: a lap whose waveform lead against the decode
-        # tick no recorded lap shares repeats none, so no key is built
-        if any(old.lead == lap.lead for old in laps):
-            lap.state = self._state_key(t0)
-            lap.engine_keys = [e.lap_key(t0) for e in engines]
-            for k in range(1, len(laps) + 1):
-                old = laps[-k]
-                if (old.engine_keys == lap.engine_keys
-                        and old.state == lap.state):
-                    if self._repeat_laps(old, lap, k):
-                        laps.clear()
-                        return
-                    break
-        if laps and _steady(laps[-1].marks, lap.marks):
-            if lap.state is None:
-                lap.state = self._state_key(t0)
-            if (len(laps) > 1 and laps[-1].state is not None
-                    and laps[-1].state[0] == lap.state[0]
-                    and self._repeat_affine(laps[-2], laps[-1], lap)):
-                laps.clear()
-                return
-        laps.append(lap)
-
-    def _state_key(self, t0: int) -> tuple[tuple, tuple]:
-        """The state outside the engines the laps ahead read: its shape,
-        and its ticks relative to t0, a stale one as 0 (the bus, the
-        window lines in line order, the associative lines in victim
-        order, a carried fetch, the waveform pages)."""
-        icache, wavecache = self.icache, self.wavecache
-        carried = self._carried_fetch
-        window = sorted(icache.window.items())
-        ticks = [self.sdram.busy_until, *(t for _, t in window),
-                 *icache.assoc.values()]
-        shape = [self.pc, tuple(self.stack), self.cmp_register,
-                 self.cmp_result, icache.base_line, icache.resident,
-                 tuple(line for line, _ in window), tuple(icache.assoc),
-                 None if carried is None else carried[0]]
-        if carried is not None:
-            ticks.append(carried[1])
-        if wavecache.pingpong:
-            shape += [wavecache.active_slot,
-                      tuple(page for page, _ in wavecache.slots)]
-            ticks += [t for _, t in wavecache.slots]
-        return tuple(shape), tuple(max(t - t0, 0) for t in ticks)
-
-    def _restore(self, state: tuple[tuple, tuple], t0: int) -> None:
-        """Set the state _state_key read to state, relative to the decode
-        tick t0."""
-        icache, wavecache = self.icache, self.wavecache
-        shape, ticks = state
-        self.pc, stack, self.cmp_register, self.cmp_result = shape[:4]
-        self.stack = list(stack)
-        icache.base_line, icache.resident, window, assoc, carried = \
-            shape[4:9]
-        # the ticks in _state_key's order; each zip takes as many as its
-        # lines
-        at = iter([t0 + t for t in ticks])
-        self.sdram.busy_until = next(at)
-        icache.window = dict(zip(window, at))
-        icache.assoc = dict(zip(assoc, at))
-        self._carried_fetch = None if carried is None else (carried, next(at))
-        if wavecache.pingpong:
-            wavecache.active_slot = shape[9]
-            wavecache.slots = list(zip(shape[10], at))
-        self.decode_tick = t0
-
-    def _lap_marks(self) -> _Marks:
-        # row counts: no lap spans a copy, so rows index what laps add
-        return _Marks(self.decodes, self.icache.hits, self.icache.misses,
-                      self.stream_pos, self._fences,
-                      tuple([len(column.rows) for column in self._columns]))
-
-    def _repeat_laps(self, old: _Lap, now: _Lap, k: int) -> bool:
-        """Append the laps still to run as blocks of copies of the last
-        k, from old to now, each moved on by the period from old to now
-        from the one before; then the r < k laps left as the first r of
-        them moved on once more.  False if not one lap can be."""
-        period = now.t0 - old.t0
-        if period % CLK:
-            return False
-        marks, laps = old.marks, self._laps
-        per_block = now.marks.decodes - marks.decodes
-        budget = self.cfg.max_decodes - self.decodes
-        blocks = min(self.repeat_register // k, budget // per_block)
-        budget -= blocks * per_block
-        # the laps left, as many of the block's first laps as end at a
-        # recorded state and fit the budget
-        left = min(self.repeat_register - blocks * k, k - 1)
-        r = next((r for r in range(left, 0, -1)
-                  if laps[r - k].engine_keys is not None
-                  and laps[r - k].marks.decodes - marks.decodes <= budget), 0)
-        if not blocks and not r:
-            return False
-        played = now.marks.stream_pos - marks.stream_pos
-        if blocks:
-            self._copy_laps(marks, now.marks, k, blocks,
-                            self._steps(period, played))
-        end, copies = now, blocks
-        if r:
-            # a lap inside the block may differ from now in more than its
-            # ticks (a comparison result that alternates lap by lap), so
-            # the whole state is set to end's
-            end, copies = laps[r - k], blocks + 1
-            self._copy_laps(marks, end.marks, r, 1,
-                            self._steps(copies * period, copies * played))
-        self._restore(end.state, end.t0 + copies * period)
-        for e, key in zip(self.engines, end.engine_keys):
-            e.restore(key, self.decode_tick)
-        return True
-
-    def _repeat_affine(self, a: _Lap, b: _Lap, now: _Lap) -> bool:
-        """Append copies of the lap from b to now, which moved every field
-        of the lap from a to b on by its own period, until one of its
-        start rules or queue room checks would decide otherwise (module
-        docstring).  False if the laps differ in more, or not one lap
-        can be copied."""
-        period = now.t0 - b.t0
-        ma, mb, mc = a.marks, b.marks, now.marks
-        # every counter grew alike; the columns are compared below
-        if (b.t0 - a.t0 != period or not _steady(ma, mb)
-                or any(z - y != y - x for x, y, z in zip(ma[:-1], mb[:-1],
-                                                         mc[:-1]))):
-            return False
-        engines = self.engines
-        moves = [e.starts.rows[y] - e.starts.rows[x] if z > y else 0
-                 for e, x, y, z in zip(engines, ma.rows, mb.rows, mc.rows)]
-        # an underrun moves with the waveform stream, a fetch stall with
-        # the decode tick; a lap with any other event of the sequencer's
-        # is not copied
-        rates = {EV_UNDERRUN: moves[0], EV_FETCH_STALL: period}
-        events = [rates.get(e.kind) for e in self.events.rows[
-            ma.rows[_SEQ_LOG]:mb.rows[_SEQ_LOG]]]
-        if None in events:
-            return False
-        steps = self._steps(period, mc.stream_pos - mb.stream_pos, moves,
-                            events)
-        if not all(column.moved(x, y, z, step) for column, x, y, z, step
-                   in zip(self._columns, ma.rows, mb.rows, mc.rows, steps)):
-            return False
-        laps = min(self.repeat_register, (self.cfg.max_decodes
-                                          - self.decodes) // (mc.decodes
-                                                              - mb.decodes))
-        # a tick outside the engines moved on with the decode tick, or it
-        # stayed put ahead of it: no lap reads such a tick, since a fetch
-        # that did would stall by a different amount each lap
-        ticks = now.state[1]
-        if any(t != was and t != was - period
-               for was, t in zip(b.state[1], ticks)):
-            return False
-        depth = self.cfg.queue_depth
-        for e, first, move in zip(engines, mb.rows, moves):
-            laps = e.affine_laps(first, period, move, depth, laps)
-        if laps <= 0:
-            return False
-        self._copy_laps(mb, mc, 1, laps, steps)
-        moved = laps * period
-        self._restore((now.state[0], tuple(
-            t if t == was else t - moved
-            for was, t in zip(b.state[1], ticks))), now.t0 + moved)
-        for e, move in zip(engines, moves):
-            e.move(laps * move, self.decode_tick)
-        return True
-
-    def _steps(self, period: int, samples: int,
-               moves: list[int] | None = None, events=None) -> list:
-        """The step of one copy of each column in _columns: each engine's
-        run starts move by its move in moves, the sequencer's events by
-        events (an int or one per event), both by default the period,
-        modulator positions by samples, dispatch ticks and cache events
-        by the period, and the other columns not at all."""
-        steps = [period] * len(self.engines) if moves is None else moves[:]
-        for e in self.engines:
-            steps += (period,) + (0,) * (len(e.columns) - 1)
-        steps += (0, period, samples, period if events is None else events,
-                  period, period)
-        return steps
-
-    def _copy_laps(self, old: _Marks, end: _Marks, laps: int, count: int,
-                   steps: list) -> None:
-        """Append what the laps between marks old and end (laps of them)
-        added to each column count times, copy c moved on by c times the
-        column's step in steps (``_steps``).  Count the copies' decodes,
-        hits, misses, samples and laps."""
-        depth = self.cfg.queue_depth
-        kept = self._run_columns
-        for i, (column, lo, hi, step) in enumerate(zip(
-                self._columns, old.rows, end.rows, steps)):
-            column.repeat(lo, hi, step, count, depth if i < kept else 0)
-        icache = self.icache
-        played = end.stream_pos - old.stream_pos
-        self.decodes += count * (end.decodes - old.decodes)
-        icache.hits += count * (end.hits - old.hits)
-        icache.misses += count * (end.misses - old.misses)
-        self.stream_pos += count * played
-        self.repeat_register -= count * laps
-        self.laps_copied += count * laps
 
     # -- convenience open-loop driver ---------------------------------------
 
@@ -1234,151 +617,6 @@ class Sequencer:
                            logs=logs, mixed=mixed, lazy=lazy,
                            saturations=corrector.saturations)
 
-
-def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
-         ta: np.ndarray, windows: Windows,
-         corrector: MixerCorrector) -> tuple[np.ndarray, np.ndarray]:
-    """Corrected samples of waveform runs, BLOCK_SAMPLES entries at a time.
-
-    Sample i of run k reads waveforms[addr[k] + i] (addr[k] for a TA
-    run).  A TA run no window touches is lazy: one entry stands for all
-    its samples.  Returns the entries and the lazy flag of each run.
-    """
-    count = runs.n
-    first = np.cumsum(count) - count            # stream position of runs
-    # windows are sorted and disjoint: a run overlaps those that open
-    # before it ends, less those that close before it starts
-    touched = (np.searchsorted(windows.lo, first + count)
-               > np.searchsorted(windows.hi, first, side="right"))
-    lazy = ta & ~touched
-    width = np.where(lazy, 1, count)            # entries per run
-    entry = np.cumsum(width) - width            # first entry of each run
-    entry_end = entry + width
-    # entry p of run k reads word base[k] + step[k]*p and, expanded,
-    # plays origin[k] + p sample periods after tick 0 (run starts lie on
-    # the sample grid).  A lazy run has one entry, so only an expanded TA
-    # run needs step 0
-    step = np.where(ta & ~lazy, 0, 1)
-    base = addr - step * entry
-    origin = runs.start // ANALOG_SAMPLE_TICKS - entry
-    held_at, held_count = entry[lazy], count[lazy]
-    # a window touches expanded runs only, so it covers consecutive
-    # entries, shifted from stream positions as its first run is
-    k = np.searchsorted(first, windows.lo, side="right") - 1
-    w_lo = windows.lo - first[k] + entry[k]
-    w_hi = w_lo + (windows.hi - windows.lo)
-    total = int(width.sum())
-    rotation = _Rotation(windows, w_lo, w_hi, entry, origin)
-    # one I/Q pair of int16 per 32-bit word
-    words = np.ascontiguousarray(waveforms).view(np.uint32).reshape(-1)
-
-    mixed = np.empty(total, dtype=np.complex128)
-    for b0 in range(0, total, BLOCK_SAMPLES):
-        b1 = min(b0 + BLOCK_SAMPLES, total)
-        k0, k1 = (np.searchsorted(entry_end, b0, side="right"),
-                  np.searchsorted(entry, b1))
-        size = (np.minimum(entry_end[k0:k1], b1)
-                - np.maximum(entry[k0:k1], b0))     # the runs' entries here
-        index = np.arange(b0, b1)
-        if not step[k0:k1].all():
-            index *= np.repeat(step[k0:k1], size)
-        index += np.repeat(base[k0:k1], size)
-        # I/Q to [-1, 1): scaling by a power of two is exact
-        z = np.multiply(words[index].view(np.int16), 1.0 / 32768.0)
-        del index
-        z = z.view(np.complex128)
-        rotation.rotate(z, b0, b1)
-        h0, h1 = np.searchsorted(held_at, (b0, b1))
-        corrector.apply(
-            z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None,
-            out=mixed[b0:b1])
-    return mixed, lazy
-
-
-class _Rotation:
-    """Window j's entries [lo[j], hi[j]), rotated block by block (module
-    docstring); entry p of run k plays origin[k] + p sample periods
-    after tick 0."""
-
-    def __init__(self, windows: Windows, lo: np.ndarray, hi: np.ndarray,
-                 entry: np.ndarray, origin: np.ndarray):
-        self.windows, self.lo, self.hi = windows, lo, hi
-        self.entry, self.origin = entry, origin
-        self.first = self.played(lo)
-        self.ramp, self.ramp_at, self.period = _ramps(
-            windows.inc, self.played(hi - 1) - self.first + 1)
-
-    def played(self, p: np.ndarray) -> np.ndarray:
-        """Sample periods after tick 0 of entries p, from their run."""
-        return self.origin[np.searchsorted(self.entry, p, side="right")
-                           - 1] + p
-
-    def rotate(self, z: np.ndarray, b0: int, b1: int) -> None:
-        """Rotate entries [b0, b1), held in z, in place."""
-        j0, j1 = (np.searchsorted(self.hi, b0, side="right"),
-                  np.searchsorted(self.lo, b1))
-        if j1 == j0:
-            return
-        k0, k1 = np.searchsorted(self.entry, (b0, b1))
-        cut = np.concatenate([[b0], self.entry[k0:k1], self.lo[j0:j1],
-                              self.hi[j0:j1]])
-        cut = cut[(cut >= b0) & (cut < b1)]
-        cut.sort()          # then drop repeats: a sort beats np.unique's hash
-        cut = cut[np.concatenate([[True], cut[1:] != cut[:-1]])]
-        size = np.diff(cut, append=b1)
-        j = np.searchsorted(self.lo, cut, side="right") - 1
-        inside = (j >= 0) & (cut < self.hi[j])
-        # outside windows: d = 0 and one phasor row longer than the block
-        j[~inside] = 0
-        d = np.where(inside, self.played(cut) - self.first[j], 0)
-        row = np.where(inside, self.period[j], b1 - b0)
-        # one piece per cut and phasor row m
-        m, rep = _spans(d // row, (d + size - 1) // row + 1)
-        j, d, inside = j[rep], d[rep], inside[rep]
-        edge = m * row[rep]                 # d at the phasor row's start
-        d_at = np.maximum(d, edge)
-        at = cut[rep] + d_at - d
-        # entry p reads ramp[p + shift]; outside windows, the last, 1
-        shift = np.where(inside, self.ramp_at[j] + d_at - edge,
-                         len(self.ramp) - 1) - at
-        turn = np.where(inside, phasors(self.windows.words(
-            j, ANALOG_SAMPLE_TICKS * (self.first[j] + edge))), 1)
-        size = np.diff(at, append=b1)
-        index = np.repeat(shift, size)
-        index += np.arange(b0, b1)
-        factor = self.ramp.take(index, mode="clip")
-        del index
-        factor *= np.repeat(turn, size)
-        z *= factor
-
-
-def _ramps(inc: np.ndarray, span: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ramp, at, period) for windows of increment words inc that span
-    span sample periods, gaps included: ramp[at[j] + r] is window j's
-    factor r samples on from a phasor, for r < period[j], and the last
-    entry is 1.  One ramp per distinct increment, as long as its longest
-    span but at most BLOCK_SAMPLES over the distinct count."""
-    distinct, owner = np.unique(inc, return_inverse=True)
-    longest = np.zeros(len(distinct), np.int64)
-    np.maximum.at(longest, owner, span)
-    length = np.minimum(longest, BLOCK_SAMPLES // max(1, len(distinct)))
-    at = np.cumsum(length) - length
-    n = int(length.sum())
-    words = np.zeros(n + 1, np.int64)   # the last word 0 turns into 1
-    words[:n] = np.arange(n) - np.repeat(at, length)
-    words[:n] *= np.repeat(distinct, length)
-    words &= PHASE_MASK
-    # past BLOCK_SAMPLES increments a ramp is empty: r is 0, read as 1
-    return (phasors(words), np.where(length > 0, at, n)[owner],
-            np.maximum(length, 1)[owner])
-
-
-def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every integer of the ranges [lo[i], hi[i]) in order, and its i."""
-    n = hi - lo
-    which = np.repeat(np.arange(len(n)), n)
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), which
 
 
 def _compare(op: CmpOp, register: int, mask: int) -> bool:

@@ -17,8 +17,8 @@ template laps recorded, m, and the tick step of one copy (an int, or one
 per row when the rows move at different rates), so copying m laps of n
 events builds no Event.  The copies' Events are built only when the log
 is read, all of them on iteration, again on every such read, and only
-the one returned on indexing; ``OutputTrace.events`` reads its logs once
-and keeps the sorted list.
+the one returned on indexing; ``trace.OutputTrace.events`` reads its
+logs once and keeps the sorted list.
 """
 
 from __future__ import annotations

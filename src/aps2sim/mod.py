@@ -142,7 +142,7 @@ class ModEngine:
     dispatch tick and its dispatch position.  The decode loop appends a
     decoded command to each column's rows, and the lap fast-forward
     copies laps into them as it does into every column a lap writes
-    (``engine.Sequencer._copy_laps``).  ``columns`` builds the arrays,
+    (``laps.LapRecorder._copy_laps``).  ``columns`` builds the arrays,
     a command as its code, its index in ``table``.
     """
 

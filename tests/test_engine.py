@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from aps2sim.asm import insert_prefetch_hints
-from aps2sim import engine, events
-from aps2sim.clocks import ANALOG_SAMPLE_TICKS
+from aps2sim import events
+from aps2sim.clocks import ANALOG_SAMPLE_TICKS, PIPELINE_TICKS
 from aps2sim.column import Column
-from aps2sim.engine import (BLOCK_SAMPLES, PIPELINE_TICKS, STACK_DEPTH,
-                            DeadlockError, EngineConfig, Sequencer, SimTrap)
+from aps2sim.engine import (STACK_DEPTH, DeadlockError, EngineConfig,
+                            Sequencer, SimTrap)
 from aps2sim.events import Event, EventKind, EventLog
 from aps2sim.isa import (
     CmpOp,
@@ -31,9 +31,11 @@ from aps2sim.isa import (
     encode,
     turns_from_phase_word,
 )
+from aps2sim.laps import LapRecorder
 from aps2sim.mem import (LINE_FILL_BYTES, SDRAM_LATENCY_TICKS, MemConfig,
                         Sdram)
 from aps2sim.mod import MixerCorrector, ModConfig, Windows
+from aps2sim.trace import BLOCK_SAMPLES, Runs, _mix, _ramps
 
 from oracle import interpret, random_program, reference_resolve, resolved
 
@@ -1127,10 +1129,9 @@ def two_window_rotations(gap=0, first_tick=1280, **column):
     windows = Windows(*(np.array(cols[name], np.int64) for name in
                         ("lo", "hi", "ref_tick", "phase", "inc")))
     n = np.array([8, 1, cols["hi"][1] - 9])
-    runs = engine.Runs(np.array([280, first_tick, first_tick + 5 + gap]), n)
-    mixed, lazy = engine._mix(HALF, runs, np.zeros(3, np.int64),
-                              np.ones(3, bool), windows,
-                              MixerCorrector(ModConfig()))
+    runs = Runs(np.array([280, first_tick, first_tick + 5 + gap]), n)
+    mixed, lazy = _mix(HALF, runs, np.zeros(3, np.int64), np.ones(3, bool),
+                       windows, MixerCorrector(ModConfig()))
     assert not lazy.any()
     which = np.repeat([0, 1], [8, n[1:].sum()])
     return 2 * mixed, windows.rotation(which, runs.ticks())
@@ -1152,7 +1153,7 @@ def test_the_ramp_rotates_every_window_shape_as_the_direct_exp(change):
 def test_ramps_are_one_per_increment_and_fit_in_a_block():
     inc = np.array([3, 5 << 40, 3, 0, 5 << 40])
     span = np.array([10, 4, 20, 7, 100_000])
-    ramp, at, period = engine._ramps(inc, span)
+    ramp, at, period = _ramps(inc, span)
     # three ramps, each as long as its increment's longest span, but the
     # longest cut to a third of a block, and the unit entry
     assert period.tolist() == [20, BLOCK_SAMPLES // 3, 20, 7,
@@ -1166,7 +1167,7 @@ def test_ramps_are_one_per_increment_and_fit_in_a_block():
                            rtol=0, atol=1e-15)
     # past BLOCK_SAMPLES increments every window reads the unit entry
     many = np.arange(BLOCK_SAMPLES + 1)
-    ramp, at, period = engine._ramps(many, np.full(len(many), 9))
+    ramp, at, period = _ramps(many, np.full(len(many), 9))
     assert (period == 1).all() and (at == 0).all() and ramp.tolist() == [1]
 
 
@@ -1174,14 +1175,14 @@ def test_ramps_stay_within_one_block_of_memory(monkeypatch):
     # 128 shots, each at its own increment or all at one: 128 ramps cut
     # to 512 entries each, against one ramp of 4,096
     ramps = []
-    make_ramps = engine._ramps
+    make_ramps = _ramps
 
     def spy(inc, span):
         made = make_ramps(inc, span)
         ramps.append(made)
         return made
 
-    monkeypatch.setattr(engine, "_ramps", spy)
+    monkeypatch.setattr("aps2sim.trace._ramps", spy)
 
     def peak(distinct):
         shots = []
@@ -1217,13 +1218,13 @@ def test_many_increments_keep_the_rotation_within_a_block(monkeypatch):
     # increment or all at one: 4,096 ramps of 16 entries give 32 phasor
     # rows a window, 131,072 pieces in all, but a block cuts only its own
     ramps = []
-    make_ramps = engine._ramps
+    make_ramps = _ramps
 
     def spy(inc, span):
         ramps.append(make_ramps(inc, span))
         return ramps[-1]
 
-    monkeypatch.setattr(engine, "_ramps", spy)
+    monkeypatch.setattr("aps2sim.trace._ramps", spy)
 
     def peak(distinct):
         prog = []
@@ -1256,7 +1257,7 @@ def test_many_increments_keep_the_rotation_within_a_block(monkeypatch):
 #
 # A taken REPEAT whose state repeats the previous lap's appends the laps
 # still to run instead of decoding them.  Every run must stay identical
-# to decoding each lap, which is what Sequencer._skip_laps as a no-op
+# to decoding each lap, which is what LapRecorder.skip_laps as a no-op
 # does.
 
 
@@ -1264,24 +1265,35 @@ def test_many_increments_keep_the_rotation_within_a_block(monkeypatch):
 def skips(monkeypatch):
     """The laps each fast-forward appended, in order."""
     laps = []
-    repeat_laps = Sequencer._repeat_laps
+    repeat_laps = LapRecorder._repeat_laps
 
     def counted(self, *lap_records):
-        before = self.repeat_register
+        before = self.seq.repeat_register
         done = repeat_laps(self, *lap_records)
         if done:
-            laps.append(before - self.repeat_register)
+            laps.append(before - self.seq.repeat_register)
         return done
 
-    monkeypatch.setattr(Sequencer, "_repeat_laps", counted)
+    monkeypatch.setattr(LapRecorder, "_repeat_laps", counted)
     return laps
 
 
 def decoding_every_lap(monkeypatch, run):
-    """run() with the lap fast-forward off."""
+    """run() with the lap fast-forward off: every sequencer it makes
+    copied no lap, so a patch that misses the call site fails here."""
+    made = []
+    record = LapRecorder.__init__
+
+    def recording(self, seq):
+        record(self, seq)
+        made.append(seq)
+
     with monkeypatch.context() as m:
-        m.setattr(Sequencer, "_skip_laps", lambda self, at: None)
-        return run()
+        m.setattr(LapRecorder, "__init__", recording)
+        m.setattr(LapRecorder, "skip_laps", lambda self, at: None)
+        result = run()
+    assert made and all(seq.laps_copied == 0 for seq in made)
+    return result
 
 
 def long_loops_run_as_decoded(monkeypatch, skips, depth):
@@ -1293,16 +1305,16 @@ def long_loops_run_as_decoded(monkeypatch, skips, depth):
     cache events among them, and the seeds with affine copies
     (laps_copied counts more laps than the exact copies)."""
     replayed = []           # instruction-cache events each one appended
-    counted = Sequencer._repeat_laps
+    counted = LapRecorder._repeat_laps
 
     def replaying(self, *lap_records):
-        before = len(self.icache.events)
+        before = len(self.seq.icache.events)
         done = counted(self, *lap_records)
         if done:
-            replayed.append(len(self.icache.events) - before)
+            replayed.append(len(self.seq.icache.events) - before)
         return done
 
-    monkeypatch.setattr(Sequencer, "_repeat_laps", replaying)
+    monkeypatch.setattr(LapRecorder, "_repeat_laps", replaying)
     skipped = cached = affine = 0
     for seed in range(100):
         prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
@@ -1603,7 +1615,7 @@ def column_bytes(seq):
     equals the one built from its values one by one."""
     trace, eng = seq.finalize(), seq.modeng
     for e in seq.engines:
-        for column in (e.starts, *e.columns):
+        for column in e.columns:
             assert np.array_equal(column.array(), np.array(list(column),
                                                            np.int64))
     code, *columns = eng.columns()
@@ -1637,6 +1649,31 @@ def test_chunked_columns_build_the_decoded_bytes(monkeypatch, depth):
     assert copied >= 10          # runs with copies kept as chunks
 
 
+def test_a_loop_with_no_lap_left_compares_no_column(monkeypatch):
+    # an outer loop calling a 4-lap inner loop: the inner loop's last
+    # taken REPEAT leaves no lap to copy, so the lap bound, taken before
+    # any comparison, spares every column comparison of its laps
+    prog = image([Instruction(Opcode.LOAD_REPEAT, value=3000),
+                  Instruction(Opcode.CALL, addr=4),
+                  Instruction(Opcode.REPEAT, addr=1),
+                  Instruction(Opcode.GOTO, addr=8),
+                  Instruction(Opcode.LOAD_REPEAT, value=3), play(0, 8),
+                  Instruction(Opcode.REPEAT, addr=5),
+                  Instruction(Opcode.RETURN)])
+    compared = []
+    for cls in (Column, EventLog):
+        def spy(self, *rows, moved=cls.moved):
+            compared.append(rows)
+            return moved(self, *rows)
+
+        monkeypatch.setattr(cls, "moved", spy)
+    seq = Sequencer(prog)
+    fast = run_digest(seq)
+    assert compared == [] and seq.decodes > 36_000
+    assert fast == decoding_every_lap(monkeypatch,
+                                      lambda: run_digest(Sequencer(prog)))
+
+
 def probe_loop(laps):
     """laps laps of one 8-sample play and one marker pulse."""
     return loop([play(0, 8), marker_pulse(2)], laps - 1)
@@ -1649,13 +1686,13 @@ def test_copied_laps_take_memory_whatever_their_number(monkeypatch):
     assert run_digest(Sequencer(prog)) == decoding_every_lap(
         monkeypatch, lambda: run_digest(Sequencer(prog)))
     taken = []                  # the taken REPEATs decoded
-    skip_laps = Sequencer._skip_laps
+    skip_laps = LapRecorder.skip_laps
 
     def counted(self, at):
         taken.append(at)
         skip_laps(self, at)
 
-    monkeypatch.setattr(Sequencer, "_skip_laps", counted)
+    monkeypatch.setattr(LapRecorder, "skip_laps", counted)
 
     def memory_after_run(laps):
         taken.clear()
@@ -1749,7 +1786,7 @@ def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg,
 
 def test_every_column_a_lap_writes_is_copied():
     # a column added to an engine, the modulator or a log but left out
-    # of Sequencer._columns would miss every lap copy
+    # of LapRecorder.columns would miss every lap copy
     seq = Sequencer(image([play(0, 8)]))
     found = {}
     for obj in (*seq.engines, seq.modeng, seq.events, seq.icache.events,
@@ -1757,7 +1794,7 @@ def test_every_column_a_lap_writes_is_copied():
         for value in [obj] if isinstance(obj, Column) else vars(obj).values():
             if isinstance(value, Column):
                 found[id(value)] = value
-    listed = [id(column) for column in seq._columns]
+    listed = [id(column) for column, _, _ in seq.laps.columns]
     assert all(listed.count(key) == 1 for key in found)
     assert sorted(listed) == sorted(found)
 
@@ -1828,13 +1865,13 @@ def test_a_two_line_callee_in_a_loop_stops_missing_after_lap_1(monkeypatch):
     prog = insert_prefetch_hints(image(body))
     assert sorted(t // 128 for _, t in prog.prefetch_manifest) == [9, 10]
     ends = []                           # decode tick at each taken REPEAT
-    skip_laps = Sequencer._skip_laps
+    skip_laps = LapRecorder.skip_laps
 
     def spy(self, at):
-        ends.append(self.decode_tick)
+        ends.append(self.seq.decode_tick)
         skip_laps(self, at)
 
-    monkeypatch.setattr(Sequencer, "_skip_laps", spy)
+    monkeypatch.setattr(LapRecorder, "skip_laps", spy)
     trace = Sequencer(prog).run_simple()
     late = [e for e in trace.events
             if e.kind in ("miss", "window_wait") and e.tick >= ends[0]]
@@ -1871,16 +1908,16 @@ def run_streamed_calls(prog):
 def test_a_bus_bound_loop_copies_blocks_of_laps(monkeypatch, repeats):
     prog = insert_prefetch_hints(streamed_calls_program(repeats))
     copies = []                         # (block length, laps copied)
-    repeat_laps = Sequencer._repeat_laps
+    repeat_laps = LapRecorder._repeat_laps
 
     def spy(self, old, now, k):
-        before = self.repeat_register
+        before = self.seq.repeat_register
         done = repeat_laps(self, old, now, k)
         if done:
-            copies.append((k, before - self.repeat_register))
+            copies.append((k, before - self.seq.repeat_register))
         return done
 
-    monkeypatch.setattr(Sequencer, "_repeat_laps", spy)
+    monkeypatch.setattr(LapRecorder, "_repeat_laps", spy)
 
     def run():
         return run_digest(run_streamed_calls(prog), [1000])

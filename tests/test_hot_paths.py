@@ -11,26 +11,31 @@ as globals, and no config class derives a value in a property any more.
 This check fails on any function of the hot paths that reads a member
 through its enum class or a config property, so a property added back
 is caught where a hot path reads it.  A second check keeps ``np.unique``
-out of the per-block sample paths (``_Rotation.rotate`` and
+out of the per-block sample paths (``trace._Rotation.rotate`` and
 ``MixerCorrector.apply``).  A third keeps the per-PLAY queue room check
 on a plain list after laps are copied: every run it can read is a row
 of the start column, never a value a chunk stands for, and the dispatch
-column's rows stay parallel to the starts'.
+column's rows stay parallel to the starts'.  Every module of the package
+is either listed here or named cold, so a new module cannot slip past
+the first check.
 """
 
 import ast
 import inspect
+import pkgutil
 import textwrap
 
 import numpy as np
 import pytest
 
-from aps2sim import asm, column, engine, events, isa, mem, mod
+import aps2sim
+from aps2sim import asm, column, engine, events, isa, laps, mem, mod, trace
 from aps2sim.clocks import PIPELINE_TICKS
 from aps2sim.engine import EngineConfig, Sequencer
 from aps2sim.isa import (Instruction, Marker, MarkerAction, ModAction,
                          Modulator, Opcode, ProgramImage, Waveform, WfAction,
                          encode)
+from aps2sim.laps import LapRecorder
 
 ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
          "EventKind"}
@@ -46,7 +51,10 @@ HOT = {
           "_hint_sites", "_plan", "insert_prefetch_hints",
           "strip_prefetch_hints"],
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
-             "_compare", "_mix", "_Rotation", "_ramps"],
+             "_compare"],
+    laps: ["LapRecorder", "_steady", "_kept", "_state_key", "_restore",
+           "_lap_key", "_restore_engine", "_move_engine", "_affine_laps"],
+    trace: ["_mix", "_Rotation", "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
     events: ["EventLog", "_copies"],
     column: ["Column"],
@@ -55,6 +63,7 @@ HOT = {
           "ProgramImage.decode_all", "validate_program"],
 }
 CONSTRUCTORS = {"__init__", "reset"}     # read the configs once, by design
+COLD = {"clocks"}        # tick constants and helpers: no enum or config
 
 
 def config_properties(module) -> set[str]:
@@ -95,7 +104,10 @@ def slow_reads(source: str, properties: set[str]) -> list[str]:
     return found
 
 
-CASES = [(f"{m.__name__}.{name}", fn, config_properties(m))
+# a hot path reads the configs it is handed, not only those its module
+# imports (the lap code reads the sequencer's)
+PROPERTIES = set().union(*map(config_properties, HOT))
+CASES = [(f"{m.__name__}.{name}", fn, PROPERTIES)
          for m, name, fn in hot_functions()]
 
 
@@ -107,7 +119,7 @@ def test_hot_path_reads_no_enum_member_or_config_property(fn, properties):
 
 # per output block, numpy 2's hash-based np.unique costs about eight times
 # a sort and a neighbour mask on a block's few thousand cut points
-BLOCK_PATHS = [engine._Rotation.rotate, mod.MixerCorrector.apply]
+BLOCK_PATHS = [trace._Rotation.rotate, mod.MixerCorrector.apply]
 
 
 def unique_calls(source: str) -> list[str]:
@@ -164,9 +176,12 @@ def test_every_hot_name_exists():
             "aps2sim.mem.InstructionCache.read_instruction",
             "aps2sim.mod.ModEngine.resolve",
             "aps2sim.mod._nco_states",
-            "aps2sim.engine._ramps",
-            "aps2sim.engine._Rotation.rotate",
-            "aps2sim.engine._mix",
+            "aps2sim.trace._ramps",
+            "aps2sim.trace._Rotation.rotate",
+            "aps2sim.trace._mix",
+            "aps2sim.laps.LapRecorder.skip_laps",
+            "aps2sim.laps.LapRecorder._repeat_affine",
+            "aps2sim.laps._affine_laps",
             "aps2sim.mod.MixerCorrector.apply",
             "aps2sim.column.Column.repeat",
             "aps2sim.column.Column.moved",
@@ -180,6 +195,13 @@ def test_every_hot_name_exists():
             "aps2sim.isa.decode",
             "aps2sim.asm.assemble",
             "aps2sim.asm.insert_prefetch_hints"} <= {c[0] for c in CASES}
+
+
+def test_every_module_is_hot_or_named_cold():
+    modules = {m.name for m in pkgutil.iter_modules(aps2sim.__path__)}
+    hot = {module.__name__.rpartition(".")[2] for module in HOT}
+    assert not hot & COLD
+    assert modules == hot | COLD
 
 
 def test_a_column_appends_through_its_rows_own_method():
@@ -214,21 +236,22 @@ def modloop_shaped(depth):
 @pytest.mark.parametrize("depth", [4, 8, 64])
 def test_runs_not_started_by_the_decode_tick_are_rows(monkeypatch, depth):
     checked = []
-    skip_laps = Sequencer._skip_laps
+    skip_laps = LapRecorder.skip_laps
 
     def checking(self, at):
-        copied = self.laps_copied
+        seq = self.seq
+        copied = seq.laps_copied
         skip_laps(self, at)
-        if self.laps_copied == copied:
+        if seq.laps_copied == copied:
             return
-        for e in self.engines:
+        for e in seq.engines:
             rows = e.starts.rows
             assert type(rows) is list
             # the rows after the last chunk end with every run not
             # started by the decode tick
             tail = rows[e.starts.chunks[-1][0]:] if e.starts.chunks else rows
             starts = e.starts.array()
-            waiting = starts[starts > self.decode_tick].tolist()
+            waiting = starts[starts > seq.decode_tick].tolist()
             assert tail[len(tail) - len(waiting):] == waiting
             assert len(waiting) <= depth
             # the dispatch ticks are copied alike: row for row, chunk for
@@ -240,9 +263,9 @@ def test_runs_not_started_by_the_decode_tick_are_rows(monkeypatch, depth):
             # and each copy moved on with its run: no run starts before
             # the pipeline after its dispatch
             assert (dispatches.array() + PIPELINE_TICKS <= starts).all()
-        checked.append(sum(len(e.starts.chunks) for e in self.engines))
+        checked.append(sum(len(e.starts.chunks) for e in seq.engines))
 
-    monkeypatch.setattr(Sequencer, "_skip_laps", checking)
+    monkeypatch.setattr(LapRecorder, "skip_laps", checking)
     seq = modloop_shaped(depth)
     seq.run_simple(triggers=[50_000])
     assert seq.laps_copied > 300 and checked[-1] > 0   # copies as chunks

@@ -393,7 +393,7 @@ def test_resolve_matches_the_reference_loop(block):
 
 def copy_laps(eng, first, end, ticks, samples, count):
     """Append command rows first..end again count times as
-    Sequencer._copy_laps does: copy c's dispatch ticks moved on by
+    LapRecorder._copy_laps does: copy c's dispatch ticks moved on by
     c * ticks and its dispatch positions by c * samples."""
     eng.commands.repeat(first, end, 0, count)
     eng.ticks.repeat(first, end, ticks, count)
@@ -401,7 +401,7 @@ def copy_laps(eng, first, end, ticks, samples, count):
 
 
 def add_laps(eng, rng, starts, counts, decoded, *, submit_each=False):
-    """Append laps as Sequencer._repeat_laps does: the commands from a
+    """Append laps as LapRecorder._repeat_laps does: the commands from a
     seeded index at or after decoded on again, a seeded number of times,
     each lap's dispatch ticks a period and its positions a lap's samples
     further on; then decode a few commands more.  Runs are appended for
@@ -494,7 +494,7 @@ def test_lap_chunks_are_the_commands_submitted_one_by_one():
 
 def test_a_partial_copy_takes_its_template_from_before_the_chunk():
     # blocks of laps, then the first commands of the block once more, as
-    # Sequencer._repeat_laps appends the laps left after whole blocks:
+    # LapRecorder._repeat_laps appends the laps left after whole blocks:
     # the template rows lie before the blocks' chunk
     for seed in range(20):
         eng = random_stream(seed)[0]
