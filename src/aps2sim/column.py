@@ -8,10 +8,10 @@ modulator's commands (command, dispatch tick, dispatch position) and the
 event logs (``events.EventLog``).  A ``Column`` keeps such a copy as one
 chunk, (at, lo, hi, step, count): rows lo..hi again count times, after
 the first ``at`` rows, copy c (from 1) moved on by c × step.  The step
-is one int, or one int per template row when the rows move at different
-rates; a step of 0 repeats the rows unchanged.  So copying m laps costs
-the template's time and memory, not m times it.  ``moved``, the reading
-twin of ``repeat``, compares a lap's rows with the lap's before.
+is one int: every row of a column moves at the same rate, and a step of
+0 repeats the rows unchanged.  So copying m laps costs the template's
+time and memory, not m times it.  ``moved``, the reading twin of
+``repeat``, compares a lap's rows with the lap's before.
 
 Decoded values are rows of a plain list, and ``append`` is that list's
 own bound method, so the decode loop pays what appending to a list
@@ -26,8 +26,6 @@ the value it returns.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 import numpy as np
 
@@ -67,28 +65,21 @@ class Column:
                 break
             if i < at + done + (hi - lo) * count:
                 c, j = divmod(i - at - done, hi - lo)
-                if not isinstance(step, int):
-                    step = step[j:j + 1]
                 return self._moved(self.rows[lo + j:lo + j + 1], step,
                                    c + 1, c + 2)[0]
             done += (hi - lo) * count
         return self.rows[i - done]
 
-    def repeat(self, lo: int, hi: int, step, count: int,
+    def repeat(self, lo: int, hi: int, step: int, count: int,
                keep: int = 0) -> None:
         """Record rows lo..hi again count times, copy c moved on by
-        c * step (an int, or one int per row).  The last copies that
-        hold at least keep values are appended as rows, the others as
-        one chunk.  Raises ValueError if lo..hi is not a range of rows,
+        c * step.  The last copies that hold at least keep values are
+        appended as rows, the others as one chunk.  Raises ValueError if lo..hi is not a range of rows,
         or a chunk lies inside it: the rows there are not the values."""
         self._check(lo, hi)
         n = hi - lo
         if not n or count <= 0:
             return
-        if not isinstance(step, int):
-            step = np.asarray(step, np.int64)
-            if not step.ndim:
-                step = int(step)
         rows = min(count, -(-keep // n))
         chunked = count - rows
         if chunked:
@@ -98,21 +89,19 @@ class Column:
             self.rows += self._moved(self.rows[lo:hi], step, chunked + 1,
                                      count + 1)
 
-    def moved(self, lo: int, mid: int, hi: int, step) -> bool:
-        """Whether rows mid..hi are rows lo..mid moved on by step (an
-        int, or one int per row), the rows repeat(lo, mid, step, 1)
-        records; False if the two ranges differ in length.  Raises
-        ValueError as repeat does if lo..hi is not a range of rows."""
+    def moved(self, lo: int, mid: int, hi: int, step: int) -> bool:
+        """Whether rows mid..hi are rows lo..mid moved on by step, the
+        rows repeat(lo, mid, step, 1) records; False if the two ranges
+        differ in length.  Raises ValueError as repeat does if lo..hi is
+        not a range of rows."""
         self._check(lo, hi)
         rows = self.rows
         was, now = rows[lo:mid], rows[mid:hi]
         if len(was) != len(now):
             return False
-        if isinstance(step, int):
-            if not step:
-                return was == now        # rows of any kind, objects too
-            step = repeat(step)
-        return [value + s for value, s in zip(was, step)] == now
+        if not step:
+            return was == now            # rows of any kind, objects too
+        return [value + step for value in was] == now
 
     def _check(self, lo: int, hi: int) -> None:
         """Raise ValueError unless rows lo..hi are values: a range of
@@ -165,7 +154,7 @@ class Column:
     def _moved(self, template: list, step, first: int, stop: int) -> list:
         """Copies first..stop - 1 of template, copy c moved on by
         c * step; a step of 0 repeats the rows themselves."""
-        if isinstance(step, int) and not step:
+        if not step:
             return template * (stop - first)
         return (np.arange(first, stop)[:, None] * step
                 + np.array(template, np.int64)).ravel().tolist()

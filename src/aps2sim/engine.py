@@ -130,7 +130,8 @@ class DeadlockError(RuntimeError):
 
 
 class SimTrap(RuntimeError):
-    """Fatal program error (stack misuse, bad page mode, runaway loop)."""
+    """Runaway program: the decode budget ran out (stack misuse halts
+    with a ``trap`` event; a bad page mode raises ``mem.CacheError``)."""
 
 
 _MOD_WAIT_CMD = Modulator(MOD_WAIT)   # the modulator's share of a WAIT
@@ -139,12 +140,11 @@ _MOD_WAIT_CMD = Modulator(MOD_WAIT)   # the modulator's share of a WAIT
 class _StreamEngine:
     """Shared scheduling for waveform and marker engines."""
 
-    gaps_are_underruns = True     # a gap in the stream is lost output
+    gaps_are_underruns = True     # a gap is lost output, logged in events
     count_ticks = ANALOG_SAMPLE_TICKS     # a run's ticks per count
 
-    def __init__(self, name: str, events: EventLog, min_gap_ticks: int):
+    def __init__(self, name: str, min_gap_ticks: int):
         self.name = name
-        self.events = events
         self.min_gap = min_gap_ticks
         self.starts = Column()           # start tick of each run
         self.counts = Column()           # count operand of each run
@@ -228,8 +228,9 @@ class _StreamEngine:
 
 
 class WaveformEngine(_StreamEngine):
-    def __init__(self, events, cache: WaveformCache):
-        super().__init__("waveform", events, min_gap_ticks=MIN_PLAY_GAP_TICKS)
+    def __init__(self, cache: WaveformCache):
+        super().__init__("waveform", min_gap_ticks=MIN_PLAY_GAP_TICKS)
+        self.events = EventLog()         # its underruns
         self.cache = cache
         self.addrs = Column()            # absolute waveform address per run
         self.ta = Column()               # run repeats one TA sample
@@ -263,8 +264,8 @@ class MarkerEngine(_StreamEngine):
     gaps_are_underruns = False    # a marker idles low between pulses
     count_ticks = 4 * ANALOG_SAMPLE_TICKS     # a count is one 4-sample word
 
-    def __init__(self, channel: int, events):
-        super().__init__(f"marker{channel}", events, min_gap_ticks=CLK)
+    def __init__(self, channel: int):
+        super().__init__(f"marker{channel}", min_gap_ticks=CLK)
         self.channel = channel
         self.states = Column()
         self.lasts = Column()
@@ -308,9 +309,9 @@ class Sequencer:
                                        self.sdram)
         self.wavecache = WaveformCache(self.mem_cfg, self.image.waveforms,
                                        self.sdram)
-        self.events = EventLog()
-        self.wf = WaveformEngine(self.events, self.wavecache)
-        self.markers = [MarkerEngine(ch, self.events) for ch in range(4)]
+        self.events = EventLog()  # fetch stalls, queue_full, drops, traps
+        self.wf = WaveformEngine(self.wavecache)
+        self.markers = [MarkerEngine(ch) for ch in range(4)]
         self.engines = (self.wf, *self.markers)
         self.modeng = ModEngine()
         self.laps = LapRecorder(self)
@@ -369,7 +370,8 @@ class Sequencer:
         self.laps.clear()        # an input arrived: no lap spans it
         while not self.halted:
             if self.decodes >= max_decodes:
-                raise SimTrap("decode budget exhausted (runaway program?)")
+                raise SimTrap(f"decode budget {max_decodes} ran out at pc "
+                              f"{self.pc}, decode tick {self.decode_tick}")
             if self._sync_pending:
                 reason = self._try_sync()
                 if reason:
@@ -610,8 +612,9 @@ class Sequencer:
         mixed, lazy = _mix(self.image.waveforms, analog, wf.addrs.array(),
                            wf.ta.array().astype(bool), windows, corrector)
         # resolve replaces the modulator's list, so it is a snapshot too
-        logs = (self.events.copy(), self.icache.events.copy(),
-                self.wavecache.events.copy(), self.modeng.events)
+        logs = (wf.events.copy(), self.events.copy(),
+                self.icache.events.copy(), self.wavecache.events.copy(),
+                self.modeng.events)
         markers = {m.channel: m.runs() for m in self.markers if m.starts}
         return OutputTrace(analog=analog, markers=markers,
                            logs=logs, mixed=mixed, lazy=lazy,

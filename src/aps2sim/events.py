@@ -4,21 +4,23 @@ Stall rule: each stall is recorded once, by the layer that knows its
 cost in ticks.  The sequencer records ``fetch_stall``, the decode ticks
 lost beyond the hit latency (sequential fetch) or the jump penalty
 (taken jump); the waveform cache records ``swap_stall``, the ticks a
-page swap waited for its fill.  Stream engines record ``underrun``, the
-gap a late command left in one engine's stream; a gap is the output-side
-view of a stall or of decode pacing, so ``stalls()`` leaves it out.
+page swap waited for its fill.  The waveform engine records
+``underrun``, the gap a late command left in its stream; a gap is the
+output-side view of a stall or of decode pacing, so ``stalls()`` leaves
+it out.
 Caches record misses and late fills as causes, with no ticks, and count
 their hits instead of logging them.
 
-Storage: the sequencer and each cache keep their events in an
-``EventLog``, a ``column.Column`` of ``Event`` rows.  A decoded event is
+Storage: the sequencer, the waveform engine and each cache keep their
+events in an ``EventLog`` of their own, a ``column.Column`` of ``Event``
+rows; the modulator builds its list on each resolve.  A decoded event is
 one row.  A fast-forwarded block of m laps is one chunk: the rows its
-template laps recorded, m, and the tick step of one copy (an int, or one
-per row when the rows move at different rates), so copying m laps of n
-events builds no Event.  The copies' Events are built only when the log
-is read, all of them on iteration, again on every such read, and only
-the one returned on indexing; ``trace.OutputTrace.events`` reads its
-logs once and keeps the sorted list.
+template laps recorded, m, and the tick step of one copy, one int for
+the whole log, so copying m laps of n events builds no Event.  The
+copies' Events are built only when the log is read, all of them on
+iteration, again on every such read, and only the one returned on
+indexing; ``trace.OutputTrace.events`` reads its logs once and keeps
+the sorted list.
 """
 
 from __future__ import annotations
@@ -109,37 +111,35 @@ class EventLog(Column):
 
     __slots__ = ()
 
-    def _moved(self, template: list[Event], step, first: int,
+    def _moved(self, template: list[Event], step: int, first: int,
                stop: int) -> list[Event]:
         return _copies(template, step, first, stop)
 
-    def moved(self, lo: int, mid: int, hi: int, step) -> bool:
+    def moved(self, lo: int, mid: int, hi: int, step: int) -> bool:
         """Whether events mid..hi are events lo..mid, each tick moved on
-        by step (an int, or one int per event) and all else equal; False
-        if the two ranges differ in length (``Column.moved``)."""
+        by step and all else equal; False if the two ranges differ in
+        length (``Column.moved``)."""
         self._check(lo, hi)
         rows = self.rows
         was, now = rows[lo:mid], rows[mid:hi]
         if len(was) != len(now):
             return False
-        if isinstance(step, int):
-            step = repeat(step)
-        return [(e.tick + s, *e[1:]) for e, s in zip(was, step)] == now
+        return [(e.tick + step, *e[1:]) for e in was] == now
 
 
-def _copies(template: list[Event], step, first: int,
+def _copies(template: list[Event], step: int, first: int,
             stop: int) -> list[Event]:
     """Copies first..stop - 1 of template, copy c's ticks (and the until
-    tick of a queue_full) moved on by c * step, step one int or one per
-    template event; details without a tick are shared."""
+    tick of a queue_full) moved on by c * step; details without a tick
+    are shared."""
     n, m = len(template), stop - first
     tick, kind, ticks, detail = zip(*template)
-    shifts = np.arange(first, stop)[:, None] * np.reshape(step, (1, -1))
-    tick = (shifts + np.array(tick, np.int64)).ravel().tolist()
+    shifts = np.arange(first, stop) * step
+    tick = (shifts[:, None] + np.array(tick, np.int64)).ravel().tolist()
     detail = list(detail) * m
     for j in [j for j, k in enumerate(kind) if k is EV_QUEUE_FULL]:
         base = detail[j]
-        for c, d in enumerate(shifts[:, j % shifts.shape[1]].tolist()):
+        for c, d in enumerate(shifts.tolist()):
             detail[c * n + j] = {**base, "until": base["until"] + d}
     # tuple.__new__ is Event(...) less its Python-level __new__
     return list(map(tuple.__new__, repeat(Event, n * m),

@@ -12,7 +12,7 @@ underrun event records it.  Each lap records its counters and the row
 count of every column a lap writes, all listed once in
 ``LapRecorder.columns`` with the step rule of each: each engine's runs
 (start and dispatch tick, count and the rest), the modulator's commands,
-dispatch ticks and positions, and the three event logs.  The full state
+dispatch ticks and positions, and the four event logs.  The full state
 is built only when the lap's waveform lead (frontier less t0) equals a
 recorded one.  The laps copied are one chunk in every column
 (``column.Column.repeat``): the laps' rows once, the number of copies
@@ -60,9 +60,9 @@ decodes, hits, misses and samples, and every column, each compared by
 ``Column.moved`` with the step a copy takes: the commands, their
 dispatch ticks (moved by P) and positions, each engine's run starts
 (moved by Q), dispatch ticks (moved by P) and the rest of its runs, and
-the events (an underrun moved by the waveform engine's Q, a fetch stall
-and every instruction-cache event by P, and no event of another kind
-from the sequencer); no SYNC fence or page event.  Each run of the
+the event logs (the waveform engine's underruns moved by its Q, like
+its run starts; the sequencer's, fetch stalls only, and the instruction
+cache's by P); no SYNC fence or page event.  Each run of the
 last lap started by ``_start_for``'s rule over three bounds: the
 pipeline after its dispatch (moving P), the floor (0) and the last
 start plus the minimum gap (Q).  Its slack, frontier less each bound,
@@ -88,12 +88,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .clocks import PIPELINE_TICKS, SEQ_CLOCK_TICKS as CLK
-from .events import EV_FETCH_STALL, EV_UNDERRUN
+from .events import EV_FETCH_STALL
 
 __all__ = ["LapRecorder"]
 
-# step rules of the columns; an engine's run starts take the engine's move
-PERIOD, SAMPLES, EVENTS, STILL = "period", "samples", "events", "still"
+# step rules of the columns; an engine's starts and log take its move
+PERIOD, SAMPLES, STILL = "period", "samples", "still"
 
 
 class _Marks(NamedTuple):
@@ -153,8 +153,8 @@ class LapRecorder:
             [(c, e if c is e.starts else PERIOD if c is e.dispatches
               else STILL, depth) for e in seq.engines for c in e.columns]
             + [(modeng.commands, STILL, 0), (modeng.ticks, PERIOD, 0),
-               (modeng.positions, SAMPLES, 0), (seq.events, EVENTS, 0),
-               (seq.icache.events, PERIOD, 0),
+               (modeng.positions, SAMPLES, 0), (seq.wf.events, seq.wf, 0),
+               (seq.events, PERIOD, 0), (seq.icache.events, PERIOD, 0),
                (seq.wavecache.events, PERIOD, 0)])
 
     def clear(self) -> None:
@@ -274,16 +274,14 @@ class LapRecorder:
         for e in engines:
             x, y, z = ma.rows[e.starts], mb.rows[e.starts], mc.rows[e.starts]
             moves[e] = e.starts.rows[y] - e.starts.rows[x] if z > y else 0
-        # an underrun moves with the waveform stream, a fetch stall with
-        # the decode tick; a lap with any other event of the sequencer's
-        # is not copied
-        rates = {EV_UNDERRUN: moves[seq.wf], EV_FETCH_STALL: period}
-        events = [rates.get(e.kind) for e in seq.events.rows[
-            ma.rows[seq.events]:mb.rows[seq.events]]]
-        if None in events:
+        # a fetch stall moves with the decode tick; a lap with any other
+        # event of the sequencer's is not copied
+        log = seq.events
+        if any(e.kind is not EV_FETCH_STALL
+               for e in log.rows[ma.rows[log]:mb.rows[log]]):
             return False
         steps = self._rule_steps(period, mc.stream_pos - mb.stream_pos,
-                                 moves, events)
+                                 moves)
         if not all(c.moved(ma.rows[c], mb.rows[c], mc.rows[c], steps[rule])
                    for c, rule, _ in self.columns):
             return False
@@ -309,12 +307,11 @@ class LapRecorder:
             _move_engine(e, laps * move, seq.decode_tick)
         return True
 
-    def _rule_steps(self, period, samples, moves=None, events=None) -> dict:
-        """Each rule's step per copy (``columns``): run starts move by
-        moves and events by events, each by default by the period."""
+    def _rule_steps(self, period, samples, moves=None) -> dict:
+        """Each rule's step per copy (``columns``): an engine's run
+        starts and log move by its move in moves, by default the period."""
         return {**(dict.fromkeys(self.seq.engines, period) if moves is None
-                   else moves), PERIOD: period, SAMPLES: samples, STILL: 0,
-                EVENTS: period if events is None else events}
+                   else moves), PERIOD: period, SAMPLES: samples, STILL: 0}
 
     def _copy_laps(self, old: _Marks, end: _Marks, laps: int, count: int,
                    steps: dict) -> None:

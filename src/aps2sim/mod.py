@@ -86,6 +86,14 @@ class ModConfig:
     dc_offset_q: float = 0.0
     dac_bits: int | None = None      # optional output quantization, e.g. 14
 
+    def __post_init__(self):
+        if len(self.mixer_matrix) != 4:
+            raise ValueError("ModConfig.mixer_matrix must hold 4 entries "
+                             f"(a, b, c, d), got {len(self.mixer_matrix)}")
+        if self.dac_bits is not None and self.dac_bits < 1:
+            raise ValueError("ModConfig.dac_bits must be at least 1 or "
+                             f"None, got {self.dac_bits}")
+
 
 def phasors(words: np.ndarray) -> np.ndarray:
     """exp(2πi·word / 2^48) of 48-bit phase words: the word (exact in

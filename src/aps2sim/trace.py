@@ -114,10 +114,11 @@ class OutputTrace:
     their corrected samples in stream order, except that a lazy run (a
     TA run outside every MODULATE window, flagged in lazy) holds one
     entry for all its samples.  analog_values() expands those entries.
-    logs holds the event logs as ``finalize`` saw them (the sequencer's,
-    the instruction cache's, the waveform cache's, the modulator's);
-    events is built from them on its first read, copied laps expanded,
-    and kept, so decoding after ``finalize`` leaves it unchanged.
+    logs holds the event logs as ``finalize`` saw them, in this order:
+    the waveform engine's, the sequencer's, the instruction cache's, the
+    waveform cache's and the modulator's.  events is built from them on
+    its first read, copied laps expanded, and kept, so decoding after
+    ``finalize`` leaves it unchanged.
     """
 
     analog: Runs

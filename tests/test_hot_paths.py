@@ -15,9 +15,11 @@ out of the per-block sample paths (``trace._Rotation.rotate`` and
 ``MixerCorrector.apply``).  A third keeps the per-PLAY queue room check
 on a plain list after laps are copied: every run it can read is a row
 of the start column, never a value a chunk stands for, and the dispatch
-column's rows stay parallel to the starts'.  Every module of the package
-is either listed here or named cold, so a new module cannot slip past
-the first check.
+column's rows stay parallel to the starts'.  A fourth keeps every copy
+of a column on one int step, which needs each layer that records
+events, the waveform engine with its underruns among them, to keep its
+own log.  Every module of the package is either listed here or named
+cold, so a new module cannot slip past the first check.
 """
 
 import ast
@@ -30,12 +32,15 @@ import pytest
 
 import aps2sim
 from aps2sim import asm, column, engine, events, isa, laps, mem, mod, trace
+from aps2sim.asm import insert_prefetch_hints
 from aps2sim.clocks import PIPELINE_TICKS
 from aps2sim.engine import EngineConfig, Sequencer
 from aps2sim.isa import (Instruction, Marker, MarkerAction, ModAction,
                          Modulator, Opcode, ProgramImage, Waveform, WfAction,
                          encode)
 from aps2sim.laps import LapRecorder
+
+from oracle import random_program
 
 ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
          "EventKind"}
@@ -269,3 +274,49 @@ def test_runs_not_started_by_the_decode_tick_are_rows(monkeypatch, depth):
     seq = modloop_shaped(depth)
     seq.run_simple(triggers=[50_000])
     assert seq.laps_copied > 300 and checked[-1] > 0   # copies as chunks
+
+
+def test_every_copied_column_moves_by_one_int(monkeypatch):
+    # every row of a column a lap writes moves at one rate, so each copy
+    # and each lap comparison takes one int step: the waveform engine
+    # logs its underruns apart, moved with its runs, while the
+    # sequencer's fetch stalls move with the decode tick
+    steps = []
+    repeat = column.Column.repeat
+
+    def repeating(self, lo, hi, step, count, keep=0):
+        steps.append(step)
+        repeat(self, lo, hi, step, count, keep)
+
+    def comparing(moved):
+        def spy(self, lo, mid, hi, step):
+            steps.append(step)
+            return moved(self, lo, mid, hi, step)
+        return spy
+
+    monkeypatch.setattr(column.Column, "repeat", repeating)
+    for cls in (column.Column, events.EventLog):
+        monkeypatch.setattr(cls, "moved", comparing(cls.moved))
+
+    def copied_underruns(seq):
+        """Whether laps copied underruns, each into the waveform engine's
+        log; checks the steps of the run."""
+        assert all(type(step) is int for step in steps)
+        steps.clear()
+        assert all(e.kind != "underrun" for e in seq.events)
+        log = seq.wf.events
+        assert all(e.kind == "underrun" for e in log)
+        return bool(log.chunks)
+
+    seq = modloop_shaped(4)
+    seq.run_simple(triggers=[50_000])
+    assert seq.laps_copied > 300 and copied_underruns(seq)
+    runs = []
+    for seed in range(100):
+        prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
+                                           max_repeat=40, pad=300)
+        for hinted in (prog, insert_prefetch_hints(prog)):
+            seq = Sequencer(hinted, EngineConfig(initial_cmp=initial_cmp))
+            seq.run_simple()
+            runs.append(copied_underruns(seq))
+    assert sum(runs) >= 70        # 79 of the 200 runs copy underruns

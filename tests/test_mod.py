@@ -223,6 +223,21 @@ def test_mixer_result_does_not_depend_on_the_call_size():
     assert together.tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mixer_matrix", (1.0, 0.0, 1.0)), ("mixer_matrix", (1.0,) * 5),
+    ("dac_bits", 0), ("dac_bits", -3)])
+def test_mod_config_rejects_a_bad_value(field, value):
+    # caught where the config is built, not in finalize's shift or the
+    # mixer's unpacking
+    with pytest.raises(ValueError, match=f"ModConfig.{field}"):
+        ModConfig(**{field: value})
+
+
+def test_mod_config_takes_one_dac_bit_or_none():
+    assert ModConfig(dac_bits=1).dac_bits == 1
+    assert ModConfig(dac_bits=None).dac_bits is None
+
+
 def test_mixer_counts_saturations_exactly():
     matrix = (1.07, -0.13, 0.09, 0.94)
     rng = np.random.default_rng(3)
