@@ -109,9 +109,12 @@ class WaveformLibrary:
         arr = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError(f"waveform {name!r} must be a nonempty 1-d array")
-        peak = max(np.abs(arr.real).max(), np.abs(arr.imag).max())
-        if peak >= 1.0:
-            raise ValueError(f"waveform {name!r} exceeds [-1, 1): peak {peak}")
+        # NaN fails both comparisons, so it is out of range too
+        ok = (-1.0 <= arr.real) & (arr.real < 1.0) \
+            & (-1.0 <= arr.imag) & (arr.imag < 1.0)
+        if not ok.all():
+            raise ValueError(f"waveform {name!r} exceeds [-1, 1): sample "
+                             f"{arr[~ok][0]}")
         self.entries[name] = arr
 
     def pack(self) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
@@ -145,23 +148,32 @@ class WaveformLibrary:
 
     @classmethod
     def load(cls, path) -> "WaveformLibrary":
-        lib = cls()
         with open(path, "rb") as fh:
-            if fh.read(8) != WLB_MAGIC:
-                raise ValueError(f"{path}: not a waveform library")
-            version, count = struct.unpack("<HI", fh.read(6))
+            raw = fh.read()
+        if raw[:8] != WLB_MAGIC:
+            raise ValueError(f"{path}: not a waveform library")
+        try:
+            version, count = struct.unpack_from("<HI", raw, 8)
             if version != WLB_VERSION:
                 raise ValueError(f"{path}: unsupported version {version}")
-            names = []
-            for _ in range(count):
-                (nlen,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(nlen).decode()
-                (slen,) = struct.unpack("<I", fh.read(4))
-                names.append((name, slen))
-            for name, slen in names:
-                pairs = np.frombuffer(fh.read(8 * slen), dtype="<f4").reshape(-1, 2)
-                lib.add(name, pairs[:, 0].astype(np.float64)
-                        + 1j * pairs[:, 1].astype(np.float64))
+            pos, names = 14, []
+            for _ in range(count):      # (u16 length, name, u32 samples)
+                (nlen,) = struct.unpack_from("<H", raw, pos)
+                (slen,) = struct.unpack_from("<I", raw, pos + 2 + nlen)
+                names.append((raw[pos + 2:pos + 2 + nlen].decode(), slen))
+                pos += 6 + nlen
+        except struct.error:
+            raise ValueError(f"{path}: file of {len(raw)} bytes ends inside "
+                             f"its header") from None
+        need = pos + sum(8 * slen for _, slen in names)
+        if len(raw) != need:
+            raise ValueError(f"{path}: file is {len(raw)} bytes, expected {need}")
+        lib = cls()
+        for name, slen in names:
+            pairs = np.frombuffer(raw, "<f4", 2 * slen, pos).reshape(-1, 2)
+            lib.add(name, pairs[:, 0].astype(np.float64)
+                    + 1j * pairs[:, 1].astype(np.float64))
+            pos += 8 * slen
         return lib
 
 

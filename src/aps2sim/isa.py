@@ -7,19 +7,16 @@ Every instruction packs into one little-endian 64-bit word:
      |  opcode  |  flags   |  address field (24 bit)  |  count field (24)  |
      +----------+----------+--------------------------+--------------------+
 
-The flags byte is opcode specific:
-
-    WAVEFORM    bit1..0 action (PLAY/WAIT/SYNC/PREFETCH), bit2 TA pair
-    MARKER      bit1..0 action (PLAY/WAIT/SYNC), bit3..2 channel, bit4 state
-    MODULATOR   bit2..0 action, bit7..4 NCO mask (NCO index for MODULATE)
-    GOTO/CALL   bit0 conditional on the comparison result
-    CMP         bit1..0 comparison operator
+The table ``LAYOUT`` is the layout: one entry per (opcode, action) says
+where each field sits in the flags byte and the payload, and encode and
+decode both read it.  An engine opcode (WAVEFORM, MARKER, MODULATOR)
+keeps its action in the low bits of the flags byte.
 
 Phase-carrying modulator instructions use the full 48-bit payload as an
 unsigned phase word in units of 2**-48 turns, so every encodable phase is
 exactly representable and round-trips bit for bit.
 
-Decoding is strict: any bit that the opcode does not define must be zero,
+Decoding is strict: any bit that the layout does not list must be zero,
 so decode(word) either returns an instruction with encode(instr) == word
 or raises DecodeError.  Addresses are instruction addresses in the range
 [0, 2**24); waveform addresses index complex sample pairs.
@@ -28,8 +25,9 @@ or raises DecodeError.  Addresses are instruction addresses in the range
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,11 +59,7 @@ __all__ = [
     "turns_from_phase_word",
 ]
 
-ADDR_BITS = 24
-COUNT_BITS = 24
 PHASE_BITS = 48
-ADDR_MASK = (1 << ADDR_BITS) - 1
-COUNT_MASK = (1 << COUNT_BITS) - 1
 PHASE_MASK = (1 << PHASE_BITS) - 1
 
 CACHE_LINE_INSTRUCTIONS = 128          # 1 kB line of 8-byte words
@@ -161,12 +155,8 @@ CMP_NEQ = CmpOp.NEQ
 CMP_LT = CmpOp.LT
 CMP_GT = CmpOp.GT
 
-_ENGINE_OPS = frozenset({OP_WAVEFORM, OP_MARKER, OP_MODULATOR})
-_BARE_OPS = frozenset({OP_WAIT, OP_SYNC, OP_LOAD_CMP, OP_RETURN})
-_BRANCH_OPS = frozenset({OP_GOTO, OP_CALL})
 # the opcodes whose addr field is a target (asm reads this set too)
 TARGET_OPS = frozenset({OP_GOTO, OP_CALL, OP_REPEAT, OP_PREFETCH})
-_MOD_BARE = frozenset({MOD_WAIT, MOD_SYNC})
 
 
 class EncodeError(ValueError):
@@ -228,149 +218,138 @@ def turns_from_phase_word(word: int) -> float:
     return (word & PHASE_MASK) / (1 << PHASE_BITS)
 
 
-def _check_field(name: str, value: int, bits: int) -> int:
-    if not 0 <= value < (1 << bits):
-        raise EncodeError(f"{name} {value:#x} does not fit in {bits} bits")
-    return value
+# The word layout, one entry per (opcode, action): each field as (name,
+# low bit, width), a field of the payload for an engine opcode and of the
+# Instruction for the others.  An engine opcode's action fills the low
+# bits of the flags byte (_PAYLOADS gives how many).  Every bit a layout
+# does not list is reserved and must be zero, and every field it does not
+# list must keep its default.
+_TARGET = ("addr", 24, 24)
+_PHASE = (("nco", 52, 4), ("phase_word", 0, PHASE_BITS))    # NCO mask
+LAYOUT = {
+    (OP_WAVEFORM, WF_PLAY): (("ta", 50, 1), ("addr", 24, 24), ("count", 0, 24)),
+    (OP_WAVEFORM, WF_WAIT): (),
+    (OP_WAVEFORM, WF_SYNC): (),
+    (OP_WAVEFORM, WF_PREFETCH): (_TARGET,),                   # page index
+    (OP_MARKER, MK_PLAY): (("channel", 50, 2), ("state", 52, 1),
+                           ("last_word", 24, 4), ("count", 0, 24)),
+    (OP_MARKER, MK_WAIT): (("channel", 50, 2),),
+    (OP_MARKER, MK_SYNC): (("channel", 50, 2),),
+    (OP_MODULATOR, MOD_WAIT): (),
+    (OP_MODULATOR, MOD_SYNC): (),
+    (OP_MODULATOR, MOD_RESET_PHASE): (("nco", 52, 4),),
+    (OP_MODULATOR, MOD_SET_PHASE_OFFSET): _PHASE,
+    (OP_MODULATOR, MOD_SET_PHASE_INCREMENT): _PHASE,
+    (OP_MODULATOR, MOD_UPDATE_FRAME): _PHASE,
+    (OP_MODULATOR, MOD_MODULATE): (("nco", 52, 2), ("count", 0, 24)),  # index
+    (OP_WAIT, None): (),
+    (OP_SYNC, None): (),
+    (OP_LOAD_REPEAT, None): (("value", 0, 24),),
+    (OP_REPEAT, None): (_TARGET,),
+    (OP_LOAD_CMP, None): (),
+    (OP_CMP, None): (("cmp_op", 48, 2), ("mask", 0, 24)),
+    (OP_GOTO, None): (("conditional", 48, 1), _TARGET),
+    (OP_CALL, None): (("conditional", 48, 1), _TARGET),
+    (OP_RETURN, None): (),
+    (OP_PREFETCH, None): (_TARGET,),
+}
+# engine opcode -> its payload class and the width of its action
+_PAYLOADS = {OP_WAVEFORM: (Waveform, 2), OP_MARKER: (Marker, 2),
+             OP_MODULATOR: (Modulator, 3)}
+# the fields that decode to a member of a tuple rather than an int
+_DECODED = {"ta": (False, True), "conditional": (False, True),
+            "cmp_op": tuple(CmpOp)}
+
+
+class _Layout:
+    """One LAYOUT entry, compiled once: the word's opcode and action bits,
+    the mask of its reserved bits, and a getter on the Instruction for
+    each field it lists and for each field that keeps its default."""
+
+    __slots__ = ("op", "payload", "action", "label", "word", "reserved",
+                 "fields", "strays")
+
+    def __init__(self, op: Opcode, action, spec) -> None:
+        payload, action_bits = _PAYLOADS.get(op, (None, 0))
+        self.op, self.payload, self.action = op, payload, action
+        self.label = op.name if action is None else f"{op.name} {action.name}"
+        self.word = op << 56 | (action or 0) << 48
+        defined = (0xFF00 | (1 << action_bits) - 1) << 48
+        for _, low, width in spec:
+            defined |= (1 << width) - 1 << low
+        self.reserved = (1 << 64) - 1 & ~defined
+        path = "" if payload is None else "engine."
+        self.fields = tuple((attrgetter(path + name), name, low,
+                             (1 << width) - 1, _DECODED.get(name))
+                            for name, low, width in spec)
+        listed = {"op", *(path + name for name, _, _ in spec)}
+        defaults = [(f.name, f.default) for f in fields(Instruction)]
+        if payload is not None:
+            listed |= {"engine", "engine.action"}
+            defaults += [(path + f.name, f.default) for f in fields(payload)]
+        self.strays = tuple((attrgetter(name), name.rpartition(".")[2], default)
+                            for name, default in defaults if name not in listed)
+
+    def pack(self, instr: Instruction) -> int:
+        word = self.word
+        for get, name, low, mask, _ in self.fields:
+            value = get(instr)
+            if value is None or not 0 <= value <= mask:
+                raise EncodeError(f"{self.label} {name} {value!r} does not "
+                                  f"fit in {mask.bit_length()} bits")
+            word |= value << low
+        for get, name, default in self.strays:
+            if get(instr) != default:
+                raise EncodeError(f"{self.label} takes no {name}")
+        return word
+
+    def unpack(self, word: int) -> Instruction:
+        if word & self.reserved:
+            raise DecodeError(f"word {word:#018x} has reserved bits set")
+        values = {name: word >> low & mask if cast is None
+                  else cast[word >> low & mask]
+                  for _, name, low, mask, cast in self.fields}
+        if self.payload is None:
+            return Instruction(self.op, **values)
+        return Instruction(self.op, self.payload(self.action, **values))
+
+
+_LAYOUTS = {key: _Layout(*key, spec) for key, spec in LAYOUT.items()}
+# decode finds a layout by the word's opcode byte and action bits: _KEEP
+# maps the opcode byte to the mask of the top 16 bits that keeps them
+_BY_HIGH = {layout.word >> 48: layout for layout in _LAYOUTS.values()}
+_KEEP = {int(op): 0xFF00 | (1 << _PAYLOADS.get(op, (None, 0))[1]) - 1
+         for op in Opcode}
 
 
 def encode(instr: Instruction) -> int:
     """Pack an instruction into its 64-bit word, validating all fields."""
     op = instr.op
-    flags = 0
-    payload = 0
-
-    if op is OP_WAVEFORM:
-        wf = instr.engine
-        if not isinstance(wf, Waveform):
-            raise EncodeError("WAVEFORM requires a Waveform payload")
-        flags = int(wf.action) | (int(bool(wf.ta)) << 2)
-        if wf.action is WF_PLAY:
-            payload = (_check_field("waveform addr", wf.addr, ADDR_BITS) << COUNT_BITS) \
-                | _check_field("waveform count", wf.count, COUNT_BITS)
-        elif wf.action is WF_PREFETCH:
-            if wf.ta:
-                raise EncodeError("waveform PREFETCH cannot be a TA pair")
-            payload = _check_field("waveform page", wf.addr, ADDR_BITS) << COUNT_BITS
-            if wf.count:
-                raise EncodeError("waveform PREFETCH takes no count")
-        else:
-            if wf.addr or wf.count or wf.ta:
-                raise EncodeError(f"waveform {wf.action.name} takes no payload")
-    elif op is OP_MARKER:
-        mk = instr.engine
-        if not isinstance(mk, Marker):
-            raise EncodeError("MARKER requires a Marker payload")
-        _check_field("marker channel", mk.channel, 2)
-        _check_field("marker state", mk.state, 1)
-        flags = int(mk.action) | (mk.channel << 2) | (mk.state << 4)
-        if mk.action is MK_PLAY:
-            payload = (_check_field("marker last word", mk.last_word, 4) << COUNT_BITS) \
-                | _check_field("marker count", mk.count, COUNT_BITS)
-        elif mk.count or mk.last_word or mk.state:
-            raise EncodeError(f"marker {mk.action.name} takes no payload")
-    elif op is OP_MODULATOR:
-        md = instr.engine
-        if not isinstance(md, Modulator):
-            raise EncodeError("MODULATOR requires a Modulator payload")
-        _check_field("nco field", md.nco, 4)
-        flags = int(md.action) | (md.nco << 4)
-        if md.action is MOD_MODULATE:
-            if md.nco >= NUM_NCOS:
-                raise EncodeError(f"MODULATE nco index {md.nco} out of range")
-            if md.phase_word:
-                raise EncodeError("MODULATE carries a count, not a phase")
-            payload = _check_field("modulate count", md.count, COUNT_BITS)
-        elif md.action in _MOD_BARE:
-            if md.nco or md.phase_word or md.count:
-                raise EncodeError(f"modulator {md.action.name} takes no payload")
-        else:
-            if md.count:
-                raise EncodeError(f"modulator {md.action.name} takes no count")
-            payload = _check_field("phase word", md.phase_word, PHASE_BITS)
-            if md.action is MOD_RESET_PHASE and md.phase_word:
-                raise EncodeError("RESET_PHASE takes no phase word")
-    elif op in _BARE_OPS:
-        pass
-    elif op is OP_LOAD_REPEAT:
-        payload = _check_field("repeat value", instr.value, COUNT_BITS)
-    elif op is OP_REPEAT or op is OP_PREFETCH:
-        payload = _check_field("target address", instr.addr, ADDR_BITS) << COUNT_BITS
-    elif op in _BRANCH_OPS:
-        flags = int(bool(instr.conditional))
-        payload = _check_field("target address", instr.addr, ADDR_BITS) << COUNT_BITS
-    elif op is OP_CMP:
-        if instr.cmp_op is None:
-            raise EncodeError("CMP requires a comparison operator")
-        flags = int(instr.cmp_op)
-        payload = _check_field("cmp mask", instr.mask, COUNT_BITS)
-    else:  # pragma: no cover - Opcode is closed
-        raise EncodeError(f"unhandled opcode {op!r}")
-
-    _check_stray(instr, op)
-    return (int(op) << 56) | (flags << 48) | payload
-
-
-def _check_stray(instr: Instruction, op: Opcode) -> None:
-    """Reject payload fields that do not belong to the opcode."""
-    if op not in _ENGINE_OPS and instr.engine is not None:
-        raise EncodeError(f"{op.name} takes no engine payload")
-    if op not in TARGET_OPS and instr.addr:
-        raise EncodeError(f"{op.name} takes no address")
-    if op is not OP_LOAD_REPEAT and instr.value:
-        raise EncodeError(f"{op.name} takes no value")
-    if op is not OP_CMP and (instr.cmp_op is not None or instr.mask):
-        raise EncodeError(f"{op.name} takes no comparison payload")
-    if op not in _BRANCH_OPS and instr.conditional:
-        raise EncodeError(f"{op.name} cannot be conditional")
+    payload = _PAYLOADS.get(op)
+    if payload is None:
+        layout = _LAYOUTS.get((op, None))
+    elif isinstance(instr.engine, payload[0]):
+        layout = _LAYOUTS.get((op, instr.engine.action))
+    else:
+        raise EncodeError(f"{op.name} requires a {payload[0].__name__} payload")
+    if layout is None:
+        raise EncodeError(f"no layout for {instr!r}")
+    return layout.pack(instr)
 
 
 def decode(word: int) -> Instruction:
     """Unpack a 64-bit word; strict, so stray bits raise DecodeError."""
     if not 0 <= word < (1 << 64):
         raise DecodeError(f"word {word:#x} is not 64-bit")
-    op_bits = (word >> 56) & 0xFF
-    flags = (word >> 48) & 0xFF
-    addr = (word >> COUNT_BITS) & ADDR_MASK
-    count = word & COUNT_MASK
-    phase = word & PHASE_MASK
-    try:
-        op = Opcode(op_bits)
-    except ValueError:
-        raise DecodeError(f"unknown opcode byte {op_bits:#04x}") from None
-
-    try:
-        if op is OP_WAVEFORM:
-            instr = Instruction(op, engine=Waveform(
-                action=WfAction(flags & 0x3), addr=addr, count=count,
-                ta=bool(flags & 0x4)))
-        elif op is OP_MARKER:
-            instr = Instruction(op, engine=Marker(
-                action=MarkerAction(flags & 0x3), channel=(flags >> 2) & 0x3,
-                state=(flags >> 4) & 0x1, count=count, last_word=addr))
-        elif op is OP_MODULATOR:
-            action = ModAction(flags & 0x7)
-            nco = (flags >> 4) & 0xF
-            if action is MOD_MODULATE:
-                instr = Instruction(op, engine=Modulator(action, nco=nco, count=count))
-            else:
-                instr = Instruction(op, engine=Modulator(action, nco=nco, phase_word=phase))
-        elif op is OP_LOAD_REPEAT:
-            instr = Instruction(op, value=count)
-        elif op is OP_REPEAT or op is OP_PREFETCH:
-            instr = Instruction(op, addr=addr)
-        elif op in _BRANCH_OPS:
-            instr = Instruction(op, addr=addr, conditional=bool(flags & 0x1))
-        elif op is OP_CMP:
-            instr = Instruction(op, cmp_op=CmpOp(flags & 0x3), mask=count)
-        else:
-            instr = Instruction(op)
-        reencoded = encode(instr)
-    except ValueError as exc:
-        raise DecodeError(f"word {word:#018x}: {exc}") from None
-    if reencoded != word:
-        raise DecodeError(f"word {word:#018x} has reserved bits set")
-    return instr
+    high = word >> 48
+    keep = _KEEP.get(high >> 8)
+    if keep is None:
+        raise DecodeError(f"unknown opcode byte {high >> 8:#04x}")
+    layout = _BY_HIGH.get(high & keep)
+    if layout is None:
+        raise DecodeError(f"word {word:#018x}: {Opcode(high >> 8).name} has "
+                          f"no action {high & keep & 0xFF}")
+    return layout.unpack(word)
 
 
 def decode_table(words) -> dict[int, Instruction]:

@@ -217,6 +217,38 @@ def test_library_rejects_full_scale():
         lib.add("clip", [1.0])
 
 
+@pytest.mark.parametrize("sample", [1j, np.nan, complex(0.5, np.nan),
+                                    np.inf, -np.inf, 1j * np.inf, -1.0 - 1e-9])
+def test_library_rejects_samples_outside_the_range(sample):
+    lib = WaveformLibrary()
+    with pytest.raises(ValueError, match=r"'clip' exceeds \[-1, 1\)"):
+        lib.add("clip", [0.1, sample])
+    assert lib.entries == {}
+
+
+def test_library_takes_minus_one_as_full_scale():
+    lib = WaveformLibrary()
+    lib.add("floor", [-1.0, -1.0 - 1.0j, 0.5])
+    mem, _ = lib.pack()
+    assert mem.tolist() == [[-32768, 0], [-32768, -32768], [16384, 0]]
+
+
+@pytest.mark.parametrize("cut, match", [
+    (lambda raw: raw[:11], "ends inside its header"),       # in the counts
+    (lambda raw: raw[:17], "ends inside its header"),       # in a name
+    (lambda raw: raw[:-4], r"is \d+ bytes, expected \d+"),  # in the samples
+    (lambda raw: raw + bytes(8), r"is \d+ bytes, expected \d+"),
+], ids=["cut counts", "cut name", "cut samples", "trailing bytes"])
+def test_library_load_checks_the_file_length(tmp_path, cut, match):
+    path = tmp_path / "lib.wlb"
+    small_library().save(path)
+    bad = tmp_path / "bad.wlb"
+    bad.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as info:
+        WaveformLibrary.load(bad)
+    assert str(bad) in str(info.value)
+
+
 def distant_call_program():
     # pad the main line so the subroutine lands 6 cache lines away
     pad = "\n".join("  WAVEFORM PLAY addr=0 count=8" for _ in range(40))

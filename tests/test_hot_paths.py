@@ -64,7 +64,7 @@ HOT = {
     events: ["EventLog", "_copies"],
     column: ["Column"],
     mod: ["ModEngine", "_nco_states", "MixerCorrector"],
-    isa: ["encode", "_check_stray", "decode", "decode_table",
+    isa: ["encode", "_Layout", "decode", "decode_table",
           "ProgramImage.decode_all", "validate_program"],
 }
 CONSTRUCTORS = {"__init__", "reset"}     # read the configs once, by design
@@ -198,6 +198,8 @@ def test_every_hot_name_exists():
             "aps2sim.events.EventLog.moved",
             "aps2sim.events._copies",
             "aps2sim.isa.decode",
+            "aps2sim.isa._Layout.pack",
+            "aps2sim.isa._Layout.unpack",
             "aps2sim.asm.assemble",
             "aps2sim.asm.insert_prefetch_hints"} <= {c[0] for c in CASES}
 

@@ -1,5 +1,7 @@
 """Encoding round-trip, strict decode, and program file format checks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,20 @@ def test_reserved_bits_rejected():
         decode(word | (1 << 48))   # flag bits on a bare opcode
 
 
+@pytest.mark.parametrize("word", [
+    0x03 << 56 | 0x07 << 48,                  # no MODULATOR action 7
+    0x03 << 56 | 0x08 << 48,                  # MODULATOR flags bit 3
+    0x03 << 56 | 0x46 << 48,                  # MODULATE nco index 4
+    0x02 << 56 | 0x11 << 48,                  # marker WAIT with a state
+    0x01 << 56 | 0x07 << 48,                  # waveform PREFETCH as TA pair
+    0x01 << 56 | 0x02 << 48 | 1 << 24,        # waveform SYNC with an address
+    0x09 << 56 | 0x04 << 48,                  # CMP flags bit 2
+])
+def test_reserved_bits_of_a_layout_rejected(word):
+    with pytest.raises(DecodeError, match=f"word {word:#018x}"):
+        decode(word)
+
+
 def test_address_overflow_rejected():
     with pytest.raises(EncodeError):
         encode(Instruction(Opcode.GOTO, addr=1 << 24))
@@ -142,6 +158,86 @@ def test_stray_fields_rejected():
         encode(Instruction(Opcode.SYNC, addr=4))
     with pytest.raises(EncodeError):
         encode(Instruction(Opcode.REPEAT, addr=1, conditional=True))
+
+
+@pytest.mark.parametrize("instr, match", [
+    # stray fields: payload and Instruction fields the layout leaves out
+    (Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, 1, count=2)),
+     "WAVEFORM PREFETCH takes no count"),
+    (Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, 1, ta=True)),
+     "WAVEFORM PREFETCH takes no ta"),
+    (Instruction(Opcode.WAVEFORM, Waveform(WfAction.PLAY, 0, 4), value=3),
+     "WAVEFORM PLAY takes no value"),
+    (Instruction(Opcode.MARKER, Marker(MarkerAction.WAIT, state=1)),
+     "MARKER WAIT takes no state"),
+    (Instruction(Opcode.MODULATOR, Modulator(ModAction.RESET_PHASE,
+                                             phase_word=1)),
+     "MODULATOR RESET_PHASE takes no phase_word"),
+    (Instruction(Opcode.MODULATOR, Modulator(ModAction.SYNC, nco=1)),
+     "MODULATOR SYNC takes no nco"),
+    (Instruction(Opcode.SYNC, addr=4), "SYNC takes no addr"),
+    (Instruction(Opcode.REPEAT, addr=1, conditional=True),
+     "REPEAT takes no conditional"),
+    (Instruction(Opcode.GOTO, Waveform(WfAction.WAIT)), "GOTO takes no engine"),
+    (Instruction(Opcode.LOAD_REPEAT, cmp_op=CmpOp.EQ),
+     "LOAD_REPEAT takes no cmp_op"),
+    # overflow
+    (Instruction(Opcode.GOTO, addr=1 << 24),
+     "GOTO addr 16777216 does not fit in 24 bits"),
+    (Instruction(Opcode.WAVEFORM, Waveform(WfAction.PLAY, count=-1)),
+     "WAVEFORM PLAY count -1 does not fit in 24 bits"),
+    (Instruction(Opcode.MARKER, Marker(MarkerAction.SYNC, channel=4)),
+     "MARKER SYNC channel 4 does not fit in 2 bits"),
+    (Instruction(Opcode.MODULATOR, Modulator(ModAction.MODULATE, nco=4)),
+     "MODULATOR MODULATE nco 4 does not fit in 2 bits"),
+    (Instruction(Opcode.MODULATOR, Modulator(ModAction.UPDATE_FRAME,
+                                             phase_word=1 << 48)),
+     "MODULATOR UPDATE_FRAME phase_word 281474976710656 does not fit in 48"),
+    # a missing field, the wrong payload, or none
+    (Instruction(Opcode.CMP), "CMP cmp_op None does not fit in 2 bits"),
+    (Instruction(Opcode.WAVEFORM, Marker(MarkerAction.PLAY)),
+     "WAVEFORM requires a Waveform payload"),
+    (Instruction(Opcode.MODULATOR), "MODULATOR requires a Modulator payload"),
+])
+def test_encode_errors_name_the_opcode_and_the_field(instr, match):
+    with pytest.raises(EncodeError, match=match):
+        encode(instr)
+
+
+ENGINE_ACTIONS = {Opcode.WAVEFORM: (Waveform, WfAction),
+                  Opcode.MARKER: (Marker, MarkerAction),
+                  Opcode.MODULATOR: (Modulator, ModAction)}
+
+
+def test_the_layout_has_one_entry_per_opcode_and_action():
+    # an opcode or action added without a layout fails here
+    keys = {(op, None) for op in Opcode if op not in ENGINE_ACTIONS}
+    for op, (_, actions) in ENGINE_ACTIONS.items():
+        keys |= {(op, action) for action in actions}
+    assert set(isa.LAYOUT) == keys
+    assert {op: isa._PAYLOADS[op][0] for op in isa._PAYLOADS} \
+        == {op: payload for op, (payload, _) in ENGINE_ACTIONS.items()}
+
+
+def layout_name(key):
+    return " ".join(k.name for k in key if k is not None)
+
+
+@pytest.mark.parametrize("key", list(isa.LAYOUT), ids=layout_name)
+def test_a_layout_names_fields_that_do_not_overlap(key):
+    op, action = key
+    payload, action_bits = isa._PAYLOADS.get(op, (None, 0))
+    if payload is None:
+        names = {f.name for f in fields(Instruction)} - {"op", "engine"}
+    else:
+        names = {f.name for f in fields(payload)} - {"action"}
+        assert action < 1 << action_bits
+    taken = 0xFF << 56 | ((1 << action_bits) - 1) << 48
+    for name, low, width in isa.LAYOUT[key]:
+        assert name in names
+        bits = ((1 << width) - 1) << low
+        assert bits >> 64 == 0 and bits & taken == 0, name
+        taken |= bits
 
 
 def test_phase_word_grid():
