@@ -362,8 +362,10 @@ class MixerCorrector:
         differently.  The DC offset is then added as one complex number.
         Each I or Q outside the range counts one saturation, counted
         before the clip, which works in place on the product.  held is
-        (index, count): iq[index[m]] stands for count[m] output samples
-        (a lazy TA run), so its saturations count count[m] times.  One
+        (index, weight): iq[index[m]] stands for weight[m] output samples,
+        so its saturations count weight[m] times.  ``trace._mix`` weighs
+        an entry by the runs that share it, times the samples of a lazy
+        TA run, and lists only the entries whose weight is not 1.  One
         min and one max of the product decide whether any of that runs:
         a product wholly in range is neither counted nor clipped.  The
         signed-zero pass runs only on a result holding a zero.  The
@@ -393,10 +395,10 @@ class MixerCorrector:
             self.saturations += (int(np.count_nonzero(flat < -1.0))
                                  + int(np.count_nonzero(flat > top)))
             if held is not None:
-                index, count = held
+                index, weight = held
                 part = flat.reshape(-1, 2)[index]
                 hit = (part < -1.0) | (part > top)
-                self.saturations += int(hit.sum(axis=1) @ (count - 1))
+                self.saturations += int(hit.sum(axis=1) @ (weight - 1))
             np.clip(flat, -1.0, top, out=flat)
         if self.dac_bits is not None:
             scale = float(1 << (self.dac_bits - 1))

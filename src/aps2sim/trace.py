@@ -7,38 +7,66 @@ active ping-pong page base included), sample count and TA flag; a
 marker engine the start tick, count, state and last word.
 ``Sequencer.finalize`` builds each column into one array, a chunk of
 copied laps by one outer add, resolves the modulator's windows over
-those columns, then walks the stream in blocks of ``BLOCK_SAMPLES``, so
-its working memory is bounded by the block size.  Per block it builds the
-index of one 32-bit word per sample in two passes, each run's base word
-repeated over its entries plus the entry numbers (a block holding a TA
-run inside a window first multiplies the entry numbers by each run's
-step, 0 for that run), gathers the words from a word view of the
-image's waveform memory (each word an int16 I/Q pair), converts and
-scales the pairs to float in one pass and views them as complex
-samples.  It rotates the samples inside windows in place and makes one
-mixer call, which writes into the block's slice of the result.  The
-mixer multiplies the (I, Q) rows by the transposed matrix, kept
-C-contiguous from its constructor, adds the DC offset as one complex
-number, and takes one min and one max of the product: only a block
-with a value out of range is counted and clipped, and only a block
-holding an exact zero takes the signed-zero pass.  A TA run outside
-every window stays lazy: one mixed value, expanded only by
-``OutputTrace.analog_values``; the mixer counts its saturations once
-per sample it stands for, at the cost of the lazy entries alone.
+those columns, then walks the compact stream (one run of each key, see
+"Distinct runs") in blocks of ``BLOCK_SAMPLES``, so its working memory
+is bounded by the block size.  Per block it builds the index of one
+32-bit word per sample in two passes, each run's base word repeated over
+its entries plus the entry numbers (a block holding a TA run inside a
+window first multiplies the entry numbers by each run's step, 0 for that
+run), gathers the words from a word view of the image's waveform memory
+(each word an int16 I/Q pair), converts and scales the pairs to float in
+one pass and views them as complex samples.  It rotates the samples
+inside windows in place and makes one mixer call, which writes into the
+block's slice of the result.  The mixer multiplies the (I, Q) rows by
+the transposed matrix, kept C-contiguous from its constructor, adds the
+DC offset as one complex number, and takes one min and one max of the
+product: only a block with a value out of range is counted and clipped,
+and only a block holding an exact zero takes the signed-zero pass.  A TA
+run outside every window stays lazy: one mixed value, expanded only by
+``OutputTrace.analog_values``; the mixer counts its saturations once per
+sample it stands for, at the cost of the weighed entries alone.
+``Runs.ticks`` likewise fills each run's base tick, then adds a
+block-long ramp of sample ticks in place, a block at a time.
+
+Distinct runs: a shot repeated many times plays the same words under the
+same NCO state, so ``_mix`` groups the runs by a key for which equal
+keys give bit-equal entries, mixes the first run of each group (the
+compact stream) and gathers every run's entries from its group's.  Run k
+(n samples, from address addr, TA flag ta) has the key (free, addr, n,
+ta) if no window touches it, and (whole, addr, n, ta, inc_j, W_j, d_k)
+if window j holds all of it: W_j is the phase word at the window's first
+played sample, first_j, and d_k the run's first played sample period
+less first_j.  A run that a window edge cuts is a group of its own.
+Equal keys give equal bits: entry i of a whole run rotates by
+ramp(inc_j)[r] · phasor(W_j + inc_j·m·L), with m and r the quotient and
+remainder of d_k + i by L, which is fixed by inc_j within one
+``finalize`` (below), so the factor depends on (inc_j, W_j, d_k + i)
+alone; and the mixer's result for a row depends on no other row.  The
+kind stays in the key, so that a free run and a rotated one never share
+a group, even where a zero word makes the factor exactly 1.  The mixer
+counts a saturating entry once per output sample it stands for: its
+weight is its group's count of runs, times n for a lazy run.  Grouping
+is one sort of a 64-bit mix of the key columns, then a comparison,
+column by column, of the rows whose mix equals their neighbour's, so a
+collision can only split a group.  When no two runs share a key, the
+compact stream is the stream.
 
 Rotation ramps: the entry of window j that plays d sample periods after
 the window's first (gaps count) rotates by the direct exp of its exact
-phase word start_j + inc_j·d, mod 2^48.  With d = m·L + r that is
-phasor(start_j + inc_j·m·L) times ramp(inc_j)[r].  ``_ramps`` builds one
+phase word W_j + inc_j·d, mod 2^48.  With d = m·L + r that is
+phasor(W_j + inc_j·m·L) times ramp(inc_j)[r].  ``_ramps`` builds one
 ramp per distinct increment once, each as long as its longest window but
-all in ``BLOCK_SAMPLES`` entries (1 MiB).  Per block ``_Rotation.rotate``
-cuts the entries where the phasor changes (run starts, window edges,
-multiples of L; repeats dropped by a sort and a neighbour mask, not
-``np.unique``), so its pieces never outgrow a block, and takes one
-direct exp per piece; an entry then costs a ramp gather and two complex
-multiplies, and one outside windows is multiplied by exactly 1.  A factor
-is within a few ulp of ``mod.Windows.rotation`` and equal to it at
-r = 0, so a zero increment rotates by exactly the direct exp.
+all in ``BLOCK_SAMPLES`` entries (1 MiB), over the windows of the whole
+stream, so L does not depend on which runs the compact stream holds.  A
+window covers consecutive entries of the compact stream: those of the
+groups led by its runs.  Per block ``_Rotation.rotate`` cuts the entries
+where the phasor changes (run starts, window edges, multiples of L;
+repeats dropped by a sort and a neighbour mask, not ``np.unique``), so
+its pieces never outgrow a block, and takes one direct exp per piece; an
+entry then costs a ramp gather and two complex multiplies, and one
+outside windows is multiplied by exactly 1.  A factor is within a few
+ulp of ``mod.Windows.rotation`` and equal to it at r = 0, so a zero
+increment rotates by exactly the direct exp.
 """
 
 from __future__ import annotations
@@ -47,6 +75,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +87,11 @@ from .mod import MixerCorrector, Windows, phasors
 __all__ = ["BLOCK_SAMPLES", "Runs", "MarkerRuns", "OutputTrace"]
 
 BLOCK_SAMPLES = 1 << 16   # samples finalize gathers, rotates, mixes at once
+# a block's entry numbers and sample ticks from its start, made once: a
+# block adds them in place instead of building its own
+_ENTRIES = np.arange(BLOCK_SAMPLES)
+_STEPS = ANALOG_SAMPLE_TICKS * _ENTRIES
+_ENTRIES.flags.writeable = _STEPS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +111,16 @@ class Runs:
 
     def ticks(self) -> np.ndarray:
         """Output tick of every sample, in order."""
-        # each tick as the step from the one before, summed in place: a
-        # run's first sample steps from the last sample of the run before
-        played = self.n > 0
-        start, n = self.start[played], self.n[played]
-        out = np.full(int(n.sum()), ANALOG_SAMPLE_TICKS, dtype=np.int64)
-        if len(n):
-            step = start.copy()
-            step[1:] -= start[:-1] + ANALOG_SAMPLE_TICKS * (n[:-1] - 1)
-            out[np.cumsum(n) - n] = step
-        return np.cumsum(out, out=out)
+        # sample p of the stream, in run k, plays at tick
+        # start[k] - 5·first[k] + 5·p: each run's base repeated, then
+        # the steps 5·p added a block at a time
+        first = np.cumsum(self.n) - self.n
+        out = np.repeat(self.start - ANALOG_SAMPLE_TICKS * first, self.n)
+        for b0 in range(0, len(out), BLOCK_SAMPLES):
+            block = out[b0:b0 + BLOCK_SAMPLES]
+            block += _STEPS[:len(block)]
+            block += ANALOG_SAMPLE_TICKS * b0
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,71 +228,220 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
 
     Sample i of run k reads waveforms[addr[k] + i] (addr[k] for a TA
     run).  A TA run no window touches is lazy: one entry stands for all
-    its samples.  Returns the entries and the lazy flag of each run.
+    its samples.  Runs of one key (module docstring, "Distinct runs") mix
+    once: the first run of each group, in stream order, makes the compact
+    stream, which is mixed block by block, each of its entries weighing
+    the output samples it stands for.  Every run then gathers its entries
+    from its group's, unless no two runs share a key.  Returns the
+    entries and the lazy flag of each run.
     """
     count = runs.n
     first = np.cumsum(count) - count            # stream position of runs
     # windows are sorted and disjoint: a run overlaps those that open
-    # before it ends, less those that close before it starts
-    touched = (np.searchsorted(windows.lo, first + count)
-               > np.searchsorted(windows.hi, first, side="right"))
+    # before it ends less those that close before it starts
+    j0 = np.searchsorted(windows.hi, first, side="right")
+    touched = np.searchsorted(windows.lo, first + count) > j0
     lazy = ta & ~touched
-    width = np.where(lazy, 1, count)            # entries per run
-    entry = np.cumsum(width) - width            # first entry of each run
-    entry_end = entry + width
+    phases = _phases(windows, runs.start, first)
+    group, lead = _groups(*_keys(runs, first, addr, ta, touched, j0,
+                                 windows, phases))
+
+    # the compact stream's runs: columns of each group's first run (one:
+    # lazy, of one entry).  An entry of weight w stands for w samples
+    start, count, first, addr, ta, one = (
+        col[lead] for col in (runs.start, count, first, addr, ta, lazy))
+    weight = np.bincount(group) * np.where(one, count, 1)
+    weighed = np.flatnonzero(weight != 1)
+    span = np.where(one, 1, count)              # entries per run
+    at = np.cumsum(span) - span                 # first entry of each run
+    at_end = at + span
     # entry p of run k reads word base[k] + step[k]*p and, expanded,
     # plays origin[k] + p sample periods after tick 0 (run starts lie on
     # the sample grid).  A lazy run has one entry, so only an expanded TA
     # run needs step 0
-    step = np.where(ta & ~lazy, 0, 1)
-    base = addr - step * entry
-    origin = runs.start // ANALOG_SAMPLE_TICKS - entry
-    held_at, held_count = entry[lazy], count[lazy]
-    # a window touches expanded runs only, so it covers consecutive
-    # entries, shifted from stream positions as its first run is
-    k = np.searchsorted(first, windows.lo, side="right") - 1
-    w_lo = windows.lo - first[k] + entry[k]
-    w_hi = w_lo + (windows.hi - windows.lo)
-    total = int(width.sum())
-    rotation = _Rotation(windows, w_lo, w_hi, entry, origin)
+    step = np.where(ta & ~one, 0, 1)
+    base = addr - step * at
+    origin = start // ANALOG_SAMPLE_TICKS - at
+    # window j covers the entries of the groups led from its first run
+    # on to its last, which are consecutive in the compact stream:
+    # before[k] groups are led by a run before run k
+    before = np.zeros(len(group) + 1, np.int64)
+    before[lead + 1] = 1
+    np.cumsum(before, out=before)
+    ca, cb = before[phases.ka], before[phases.kb + 1] - 1
+    j = np.flatnonzero(cb >= ca)                # windows that lead a group
+    ca, cb = ca[j], cb[j]
+    rotation = _Rotation(
+        at[ca] + np.maximum(windows.lo[j] - first[ca], 0),
+        at[cb] + np.minimum(windows.hi[j] - first[cb], count[cb]), j, at,
+        origin, phases)
     # one I/Q pair of int16 per 32-bit word
     words = np.ascontiguousarray(waveforms).view(np.uint32).reshape(-1)
+    compact = np.empty(int(span.sum()), np.complex128)
+    # the set-up columns go before the blocks' working memory comes
+    del phases, start, count, first, addr, ta, one, span, origin
+    del touched, j0, before, ca, cb, j
 
-    mixed = np.empty(total, dtype=np.complex128)
-    for b0 in range(0, total, BLOCK_SAMPLES):
-        b1 = min(b0 + BLOCK_SAMPLES, total)
-        k0, k1 = (np.searchsorted(entry_end, b0, side="right"),
-                  np.searchsorted(entry, b1))
-        size = (np.minimum(entry_end[k0:k1], b1)
-                - np.maximum(entry[k0:k1], b0))     # the runs' entries here
-        index = np.arange(b0, b1)
-        if not step[k0:k1].all():
-            index *= np.repeat(step[k0:k1], size)
-        index += np.repeat(base[k0:k1], size)
+    for b0 in range(0, len(compact), BLOCK_SAMPLES):
+        b1 = min(b0 + BLOCK_SAMPLES, len(compact))
+        k0, k1 = (np.searchsorted(at_end, b0, side="right"),
+                  np.searchsorted(at, b1))
+        size = (np.minimum(at_end[k0:k1], b1)
+                - np.maximum(at[k0:k1], b0))     # the runs' entries here
+        index = np.repeat(base[k0:k1], size)
+        if step[k0:k1].all():
+            index += b0
+            index += _ENTRIES[:b1 - b0]
+        else:
+            index += np.repeat(step[k0:k1], size) * (_ENTRIES[:b1 - b0] + b0)
         # I/Q to [-1, 1): scaling by a power of two is exact
         z = np.multiply(words[index].view(np.int16), 1.0 / 32768.0)
         del index
         z = z.view(np.complex128)
         rotation.rotate(z, b0, b1)
-        h0, h1 = np.searchsorted(held_at, (b0, b1))
-        corrector.apply(
-            z, (held_at[h0:h1] - b0, held_count[h0:h1]) if h1 > h0 else None,
-            out=mixed[b0:b1])
+        h0, h1 = np.searchsorted(weighed, (k0, k1))
+        corrector.apply(z, _held(weighed[h0:h1], weight, at, at_end, b0, b1)
+                        if h1 > h0 else None, out=compact[b0:b1])
+    if len(lead) == len(group):
+        return compact, lazy
+
+    # entry p of run k is entry p of its group's first run
+    width = np.where(lazy, 1, runs.n)           # entries per run
+    entry = np.cumsum(width) - width            # first entry of each run
+    total = int(width.sum())
+    shift = at[group] - entry
+    entry_end = entry + width
+    mixed = np.empty(total, np.complex128)
+    for b0 in range(0, total, BLOCK_SAMPLES):
+        b1 = min(b0 + BLOCK_SAMPLES, total)
+        k0, k1 = (np.searchsorted(entry_end, b0, side="right"),
+                  np.searchsorted(entry, b1))
+        index = np.repeat(shift[k0:k1], np.minimum(entry_end[k0:k1], b1)
+                          - np.maximum(entry[k0:k1], b0))
+        index += b0
+        index += _ENTRIES[:b1 - b0]
+        # every index is in range; numpy buffers out under the default
+        # mode="raise" (a second copy of the block), not under "clip"
+        compact.take(index, out=mixed[b0:b1], mode="clip")
     return mixed, lazy
 
 
-class _Rotation:
-    """Window j's entries [lo[j], hi[j]), rotated block by block (module
-    docstring); entry p of run k plays origin[k] + p sample periods
-    after tick 0."""
+def _held(runs: np.ndarray, weight: np.ndarray, at: np.ndarray,
+          end: np.ndarray, b0: int, b1: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(index, weight) of the entries in block [b0, b1) of the runs
+    given, each run's entries [at, end) weighing its weight."""
+    lo, hi = np.maximum(at[runs], b0) - b0, np.minimum(end[runs], b1) - b0
+    index, k = _spans(lo, hi)
+    return index, weight[runs][k]
 
-    def __init__(self, windows: Windows, lo: np.ndarray, hi: np.ndarray,
-                 entry: np.ndarray, origin: np.ndarray):
-        self.windows, self.lo, self.hi = windows, lo, hi
+
+class _Phases(NamedTuple):
+    """Window j over a stream of runs: runs ka[j] and kb[j] hold its first
+    and last sample, its first entry plays first[j] sample periods after
+    tick 0, at phase word word[j], and its increment word is inc[j]; its
+    factor r samples on from a phasor is ramp[at[j] + r], for
+    r < period[j] (``_ramps``)."""
+
+    ka: np.ndarray
+    kb: np.ndarray
+    first: np.ndarray
+    word: np.ndarray
+    inc: np.ndarray
+    ramp: np.ndarray
+    at: np.ndarray
+    period: np.ndarray
+
+
+def _phases(windows: Windows, start: np.ndarray,
+            first: np.ndarray) -> _Phases:
+    """The phases of windows over runs that start at ticks start and at
+    stream positions first."""
+    ka = np.searchsorted(first, windows.lo, side="right") - 1
+    kb = np.searchsorted(first, windows.hi - 1, side="right") - 1
+    lo = start[ka] // ANALOG_SAMPLE_TICKS + windows.lo - first[ka]
+    hi = start[kb] // ANALOG_SAMPLE_TICKS + windows.hi - first[kb]
+    return _Phases(ka, kb, lo, windows.words(np.arange(len(windows)),
+                                             ANALOG_SAMPLE_TICKS * lo),
+                   windows.inc, *_ramps(windows.inc, hi - lo))
+
+
+def _keys(runs: Runs, first: np.ndarray, addr: np.ndarray, ta: np.ndarray,
+          touched: np.ndarray, j0: np.ndarray, windows: Windows,
+          phases: _Phases) -> tuple[np.ndarray, ...]:
+    """The key of each run (module docstring) as int64 columns.  Run k
+    sits at stream position first[k], a window touches it if touched[k],
+    and j0[k] windows close at or before its start."""
+    n = runs.n
+    # a run that holds a window's edge inside it is cut
+    cut = np.zeros(len(n), bool)
+    ka, kb = phases.ka, phases.kb
+    cut[ka[windows.lo > first[ka]]] = True
+    cut[kb[windows.hi < first[kb] + n[kb]]] = True
+    kind = 2 * touched + 2 * cut + ta   # free, whole or cut (0, 2, 4) + TA
+    if not len(windows):
+        return kind, addr, n
+    whole = touched ^ cut
+    j = np.minimum(j0, len(windows) - 1)     # a whole run's window
+    d = np.where(whole, runs.start // ANALOG_SAMPLE_TICKS - phases.first[j],
+                 0)
+    d[cut] = np.flatnonzero(cut)                # each its own group
+    return (kind, addr, n, np.where(whole, phases.inc[j], 0),
+            np.where(whole, phases.word[j], 0), d)
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)     # 2^64 over the golden ratio, odd
+
+
+def _groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows equal in every int64 column: the group of each row,
+    groups numbered in order of their first row, and that row of each
+    group.
+
+    One sort of a 64-bit mix of the columns brings equal rows together,
+    and neighbours of equal mix are compared on every column, so a
+    collision of the mix can only split a group, never merge rows that
+    differ.  Rows of distinct mixes cost no comparison.
+    """
+    n = len(columns[0])
+    mix = columns[0].astype(np.uint64)
+    for col in columns[1:]:
+        mix *= _MIX
+        mix += col.view(np.uint64)
+    order = np.argsort(mix)
+    mix = mix[order]
+    same = np.flatnonzero(mix[1:] == mix[:-1])
+    if not len(same):
+        return np.arange(n), np.arange(n)
+    a, b = order[same], order[same + 1]
+    differ = np.zeros(len(same), bool)
+    for col in columns:
+        differ |= col[a] != col[b]
+    new = np.ones(n, bool)
+    new[same[~differ] + 1] = False
+    at = np.flatnonzero(new)
+    lead = np.minimum.reduceat(order, at)       # each label's first row
+    rank = np.argsort(lead)
+    number = np.empty(len(lead), np.int64)
+    number[rank] = np.arange(len(lead))
+    group = np.empty(n, np.int64)
+    group[order] = np.repeat(number, np.diff(at, append=n))
+    return group, lead[rank]
+
+
+class _Rotation:
+    """Pieces [lo[i], hi[i]) of windows which[i], as entries, rotated
+    block by block (module docstring); entry p of run k plays
+    origin[k] + p sample periods after tick 0."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, which: np.ndarray,
+                 entry: np.ndarray, origin: np.ndarray, phases: _Phases):
+        self.lo, self.hi = lo, hi
         self.entry, self.origin = entry, origin
-        self.first = self.played(lo)
-        self.ramp, self.ramp_at, self.period = _ramps(
-            windows.inc, self.played(hi - 1) - self.first + 1)
+        self.first, self.word, self.inc, self.ramp_at, self.period = (
+            col[which] for col in (phases.first, phases.word, phases.inc,
+                                   phases.at, phases.period))
+        self.ramp = phases.ramp
 
     def played(self, p: np.ndarray) -> np.ndarray:
         """Sample periods after tick 0 of entries p, from their run."""
@@ -293,14 +476,25 @@ class _Rotation:
         # entry p reads ramp[p + shift]; outside windows, the last, 1
         shift = np.where(inside, self.ramp_at[j] + d_at - edge,
                          len(self.ramp) - 1) - at
-        turn = np.where(inside, phasors(self.windows.words(
-            j, ANALOG_SAMPLE_TICKS * (self.first[j] + edge))), 1)
+        # the phasor's word, wrapping mod 2^64 like the words
+        edge *= self.inc[j]
+        edge += self.word[j]
+        edge &= PHASE_MASK
+        turn = np.where(inside, phasors(edge), 1)
         size = np.diff(at, append=b1)
         index = np.repeat(shift, size)
         index += np.arange(b0, b1)
         factor = self.ramp.take(index, mode="clip")
         del index
-        factor *= np.repeat(turn, size)
+        turn = np.repeat(turn, size)
+        if b1 - b0 == 1:
+            # numpy multiplies one complex element in place on its scalar
+            # path, which rounds unlike its array loop; out of place it
+            # takes the array loop, so an entry's bits do not depend on
+            # its block's length
+            z[:] = z * (factor * turn)
+            return
+        factor *= turn
         z *= factor
 
 

@@ -1171,7 +1171,8 @@ def test_ramps_are_one_per_increment_and_fit_in_a_block():
 
 def test_ramps_stay_within_one_block_of_memory(monkeypatch):
     # 128 shots, each at its own increment or all at one: 128 ramps cut
-    # to 512 entries each, against one ramp of 4,096
+    # to 512 entries each, against one ramp of 4,096.  Each shot plays
+    # from its own address, so that no two runs mix once in either case
     ramps = []
     make_ramps = _ramps
 
@@ -1190,7 +1191,7 @@ def test_ramps_stay_within_one_block_of_memory(monkeypatch):
                       mod(ModAction.SET_PHASE_INCREMENT, phase_word=word),
                       mod(ModAction.RESET_PHASE),
                       mod(ModAction.MODULATE, nco=0, count=4096),
-                      play(0, 4096)]
+                      play(c, 4096)]
         seq = Sequencer(image(shots, BIG_WAVE))
         seq.run_simple(triggers=[1000 + 25_000 * k for k in range(128)])
         tracemalloc.start()

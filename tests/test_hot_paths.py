@@ -11,11 +11,13 @@ as globals, and no config class derives a value in a property any more.
 This check fails on any function of the hot paths that reads a member
 through its enum class or a config property, so a property added back
 is caught where a hot path reads it.  A second check keeps ``np.unique``
-out of the per-block sample paths (``trace._Rotation.rotate`` and
-``MixerCorrector.apply``).  A third keeps the per-PLAY queue room check
-on a plain list after laps are copied: every run it can read is a row
-of the start column, never a value a chunk stands for, and the dispatch
-column's rows stay parallel to the starts'.  A fourth keeps every copy
+out of the per-block sample paths (``trace._Rotation.rotate``,
+``trace._held`` and ``MixerCorrector.apply``) and out of the grouping of
+runs (``trace._keys`` and ``trace._groups``).  A third keeps the
+per-PLAY queue room check on a plain list after laps are copied: every
+run it can read is a row of the start column, never a value a chunk
+stands for, and the dispatch column's rows stay parallel to the
+starts'.  A fourth keeps every copy
 of a column on one int step, which needs each layer that records
 events, the waveform engine with its underruns among them, to keep its
 own log.  Every module of the package is either listed here or named
@@ -59,7 +61,8 @@ HOT = {
              "_compare"],
     laps: ["LapRecorder", "_steady", "_kept", "_state_key", "_restore",
            "_lap_key", "_restore_engine", "_move_engine", "_affine_laps"],
-    trace: ["_mix", "_Rotation", "_ramps"],
+    trace: ["_mix", "_held", "_phases", "_keys", "_groups", "_Rotation",
+            "_ramps"],
     mem: ["InstructionCache", "WaveformCache"],
     events: ["EventLog", "_copies"],
     column: ["Column"],
@@ -123,8 +126,11 @@ def test_hot_path_reads_no_enum_member_or_config_property(fn, properties):
 
 
 # per output block, numpy 2's hash-based np.unique costs about eight times
-# a sort and a neighbour mask on a block's few thousand cut points
-BLOCK_PATHS = [trace._Rotation.rotate, mod.MixerCorrector.apply]
+# a sort and a neighbour mask on a block's few thousand cut points; and
+# np.unique(axis=0) over the runs' key columns costs many times the sort
+# of one 64-bit mix that groups them
+BLOCK_PATHS = [trace._Rotation.rotate, trace._held, mod.MixerCorrector.apply,
+               trace._groups, trace._keys]
 
 
 def unique_calls(source: str) -> list[str]:
@@ -184,6 +190,10 @@ def test_every_hot_name_exists():
             "aps2sim.trace._ramps",
             "aps2sim.trace._Rotation.rotate",
             "aps2sim.trace._mix",
+            "aps2sim.trace._held",
+            "aps2sim.trace._phases",
+            "aps2sim.trace._keys",
+            "aps2sim.trace._groups",
             "aps2sim.laps.LapRecorder.skip_laps",
             "aps2sim.laps.LapRecorder._repeat_affine",
             "aps2sim.laps._affine_laps",

@@ -260,10 +260,20 @@ def test_mixer_counts_saturations_exactly():
     assert corr.saturations == 3 + 4 + 2 * 2
     assert out[3] == top + 0.25j and out[5] == 0.25 - 1j
     assert out[50] == -1 + top * 1j and out[0] == 0.25 + 0.25j
-    # a held entry stands for count samples, each saturating alike
+    # a held entry weighs the output samples it stands for, each
+    # saturating alike: a lazy run's count of samples, or, for an entry
+    # that runs of one key share, their number; zero for a run of none
     corr = MixerCorrector(ModConfig())
     corr.apply(iq, (np.array([0, 3, 50]), np.array([7, 10, 1000])))
     assert corr.saturations == 11 + 1 * 9 + 2 * 999
+    weight = rng.integers(0, 6, len(iq))
+    listed = np.flatnonzero(weight != 1)
+    skewed = ModConfig(mixer_matrix=matrix)
+    weighed, expanded = MixerCorrector(skewed), MixerCorrector(skewed)
+    out = weighed.apply(iq, (listed, weight[listed]))
+    assert expanded.apply(np.repeat(iq, weight)).tobytes() \
+        == np.repeat(out, weight).tobytes()
+    assert weighed.saturations == expanded.saturations > 5
     # a zero from the DAC rounding takes I + 1j*Q's signed zeros: Q's
     # zero is +0, I's keeps its sign where Q's sign bit is set
     corr = MixerCorrector(ModConfig(dac_bits=14))
