@@ -609,15 +609,16 @@ class Sequencer:
         windows = self.modeng.resolve(analog.start, analog.n,
                                       self.trigger_edges)
         corrector = MixerCorrector(self.mod_cfg)
-        mixed, lazy = _mix(self.image.waveforms, analog, wf.addrs.array(),
-                           wf.ta.array().astype(bool), windows, corrector)
+        mixed, entry, lazy = _mix(
+            self.image.waveforms, analog, wf.addrs.array(),
+            wf.ta.array().astype(bool), windows, corrector)
         # resolve replaces the modulator's list, so it is a snapshot too
         logs = (wf.events.copy(), self.events.copy(),
                 self.icache.events.copy(), self.wavecache.events.copy(),
                 self.modeng.events)
         markers = {m.channel: m.runs() for m in self.markers if m.starts}
         return OutputTrace(analog=analog, markers=markers,
-                           logs=logs, mixed=mixed, lazy=lazy,
+                           logs=logs, mixed=mixed, entry=entry, lazy=lazy,
                            saturations=corrector.saturations)
 
 

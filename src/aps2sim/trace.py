@@ -22,16 +22,19 @@ the transposed matrix, kept C-contiguous from its constructor, adds the
 DC offset as one complex number, and takes one min and one max of the
 product: only a block with a value out of range is counted and clipped,
 and only a block holding an exact zero takes the signed-zero pass.  A TA
-run outside every window stays lazy: one mixed value, expanded only by
-``OutputTrace.analog_values``; the mixer counts its saturations once per
-sample it stands for, at the cost of the weighed entries alone.
+run outside every window stays lazy: one mixed value; the mixer counts
+its saturations once per sample it stands for, at the cost of the
+weighed entries alone.  The trace keeps the compact stream as it was
+mixed, and ``OutputTrace.analog_values`` expands it on read.
 ``Runs.ticks`` likewise fills each run's base tick, then adds a
 block-long ramp of sample ticks in place, a block at a time.
 
 Distinct runs: a shot repeated many times plays the same words under the
 same NCO state, so ``_mix`` groups the runs by a key for which equal
-keys give bit-equal entries, mixes the first run of each group (the
-compact stream) and gathers every run's entries from its group's.  Run k
+keys give bit-equal entries and mixes the first run of each group (the
+compact stream).  The trace stores that stream and each run's first
+entry in it, and ``_expand`` gathers every run's entries from its
+group's, a block at a time, when the samples are read.  Run k
 (n samples, from address addr, TA flag ta) has the key (free, addr, n,
 ta) if no window touches it, and (whole, addr, n, ta, inc_j, W_j, d_k)
 if window j holds all of it: W_j is the phase word at the window's first
@@ -45,11 +48,14 @@ alone; and the mixer's result for a row depends on no other row.  The
 kind stays in the key, so that a free run and a rotated one never share
 a group, even where a zero word makes the factor exactly 1.  The mixer
 counts a saturating entry once per output sample it stands for: its
-weight is its group's count of runs, times n for a lazy run.  Grouping
-is one sort of a 64-bit mix of the key columns, then a comparison,
-column by column, of the rows whose mix equals their neighbour's, so a
-collision can only split a group.  When no two runs share a key, the
-compact stream is the stream.
+weight is its group's count of runs, times n for a lazy run.  Only runs
+that can share a key are sorted: like a cut run, a whole run of a window
+whose (inc_j, W_j) no other window has is a group alone, since two runs
+of one window that play differ in d_k.  Grouping is one sort of
+a 64-bit mix of the key columns, then a comparison, column by column, of
+the rows whose mix equals their neighbour's, so a collision can only
+split a group.  When no two runs share a key, the compact stream is the
+stream, and the trace stores no entry offsets.
 
 Rotation ramps: the entry of window j that plays d sample periods after
 the window's first (gaps count) rotates by the direct exp of its exact
@@ -145,9 +151,12 @@ class OutputTrace:
     """A finished run: integer run columns plus the mixed analog samples.
 
     analog holds the waveform runs (len(analog) counts them) and mixed
-    their corrected samples in stream order, except that a lazy run (a
-    TA run outside every MODULATE window, flagged in lazy) holds one
-    entry for all its samples.  analog_values() expands those entries.
+    the compact stream of their corrected entries: each distinct run's
+    once (module docstring, "Distinct runs").  Run k plays its entries
+    from mixed[entry[k]] on, or, entry None when no two runs share a
+    key, the runs' entries lie back to back in stream order.  A lazy run
+    (a TA run outside every MODULATE window, flagged in lazy) has one
+    entry for all its samples.  analog_values() expands the entries.
     logs holds the event logs as ``finalize`` saw them, in this order:
     the waveform engine's, the sequencer's, the instruction cache's, the
     waveform cache's and the modulator's.  events is built from them on
@@ -159,6 +168,7 @@ class OutputTrace:
     markers: dict[int, MarkerRuns]
     logs: tuple
     mixed: np.ndarray
+    entry: np.ndarray | None
     lazy: np.ndarray
     saturations: int = 0
 
@@ -173,12 +183,7 @@ class OutputTrace:
         return events
 
     def analog_values(self) -> np.ndarray:
-        if not self.lazy.any():
-            return self.mixed.copy()
-        n = self.analog.n
-        per_entry = np.repeat(np.where(self.lazy, n, 1),
-                              np.where(self.lazy, 1, n))
-        return np.repeat(self.mixed, per_entry)
+        return _expand(self.mixed, self.analog.n, self.lazy, self.entry)
 
     def analog_ticks(self) -> np.ndarray:
         return self.analog.ticks()
@@ -223,7 +228,8 @@ class OutputTrace:
 
 def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
          ta: np.ndarray, windows: Windows,
-         corrector: MixerCorrector) -> tuple[np.ndarray, np.ndarray]:
+         corrector: MixerCorrector
+         ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Corrected samples of waveform runs, BLOCK_SAMPLES entries at a time.
 
     Sample i of run k reads waveforms[addr[k] + i] (addr[k] for a TA
@@ -231,9 +237,9 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
     its samples.  Runs of one key (module docstring, "Distinct runs") mix
     once: the first run of each group, in stream order, makes the compact
     stream, which is mixed block by block, each of its entries weighing
-    the output samples it stands for.  Every run then gathers its entries
-    from its group's, unless no two runs share a key.  Returns the
-    entries and the lazy flag of each run.
+    the output samples it stands for.  Returns the compact stream, each
+    run's first entry in it (its group's first run's), None when no two
+    runs share a key, and the lazy flag of each run.
     """
     count = runs.n
     first = np.cumsum(count) - count            # stream position of runs
@@ -243,8 +249,8 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
     touched = np.searchsorted(windows.lo, first + count) > j0
     lazy = ta & ~touched
     phases = _phases(windows, runs.start, first)
-    group, lead = _groups(*_keys(runs, first, addr, ta, touched, j0,
-                                 windows, phases))
+    group, lead = _groups_among(len(runs), *_keys(
+        runs, first, addr, ta, touched, j0, windows, phases))
 
     # the compact stream's runs: columns of each group's first run (one:
     # lazy, of one entry).  An entry of weight w stands for w samples
@@ -303,27 +309,40 @@ def _mix(waveforms: np.ndarray, runs: Runs, addr: np.ndarray,
         corrector.apply(z, _held(weighed[h0:h1], weight, at, at_end, b0, b1)
                         if h1 > h0 else None, out=compact[b0:b1])
     if len(lead) == len(group):
-        return compact, lazy
+        return compact, None, lazy
+    return compact, at[group], lazy
 
-    # entry p of run k is entry p of its group's first run
-    width = np.where(lazy, 1, runs.n)           # entries per run
-    entry = np.cumsum(width) - width            # first entry of each run
-    total = int(width.sum())
-    shift = at[group] - entry
-    entry_end = entry + width
-    mixed = np.empty(total, np.complex128)
-    for b0 in range(0, total, BLOCK_SAMPLES):
-        b1 = min(b0 + BLOCK_SAMPLES, total)
-        k0, k1 = (np.searchsorted(entry_end, b0, side="right"),
-                  np.searchsorted(entry, b1))
-        index = np.repeat(shift[k0:k1], np.minimum(entry_end[k0:k1], b1)
-                          - np.maximum(entry[k0:k1], b0))
-        index += b0
-        index += _ENTRIES[:b1 - b0]
-        # every index is in range; numpy buffers out under the default
-        # mode="raise" (a second copy of the block), not under "clip"
-        compact.take(index, out=mixed[b0:b1], mode="clip")
-    return mixed, lazy
+
+def _expand(mixed: np.ndarray, n: np.ndarray, lazy: np.ndarray,
+            entry: np.ndarray | None) -> np.ndarray:
+    """Every output sample of runs that play n[k] entries of mixed from
+    entry[k] on, or one entry n[k] times if lazy[k]; entry None: the runs'
+    entries back to back.  A new array, whatever the runs."""
+    if entry is not None:
+        # entry p of run k is entry p of its group's first run
+        width = np.where(lazy, 1, n)            # entries per run
+        first = np.cumsum(width) - width        # first entry of each run
+        total = int(width.sum())
+        shift = entry - first
+        first_end = first + width
+        out = np.empty(total, np.complex128)
+        for b0 in range(0, total, BLOCK_SAMPLES):
+            b1 = min(b0 + BLOCK_SAMPLES, total)
+            k0, k1 = (np.searchsorted(first_end, b0, side="right"),
+                      np.searchsorted(first, b1))
+            index = np.repeat(shift[k0:k1], np.minimum(first_end[k0:k1], b1)
+                              - np.maximum(first[k0:k1], b0))
+            index += b0
+            index += _ENTRIES[:b1 - b0]
+            # every index is in range; numpy buffers out under the default
+            # mode="raise" (a second copy of the block), not under "clip"
+            mixed.take(index, out=out[b0:b1], mode="clip")
+        mixed = out
+    if not lazy.any():
+        return mixed if entry is not None else mixed.copy()
+    # a lazy run's one entry plays n times
+    return np.repeat(mixed, np.repeat(np.where(lazy, n, 1),
+                                      np.where(lazy, 1, n)))
 
 
 def _held(runs: np.ndarray, weight: np.ndarray, at: np.ndarray,
@@ -368,26 +387,50 @@ def _phases(windows: Windows, start: np.ndarray,
 
 def _keys(runs: Runs, first: np.ndarray, addr: np.ndarray, ta: np.ndarray,
           touched: np.ndarray, j0: np.ndarray, windows: Windows,
-          phases: _Phases) -> tuple[np.ndarray, ...]:
-    """The key of each run (module docstring) as int64 columns.  Run k
-    sits at stream position first[k], a window touches it if touched[k],
-    and j0[k] windows close at or before its start."""
+          phases: _Phases) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The runs that may share a key (module docstring) with another, in
+    stream order, and their keys as int64 columns.  Run k sits at stream
+    position first[k], a window touches it if touched[k], and j0[k]
+    windows close at or before its start."""
     n = runs.n
-    # a run that holds a window's edge inside it is cut
+    if not len(windows):
+        return np.arange(len(n)), (ta.astype(np.int64), addr, n)
+    # a run that holds a window's edge inside it is cut: a group alone
     cut = np.zeros(len(n), bool)
     ka, kb = phases.ka, phases.kb
     cut[ka[windows.lo > first[ka]]] = True
     cut[kb[windows.hi < first[kb] + n[kb]]] = True
-    kind = 2 * touched + 2 * cut + ta   # free, whole or cut (0, 2, 4) + TA
-    if not len(windows):
-        return kind, addr, n
     whole = touched ^ cut
     j = np.minimum(j0, len(windows) - 1)     # a whole run's window
-    d = np.where(whole, runs.start // ANALOG_SAMPLE_TICKS - phases.first[j],
-                 0)
-    d[cut] = np.flatnonzero(cut)                # each its own group
-    return (kind, addr, n, np.where(whole, phases.inc[j], 0),
-            np.where(whole, phases.word[j], 0), d)
+    # a whole run's key holds its window's (inc, W), and two runs of one
+    # window that play differ in d, so a whole run of a window whose
+    # pair no other window has is a group alone too
+    pair, _ = _groups(phases.inc, phases.word)
+    shared = np.bincount(pair)[pair] > 1
+    rows = np.flatnonzero(~touched | (whole & shared[j]))
+    whole, j = whole[rows], j[rows]
+    d = np.where(whole, runs.start[rows] // ANALOG_SAMPLE_TICKS
+                 - phases.first[j], 0)
+    return rows, (2 * whole + ta[rows], addr[rows], n[rows],  # free, whole
+                  np.where(whole, phases.inc[j], 0),
+                  np.where(whole, phases.word[j], 0), d)
+
+
+def _groups_among(n: int, rows: np.ndarray, key: tuple[np.ndarray, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``_groups`` over n rows, of which rows (ascending) are grouped by
+    their key columns and every other row is a group alone."""
+    group, lead = _groups(*key)
+    if len(rows) == n:
+        return group, lead
+    if len(lead) == len(rows):                  # every row alone
+        return np.arange(n), np.arange(n)
+    leads = np.ones(n, bool)
+    leads[rows] = False
+    leads[rows[lead]] = True
+    number = np.cumsum(leads) - 1               # group of each lead
+    number[rows] = number[rows[lead]][group]
+    return number, np.flatnonzero(leads)
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)     # 2^64 over the golden ratio, odd

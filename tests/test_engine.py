@@ -1128,9 +1128,10 @@ def two_window_rotations(gap=0, first_tick=1280, **column):
                         ("lo", "hi", "ref_tick", "phase", "inc")))
     n = np.array([8, 1, cols["hi"][1] - 9])
     runs = Runs(np.array([280, first_tick, first_tick + 5 + gap]), n)
-    mixed, lazy = _mix(HALF, runs, np.zeros(3, np.int64), np.ones(3, bool),
-                       windows, MixerCorrector(ModConfig()))
-    assert not lazy.any()
+    mixed, entry, lazy = _mix(HALF, runs, np.zeros(3, np.int64),
+                              np.ones(3, bool), windows,
+                              MixerCorrector(ModConfig()))
+    assert entry is None and not lazy.any()     # the runs' lengths differ
     which = np.repeat([0, 1], [8, n[1:].sum()])
     return 2 * mixed, windows.rotation(which, runs.ticks())
 
@@ -1241,12 +1242,15 @@ def test_many_increments_keep_the_rotation_within_a_block(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    shared, _, _ = peak(False)
+    shared, alike, _ = peak(False)
     apart, trace, seq = peak(True)
     assert (ramps[-1][2] == 16).all() and len(ramps[-2][0]) == 512 + 1
     # the ramps' 1 MiB and a block's pieces, not the 4 MiB that the
-    # stream's 131,072 pieces hold at 32 B each
-    assert apart - shared < 2 * 16 * BLOCK_SAMPLES
+    # stream's 131,072 pieces hold at 32 B each, above what each trace
+    # stores (one increment: windows of one phase word mix once)
+    assert len(alike.mixed) < len(trace.mixed) == 4096 * 512
+    assert ((apart - trace.mixed.nbytes) - (shared - alike.mixed.nbytes)
+            < 2 * 16 * BLOCK_SAMPLES)
     rebuilt, windows = rebuilt_values(seq, trace)
     assert windows == 4096
     assert np.abs(trace.analog_values() - rebuilt).max() <= 1e-13

@@ -12,8 +12,9 @@ This check fails on any function of the hot paths that reads a member
 through its enum class or a config property, so a property added back
 is caught where a hot path reads it.  A second check keeps ``np.unique``
 out of the per-block sample paths (``trace._Rotation.rotate``,
-``trace._held`` and ``MixerCorrector.apply``) and out of the grouping of
-runs (``trace._keys`` and ``trace._groups``).  A third keeps the
+``trace._held``, ``MixerCorrector.apply`` and the read-out's
+``trace._expand``) and out of the grouping of runs (``trace._keys``,
+``trace._groups_among`` and ``trace._groups``).  A third keeps the
 per-PLAY queue room check on a plain list after laps are copied: every
 run it can read is a row of the start column, never a value a chunk
 stands for, and the dispatch column's rows stay parallel to the
@@ -61,8 +62,8 @@ HOT = {
              "_compare"],
     laps: ["LapRecorder", "_steady", "_kept", "_state_key", "_restore",
            "_lap_key", "_restore_engine", "_move_engine", "_affine_laps"],
-    trace: ["_mix", "_held", "_phases", "_keys", "_groups", "_Rotation",
-            "_ramps"],
+    trace: ["_mix", "_held", "_phases", "_keys", "_groups_among", "_groups",
+            "_Rotation", "_ramps", "_expand"],
     mem: ["InstructionCache", "WaveformCache"],
     events: ["EventLog", "_copies"],
     column: ["Column"],
@@ -130,7 +131,8 @@ def test_hot_path_reads_no_enum_member_or_config_property(fn, properties):
 # np.unique(axis=0) over the runs' key columns costs many times the sort
 # of one 64-bit mix that groups them
 BLOCK_PATHS = [trace._Rotation.rotate, trace._held, mod.MixerCorrector.apply,
-               trace._groups, trace._keys]
+               trace._groups, trace._keys, trace._groups_among,
+               trace._expand]
 
 
 def unique_calls(source: str) -> list[str]:
@@ -194,6 +196,8 @@ def test_every_hot_name_exists():
             "aps2sim.trace._phases",
             "aps2sim.trace._keys",
             "aps2sim.trace._groups",
+            "aps2sim.trace._groups_among",
+            "aps2sim.trace._expand",
             "aps2sim.laps.LapRecorder.skip_laps",
             "aps2sim.laps.LapRecorder._repeat_affine",
             "aps2sim.laps._affine_laps",
