@@ -74,8 +74,9 @@ class Column:
                keep: int = 0) -> None:
         """Record rows lo..hi again count times, copy c moved on by
         c * step.  The last copies that hold at least keep values are
-        appended as rows, the others as one chunk.  Raises ValueError if lo..hi is not a range of rows,
-        or a chunk lies inside it: the rows there are not the values."""
+        appended as rows, the others as one chunk.  Raises ValueError if
+        lo..hi is not a range of rows, or a chunk lies inside it: the
+        rows there are not the values."""
         self._check(lo, hi)
         n = hi - lo
         if not n or count <= 0:
@@ -97,11 +98,8 @@ class Column:
         self._check(lo, hi)
         rows = self.rows
         was, now = rows[lo:mid], rows[mid:hi]
-        if len(was) != len(now):
-            return False
-        if not step:
-            return was == now            # rows of any kind, objects too
-        return [value + step for value in was] == now
+        return len(was) == len(now) and (
+            not was or self._moved(was, step, 1, 2) == now)
 
     def _check(self, lo: int, hi: int) -> None:
         """Raise ValueError unless rows lo..hi are values: a range of

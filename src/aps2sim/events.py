@@ -115,17 +115,6 @@ class EventLog(Column):
                stop: int) -> list[Event]:
         return _copies(template, step, first, stop)
 
-    def moved(self, lo: int, mid: int, hi: int, step: int) -> bool:
-        """Whether events mid..hi are events lo..mid, each tick moved on
-        by step and all else equal; False if the two ranges differ in
-        length (``Column.moved``)."""
-        self._check(lo, hi)
-        rows = self.rows
-        was, now = rows[lo:mid], rows[mid:hi]
-        if len(was) != len(now):
-            return False
-        return [(e.tick + step, *e[1:]) for e in was] == now
-
 
 def _copies(template: list[Event], step: int, first: int,
             stop: int) -> list[Event]:

@@ -14,7 +14,8 @@ count of every column a lap writes, all listed once in
 (start and dispatch tick, count and the rest), the modulator's commands,
 dispatch ticks and positions, and the four event logs.  The full state
 is built only when the lap's waveform lead (frontier less t0) equals a
-recorded one.  The laps copied are one chunk in every column
+recorded one, and the state outside the engines also when the lap
+restarted no stream.  The laps copied are one chunk in every column
 (``column.Column.repeat``): the laps' rows once, the number of copies
 and the step of one copy, which the column's rule gives.  So copying m
 laps costs the laps' rows, not m times them, and no Python object is
@@ -23,11 +24,7 @@ made per copied run, command or event; a copied event becomes an
 last ``queue_depth`` copied runs as rows: no more runs than that are
 ever queued, so the queue room check, ``_lap_key`` and ``_affine_laps``
 read plain lists, and every index the lap code keeps (``head``, the
-marks, template ranges) is a row index.  The decode, hit and miss
-counts, the stream position, the repeat register and ``laps_copied``
-advance as the copied laps would have advanced them, and the state is
-set to the one the last copy ends in, ticks relative to its decode tick
-(a stale tick stays stale).
+marks, template ranges) is a row index.
 No lap is copied past the decode budget, over a lap that wrote the
 repeat register itself (a LOAD_REPEAT in the loop's frame, or a RETURN
 out of it), or while an input could change the next lap: a WAIT queued
@@ -36,27 +33,44 @@ resolves before the next instruction decodes, and a waveform page swap
 begins and ends in its PREFETCH, so neither is pending at a REPEAT.  No
 lap spans a return from ``run_until_blocked``.
 
-Exact laps: if the state k laps back matches, every tick moved by the
-same period P, a multiple of the sequencer clock, and the rest is equal
-(pc, call stack, comparison register and result, window base and lines,
-associative lines in victim order, resident range, active waveform page,
-the runs queued in each engine), then each block of k laps still to run
-is the last k moved on by P, 2P and so on (modulator positions by the
-block's samples), and the r < k laps left after the last whole block
-are the block's first r moved on once more, ending in the state
-recorded r laps into it.  The nearest such record wins.  k
-exceeds 1 when the laps are paced by something off the clock grid: a lap
-bound by the SDRAM bus takes B ticks, decode runs on the 20-tick clock,
-so fill ticks drift B mod 20 against t0 each lap and the state repeats
-only after 20 / gcd(B, 20) laps, at most ``CLK``.
+Copied laps: at a taken REPEAT, the block of k laps from the record
+b = ``laps[-k]`` to now is copied m times (``LapRecorder._repeat``),
+copy c of each column moved on by c times the step its rule gives: the
+period P, now's t0 less b's, for the dispatch ticks; each engine's own
+move Q for its run starts and its log; the block's samples for the
+modulator's positions; 0 for the rest.  The decode, hit and miss
+counts, the stream position, the repeat register and ``laps_copied``
+advance as the copied laps would have advanced them.  Then one restore
+(``_restore``) sets the state to a record's, each tick moved on by m
+times its own move: the decode tick by P, each engine's frontier and
+last start by its Q, and each tick ``_state_key`` reads (the bus, the
+cache lines, a carried fetch, the waveform pages, the engines' floors)
+by P, or not at all if it stayed put ahead of t0 from b to now.  A
+stale tick stays stale.
 
-Affine laps: a lap whose lead drains or grows repeats no earlier lap,
-but the last two laps repeat each other with every field moved on by a
-period of its own: the decode tick and every cache tick by P, each
-engine's run starts (so its frontier and last start) by its own Q, its
-floor not at all, and a cache tick the laps leave alone ahead of t0 not
-at all.  The two laps must match in everything else: the counts of
-decodes, hits, misses and samples, and every column, each compared by
+Every move is P when b's state matches now's: every tick moved by P, a
+multiple of the sequencer clock, and the rest equal (pc, call stack,
+comparison register and result, window base and lines, associative
+lines in victim order, resident range, active waveform page, the runs
+queued in each engine).  Then each block of k laps still to run is the
+last k moved on by P once more, so m is bounded only by the repeat
+register and the decode budget, and the r < k laps left after the last
+whole block are the block's first r moved on once more, ending in the
+state recorded r laps into it.  The nearest such record wins, and its
+laps may resolve SYNC fences, swap waveform pages and wait for queue
+room.  k exceeds 1 when the laps are paced by something off the clock
+grid: a lap bound by the SDRAM bus takes B ticks, decode runs on the
+20-tick clock, so fill ticks drift B mod 20 against t0 each lap and the
+state repeats only after 20 / gcd(B, 20) laps, at most ``CLK``.
+
+Any other set of moves is tried with k = 1, on a lap whose lead drains
+or grows: it repeats no earlier lap, but the last two laps, a =
+``laps[-2]`` to b and b to now, may repeat each other with every field
+moved on by a move of its own: the decode tick and every cache tick by
+P, each engine's run starts (so its frontier and last start) by its own
+Q, and a tick the laps leave alone ahead of t0 not at all.  The two
+laps must match in everything else: the counts of decodes, hits,
+misses and samples, and every column, each compared by
 ``Column.moved`` with the step a copy takes: the commands, their
 dispatch ticks (moved by P) and positions, each engine's run starts
 (moved by Q), dispatch ticks (moved by P) and the rest of its runs, and
@@ -74,10 +88,8 @@ its outcome while the run ``queue_depth`` runs before it started by its
 dispatch: checked copy by copy while that run was decoded before the
 two laps, linear per copy once it lies in them or their copies.  A
 linear condition holds for m copies if it holds for the last lap and
-for copy m, so ``_affine_laps`` takes the largest such m and
-``_repeat_affine`` appends m copies of the last lap, each column moved
-by the step it was compared with.  The next laps decode again, and the
-exact path takes over once their state repeats.
+for copy m, so ``_affine_laps`` takes the largest such m.  The next
+laps decode again, and once their state repeats every move is P.
 """
 
 from __future__ import annotations
@@ -111,8 +123,8 @@ class _Marks(NamedTuple):
 @dataclass(slots=True, eq=False)
 class _Lap:
     """A taken REPEAT that began a lap: the decode tick t0, the waveform
-    lead, its marks and, once built, the state outside the engines
-    (``_state_key``) and each engine's ``_lap_key``."""
+    lead, its marks and, once built, the state outside the engines'
+    streams (``_state_key``) and each engine's ``_lap_key``."""
 
     t0: int
     lead: int | None
@@ -182,27 +194,21 @@ class LapRecorder:
         lap = _Lap(t0, None if frontier is None else frontier - t0,
                    self._lap_marks())
         laps = self._laps
+        k = 0                    # laps back to a record whose state is now's
         # cheap pre-check: a lap whose waveform lead against the decode
         # tick no recorded lap shares repeats none, so no key is built
         if any(old.lead == lap.lead for old in laps):
             lap.state = _state_key(seq, t0)
             lap.engine_keys = [_lap_key(e, t0) for e in engines]
-            for k in range(1, len(laps) + 1):
-                old = laps[-k]
-                if (old.engine_keys == lap.engine_keys
-                        and old.state == lap.state):
-                    if self._repeat_laps(old, lap, k):
-                        laps.clear()
-                        return
-                    break
-        if laps and _steady(laps[-1].marks, lap.marks, seq.wavecache.events):
-            if lap.state is None:
-                lap.state = _state_key(seq, t0)
-            if (len(laps) > 1 and laps[-1].state is not None
-                    and laps[-1].state[0] == lap.state[0]
-                    and self._repeat_affine(laps[-2], laps[-1], lap)):
-                laps.clear()
-                return
+            k = next((k for k in range(1, len(laps) + 1)
+                      if laps[-k].engine_keys == lap.engine_keys
+                      and laps[-k].state == lap.state), 0)
+        elif laps and _steady(laps[-1].marks, lap.marks,
+                              seq.wavecache.events):
+            lap.state = _state_key(seq, t0)     # the next lap compares it
+        if (k or len(laps) > 1) and self._repeat(lap, k or 1, bool(k)):
+            laps.clear()
+            return
         laps.append(lap)
 
     def _lap_marks(self) -> _Marks:
@@ -212,139 +218,130 @@ class LapRecorder:
                       seq.stream_pos, seq._fences,
                       {c: len(c.rows) for c, _, _ in self.columns})
 
-    def _repeat_laps(self, old: _Lap, now: _Lap, k: int) -> bool:
-        """Append the laps still to run as blocks of copies of the last
-        k, from old to now, each moved on by the period from old to now
-        from the one before; then the r < k laps left as the first r of
-        them moved on once more.  False if not one lap can be."""
-        seq = self.seq
-        period = now.t0 - old.t0
-        if period % CLK:
-            return False
-        marks, laps = old.marks, self._laps
-        per_block = now.marks.decodes - marks.decodes
+    def _repeat(self, now: _Lap, k: int, exact: bool) -> bool:
+        """Append the laps still to run as copies of the block of k laps
+        from the record k laps back to now, and restore the state the
+        last copy ends in (module docstring).  exact: the record's state
+        is now's, so every move is the period.  False if the laps differ
+        in more, or not one lap can be copied."""
+        seq, laps = self.seq, self._laps
+        b = laps[-k]
+        period = now.t0 - b.t0
+        mb, mc = b.marks, now.marks
+        per_block = mc.decodes - mb.decodes
         budget = seq.cfg.max_decodes - seq.decodes
-        blocks = min(seq.repeat_register // k, budget // per_block)
-        budget -= blocks * per_block
-        # the laps left, as many of the block's first laps as end at a
-        # recorded state and fit the budget
-        left = min(seq.repeat_register - blocks * k, k - 1)
-        r = next((r for r in range(left, 0, -1)
-                  if laps[r - k].engine_keys is not None
-                  and laps[r - k].marks.decodes - marks.decodes <= budget), 0)
-        if not blocks and not r:
+        count = min(seq.repeat_register // k, budget // per_block)
+        rules = {PERIOD: period, SAMPLES: mc.stream_pos - mb.stream_pos,
+                 STILL: 0}
+        rest, r = mb, 0          # the laps left after the last whole block
+        if exact:
+            if period % CLK:
+                return False
+            steps = dict.fromkeys(seq.engines, period) | rules
+            # as many of the block's first laps as end at a recorded
+            # state and fit the budget
+            budget -= count * per_block
+            left = min(seq.repeat_register - count * k, k - 1)
+            r = next((r for r in range(left, 0, -1)
+                      if laps[r - k].engine_keys is not None
+                      and laps[r - k].marks.decodes - mb.decodes <= budget),
+                     0)
+            if r:
+                rest = laps[r - k].marks
+        elif not count:          # bounded first: no lap left, no comparison
             return False
-        played = now.marks.stream_pos - marks.stream_pos
-        if blocks:
-            self._copy_laps(marks, now.marks, k, blocks,
-                            self._rule_steps(period, played))
-        end, copies = now, blocks
-        if r:
-            # a lap inside the block may differ from now in more than its
-            # ticks (a comparison result that alternates lap by lap), so
-            # the whole state is set to end's
-            end, copies = laps[r - k], blocks + 1
-            self._copy_laps(marks, end.marks, r, 1, self._rule_steps(
-                copies * period, copies * played))
-        _restore(seq, end.state, end.t0 + copies * period)
-        for e, key in zip(seq.engines, end.engine_keys):
-            _restore_engine(e, key, seq.decode_tick)
+        else:
+            steps = self._moves(laps[-2 * k], b, now, rules)
+            if steps is None:
+                return False
+            for e in seq.engines:
+                count = _affine_laps(e, mb.rows[e.starts], period, steps[e],
+                                     seq.cfg.queue_depth, count)
+        if not count and not r:
+            return False
+        # a tick _state_key reads moved on with the decode tick, or it
+        # stayed put ahead of it: no lap reads such a tick, since a fetch
+        # that did would stall by a different amount each lap
+        held = []
+        for was, tick in zip(b.state[1], now.state[1]):
+            if tick != was and tick != was - period:
+                return False
+            held.append(period if tick == was else 0)
+        if now.engine_keys is None:
+            now.engine_keys = [_lap_key(e, now.t0) for e in seq.engines]
+        self._copy_laps(mb, mc, k, count, rest, r, steps)
+        # a lap inside the block may differ from now in more than its
+        # ticks (a comparison result that alternates lap by lap), so the
+        # laps left end in the state recorded r laps into the block
+        _restore(seq, laps[r - k] if r else now, count + (r > 0), steps,
+                 held)
         return True
 
-    def _repeat_affine(self, a: _Lap, b: _Lap, now: _Lap) -> bool:
-        """Append copies of the lap from b to now, which moved every field
-        of the lap from a to b on by its own period, until one of its
-        start rules or queue room checks would decide otherwise (module
-        docstring).  False if the laps differ in more, or not one lap
-        can be copied."""
+    def _moves(self, a: _Lap, b: _Lap, now: _Lap, rules: dict) -> dict | None:
+        """The step of each rule, rules and each engine's move, if the lap
+        from b to now repeats the lap from a to b with every column moved
+        on by its step (module docstring); None if they differ in more."""
         seq = self.seq
-        period = now.t0 - b.t0
         ma, mb, mc = a.marks, b.marks, now.marks
-        laps = min(seq.repeat_register, (seq.cfg.max_decodes - seq.decodes)
-                   // (mc.decodes - mb.decodes))
-        if laps <= 0:            # bounded first: no lap left, no comparison
-            return False
         # every counter grew alike; the columns are compared below
-        if (b.t0 - a.t0 != period or not _steady(ma, mb, seq.wavecache.events)
+        if (b.t0 - a.t0 != rules[PERIOD] or b.state is None
+                or b.state[0] != now.state[0]
+                or not _steady(ma, mc, seq.wavecache.events)
                 or any(z - y != y - x for x, y, z in zip(ma[:-1], mb[:-1],
                                                          mc[:-1]))):
-            return False
-        engines = seq.engines
-        moves = {}
-        for e in engines:
+            return None
+        steps = dict(rules)
+        for e in seq.engines:
             x, y, z = ma.rows[e.starts], mb.rows[e.starts], mc.rows[e.starts]
-            moves[e] = e.starts.rows[y] - e.starts.rows[x] if z > y else 0
+            steps[e] = e.starts.rows[y] - e.starts.rows[x] if z > y else 0
         # a fetch stall moves with the decode tick; a lap with any other
         # event of the sequencer's is not copied
         log = seq.events
         if any(e.kind is not EV_FETCH_STALL
                for e in log.rows[ma.rows[log]:mb.rows[log]]):
-            return False
-        steps = self._rule_steps(period, mc.stream_pos - mb.stream_pos,
-                                 moves)
+            return None
         if not all(c.moved(ma.rows[c], mb.rows[c], mc.rows[c], steps[rule])
                    for c, rule, _ in self.columns):
-            return False
-        # a tick outside the engines moved on with the decode tick, or it
-        # stayed put ahead of it: no lap reads such a tick, since a fetch
-        # that did would stall by a different amount each lap
-        ticks = now.state[1]
-        if any(t != was and t != was - period
-               for was, t in zip(b.state[1], ticks)):
-            return False
-        depth = seq.cfg.queue_depth
-        for e, move in moves.items():
-            laps = _affine_laps(e, mb.rows[e.starts], period, move, depth,
-                                laps)
-        if laps <= 0:
-            return False
-        self._copy_laps(mb, mc, 1, laps, steps)
-        moved = laps * period
-        _restore(seq, (now.state[0], tuple(
-            t if t == was else t - moved
-            for was, t in zip(b.state[1], ticks))), now.t0 + moved)
-        for e, move in moves.items():
-            _move_engine(e, laps * move, seq.decode_tick)
-        return True
+            return None
+        return steps
 
-    def _rule_steps(self, period, samples, moves=None) -> dict:
-        """Each rule's step per copy (``columns``): an engine's run
-        starts and log move by its move in moves, by default the period."""
-        return {**(dict.fromkeys(self.seq.engines, period) if moves is None
-                   else moves), PERIOD: period, SAMPLES: samples, STILL: 0}
-
-    def _copy_laps(self, old: _Marks, end: _Marks, laps: int, count: int,
-                   steps: dict) -> None:
-        """Append what the laps between marks old and end (laps of them)
-        added to each column count times, copy c moved on by c times the
-        step its rule has in steps (``_rule_steps``).  Count the copies'
-        decodes, hits, misses, samples and laps."""
+    def _copy_laps(self, old: _Marks, end: _Marks, k: int, count: int,
+                   rest: _Marks, r: int, steps: dict) -> None:
+        """Append what the k laps between marks old and end added to each
+        column count times, copy c moved on by c times the step its rule
+        has in steps, then what the first r of them added, up to marks
+        rest (old if r is 0), once more as copy count + 1.  Count the
+        copies' decodes, hits, misses, samples and laps."""
         for column, rule, keep in self.columns:
-            column.repeat(old.rows[column], end.rows[column], steps[rule],
-                          count, keep)
+            lo, step = old.rows[column], steps[rule]
+            column.repeat(lo, end.rows[column], step, count, keep)
+            column.repeat(lo, rest.rows[column], (count + 1) * step, 1, keep)
         seq = self.seq
         icache = seq.icache
-        played = end.stream_pos - old.stream_pos
-        seq.decodes += count * (end.decodes - old.decodes)
-        icache.hits += count * (end.hits - old.hits)
-        icache.misses += count * (end.misses - old.misses)
-        seq.stream_pos += count * played
-        seq.repeat_register -= count * laps
-        seq.laps_copied += count * laps
+        decodes, hits, misses, played = (
+            count * (e - o) + (s - o)
+            for o, e, s in zip(old[:4], end[:4], rest[:4]))
+        seq.decodes += decodes
+        icache.hits += hits
+        icache.misses += misses
+        seq.stream_pos += played
+        seq.repeat_register -= count * k + r
+        seq.laps_copied += count * k + r
 
 
 # -- the state a lap compares and restores: the sequencer's, each engine's
 
 def _state_key(seq, t0: int) -> tuple[tuple, tuple]:
-    """The state of seq outside the engines the laps ahead read: its shape,
-    and its ticks relative to t0, a stale one as 0 (the bus, the
-    window lines in line order, the associative lines in victim
-    order, a carried fetch, the waveform pages)."""
+    """The state of seq outside the engines' streams the laps ahead read:
+    its shape, and its ticks relative to t0, a stale one as 0 (the bus,
+    the engines' floors, the window lines in line order, the
+    associative lines in victim order, a carried fetch, the waveform
+    pages)."""
     icache, wavecache = seq.icache, seq.wavecache
     carried = seq._carried_fetch
     window = sorted(icache.window.items())
-    ticks = [seq.sdram.busy_until, *(t for _, t in window),
-             *icache.assoc.values()]
+    ticks = [seq.sdram.busy_until, *(e.floor for e in seq.engines),
+             *(t for _, t in window), *icache.assoc.values()]
     shape = [seq.pc, tuple(seq.stack), seq.cmp_register,
              seq.cmp_result, icache.base_line, icache.resident,
              tuple(line for line, _ in window), tuple(icache.assoc),
@@ -358,31 +355,9 @@ def _state_key(seq, t0: int) -> tuple[tuple, tuple]:
     return tuple(shape), tuple(max(t - t0, 0) for t in ticks)
 
 
-def _restore(seq, state: tuple[tuple, tuple], t0: int) -> None:
-    """Set the state of seq _state_key read to state, relative to the
-    decode tick t0."""
-    icache, wavecache = seq.icache, seq.wavecache
-    shape, ticks = state
-    seq.pc, stack, seq.cmp_register, seq.cmp_result = shape[:4]
-    seq.stack = list(stack)
-    icache.base_line, icache.resident, window, assoc, carried = \
-        shape[4:9]
-    # the ticks in _state_key's order; each zip takes as many as its
-    # lines
-    at = iter([t0 + t for t in ticks])
-    seq.sdram.busy_until = next(at)
-    icache.window = dict(zip(window, at))
-    icache.assoc = dict(zip(assoc, at))
-    seq._carried_fetch = None if carried is None else (carried, next(at))
-    if wavecache.pingpong:
-        wavecache.active_slot = shape[9]
-        wavecache.slots = list(zip(shape[10], at))
-    seq.decode_tick = t0
-
-
 def _lap_key(eng, t0: int) -> tuple:
-    """eng's scheduling state at decode tick t0, ticks relative to it and
-    a stale one as 0; moves head to the first run not started by t0."""
+    """eng's stream at decode tick t0, ticks relative to it and a stale
+    one as 0; moves head to the first run not started by t0."""
     starts = eng.starts.rows
     head, n_runs = eng.head, len(starts)
     while head < n_runs and starts[head] <= t0:
@@ -397,25 +372,38 @@ def _lap_key(eng, t0: int) -> tuple:
     if last is not None:
         # last_start bounds a start only as last_start + min_gap
         last = max(last + eng.min_gap - t0, 0)
-    return (frontier, last, max(eng.floor - t0, 0),
-            [start - t0 for start in starts[head:]])
+    return frontier, last, [start - t0 for start in starts[head:]]
 
 
-def _restore_engine(eng, key: tuple, t0: int) -> None:
-    """Set eng's scheduling ticks to _lap_key's, relative to t0."""
-    frontier, last, floor, _ = key
-    eng.frontier = None if frontier is None else t0 + frontier
-    eng.last_start = None if last is None else t0 + last - eng.min_gap
-    eng.floor = t0 + floor
-    eng.head = bisect_right(eng.starts.rows, t0, eng.head)
-
-
-def _move_engine(eng, ticks: int, t0: int) -> None:
-    """Move eng's stream on by ticks; the floor stays."""
-    if eng.frontier is not None:
-        eng.frontier += ticks
-        eng.last_start += ticks
-    eng.head = bisect_right(eng.starts.rows, t0, eng.head)
+def _restore(seq, lap: _Lap, copies: int, steps: dict, held: list) -> None:
+    """Set the state of seq the keys read to lap's, each tick moved on
+    by copies times its move: the decode tick by the period in steps,
+    each engine's frontier and last start by its step, each tick of
+    _state_key's by its move in held."""
+    icache, wavecache = seq.icache, seq.wavecache
+    (shape, ticks), t0 = lap.state, lap.t0
+    seq.pc, stack, seq.cmp_register, seq.cmp_result = shape[:4]
+    seq.stack = list(stack)
+    icache.base_line, icache.resident, window, assoc, carried = \
+        shape[4:9]
+    # the ticks in _state_key's order; each zip takes as many as its
+    # lines
+    at = iter([t0 + t + copies * move for t, move in zip(ticks, held)])
+    seq.sdram.busy_until = next(at)
+    for e in seq.engines:
+        e.floor = next(at)
+    icache.window = dict(zip(window, at))
+    icache.assoc = dict(zip(assoc, at))
+    seq._carried_fetch = None if carried is None else (carried, next(at))
+    if wavecache.pingpong:
+        wavecache.active_slot = shape[9]
+        wavecache.slots = list(zip(shape[10], at))
+    seq.decode_tick = now = t0 + copies * steps[PERIOD]
+    for e, (frontier, last, _) in zip(seq.engines, lap.engine_keys):
+        moved = t0 + copies * steps[e]
+        e.frontier = None if frontier is None else frontier + moved
+        e.last_start = None if last is None else last - e.min_gap + moved
+        e.head = bisect_right(e.starts.rows, now, e.head)
 
 
 def _affine_laps(eng, first: int, period: int, move: int, depth: int,

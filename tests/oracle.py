@@ -21,6 +21,8 @@ Generated programs stay inside the value-comparable subset:
   tick and ``reference_resolve``'s words, over programs made with
   ``random_program(..., increments=True)``.
 * no WAIT and no LOAD_CMP, so control flow needs no external events.
+* SYNC fences only with ``random_program(..., syncs=True)``, one in
+  each loop body: a fence moves output in time, never a value.
 * every MODULATE window is emitted directly before the plays it binds
   and covers them exactly.  Windows bind samples by arrival order at the
   rotation stage; a window that covered plays only partially would bind
@@ -231,18 +233,26 @@ class _Emitter:
 
 LIB_SAMPLES = 1024
 DEAD = Instruction(Opcode.CMP, cmp_op=CmpOp.EQ, mask=0)
+# the fences: global, and each engine's
+SYNCS = [Instruction(Opcode.SYNC),
+         Instruction(Opcode.WAVEFORM, Waveform(WfAction.SYNC)),
+         Instruction(Opcode.MARKER, Marker(MarkerAction.SYNC)),
+         Instruction(Opcode.MODULATOR, Modulator(ModAction.SYNC))]
 
 
 def random_program(rng: np.random.Generator, max_instructions: int = 400,
                    max_repeat: int = 4, increments: bool = False,
-                   pad: int = 0) -> tuple[ProgramImage, int]:
+                   pad: int = 0,
+                   syncs: bool = False) -> tuple[ProgramImage, int]:
     """A structured random program plus the comparison register preset;
     each loop runs at most max_repeat laps.  increments adds nonzero
     SET_PHASE_INC commands, whose values interpret() cannot check.  A
     pad above 1 spreads the program over cache lines: up to pad dead
     words after the first GOTO and each RETURN, and GOTOs over as many
     inside blocks, loop bodies included (max_instructions counts no
-    dead word)."""
+    dead word).  syncs puts a SYNC fence in every loop body, global or
+    one engine's, between two blocks; without it, a seed gives the
+    program it gave before the flag."""
     wave = rng.integers(-32768, 32768, size=(LIB_SAMPLES, 2), dtype=np.int16)
     em = _Emitter()
     initial_cmp = int(rng.integers(0, 8))
@@ -293,6 +303,9 @@ def random_program(rng: np.random.Generator, max_instructions: int = 400,
         top = em.fresh("loop")
         em.mark(top)
         block(sub_level, in_loop=True, size=int(rng.integers(1, 4)))
+        if syncs:
+            em.put(SYNCS[int(rng.integers(0, len(SYNCS)))])
+            block(sub_level, in_loop=True, size=int(rng.integers(0, 2)))
         em.branch(Opcode.REPEAT, top)
 
     def conditional_skip(sub_level: int) -> None:

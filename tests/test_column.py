@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aps2sim.column import Column
 from aps2sim.events import Event, EventKind, EventLog
@@ -146,3 +148,66 @@ def test_an_event_log_compares_events_by_tick():
     log.append(Event(200, EventKind.UNDERRUN, 20, {"engine": "w"}))
     log.append(Event(300, EventKind.UNDERRUN, 21, {"engine": "w"}))
     assert not log.moved(4, 5, 6, 100)
+
+
+def test_an_event_log_moves_a_queue_full_until_with_its_tick():
+    # moved reads what a copy records: the until tick moved on too
+    log = EventLog()
+    log.append(Event(100, EventKind.QUEUE_FULL, 0,
+                     {"engine": "waveform", "until": 140}))
+    log.append(Event(120, EventKind.FETCH_STALL, 20))
+    log.repeat(0, 2, 500, 1, keep=2)
+    assert log.rows[2].detail["until"] == 640
+    assert log.moved(0, 2, 4, 500)
+
+
+TICKS = st.integers(-10_000, 10_000)
+EVENTS = st.one_of(
+    st.builds(lambda tick, wait: Event(tick, EventKind.QUEUE_FULL, 0, {
+        "engine": "waveform", "until": tick + wait}), TICKS,
+        st.integers(0, 500)),
+    st.builds(lambda tick, ticks: Event(tick, EventKind.FETCH_STALL, ticks),
+              TICKS, st.integers(1, 100)),
+    st.builds(lambda tick, ticks: Event(tick, EventKind.UNDERRUN, ticks,
+                                        {"engine": "waveform"}),
+              TICKS, st.integers(1, 100)))
+NONZERO = st.integers(-50, 50).filter(bool)
+
+
+def changed_int(value, data):
+    return value + data.draw(NONZERO)
+
+
+def changed_event(event, data):
+    """event with one of its tick, ticks or until tick changed."""
+    fields = ["tick", "ticks"]
+    if event.kind is EventKind.QUEUE_FULL:
+        fields.append("until")
+    field, d = data.draw(st.sampled_from(fields)), data.draw(NONZERO)
+    if field == "until":
+        return event._replace(detail={**event.detail,
+                                      "until": event.detail["until"] + d})
+    return event._replace(**{field: getattr(event, field) + d})
+
+
+@pytest.mark.parametrize("cls, rows, changed", [
+    (Column, TICKS, changed_int), (EventLog, EVENTS, changed_event)],
+    ids=["column", "event_log"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_moved_is_true_on_what_repeat_appends_and_only_on_it(cls, rows,
+                                                             changed, data):
+    before = data.draw(st.lists(rows, max_size=4))
+    template = data.draw(st.lists(rows, min_size=1, max_size=6))
+    step = data.draw(TICKS)
+    col = cls()
+    for row in before + template:
+        col.append(row)
+    lo, mid = len(before), len(before) + len(template)
+    col.repeat(lo, mid, step, 1, keep=mid - lo)
+    hi = len(col.rows)
+    assert hi == mid + len(template)
+    assert col.moved(lo, mid, hi, step)
+    j = data.draw(st.integers(lo, hi - 1))
+    col.rows[j] = changed(col.rows[j], data)
+    assert not col.moved(lo, mid, hi, step)

@@ -31,7 +31,7 @@ from aps2sim.isa import (
     encode,
     turns_from_phase_word,
 )
-from aps2sim.laps import LapRecorder
+from aps2sim.laps import PERIOD, LapRecorder
 from aps2sim.mem import (LINE_FILL_BYTES, SDRAM_LATENCY_TICKS, MemConfig,
                         Sdram)
 from aps2sim.mod import MixerCorrector, ModConfig, Windows
@@ -1264,20 +1264,40 @@ def test_many_increments_keep_the_rotation_within_a_block(monkeypatch):
 # does.
 
 
+def every_move_is_the_period(seq, steps):
+    """Whether a copy with the steps LapRecorder._copy_laps takes moved
+    each engine's runs on by the period, as the decode tick moved."""
+    return all(steps[e] == steps[PERIOD] for e in seq.engines)
+
+
+class Skips(list):
+    """The laps each fast-forward whose every move was the period
+    appended, in order; ``affine`` those each other one appended."""
+
+    def __init__(self):
+        super().__init__()
+        self.affine = []
+
+    def clear(self):
+        super().clear()
+        self.affine.clear()
+
+
 @pytest.fixture
 def skips(monkeypatch):
-    """The laps each fast-forward appended, in order."""
-    laps = []
-    repeat_laps = LapRecorder._repeat_laps
+    """A Skips of every fast-forward's laps: each appends its copies in
+    one LapRecorder._copy_laps."""
+    laps = Skips()
+    copy_laps = LapRecorder._copy_laps
 
-    def counted(self, *lap_records):
+    def counted(self, *args):
         before = self.seq.repeat_register
-        done = repeat_laps(self, *lap_records)
-        if done:
-            laps.append(before - self.seq.repeat_register)
-        return done
+        copy_laps(self, *args)
+        copies = laps if every_move_is_the_period(self.seq, args[-1]) \
+            else laps.affine
+        copies.append(before - self.seq.repeat_register)
 
-    monkeypatch.setattr(LapRecorder, "_repeat_laps", counted)
+    monkeypatch.setattr(LapRecorder, "_copy_laps", counted)
     return laps
 
 
@@ -1304,20 +1324,19 @@ def long_loops_run_as_decoded(monkeypatch, skips, depth):
     loops and calls cross lines the window has yet to fill: some
     fast-forwards replay instruction-cache misses and window waits along
     with the laps.  Every run equals the one decoding each lap, and its
-    values the oracle's.  Returns the runs with exact copies, those with
-    cache events among them, and the seeds with affine copies
-    (laps_copied counts more laps than the exact copies)."""
+    values the oracle's.  Returns the runs with copies whose every move
+    was the period, those with cache events among them, and the seeds
+    with copies whose moves were not all the period."""
     replayed = []           # instruction-cache events each one appended
-    counted = LapRecorder._repeat_laps
+    counted = LapRecorder._copy_laps
 
-    def replaying(self, *lap_records):
+    def replaying(self, *args):
         before = len(self.seq.icache.events)
-        done = counted(self, *lap_records)
-        if done:
+        counted(self, *args)
+        if every_move_is_the_period(self.seq, args[-1]):
             replayed.append(len(self.seq.icache.events) - before)
-        return done
 
-    monkeypatch.setattr(LapRecorder, "_repeat_laps", replaying)
+    monkeypatch.setattr(LapRecorder, "_copy_laps", replaying)
     skipped = cached = affine = 0
     for seed in range(100):
         prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
@@ -1334,7 +1353,7 @@ def long_loops_run_as_decoded(monkeypatch, skips, depth):
             fast = run_digest(seq)
             assert fast == decoding_every_lap(
                 monkeypatch, lambda: run_digest(make())), seed
-            affine_seed |= seq.laps_copied > sum(skips)
+            affine_seed |= bool(skips.affine)
             if not seq.laps_copied:
                 continue
             skipped += bool(skips)
@@ -1359,7 +1378,37 @@ def test_long_loops_with_deep_queues_copy_affine_laps(monkeypatch, skips):
     skipped, cached, affine = long_loops_run_as_decoded(monkeypatch, skips,
                                                         64)
     assert skipped >= 50 and cached >= 10
-    assert affine >= 20        # runs with laps copied by the affine path
+    assert affine >= 20        # with moves of their own
+
+
+def test_fenced_loops_copy_laps_as_decoded(monkeypatch):
+    # a SYNC in every loop body, global or one engine's: every lap
+    # restarts the streams, and a block of such laps still copies
+    fenced = []             # seeds whose copies resolved fences
+    copy_laps = LapRecorder._copy_laps
+
+    def spy(self, old, end, *args):
+        if end.fences > old.fences:
+            fenced.append(seed)
+        copy_laps(self, old, end, *args)
+
+    monkeypatch.setattr(LapRecorder, "_copy_laps", spy)
+    for seed in range(100):
+        prog, initial_cmp = random_program(np.random.default_rng(9000 + seed),
+                                           max_repeat=40, syncs=True)
+
+        def make():
+            return Sequencer(prog, EngineConfig(initial_cmp=initial_cmp))
+
+        assert run_digest(make()) == decoding_every_lap(
+            monkeypatch, lambda: run_digest(make())), seed
+        trace = make().run_simple()
+        ref = interpret(prog, initial_cmp)
+        assert np.array_equal(trace.analog_values(), ref["analog"]), seed
+        for ch in range(4):
+            assert np.array_equal(trace.marker_levels(ch)[1],
+                                  ref["markers"][ch]), seed
+    assert len(set(fenced)) >= 40      # 43 of the 100 seeds
 
 
 def test_decode_budget_runs_out_at_the_same_point(monkeypatch, skips):
@@ -1379,8 +1428,9 @@ def test_decode_budget_runs_out_at_the_same_point(monkeypatch, skips):
 
 def test_far_calls_skip_laps_without_changing_the_run(monkeypatch, skips):
     prog = insert_prefetch_hints(far_calls_program(repeats=40))
-    fast = run_digest(Sequencer(prog))
-    assert sum(skips) > 30
+    seq = Sequencer(prog)
+    fast = run_digest(seq)
+    assert seq.laps_copied == sum(skips) == 37
     assert fast == decoding_every_lap(
         monkeypatch, lambda: run_digest(Sequencer(prog)))
 
@@ -1437,9 +1487,9 @@ def test_lap_copies_count_as_modulator_commands(skips):
 # -- affine lap fast-forward ------------------------------------------------
 #
 # A loop whose laps drain or fill the queues repeats no lap exactly: each
-# tick moves by its own period.  The affine path copies such laps up to
-# the last one whose start rules and queue room checks decide as the
-# decoded lap's did.
+# tick moves by its own period.  Such laps copy with moves of their own,
+# up to the last one whose start rules and queue room checks decide as
+# the decoded lap's did.
 
 
 def modulator_columns(seq):
@@ -1490,17 +1540,23 @@ def modloop_program(half, laps, triggered):
 
 
 def affine_runs_as_decoded(monkeypatch, skips, prog, depth, triggers):
-    """The laps the affine path copied in a run of prog, after checking
-    that the run equals decoding each lap."""
+    """The laps copied in a run of prog, and those copied with moves not
+    all the period, after checking that the run equals decoding each
+    lap."""
     def make():
         return Sequencer(prog, EngineConfig(queue_depth=depth), mod_cfg=SKEW)
 
     skips.clear()
     fast, copied = lap_run(make, triggers)
-    exact = sum(skips)
     assert fast == decoding_every_lap(monkeypatch,
                                       lambda: lap_run(make, triggers))[0]
-    return copied - exact
+    assert copied == sum(skips) + sum(skips.affine)
+    return copied, sum(skips.affine)
+
+
+# the laps each queue depth copies of the drain behind a trigger; the
+# drain without one copies 396 at every depth
+DRAINED = {4: 391, 8: 389, 16: 385, 64: 361}
 
 
 @pytest.mark.parametrize("depth", [4, 8, 16, 64])
@@ -1509,8 +1565,9 @@ def test_draining_laps_copy_as_decoded(monkeypatch, skips, depth, triggered):
     # 480 ticks of output a lap: a lead built up behind the WAIT drains
     # by 20 ticks a lap; once it is gone, every lap underruns
     prog = modloop_program(48, 400, triggered)
-    affine = affine_runs_as_decoded(monkeypatch, skips, prog, depth,
-                                    [50_000] if triggered else [])
+    copied, affine = affine_runs_as_decoded(monkeypatch, skips, prog, depth,
+                                            [50_000] if triggered else [])
+    assert copied == (DRAINED[depth] if triggered else 396)
     if triggered:
         assert affine > 0
         if depth == 64:     # modloop's queue: most of the drain is copied
@@ -1522,10 +1579,11 @@ def test_filling_laps_copy_until_the_queue_fills(monkeypatch, skips, depth):
     # 640 ticks of output a lap: the lead grows by 140 ticks a lap until
     # the waveform queue is full, then every lap waits for room
     prog = modloop_program(64, 300, triggered=False)
-    affine = affine_runs_as_decoded(monkeypatch, skips, prog, depth, [])
+    copied, affine = affine_runs_as_decoded(monkeypatch, skips, prog, depth,
+                                            [])
     trace = Sequencer(prog, EngineConfig(queue_depth=depth)).run_simple()
     assert any(e.kind == "queue_full" for e in trace.events)
-    assert affine > 0
+    assert copied == 293 and affine > 0
 
 
 def test_a_drain_stops_copying_where_its_slack_crosses_zero(monkeypatch,
@@ -1535,7 +1593,8 @@ def test_a_drain_stops_copying_where_its_slack_crosses_zero(monkeypatch,
     # carry the contiguous start rule past the lap where the stream
     # falls behind
     prog = modloop_program(48, 400, triggered=True)
-    affine = affine_runs_as_decoded(monkeypatch, skips, prog, 16, [50_000])
+    copied, affine = affine_runs_as_decoded(monkeypatch, skips, prog, 16,
+                                            [50_000])
     seq = Sequencer(prog, EngineConfig(queue_depth=16), mod_cfg=SKEW)
     trace = seq.run_simple(triggers=[50_000])
     underruns = [e.tick for e in trace.events if e.kind == "underrun"]
@@ -1543,6 +1602,7 @@ def test_a_drain_stops_copying_where_its_slack_crosses_zero(monkeypatch,
     assert 100 < first // 2 < 300        # the lap the stream falls behind
     assert affine > 100 and skips        # copied both sides of it
     assert 400 - seq.laps_copied < 20
+    assert seq.laps_copied == copied == DRAINED[16]
 
 
 def lapped_program():
@@ -1740,36 +1800,39 @@ def swap_to(page):
     return Instruction(Opcode.WAVEFORM, Waveform(WfAction.PREFETCH, addr=page))
 
 
+# copied: the laps copied with every move the period, and those copied
+# with moves of their own
 @pytest.mark.parametrize("prog, inputs, mem_cfg, copied", [
     # a WAIT or LOAD_CMP in the body needs an input every lap
     (loop([Instruction(Opcode.WAIT), play(0, 8)]),
-     {"triggers": [1000 + 5000 * k for k in range(31)]}, None, False),
+     {"triggers": [1000 + 5000 * k for k in range(31)]}, None, (0, 0)),
     (loop([Instruction(Opcode.LOAD_CMP), play(0, 8)]),
-     {"steering": [(1, 100 * k) for k in range(31)]}, None, False),
+     {"steering": [(1, 100 * k) for k in range(31)]}, None, (0, 0)),
     # the body reloads the repeat register: the loop never ends
-    (loop([play(0, 8), LOAD_3]), {}, None, False),
+    (loop([play(0, 8), LOAD_3]), {}, None, (0, 0)),
     # each lap returns out of the loop's frame and calls back into it
     (image([LOAD_3, Instruction(Opcode.CALL, addr=3),
             Instruction(Opcode.GOTO, addr=1), play(0, 8),
             Instruction(Opcode.REPEAT, addr=5), Instruction(Opcode.RETURN)]),
-     {}, None, False),
+     {}, None, (0, 0)),
     # a marker-only body while the waveform stream sits finished
     (loop([marker_pulse(2)], repeats=300, before=[play(0, 8)]), {}, None,
-     False),
+     (0, 297)),
     # the marker stream falls further behind each lap until its queue
     # fills, while the waveform lead repeats from the first lap
-    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}, None, False),
+    (loop([marker_pulse(20), play(0, 8)], repeats=60), {}, None, (0, 57)),
     # each lap's fills move the window, the bus and the associative half
     (ProgramImage(loop([play(0, 8), *PREFETCHES], repeats=60).words
-                  + [encode(FILLER)] * (5 * 128), RAMP), {}, None, False),
+                  + [encode(FILLER)] * (5 * 128), RAMP), {}, None, (0, 57)),
     # each lap swaps pages twice over the bus: the lap state, the active
     # page among it, repeats every second lap
     (ProgramImage(loop([play(0, 8), swap_to(1), play(0, 8), swap_to(0)],
-                       repeats=40).words, PAGES), {}, PINGPONG, True),
-    # a SYNC fence restarts every stream each lap: the exact path copies
-    # the laps, which the affine path refuses
+                       repeats=40).words, PAGES), {}, PINGPONG, (33, 0)),
+    # a SYNC fence restarts every stream each lap: the laps copy as a
+    # block whose every move is the period, and with moves of their own
+    # not at all
     (loop([play(0, 8), Instruction(Opcode.SYNC), marker_pulse(2)],
-          repeats=60), {}, None, True),
+          repeats=60), {}, None, (57, 0)),
 ], ids=["wait", "load_cmp", "reload", "return_and_call", "marker_only",
         "marker_bound", "prefetching", "pingpong", "sync_fenced"])
 def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg,
@@ -1783,8 +1846,7 @@ def test_edge_loops_run_as_decoded(monkeypatch, skips, prog, inputs, mem_cfg,
             return seq.decodes, seq.pc, seq.decode_tick
 
     assert run() == decoding_every_lap(monkeypatch, run)
-    if copied:
-        assert skips        # the fast path copied blocks of laps
+    assert (sum(skips), sum(skips.affine)) == copied
 
 
 def test_every_column_a_lap_writes_is_copied():
@@ -1911,16 +1973,14 @@ def run_streamed_calls(prog):
 def test_a_bus_bound_loop_copies_blocks_of_laps(monkeypatch, repeats):
     prog = insert_prefetch_hints(streamed_calls_program(repeats))
     copies = []                         # (block length, laps copied)
-    repeat_laps = LapRecorder._repeat_laps
+    copy_laps = LapRecorder._copy_laps
 
-    def spy(self, old, now, k):
+    def spy(self, old, end, k, *args):
         before = self.seq.repeat_register
-        done = repeat_laps(self, old, now, k)
-        if done:
-            copies.append((k, before - self.seq.repeat_register))
-        return done
+        copy_laps(self, old, end, k, *args)
+        copies.append((k, before - self.seq.repeat_register))
 
-    monkeypatch.setattr(LapRecorder, "_repeat_laps", spy)
+    monkeypatch.setattr(LapRecorder, "_copy_laps", spy)
 
     def run():
         return run_digest(run_streamed_calls(prog), [1000])

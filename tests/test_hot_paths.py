@@ -21,14 +21,18 @@ stands for, and the dispatch column's rows stay parallel to the
 starts'.  A fourth keeps every copy
 of a column on one int step, which needs each layer that records
 events, the waveform engine with its underruns among them, to keep its
-own log.  Every module of the package is either listed here or named
-cold, so a new module cannot slip past the first check.
+own log.  A fifth keeps one lap copy path: ``laps.py`` calls
+``_copy_laps`` and the state restore once each, so a second path beside
+the first adds a call site.  Every module of the package is either
+listed here or named cold, so a new module cannot slip past the first
+check.
 """
 
 import ast
 import inspect
 import pkgutil
 import textwrap
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -61,7 +65,7 @@ HOT = {
     engine: ["Sequencer", "_StreamEngine", "WaveformEngine", "MarkerEngine",
              "_compare"],
     laps: ["LapRecorder", "_steady", "_kept", "_state_key", "_restore",
-           "_lap_key", "_restore_engine", "_move_engine", "_affine_laps"],
+           "_lap_key", "_affine_laps"],
     trace: ["_mix", "_held", "_phases", "_keys", "_groups_among", "_groups",
             "_Rotation", "_ramps", "_expand"],
     mem: ["InstructionCache", "WaveformCache"],
@@ -199,7 +203,8 @@ def test_every_hot_name_exists():
             "aps2sim.trace._groups_among",
             "aps2sim.trace._expand",
             "aps2sim.laps.LapRecorder.skip_laps",
-            "aps2sim.laps.LapRecorder._repeat_affine",
+            "aps2sim.laps.LapRecorder._repeat",
+            "aps2sim.laps.LapRecorder._moves",
             "aps2sim.laps._affine_laps",
             "aps2sim.mod.MixerCorrector.apply",
             "aps2sim.column.Column.repeat",
@@ -209,7 +214,6 @@ def test_every_hot_name_exists():
             "aps2sim.column.Column._expand",
             "aps2sim.column.Column._moved",
             "aps2sim.events.EventLog._moved",
-            "aps2sim.events.EventLog.moved",
             "aps2sim.events._copies",
             "aps2sim.isa.decode",
             "aps2sim.isa._Layout.pack",
@@ -336,3 +340,30 @@ def test_every_copied_column_moves_by_one_int(monkeypatch):
             seq.run_simple()
             runs.append(copied_underruns(seq))
     assert sum(runs) >= 70        # 79 of the 200 runs copy underruns
+
+
+def call_sites(source: str) -> Counter:
+    """How many calls in source name each function, as f() or obj.f()."""
+    calls = Counter()
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls[getattr(func, "attr", getattr(func, "id", None))] += 1
+    return calls
+
+
+def test_laps_are_copied_and_restored_in_one_place():
+    calls = call_sites(inspect.getsource(laps))
+    assert calls["_copy_laps"] == calls["_restore"] == 1
+
+
+def test_the_call_site_check_sees_a_second_copy_path():
+    calls = call_sites("""
+        def repeat(self):
+            self._copy_laps(1)
+            _restore(2)
+
+        def repeat_again(self):
+            self._copy_laps(3)
+        """)
+    assert (calls["_copy_laps"], calls["_restore"]) == (2, 1)

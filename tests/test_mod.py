@@ -426,7 +426,7 @@ def copy_laps(eng, first, end, ticks, samples, count):
 
 
 def add_laps(eng, rng, starts, counts, decoded, *, submit_each=False):
-    """Append laps as LapRecorder._repeat_laps does: the commands from a
+    """Append laps as LapRecorder._repeat does: the commands from a
     seeded index at or after decoded on again, a seeded number of times,
     each lap's dispatch ticks a period and its positions a lap's samples
     further on; then decode a few commands more.  Runs are appended for
@@ -519,7 +519,7 @@ def test_lap_chunks_are_the_commands_submitted_one_by_one():
 
 def test_a_partial_copy_takes_its_template_from_before_the_chunk():
     # blocks of laps, then the first commands of the block once more, as
-    # LapRecorder._repeat_laps appends the laps left after whole blocks:
+    # LapRecorder._copy_laps appends the laps left after whole blocks:
     # the template rows lie before the blocks' chunk
     for seed in range(20):
         eng = random_stream(seed)[0]
