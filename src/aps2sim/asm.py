@@ -23,14 +23,22 @@ is half a turn), NCO frequencies in Hz (``freq=``), or the raw 48-bit
 fixed-point word (``phase_word=``) which is what the disassembler emits so
 text -> image -> text -> image is exact.
 
-Set-up costs scale with distinct lines, not program length.  Pass 1
-(``_scan``) records the labels and each instruction line's number and
-stripped text.  Once every label is known, a line's word depends on its
-text alone, label references included, so pass 2 builds each distinct
-text once, at its first occurrence, and later occurrences reuse the
+Set-up costs scale with distinct lines, not program length: Python code
+runs once per distinct line, label line or branch site, and each pass
+over every line is a C-level builtin.  The per-line passes split the
+text into lines and key them in a dict, flag the instruction lines, find
+the label lines (``compress``) and count the instruction lines between
+two of them (``sum``), find each distinct text's first line (one
+``list.index`` sweep over the distinct lines in order) and gather the
+words.  Per distinct line, ``_split_line`` takes
+off the comment and the labels; per label line, pass 1 (``_labels``)
+checks and places its labels.  Once every label is known, a line's word
+depends on its text alone, label references included, so pass 2 builds
+each distinct text once, at its first line, and later lines reuse the
 word.  Label errors therefore come before build errors, and a bad line
 is reported at its first occurrence.  The hint passes likewise decode
-each distinct word once and visit only the branch and PREFETCH sites.
+each distinct word once, find the branch and PREFETCH sites in one array
+pass over the words (``_sites``), and visit only those sites.
 
 Prefetch planning (``insert_prefetch_hints``): a far CALL is paid in
 line fills over the serial SDRAM bus, so the hints keep that bus busy
@@ -50,6 +58,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from bisect import bisect_right
+from itertools import compress, count
 
 import numpy as np
 
@@ -233,34 +242,53 @@ _MOD_NAMES = {
 _MOD_CANON = {v: k for k, v in _MOD_NAMES.items()}
 
 
-def _scan(text: str) -> tuple[dict[str, int], list[int], list[str]]:
-    """Pass 1: labels, plus the line number and stripped text of every
-    instruction line (its address is its index)."""
+def _split_line(raw: str) -> tuple[list[str], str]:
+    """One raw line's label names, in order, and its content: the text
+    before any ``;`` comment, less the labels and surrounding blanks.  A
+    name is not checked here; the label pass checks it at each line."""
+    content = raw.partition(";")[0].strip()
+    names = []
+    while ":" in content:
+        head = content.split(None, 1)[0]
+        if not head.endswith(":"):
+            break
+        names.append(head[:-1])
+        content = content[len(head):].strip()
+    return names, content
+
+
+def _labels(raws: list[str], names: dict[str, list[str]],
+            flags: list[bool]) -> dict[str, int]:
+    """Pass 1: each label's address, the number of instruction lines
+    (flags) above its line.  Only the label lines are visited, and the
+    instruction lines between two of them are counted in one sum."""
     labels: dict[str, int] = {}
-    numbers: list[int] = []
-    lines: list[str] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.partition(";")[0].strip()
-        while ":" in content:
-            head = content.split(None, 1)[0]
-            if not head.endswith(":"):
-                break
-            name = head[:-1]
+    addr = done = 0
+    for i in compress(count(), map(names.__contains__, raws)):
+        addr += sum(flags[done:i])
+        done = i
+        for name in names[raws[i]]:
             if not name.isidentifier():
-                raise AsmError(no, f"bad label {name!r}")
+                raise AsmError(i + 1, f"bad label {name!r}")
             if name in labels:
-                raise AsmError(no, f"duplicate label {name!r}")
-            labels[name] = len(lines)
-            content = content[len(head):].strip()
-        if content:
-            numbers.append(no)
-            lines.append(content)
-    return labels, numbers, lines
+                raise AsmError(i + 1, f"duplicate label {name!r}")
+            labels[name] = addr
+    return labels
 
 
 def assemble(text: str, library: WaveformLibrary | None = None) -> ProgramImage:
     """Assemble source text against an optional waveform library."""
-    labels, numbers, lines = _scan(text)
+    raws = text.splitlines()
+    names: dict[str, list[str]] = {}     # label line -> its label names
+    lines: dict[str, str] = {}           # instruction line -> its text
+    for raw in dict.fromkeys(raws):
+        heads, line = _split_line(raw)
+        if heads:
+            names[raw] = heads
+        if line:
+            lines[raw] = line
+    flags = list(map(lines.__contains__, raws))
+    labels = _labels(raws, names, flags)
     if library is not None:
         wave_mem, wave_syms = library.pack()
     else:
@@ -276,12 +304,18 @@ def assemble(text: str, library: WaveformLibrary | None = None) -> ProgramImage:
             raise AsmError(line_no, f"unknown label {tok!r}") from None
 
     # Pass 2: every label is known, so a line's word depends on its text
-    # alone; each distinct text is built once, at its first occurrence.
+    # alone; each distinct text is built once, at its first line, which
+    # the index scans find in one sweep over the distinct lines in order.
     word_of: dict[str, int] = {}
-    for no, line in zip(numbers, lines):
+    word_at: dict[str, int] = {}
+    at = 0
+    for raw, line in lines.items():
         if line not in word_of:
-            word_of[line] = _word(line, no, resolve, wave_syms)
-    return ProgramImage(words=list(map(word_of.__getitem__, lines)),
+            at = raws.index(raw, at)
+            word_of[line] = _word(line, at + 1, resolve, wave_syms)
+        word_at[raw] = word_of[line]
+    return ProgramImage(words=list(map(word_at.__getitem__,
+                                       compress(raws, flags))),
                         waveforms=wave_mem, symbols=labels,
                         wave_symbols=wave_syms)
 
@@ -497,9 +531,13 @@ _LINE = isa.CACHE_LINE_INSTRUCTIONS
 
 
 def _sites(words: list[int], table: dict[int, Instruction]) -> list[int]:
-    """Address of every branch and PREFETCH: the words with a target."""
-    hit = {w for w, instr in table.items() if instr.op in TARGET_OPS}
-    return [pc for pc, w in enumerate(words) if w in hit]
+    """Address of every branch and PREFETCH: the words with a target,
+    found in one array pass.  table holds every word decoded, so each
+    word fits in 64 bits."""
+    hit = [w for w, instr in table.items() if instr.op in TARGET_OPS]
+    found = np.isin(np.fromiter(words, np.uint64, len(words)),
+                    np.array(hit, np.uint64))
+    return np.flatnonzero(found).tolist()
 
 
 def _is_far(site: int, target: int) -> bool:

@@ -27,6 +27,13 @@ Generated programs stay inside the value-comparable subset:
   and covers them exactly.  Windows bind samples by arrival order at the
   rotation stage; a window that covered plays only partially would bind
   different samples under lookahead than under program-order execution.
+
+``reference_assemble`` is the assembler's line scan written line by
+line: pass 1 visits every source line for its labels and content, and
+pass 2 looks up every instruction line's word.  ``asm.assemble`` does
+the same passes once per distinct line, and must give the same image or
+the same error, line number included.  Both build a line's word with
+``asm._word``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from aps2sim import isa
+from aps2sim import asm, isa
 from aps2sim.clocks import ANALOG_SAMPLE_TICKS, PIPELINE_TICKS
 from aps2sim.events import Event, EventKind
 from aps2sim.isa import (
@@ -499,3 +506,62 @@ def resolved(windows: Windows, events: list[Event]) -> tuple:
     cols = (windows.lo, windows.hi, windows.ref_tick, windows.phase,
             windows.inc)
     return [(c.dtype.str, c.tobytes()) for c in cols], repr(events)
+
+
+# ---------------------------------------------------------------------------
+# Reference assembler: one Python step per source line
+
+
+def _reference_scan(text: str) -> tuple[dict[str, int], list[int], list[str]]:
+    """Pass 1: labels, plus the line number and stripped text of every
+    instruction line (its address is its index)."""
+    labels: dict[str, int] = {}
+    numbers: list[int] = []
+    lines: list[str] = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.partition(";")[0].strip()
+        while ":" in content:
+            head = content.split(None, 1)[0]
+            if not head.endswith(":"):
+                break
+            name = head[:-1]
+            if not name.isidentifier():
+                raise asm.AsmError(no, f"bad label {name!r}")
+            if name in labels:
+                raise asm.AsmError(no, f"duplicate label {name!r}")
+            labels[name] = len(lines)
+            content = content[len(head):].strip()
+        if content:
+            numbers.append(no)
+            lines.append(content)
+    return labels, numbers, lines
+
+
+def reference_assemble(text: str,
+                       library: asm.WaveformLibrary | None = None
+                       ) -> ProgramImage:
+    """What ``asm.assemble`` gives, scanning and looking up line by line."""
+    labels, numbers, lines = _reference_scan(text)
+    if library is not None:
+        wave_mem, wave_syms = library.pack()
+    else:
+        wave_mem = np.zeros((0, 2), np.int16)
+        wave_syms = {}
+
+    def resolve(tok: str, line_no: int) -> int:
+        if tok in labels:
+            return labels[tok]
+        try:
+            return int(tok, 0)
+        except ValueError:
+            raise asm.AsmError(line_no, f"unknown label {tok!r}") from None
+
+    # Pass 2: every label is known, so a line's word depends on its text
+    # alone; each distinct text is built once, at its first occurrence.
+    word_of: dict[str, int] = {}
+    for no, line in zip(numbers, lines):
+        if line not in word_of:
+            word_of[line] = asm._word(line, no, resolve, wave_syms)
+    return ProgramImage(words=list(map(word_of.__getitem__, lines)),
+                        waveforms=wave_mem, symbols=labels,
+                        wave_symbols=wave_syms)

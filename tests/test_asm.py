@@ -1,15 +1,19 @@
 """Assembler, disassembler, waveform library, and prefetch hint insertion."""
 
+import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aps2sim import asm, isa
 from aps2sim.asm import AsmError, WaveformLibrary, assemble, disassemble
 from aps2sim.isa import CmpOp, ModAction, Opcode, WfAction
 from aps2sim.mem import ASSOC_LINES
-from oracle import random_program
+from oracle import random_program, reference_assemble
 
 
 def small_library():
@@ -144,6 +148,84 @@ def test_each_distinct_line_is_built_once(monkeypatch):
     assert assemble(src, small_library()).words == image.words
 
 
+def test_set_up_runs_once_per_distinct_line(monkeypatch):
+    # 5,001 lines of six distinct raw lines, two of them one text: the
+    # splitter sees each raw line once and the builder each text once,
+    # both in order of first occurrence
+    split, built = [], []
+    split_line, build = asm._split_line, asm._build
+
+    def split_spy(raw):
+        split.append(raw)
+        return split_line(raw)
+
+    def build_spy(mnemonic, bare, kv, no, *rest):
+        built.append(no)
+        return build(mnemonic, bare, kv, no, *rest)
+
+    monkeypatch.setattr(asm, "_split_line", split_spy)
+    monkeypatch.setattr(asm, "_build", build_spy)
+    body = ["  WAVEFORM PLAY gauss", "WAVEFORM PLAY gauss  ; same text",
+            "  CMP > 0x1", "", "  GOTO top ; back"]
+    src = "top:\n" + "\n".join(body * 1000) + "\n"
+    image = assemble(src, small_library())
+    assert split == ["top:"] + body
+    assert built == [2, 4, 6]
+    assert len(image.words) == 4000 and image.symbols == {"top": 0}
+
+
+# source lines for the differential property: labels good and bad,
+# instructions good and bad, and the separators str.splitlines knows
+LABELS = ["a", "b", "loop", "_x9"] * 6 + ["1a", "", "a-b", "a:b"]
+OPS = ["SYNC", "WAIT", "RETURN", "GOTO a", "CALL b if", "REPEAT loop",
+       "PREFETCH _x9", "LOAD_REPEAT 3", "CMP = 0x1", "GOTO 3",
+       "WAVEFORM PLAY gauss", "MARKER PLAY ch=1 count=2",
+       "MOD MODULATE nco=1 count=8"] * 2 + [
+    "GOTO nowhere", "BOGUS 1", "LOAD_REPEAT", "WAVEFORM PLAY missing",
+    "a:SYNC", ":"]
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def source_lines(draw):
+    """Blank, comment-only, label-only or instruction lines, each with
+    up to two labels, blanks around and a trailing comment."""
+    names = [draw(st.sampled_from(LABELS))
+             for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2])))]
+    op = draw(st.sampled_from([""] * 4 + OPS))
+    lead = draw(st.sampled_from(["", "  ", "\t"]))
+    tail = draw(st.sampled_from(["", " ", "\t ", " ; note", ";x: y", ";"]))
+    return lead + " ".join([f"{n}:" for n in names] + [op]) + tail
+
+
+@st.composite
+def sources(draw):
+    """Lines drawn from a small pool, so lines repeat, each ended by a
+    separator, the last one maybe by none."""
+    pool = draw(st.lists(source_lines(), min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    ends = [draw(st.sampled_from(SEPARATORS)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+def assembled(assembler, text):
+    """An assembler's image as comparable values, or its error text."""
+    try:
+        image = assembler(text, small_library())
+    except AsmError as exc:
+        return str(exc)
+    return image.words, image.symbols, image.wave_symbols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sources())
+def test_assemble_matches_the_line_by_line_reference(text):
+    assert assembled(assemble, text) == assembled(reference_assemble, text)
+
+
 def test_a_repeated_bad_line_reports_its_first_line():
     src = "SYNC\nWAIT\nGOTO nowhere\nSYNC\nWAIT\nSYNC\nGOTO nowhere\n"
     with pytest.raises(AsmError, match="line 3: unknown label 'nowhere'"):
@@ -193,6 +275,30 @@ def test_the_hint_pass_decodes_each_distinct_word_once(monkeypatch):
     decoded.clear()
     asm.strip_prefetch_hints(hinted)
     assert sorted(decoded) == sorted(set(hinted.words))
+
+
+NO_ACTION = 0x03 << 56 | 0x07 << 48           # no MODULATOR action 7
+
+
+@pytest.mark.parametrize("hint_pass", [asm.insert_prefetch_hints,
+                                       asm.strip_prefetch_hints],
+                         ids=["insert", "strip"])
+@pytest.mark.parametrize("bad, message", [
+    ((NO_ACTION, 1 << 64), f"word {NO_ACTION:#018x}: MODULATOR has no "
+                           "action 7"),
+    ((1 << 64, NO_ACTION), "word 0x10000000000000000 is not 64-bit"),
+    ((-1, NO_ACTION), "word -0x1 is not 64-bit"),
+], ids=["undecodable", "wide", "negative"])
+def test_the_hint_passes_report_the_first_bad_word(hint_pass, bad, message):
+    # the words are decoded before the array pass that finds the sites,
+    # which could not hold a word outside 64 bits
+    lib = WaveformLibrary()
+    lib.add("w", 0.1 * np.ones(16))
+    image = assemble(distant_call_program(), lib)
+    words = list(image.words)
+    words[10], words[-3] = bad
+    with pytest.raises(isa.DecodeError, match=f"^{re.escape(message)}$"):
+        hint_pass(dataclasses.replace(image, words=words))
 
 
 def test_library_quantization(tmp_path):

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aps2sim.asm import insert_prefetch_hints
+from aps2sim.asm import WaveformLibrary, assemble, insert_prefetch_hints
 from aps2sim import events
-from aps2sim.clocks import ANALOG_SAMPLE_TICKS, PIPELINE_TICKS
+from aps2sim.clocks import (ANALOG_SAMPLE_TICKS, PIPELINE_TICKS,
+                            SEQ_CLOCK_TICKS)
 from aps2sim.column import Column
 from aps2sim.engine import (STACK_DEPTH, DeadlockError, EngineConfig,
                             Sequencer, SimTrap)
@@ -1424,6 +1425,91 @@ def test_decode_budget_runs_out_at_the_same_point(monkeypatch, skips):
     fast = trap_point()
     assert skips and fast[:2] == (2000, 2)      # inside a lap
     assert fast == decoding_every_lap(monkeypatch, trap_point)
+
+
+def farcall_image(laps):
+    """As the farcall benchmark, with prefetch hints: a loop calling 16
+    subroutines 8 cache lines apart, 5 apart in call order, after engine
+    waits that hold the start for a trigger.  Its laps repeat as a block
+    of 10, whose first copy comes after decoding 1,523 instructions."""
+    lengths = (8, 16, 24, 32)
+    lines = ["WAVEFORM WAIT"] + [f"MARKER WAIT ch={ch}" for ch in range(4)]
+    lines.append("GOTO main")
+    for s in range(16):
+        while len(lines) < (8 * s + 1) * 128:
+            lines.append(f"WAVEFORM PLAY p{lengths[len(lines) % 4]}")
+        lines += [f"sub{s}:", f"MARKER PLAY ch={s % 4} state=1 count=2"]
+        lines += [f"WAVEFORM PLAY p{lengths[(s + j) % 4]}" for j in range(3)]
+        lines.append("RETURN")
+    lines += ["main:", f"LOAD_REPEAT {laps - 1}", "loop:"]
+    lines += [f"CALL sub{5 * k % 16}" for k in range(16)]
+    lines.append("REPEAT loop")
+    lib = WaveformLibrary()
+    for n in lengths:
+        lib.add(f"p{n}", np.full(n, 0.25))
+    return insert_prefetch_hints(assemble("\n".join(lines) + "\n", lib))
+
+
+# decodes up to the first block copy, and per lap, on farcall_image
+FARCALL_AT, FARCALL_LAP = 1523, 116
+
+
+@pytest.mark.parametrize("left, copied", [
+    (FARCALL_LAP // 2, 0),                  # neither a block nor a lap
+    (3 * FARCALL_LAP + 7, 3),               # no block, a recorded rest
+    (10 * FARCALL_LAP + 7, 10),             # one block and no rest
+])
+def test_a_decode_budget_inside_a_block_traps_as_decoded(monkeypatch, left,
+                                                         copied):
+    # the budget leaves `left` decodes at the first exact 10-lap match:
+    # _repeat copies what fits, or refuses when nothing does, and the
+    # run traps where decoding every lap traps
+    prog = farcall_image(250)
+    budget = FARCALL_AT + left
+    tried = []
+    repeat = LapRecorder._repeat
+
+    def recording(self, now, k, exact):
+        before = self.seq.decodes
+        done = repeat(self, now, k, exact)
+        if exact:
+            tried.append((k, before, done))
+        return done
+
+    def trap_point():
+        seq = Sequencer(prog, EngineConfig(max_decodes=budget))
+        with pytest.raises(SimTrap, match=f"budget {budget} ran out") as trap:
+            seq.run_simple(triggers=[500_000])
+        return str(trap.value), seq.decodes, seq.pc, seq.decode_tick, \
+            seq.laps_copied
+
+    monkeypatch.setattr(LapRecorder, "_repeat", recording)
+    fast = trap_point()
+    assert tried == [(10, FARCALL_AT, copied > 0)]
+    assert fast[-1] == copied
+    assert fast[:-1] == decoding_every_lap(monkeypatch, trap_point)[:-1]
+
+
+def test_every_lap_starts_on_the_sequencer_clock(monkeypatch):
+    # each step of the decode tick adds CLK or aligns up to it, so a
+    # lap's period is whole clocks too and _repeat's off-grid refusal
+    # is a guard that no program reaches
+    starts = []
+    skip = LapRecorder.skip_laps
+
+    def recording(self, at):
+        starts.append(self.seq.decode_tick)
+        skip(self, at)
+
+    monkeypatch.setattr(LapRecorder, "skip_laps", recording)
+    Sequencer(farcall_image(30)).run_simple(triggers=[500_000])
+    for seed in range(20):
+        prog, initial_cmp = random_program(np.random.default_rng(3000 + seed),
+                                           max_repeat=40, pad=300,
+                                           syncs=seed % 2 == 1)
+        Sequencer(prog, EngineConfig(initial_cmp=initial_cmp)).run_simple()
+    assert len(starts) > 50
+    assert all(tick % SEQ_CLOCK_TICKS == 0 for tick in starts)
 
 
 def test_far_calls_skip_laps_without_changing_the_run(monkeypatch, skips):

@@ -55,10 +55,10 @@ ENUMS = {"Opcode", "WfAction", "MarkerAction", "ModAction", "CmpOp",
 # functions, and classes whose every method but a constructor, that run
 # per decoded instruction, engine command or modulator command, or per
 # modulator command chunk, copied event, NCO or output block; and set-up's
-# per-line and per-word loops (asm._build runs once per distinct line, so
-# it is not here)
+# per-line and per-word passes (asm._split_line and asm._build run once per
+# distinct line, so they are not here)
 HOT = {
-    asm: ["_scan", "assemble", "_sites", "_is_far", "_block_start",
+    asm: ["_labels", "assemble", "_sites", "_is_far", "_block_start",
           "_entry_end", "_mover", "_relocation", "_moved_words",
           "_hint_sites", "_plan", "insert_prefetch_hints",
           "strip_prefetch_hints"],
